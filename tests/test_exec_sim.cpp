@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
+#include <variant>
 
 #include "mapping/baseline_map.hpp"
 #include "mapping/hypercube_map.hpp"
@@ -257,6 +260,138 @@ TEST(ExecSim, LinkContentionHandComputedTwoHopCase) {
   EXPECT_DOUBLE_EQ(r.time, 1.0 + 12.0 + 1.0);
   EXPECT_EQ(r.max_link_words, 1);
   EXPECT_EQ(r.words, 1);
+}
+
+/// Records the simulated-clock events (pid kSimPid) as one compact line each:
+/// phase, name, ts, dur (spans only), tid, then the args in emission order.
+class SimTimelineRecorder final : public obs::TraceSink {
+ public:
+  void event(const obs::TraceEvent& e) override {
+    if (e.pid != obs::kSimPid) return;
+    std::ostringstream line;
+    line << static_cast<char>(e.phase) << ' ' << e.name << " ts=" << e.ts;
+    if (e.phase == obs::Phase::Complete) line << " dur=" << e.dur;
+    line << " tid=" << e.tid;
+    for (const auto& [key, value] : e.args) {
+      line << ' ' << key << '=';
+      std::visit([&](const auto& v) { line << v; }, value);
+    }
+    lines_ += line.str() + "\n";
+  }
+  [[nodiscard]] const std::string& str() const { return lines_; }
+
+ private:
+  std::string lines_;
+};
+
+std::string render_telemetry(const obs::MetricsSnapshot& m) {
+  std::ostringstream out;
+  for (const char* name : {"sim.msg_words", "sim.msg_hops"}) {
+    const obs::HistogramData& h = m.histograms.at(name);
+    out << name << " count=" << h.count << " sum=" << h.sum << " min=" << h.min
+        << " max=" << h.max << " counts=";
+    for (std::int64_t c : h.counts) out << c << ',';
+    out << "\n";
+  }
+  out << "sim.link.busiest_words";
+  for (const obs::SeriesPoint& p : m.series.at("sim.link.busiest_words"))
+    out << " (" << p.x << ',' << p.y << ')';
+  out << "\nsim.max_link_words " << m.gauges.at("sim.max_link_words") << "\n";
+  return out.str();
+}
+
+TEST(ExecSim, DenseTelemetryPinnedOnHandSizedPlan) {
+  // 2x2 domain, Π = (1, 1), one block per point on procs {0, 3, 1, 2}.  Step
+  // 0 sends 0->3 (inserted first: dependence (0,1) is listed first) and
+  // 0->1, so the (src, dst) message order differs from arc order; step 1
+  // sends 3->2 and 1->2.  The link fault takes 0-1 down from step 1, which
+  // detours only 1->2 (e-cube 1->0->2 becomes 1->3->2).
+  ComputationStructure q({{0, 0}, {0, 1}, {1, 0}, {1, 1}}, {{0, 1}, {1, 0}});
+  TimeFunction tf{{1, 1}};
+  Partition part = Partition::from_labels(q, {0, 1, 2, 3});
+  Mapping map;
+  map.processor_count = 4;
+  map.block_to_proc = {0, 3, 1, 2};
+  const MachineParams mp{1.0, 10.0, 2.0};
+
+  const std::string threads =
+      "M process_name ts=0 tid=0 name=hypart simulator (simulated time)\n"
+      "M thread_name ts=0 tid=0 name=proc 0\n"
+      "M thread_name ts=0 tid=1 name=proc 1\n"
+      "M thread_name ts=0 tid=2 name=proc 2\n"
+      "M thread_name ts=0 tid=3 name=proc 3\n";
+  const std::string fault_free =
+      threads +
+      "M thread_name ts=0 tid=1000000 name=link 0->1\n"
+      "M thread_name ts=0 tid=1000001 name=link 0->2\n"
+      "M thread_name ts=0 tid=1000002 name=link 1->0\n"
+      "M thread_name ts=0 tid=1000003 name=link 1->3\n"
+      "M thread_name ts=0 tid=1000004 name=link 3->2\n"
+      "X compute ts=0 dur=1 tid=0 step=0 iterations=1\n"
+      "i msg ts=1 tid=0 src=0 dst=1 words=1 hops=1 step=0\n"
+      "i msg ts=1 tid=0 src=0 dst=3 words=1 hops=2 step=0\n"
+      "X xfer ts=1 dur=24 tid=1000000 step=0 msgs=2 words=2\n"
+      "X xfer ts=1 dur=12 tid=1000003 step=0 msgs=1 words=1\n"
+      "C busiest_link_words ts=1 tid=0 value=2\n"
+      "X compute ts=25 dur=1 tid=1 step=1 iterations=1\n"
+      "X compute ts=25 dur=1 tid=3 step=1 iterations=1\n"
+      "i msg ts=26 tid=1 src=1 dst=2 words=1 hops=2 step=1\n"
+      "i msg ts=26 tid=3 src=3 dst=2 words=1 hops=1 step=1\n"
+      "X xfer ts=26 dur=12 tid=1000001 step=1 msgs=1 words=1\n"
+      "X xfer ts=26 dur=12 tid=1000002 step=1 msgs=1 words=1\n"
+      "X xfer ts=26 dur=12 tid=1000004 step=1 msgs=1 words=1\n"
+      "C busiest_link_words ts=26 tid=0 value=1\n"
+      "X compute ts=38 dur=1 tid=2 step=2 iterations=1\n";
+  const std::string fault_free_metrics =
+      "sim.msg_words count=4 sum=4 min=1 max=1 counts=4,0,0,0,0,0,0,0,0,0,\n"
+      "sim.msg_hops count=4 sum=6 min=1 max=2 counts=0,2,2,0,0,0,0,0,\n"
+      "sim.link.busiest_words (0,2) (1,1)\n"
+      "sim.max_link_words 2\n";
+  const std::string degraded =
+      threads +
+      "M thread_name ts=0 tid=1000000 name=link 0->1\n"
+      "M thread_name ts=0 tid=1000001 name=link 1->3\n"
+      "M thread_name ts=0 tid=1000002 name=link 3->2\n"
+      "X compute ts=0 dur=1 tid=0 step=0 iterations=1\n"
+      "i msg ts=1 tid=0 src=0 dst=1 words=1 hops=1 step=0\n"
+      "i msg ts=1 tid=0 src=0 dst=3 words=1 hops=2 step=0\n"
+      "X xfer ts=1 dur=24 tid=1000000 step=0 msgs=2 words=2\n"
+      "X xfer ts=1 dur=12 tid=1000001 step=0 msgs=1 words=1\n"
+      "C busiest_link_words ts=1 tid=0 value=2\n"
+      "X compute ts=25 dur=1 tid=1 step=1 iterations=1\n"
+      "X compute ts=25 dur=1 tid=3 step=1 iterations=1\n"
+      "i msg ts=26 tid=1 src=1 dst=2 words=1 hops=2 step=1\n"
+      "i msg ts=26 tid=3 src=3 dst=2 words=1 hops=1 step=1\n"
+      "X xfer ts=26 dur=12 tid=1000001 step=1 msgs=1 words=1\n"
+      "X xfer ts=26 dur=24 tid=1000002 step=1 msgs=2 words=2\n"
+      "C busiest_link_words ts=26 tid=0 value=2\n"
+      "X compute ts=50 dur=1 tid=2 step=2 iterations=1\n";
+  const std::string degraded_metrics =
+      "sim.msg_words count=4 sum=4 min=1 max=1 counts=4,0,0,0,0,0,0,0,0,0,\n"
+      "sim.msg_hops count=4 sum=6 min=1 max=2 counts=0,2,2,0,0,0,0,0,\n"
+      "sim.link.busiest_words (0,2) (1,2)\n"
+      "sim.max_link_words 2\n";
+
+  // The timeline shows the schedule, not the accounting: identical under
+  // all three conventions.
+  for (CommAccounting acc : {CommAccounting::PaperMaxChannel, CommAccounting::PerStepBarrier,
+                             CommAccounting::LinkContention}) {
+    for (bool faulty : {false, true}) {
+      SCOPED_TRACE("accounting " + std::to_string(static_cast<int>(acc)) +
+                   (faulty ? " link:0-1@1" : ""));
+      SimTimelineRecorder sink;
+      obs::MetricsRegistry reg;
+      SimOptions opts;
+      opts.accounting = acc;
+      if (faulty) opts.faults = fault::FaultPlan::parse("link:0-1@1");
+      opts.obs.trace = &sink;
+      opts.obs.metrics = &reg;
+      SimResult r = simulate_execution(q, tf, part, map, Hypercube(2), mp, opts);
+      ASSERT_TRUE(r.metrics.has_value());
+      EXPECT_EQ(sink.str(), faulty ? degraded : fault_free);
+      EXPECT_EQ(render_telemetry(*r.metrics), faulty ? degraded_metrics : fault_free_metrics);
+    }
+  }
 }
 
 TEST(ExecSim, FromLabelsPartitionSimulates) {
