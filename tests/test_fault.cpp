@@ -13,9 +13,11 @@
 #include "exec/parallel_runtime.hpp"
 #include "fault/degraded_route.hpp"
 #include "fault/remap.hpp"
+#include "loop/iter_space.hpp"
 #include "mapping/hypercube_map.hpp"
 #include "sim/exec_sim.hpp"
 #include "workloads/workloads.hpp"
+#include "sim_oracle.hpp"
 
 namespace hypart {
 namespace {
@@ -355,6 +357,27 @@ TEST_P(FaultPlanProperty, DegradedCostNeverBeatsFaultFree) {
     opts.faults = FaultPlan::parse("rand:" + std::to_string(seed) + ":1n1l");
     SimResult deg = simulate_execution(*f.q, f.tf, f.partition, map, cube, machine, opts);
     EXPECT_GE(deg.time, ok.time) << "seed " << seed << " acc " << static_cast<int>(acc);
+  }
+
+  // The dense and line-based degraded results against the brute-force
+  // oracle, under all three accountings, with and without hop charging.
+  IterSpace space(f.nest, f.deps.distance_vectors());
+  ProjectedStructure ps(space, f.tf);
+  Grouping gs = Grouping::compute(ps);
+  for (CommAccounting acc : {CommAccounting::PaperMaxChannel, CommAccounting::PerStepBarrier,
+                             CommAccounting::LinkContention}) {
+    for (bool hops : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " acc " +
+                   std::to_string(static_cast<int>(acc)) + (hops ? " hops" : ""));
+      SimOptions opts;
+      opts.accounting = acc;
+      opts.charge_hops = hops;
+      opts.faults = FaultPlan::parse("rand:" + std::to_string(seed) + ":1n1l");
+      const SimResult want = oracle::simulate(*f.q, f.tf, f.partition, map, cube, machine, opts);
+      oracle::expect_matches(
+          simulate_execution(*f.q, f.tf, f.partition, map, cube, machine, opts), want);
+      oracle::expect_matches(simulate_execution(space, gs, map, cube, machine, opts), want);
+    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include "sim/exec_sim.hpp"
 #include "topology/topology.hpp"
 #include "workloads/workloads.hpp"
+#include "sim_oracle.hpp"
 
 namespace hypart {
 namespace {
@@ -326,6 +327,9 @@ bool check_all_stages(const IterSpace& space, const std::vector<IntVec>& pts,
       SimResult rd = simulate_execution(q, tf, part, m, cube, machine, opts);
       SimResult rs = simulate_execution(space, gs, m, cube, machine, opts);
       SCOPED_TRACE("accounting " + std::to_string(static_cast<int>(acc)));
+      const SimResult want = oracle::simulate(q, tf, part, m, cube, machine, opts);
+      oracle::expect_matches(rd, want);
+      oracle::expect_matches(rs, want);
       EXPECT_EQ(rd.total, rs.total);
       EXPECT_EQ(rd.time, rs.time);
       EXPECT_EQ(rd.compute_bottleneck, rs.compute_bottleneck);
