@@ -111,7 +111,7 @@ TEST(SimulatorMetricsTest, DeterministicAcrossIdenticalRuns) {
   EXPECT_FALSE(a.empty());
 }
 
-TEST(SimulatorMetricsTest, PerProcIterationCountersMatchSimResult) {
+TEST(SimulatorMetricsTest, PerProcSeriesMatchSimResult) {
   SimPieces p = make_pieces(24, 2);
   Hypercube cube(2);
   MetricsRegistry reg;
@@ -124,16 +124,59 @@ TEST(SimulatorMetricsTest, PerProcIterationCountersMatchSimResult) {
   std::int64_t total_from_result =
       std::accumulate(r.per_proc_iterations.begin(), r.per_proc_iterations.end(),
                       std::int64_t{0});
-  std::int64_t busy_sum = 0;
-  for (std::size_t proc = 0; proc < r.per_proc_iterations.size(); ++proc) {
-    std::int64_t c =
-        r.metrics->counters.at("sim.proc." + std::to_string(proc) + ".iterations");
-    EXPECT_EQ(c, r.per_proc_iterations[proc]) << "proc " << proc;
-    busy_sum += c;
+  // One point per processor, keyed by processor id.
+  const std::vector<SeriesPoint>& iters = r.metrics->series.at("sim.proc.iterations");
+  const std::vector<SeriesPoint>& busy = r.metrics->series.at("sim.proc.busy_steps");
+  const std::vector<SeriesPoint>& idle = r.metrics->series.at("sim.proc.idle_steps");
+  ASSERT_EQ(iters.size(), r.per_proc_iterations.size());
+  ASSERT_EQ(busy.size(), iters.size());
+  ASSERT_EQ(idle.size(), iters.size());
+  std::int64_t iter_sum = 0;
+  for (std::size_t proc = 0; proc < iters.size(); ++proc) {
+    EXPECT_EQ(iters[proc].x, static_cast<std::int64_t>(proc));
+    EXPECT_EQ(iters[proc].y, static_cast<double>(r.per_proc_iterations[proc])) << "proc " << proc;
+    EXPECT_EQ(busy[proc].y + idle[proc].y, static_cast<double>(r.steps)) << "proc " << proc;
+    iter_sum += static_cast<std::int64_t>(iters[proc].y);
   }
-  EXPECT_EQ(busy_sum, total_from_result);
+  EXPECT_EQ(iter_sum, total_from_result);
   EXPECT_EQ(r.metrics->counters.at("sim.messages"), r.messages);
   EXPECT_EQ(r.metrics->counters.at("sim.words"), r.words);
+}
+
+TEST(SimulatorMetricsTest, DenseAndLineBasedReportOneKeySetUnderLinkOnlyFaults) {
+  // A link-only plan migrates nothing, yet every feed reports the fault
+  // counters — fault.migration_words included, as 0 — so the counter and
+  // gauge maps do not depend on which feed ran.
+  SimPieces p = make_pieces(24, 3);
+  const LoopNest nest = workloads::matrix_vector(24);
+  IterSpace space(nest, analyze_dependences(nest).distance_vectors());
+  ProjectedStructure ps(space, p.tf);
+  Grouping grouping = Grouping::compute(ps);
+  Hypercube cube(3);
+  for (CommAccounting acc : {CommAccounting::PaperMaxChannel, CommAccounting::PerStepBarrier,
+                             CommAccounting::LinkContention}) {
+    SCOPED_TRACE("accounting " + std::to_string(static_cast<int>(acc)));
+    auto run = [&](bool dense) {
+      MetricsRegistry reg;
+      SimOptions opts;
+      opts.accounting = acc;
+      opts.faults = fault::FaultPlan::parse("link:0-1");
+      opts.obs.metrics = &reg;
+      SimResult r = dense ? simulate_execution(*p.q, p.tf, p.partition, p.mapping, cube,
+                                               MachineParams{}, opts)
+                          : simulate_execution(space, grouping, p.mapping, cube,
+                                               MachineParams{}, opts);
+      return *r.metrics;
+    };
+    MetricsSnapshot dense = run(true);
+    const MetricsSnapshot line = run(false);
+    EXPECT_EQ(dense.counters.at("fault.migration_words"), 0);
+    EXPECT_EQ(dense.counters, line.counters);
+    // sim.max_link_words is per-step telemetry, which only the dense feed
+    // emits (see exec_sim.hpp).
+    EXPECT_EQ(dense.gauges.erase("sim.max_link_words"), 1u);
+    EXPECT_EQ(dense.gauges, line.gauges);
+  }
 }
 
 TEST(SimulatorMetricsTest, DisabledObsLeavesResultUnchanged) {
@@ -172,7 +215,7 @@ TEST(PipelineMetricsTest, SnapshotAttachedAndConsistent) {
   EXPECT_EQ(r.metrics->counters.at("map.clusters"),
             static_cast<std::int64_t>(r.mapping.clusters.size()));
   // The sim section is present too (same registry threaded through).
-  EXPECT_GT(r.metrics->counter_sum("sim.proc."), 0);
+  EXPECT_FALSE(r.metrics->series.at("sim.proc.iterations").empty());
 }
 
 TEST(HistogramTest, PercentileEdgeCases) {
