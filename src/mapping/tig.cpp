@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "core/error.hpp"
 #include "partition/symbolic.hpp"
 
 namespace hypart {
@@ -11,16 +13,21 @@ namespace hypart {
 TaskInteractionGraph TaskInteractionGraph::from_partition(const ComputationStructure& q,
                                                           const Partition& p,
                                                           const Grouping& grouping) {
+  if (p.block_count() != grouping.group_count())
+    throw Error(ErrorKind::Config, "TaskInteractionGraph::from_partition: partition has " +
+                                       std::to_string(p.block_count()) + " blocks but grouping has " +
+                                       std::to_string(grouping.group_count()) + " groups");
   TaskInteractionGraph tig(p.block_count());
   for (std::size_t b = 0; b < p.block_count(); ++b) {
     tig.set_compute_weight(b, static_cast<std::int64_t>(p.blocks()[b].iterations.size()));
     tig.set_coordinates(b, grouping.groups()[b].lattice);
   }
-  q.for_each_arc([&](const IntVec& src, const IntVec& dst, std::size_t) {
-    std::size_t bs = p.block_of(q.id_of(src));
-    std::size_t bd = p.block_of(q.id_of(dst));
-    if (bs != bd) tig.add_comm(bs, bd, 1);
-  });
+  // Each directed block pair of the partition's communication graph adds
+  // its crossing-arc count to the undirected edge.
+  const PartitionStats stats = compute_partition_stats(q, p);
+  const Digraph& comm = stats.block_comm;
+  for (std::size_t bs = 0; bs < comm.vertex_count(); ++bs)
+    for (const Digraph::Edge& e : comm.out_edges(bs)) tig.add_comm(bs, e.to, e.weight);
   return tig;
 }
 

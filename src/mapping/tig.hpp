@@ -22,8 +22,10 @@ class TaskInteractionGraph {
   explicit TaskInteractionGraph(std::size_t vertices) : compute_(vertices, 1) {}
 
   /// Build from a partition: edge weights are interblock dependence-pair
-  /// counts, vertex weights are block iteration counts, coordinates are the
-  /// group-lattice coordinates recorded during region growing.
+  /// counts (compute_partition_stats' block graph, symmetrised), vertex
+  /// weights are block iteration counts, coordinates are the group-lattice
+  /// coordinates recorded during region growing.  Throws
+  /// Error(ErrorKind::Config) unless p has one block per group.
   static TaskInteractionGraph from_partition(const ComputationStructure& q, const Partition& p,
                                              const Grouping& grouping);
 

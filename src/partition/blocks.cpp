@@ -62,10 +62,10 @@ std::size_t Partition::min_block_size() const {
 PartitionStats compute_partition_stats(const ComputationStructure& q, const Partition& p) {
   PartitionStats stats;
   stats.block_comm = Digraph(p.block_count());
-  q.for_each_arc([&](const IntVec& src, const IntVec& dst, std::size_t) {
+  q.for_each_arc_id([&](std::size_t src, std::size_t dst, std::size_t) {
     ++stats.total_arcs;
-    std::size_t bs = p.block_of(q.id_of(src));
-    std::size_t bd = p.block_of(q.id_of(dst));
+    std::size_t bs = p.block_of(src);
+    std::size_t bd = p.block_of(dst);
     if (bs == bd) {
       ++stats.intrablock_arcs;
     } else {

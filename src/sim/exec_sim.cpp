@@ -596,8 +596,7 @@ SimResult simulate_execution(const ComputationStructure& q, const TimeFunction& 
     }
   };
   feed.bundles = [&](const std::function<void(const SymBundle&)>& v) {
-    q.for_each_arc([&](const IntVec& src, const IntVec& dst, std::size_t) {
-      const std::size_t s = q.id_of(src), d = q.id_of(dst);
+    q.for_each_arc_id([&](std::size_t s, std::size_t d, std::size_t) {
       const std::size_t bs = part.block_of(s), bd = part.block_of(d);
       v({mapping.block_to_proc[bs], mapping.block_to_proc[bd], bs, bd, vstep[d] - vstep[s], 1,
          vstep[s]});

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
+#include <tuple>
+#include <unordered_map>
+
 
 #include "workloads/workloads.hpp"
 
@@ -86,6 +93,104 @@ TEST_P(ArcCountProperty, Sor2dArcFormula) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ArcCountProperty, ::testing::Values(2, 3, 4, 7, 10));
+
+using ArcTriple = std::tuple<std::size_t, std::size_t, std::size_t>;
+
+/// Brute-force arc enumeration: hash every vertex, then probe v + d_k for
+/// every vertex id (outer) and dependence index (inner).
+std::vector<ArcTriple> oracle_arcs(const std::vector<IntVec>& verts,
+                                   const std::vector<IntVec>& deps) {
+  std::unordered_map<IntVec, std::size_t, IntVecHash> index;
+  for (std::size_t i = 0; i < verts.size(); ++i) index.emplace(verts[i], i);
+  std::vector<ArcTriple> arcs;
+  for (std::size_t v = 0; v < verts.size(); ++v)
+    for (std::size_t k = 0; k < deps.size(); ++k) {
+      auto it = index.find(add(verts[v], deps[k]));
+      if (it != index.end()) arcs.emplace_back(v, it->second, k);
+    }
+  return arcs;
+}
+
+std::vector<ArcTriple> table_arcs(const ComputationStructure& q) {
+  std::vector<ArcTriple> arcs;
+  q.for_each_arc_id(
+      [&](std::size_t src, std::size_t dst, std::size_t k) { arcs.emplace_back(src, dst, k); });
+  return arcs;
+}
+
+TEST(ArcTable, HandBuiltUnsortedVertices) {
+  // Ids are the caller's order, not lexicographic order.
+  ComputationStructure q({{1, 1}, {0, 0}, {1, 0}, {0, 1}}, {{0, 1}, {1, 0}});
+  EXPECT_EQ(table_arcs(q),
+            (std::vector<ArcTriple>{{1, 3, 0}, {1, 2, 1}, {2, 0, 0}, {3, 0, 1}}));
+  EXPECT_EQ(q.dependence_arc_count(), 4u);
+}
+
+TEST(ArcTable, SinksBeyondInt64RangeLeaveV) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  ComputationStructure up({{kMax}, {kMax - 1}}, {{1}});
+  EXPECT_EQ(table_arcs(up), (std::vector<ArcTriple>{{1, 0, 0}}));
+  ComputationStructure down({{kMin + 1}, {kMin}}, {{-1}});
+  EXPECT_EQ(table_arcs(down), (std::vector<ArcTriple>{{0, 1, 0}}));
+}
+
+TEST(ArcTable, MatchesHashOracleOnRandomPointSets) {
+  std::mt19937_64 rng(20261017);
+  std::uniform_int_distribution<std::int64_t> coord(-3, 3);
+  std::uniform_int_distribution<std::int64_t> comp(-2, 2);
+  std::bernoulli_distribution keep(0.6);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t dim = 1 + static_cast<std::size_t>(trial % 3);
+    // A box with holes: every point of [-3, 3]^dim kept with probability 0.6.
+    std::vector<IntVec> verts;
+    IntVec p(dim, -3);
+    while (true) {
+      if (keep(rng)) verts.push_back(p);
+      std::size_t c = dim;
+      while (c > 0 && p[c - 1] == 3) p[--c] = -3;
+      if (c == 0) break;
+      ++p[c - 1];
+    }
+    if (verts.empty()) verts.push_back(IntVec(dim, 0));
+    // Half the trials pass V out of lexicographic order.
+    if (trial % 2 == 1) std::shuffle(verts.begin(), verts.end(), rng);
+
+    // Dependences with negative components, and a repeated one.
+    std::vector<IntVec> deps;
+    const int ndeps = 1 + trial % 4;
+    while (deps.size() < static_cast<std::size_t>(ndeps)) {
+      IntVec d(dim);
+      for (std::int64_t& x : d) x = comp(rng);
+      if (!is_zero(d)) deps.push_back(d);
+    }
+    deps.push_back(deps.front());
+
+    ComputationStructure q(verts, deps);
+    const std::vector<ArcTriple> expected = oracle_arcs(verts, deps);
+    ASSERT_EQ(table_arcs(q), expected) << "trial " << trial;
+    EXPECT_EQ(q.dependence_arc_count(), expected.size());
+
+    // The point-level visitor walks the same arcs in the same order.
+    std::size_t i = 0;
+    q.for_each_arc([&](const IntVec& src, const IntVec& dst, std::size_t k) {
+      ASSERT_LT(i, expected.size());
+      EXPECT_EQ(src, verts[std::get<0>(expected[i])]);
+      EXPECT_EQ(dst, verts[std::get<1>(expected[i])]);
+      EXPECT_EQ(k, std::get<2>(expected[i]));
+      ++i;
+    });
+    EXPECT_EQ(i, expected.size());
+  }
+}
+
+TEST(ArcTable, MatchesHashOracleOnWorkloads) {
+  for (const LoopNest& nest : {workloads::example_l1(5), workloads::matrix_vector(6),
+                               workloads::wavefront3d(4), workloads::convolution2d(4, 2)}) {
+    ComputationStructure q = ComputationStructure::from_loop(nest);
+    EXPECT_EQ(table_arcs(q), oracle_arcs(q.vertices(), q.dependences())) << nest.name();
+  }
+}
 
 TEST(IntVecHashTest, SmallStrideGridSpreadsAcrossBuckets) {
   // Regression for the pre-splitmix64 xor-mix combiner: on a small-stride

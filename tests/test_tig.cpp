@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
+#include "core/error.hpp"
+#include "schedule/hyperplane.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hypart {
@@ -56,6 +59,59 @@ TEST(TigTest, FromPartitionMatchesStats) {
   EXPECT_EQ(tig.total_comm(), static_cast<std::int64_t>(stats.interblock_arcs));
   EXPECT_EQ(tig.total_compute(), 16);
   EXPECT_TRUE(tig.has_coordinates());
+}
+
+/// Per-arc oracle: probe v + d for every vertex and dependence through the
+/// hash index and add one unit per interblock arc to a std::map edge.
+std::map<std::pair<std::size_t, std::size_t>, std::int64_t> oracle_edges(
+    const ComputationStructure& q, const Partition& p) {
+  std::map<std::pair<std::size_t, std::size_t>, std::int64_t> edges;
+  for (std::size_t v = 0; v < q.vertices().size(); ++v)
+    for (const IntVec& d : q.dependences()) {
+      auto it = q.vertex_index().find(add(q.vertices()[v], d));
+      if (it == q.vertex_index().end()) continue;
+      std::size_t bs = p.block_of(v), bd = p.block_of(it->second);
+      if (bs != bd) ++edges[std::minmax(bs, bd)];
+    }
+  return edges;
+}
+
+TEST(TigTest, FromPartitionMatchesPerArcOracle) {
+  for (const LoopNest& nest :
+       {workloads::example_l1(6), workloads::matrix_vector(8), workloads::matrix_multiplication(4),
+        workloads::convolution2d(5, 2), workloads::wavefront3d(5)}) {
+    auto q = std::make_unique<ComputationStructure>(ComputationStructure::from_loop(nest));
+    std::optional<TimeFunction> tf = search_time_function(*q);
+    ASSERT_TRUE(tf) << nest.name();
+    ProjectedStructure ps(*q, *tf);
+    Grouping g = Grouping::compute(ps);
+    Partition p = Partition::build(*q, g);
+
+    TaskInteractionGraph tig = TaskInteractionGraph::from_partition(*q, p, g);
+    EXPECT_EQ(tig.edges(), oracle_edges(*q, p)) << nest.name();
+    ASSERT_EQ(tig.vertex_count(), p.block_count());
+    for (std::size_t b = 0; b < p.block_count(); ++b)
+      EXPECT_EQ(tig.compute_weight(b), static_cast<std::int64_t>(p.blocks()[b].iterations.size()))
+          << nest.name() << " block " << b;
+  }
+}
+
+TEST(TigTest, FromPartitionRejectsMismatchedGrouping) {
+  auto q = std::make_unique<ComputationStructure>(
+      ComputationStructure::from_loop(workloads::example_l1()));
+  ProjectedStructure ps(*q, TimeFunction{{1, 1}});
+  Grouping g = Grouping::compute(ps);
+  // One block per vertex: more blocks than the grouping has groups.
+  std::vector<std::size_t> labels(q->vertices().size());
+  for (std::size_t v = 0; v < labels.size(); ++v) labels[v] = v;
+  Partition p = Partition::from_labels(*q, labels);
+  ASSERT_GT(p.block_count(), g.group_count());
+  try {
+    static_cast<void>(TaskInteractionGraph::from_partition(*q, p, g));
+    FAIL() << "expected a config error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Config);
+  }
 }
 
 TEST(TigTest, BlocksPerProc) {
