@@ -62,7 +62,7 @@ std::size_t PlanCache::pi_shard_index(const std::string& structure_key) const {
   return shard_hash(structure_key) % pi_shards_.size();
 }
 
-std::shared_ptr<const CachedDocument> PlanCache::find_document(const std::string& exact_key) {
+std::shared_ptr<const RenderedPlan> PlanCache::find_document(const std::string& exact_key) {
   DocShard& shard = *doc_shards_[doc_shard_index(exact_key)];
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (auto* entry = shard.entries.find(exact_key)) {
@@ -73,9 +73,9 @@ std::shared_ptr<const CachedDocument> PlanCache::find_document(const std::string
   return nullptr;
 }
 
-std::shared_ptr<const CachedDocument> PlanCache::insert_document(const std::string& exact_key,
-                                                                CachedDocument doc) {
-  auto entry = std::make_shared<const CachedDocument>(std::move(doc));
+std::shared_ptr<const RenderedPlan> PlanCache::insert_document(const std::string& exact_key,
+                                                              RenderedPlan plan) {
+  auto entry = std::make_shared<const RenderedPlan>(std::move(plan));
   DocShard& shard = *doc_shards_[doc_shard_index(exact_key)];
   bool evicted = false;
   {

@@ -7,11 +7,11 @@
 // the small-integer search (the expensive part of planning) while the rest
 // of the pipeline re-runs for the actual bounds.
 //
-// Tier 2 (document): exact_key -> fully rendered plan document: the parsed
-// JsonValue of core/json_export's pipeline JSON plus its pre-rendered
-// per-op reply templates (serve/replay.hpp).  Hitting this tier skips the
-// pipeline entirely; the service splices the requester's names into the
-// template bytes before replying.
+// Tier 2 (document): exact_key -> the plan's one reply template
+// (serve/replay.hpp): core/json_export's pipeline document rendered once
+// as name-slotted members.  No parsed document is kept.  Hitting this tier
+// skips the pipeline entirely; the service splices the requester's names
+// into the template bytes before replying.
 //
 // Sharding: each tier is split into lock-striped shards selected by an
 // FNV-1a hash of the key, so concurrent lookups on different keys contend
@@ -25,7 +25,7 @@
 // capacity-2 configurations collapse to a single shard with the classic
 // global LRU order, which the eviction tests pin).
 //
-// Entries are held by shared_ptr so a reply can keep using a document that
+// Entries are held by shared_ptr so a reply can keep using a template that
 // was concurrently evicted.  Evictions are counted into obs::metrics
 // (serve.cache.doc_evictions / serve.cache.pi_evictions); hit/miss
 // dispositions are counted by the service, which knows them.
@@ -40,23 +40,11 @@
 #include <string>
 #include <vector>
 
-#include "core/json_reader.hpp"
 #include "numeric/int_linalg.hpp"
 #include "obs/metrics.hpp"
 #include "serve/replay.hpp"
 
 namespace hypart::serve {
-
-/// A cached plan document plus the producer-side naming needed to rewrite
-/// it for a structurally identical but renamed requester.  `doc` stays
-/// parsed for explain audits and replay verification; `rendered` carries
-/// the pre-rendered byte templates every hit replies from.
-struct CachedDocument {
-  JsonValue doc;                    ///< full pipeline document (producer names)
-  std::string loop_name;            ///< producer nest name
-  std::vector<std::string> arrays;  ///< producer canonical id -> array name
-  RenderedPlan rendered;            ///< pre-rendered per-op reply slices
-};
 
 struct PlanCacheStats {
   std::size_t documents = 0;      ///< live tier-2 entries
@@ -83,12 +71,12 @@ class PlanCache {
                      std::size_t shards = kDefaultShards);
 
   /// Tier-2 lookup; refreshes recency.  Null when absent.
-  [[nodiscard]] std::shared_ptr<const CachedDocument> find_document(const std::string& exact_key);
+  [[nodiscard]] std::shared_ptr<const RenderedPlan> find_document(const std::string& exact_key);
   /// Tier-2 insert (overwrites an existing entry; may evict the shard's
   /// LRU one).  Returns the stored entry so a miss path can reply from the
-  /// same shared document it just published.
-  std::shared_ptr<const CachedDocument> insert_document(const std::string& exact_key,
-                                                        CachedDocument doc);
+  /// same shared template it just published.
+  std::shared_ptr<const RenderedPlan> insert_document(const std::string& exact_key,
+                                                      RenderedPlan plan);
 
   /// Tier-1 lookup; refreshes recency.  Counted as a pi hit only when found.
   [[nodiscard]] std::optional<IntVec> find_pi(const std::string& structure_key);
@@ -155,7 +143,7 @@ class PlanCache {
     std::int64_t misses = 0;
     std::int64_t evictions = 0;
   };
-  using DocShard = Shard<std::shared_ptr<const CachedDocument>>;
+  using DocShard = Shard<std::shared_ptr<const RenderedPlan>>;
   using PiShard = Shard<IntVec>;
 
   const std::size_t doc_capacity_;

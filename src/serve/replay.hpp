@@ -1,21 +1,20 @@
-// hypart::serve — pre-rendered reply templates for the plan cache.
+// hypart::serve — the pre-rendered reply template of one cached plan.
 //
-// A document-tier cache hit used to deep-copy the stored JsonValue, rewrite
-// the two name-bearing fields and re-serialize the whole tree on every
-// request.  Every plan quantity is a function of the bounds and the
-// dependence set D alone (see serve/canonical.hpp) — only the top-level
-// "loop" member and dependences[].array carry requester-visible names — so
-// the serialization can be done once, at insert time, with the name spans
-// cut out.  A hit then reduces to splicing the requester's escaped names
-// between pre-rendered byte chunks: zero JsonValue copies, zero
-// re-serialization.
+// Every plan quantity is a function of the bounds and the dependence set D
+// alone (see serve/canonical.hpp) — only the top-level "loop" member and
+// dependences[].array carry requester-visible names — so the pipeline
+// document is serialized once, at insert time, with the name spans cut
+// out.  A hit then reduces to splicing the requester's escaped names
+// between pre-rendered byte chunks: no JsonValue, no re-serialization.
 //
-// Because JsonValue stores object members sorted (std::map) and serializes
-// through the same JsonWriter, a template rendered with the producer's own
-// names reproduces JsonValue::to_json byte for byte; the templates are
-// therefore wire-compatible with the pre-replay reply format, which the
-// service's verification mode (ServiceOptions::verify_replay) cross-checks
-// on every hit.
+// The template is the document's sorted top-level members, each rendered
+// as `"key":value` and tagged with the plan ops that report it (the slice
+// contract of docs/serve.md, defined once in replay.cpp).  A reply for op
+// X is `{`, the members tagged X joined by `,`, and `}`.  Because
+// JsonValue stores object members sorted and JsonWriter is compact, that
+// projection is byte for byte JsonValue::to_json of the projected
+// document, and a reply is byte-identical to a cold plan of the requester
+// (apart from the reply's own cache/plan_us fields).
 #pragma once
 
 #include <string>
@@ -25,18 +24,15 @@
 
 namespace hypart::serve {
 
-/// One pre-rendered result slice: literal byte chunks with name slots in
-/// between.  Invariant: chunks.size() == slots.size() + 1.  Slot -1 is the
-/// loop name; slot k >= 0 is the array with canonical id k.  Rendering
-/// splices already-escaped JSON string literals (JsonWriter::escape) into
-/// the gaps.
+/// Literal byte chunks with name slots in between.  Invariant:
+/// chunks.size() == slots.size() + 1.  Slot -1 is the loop name; slot
+/// k >= 0 is the array with canonical id k.  Rendering splices
+/// already-escaped JSON string literals (JsonWriter::escape) into the gaps.
 struct SliceTemplate {
   std::vector<std::string> chunks;
   std::vector<int> slots;
 
-  [[nodiscard]] bool empty() const { return chunks.empty(); }
-
-  /// Append the rendered slice to `out`.  `escaped_loop` and each element
+  /// Append the rendered bytes to `out`.  `escaped_loop` and each element
   /// of `escaped_arrays` must be complete JSON string literals (quotes
   /// included); a slot beyond the array renders as null — unreachable when
   /// requester and producer share an exact key, which implies equal
@@ -45,27 +41,24 @@ struct SliceTemplate {
               const std::vector<std::string>& escaped_arrays) const;
 };
 
-/// The per-op projections of one cached plan document, each pre-rendered.
-/// `full` is the whole document and serves "explain"; the others keep only
-/// the sections that op reports (same key sets the service always used).
+/// One cached plan: the pipeline document as name-slotted members.
 struct RenderedPlan {
-  SliceTemplate full;
-  SliceTemplate partition;
-  SliceTemplate map;
-  SliceTemplate predict;
+  struct Member {
+    SliceTemplate bytes;  ///< `"key":value`
+    unsigned ops = 0;     ///< bit set of the plan ops that report this member
+  };
+  std::vector<Member> members;  ///< in key order
 
-  /// The slice for a plan op ("partition" | "map" | "predict"; anything
-  /// else — i.e. "explain" — gets the full document).
-  [[nodiscard]] const SliceTemplate& for_op(const std::string& op) const;
+  /// Append op's `result` object to `out` under the requester's names
+  /// (`loop_name` and canonical id -> array name).  "explain" — and any op
+  /// outside the slice contract — reports every member.
+  void render(std::string& out, const std::string& op, const std::string& loop_name,
+              const std::vector<std::string>& arrays) const;
 };
 
-/// Build the per-op templates from a parsed pipeline document.  `arrays`
-/// maps canonical id -> producer array name (CanonicalForm::arrays); a
+/// Build the template from a parsed pipeline document.  `arrays` maps
+/// canonical id -> producer array name (CanonicalForm::arrays); a
 /// dependences[].array value not found in `arrays` stays literal.
 RenderedPlan render_plan(const JsonValue& doc, const std::vector<std::string>& arrays);
-
-/// Escape a requester's names once per request for splicing (each result
-/// is a complete JSON string literal).
-std::vector<std::string> escape_names(const std::vector<std::string>& names);
 
 }  // namespace hypart::serve

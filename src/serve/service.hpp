@@ -23,13 +23,15 @@
 // The "id" member is echoed verbatim (any JSON value).  Error kinds/codes
 // are the typed hierarchy of core/error.hpp and its documented exit codes.
 //
-// Cache dispositions: "hit" replays a stored document (names rewritten to
-// the requester's), "pi" reuses a cached time function Π but re-runs the
+// Cache dispositions: "hit" replays a stored plan with the requester's
+// names spliced in, "pi" reuses a cached time function Π but re-runs the
 // rest of the pipeline for the actual bounds, "miss" runs everything
-// including the Π search.  Hits reply straight from pre-rendered byte
-// templates (serve/replay.hpp) — no JsonValue copy, no re-serialization.
-// plan_us (wall time) appears only in replies — never in the metrics
-// registry, which stays deterministic.
+// including the Π search.  Every plan is cached as one reply template
+// (serve/replay.hpp), so a hit is byte-identical to a cold plan of the
+// requester apart from "cache" and "plan_us".  Single and batch requests
+// share one probe -> plan -> publish sequence.  plan_us (wall time)
+// appears only in replies — never in the metrics registry, which stays
+// deterministic.
 #pragma once
 
 #include <atomic>
@@ -51,10 +53,6 @@ struct ServiceOptions {
   std::size_t max_batch = 256;
   /// Threads used to plan a batch's cold misses; 0 = hardware concurrency.
   std::size_t batch_parallelism = 0;
-  /// Cross-check every replayed hit against the legacy rewrite-and-
-  /// serialize path and fail the request (Internal) on any byte mismatch.
-  /// Debug/audit aid; costs a full document copy per hit.
-  bool verify_replay = false;
   /// Defaults applied to plan requests that omit the matching params.
   unsigned default_cube_dim = 3;
   SpaceMode default_space = SpaceMode::Symbolic;
