@@ -39,6 +39,10 @@ enum class ExecBackend {
 
 [[nodiscard]] const char* to_string(ExecBackend backend);
 
+/// Largest accepted hypercube dimension (2^20 processors): the CLI's --dim
+/// and serve's params.dim both enforce [0, kMaxCubeDim].
+inline constexpr unsigned kMaxCubeDim = 20;
+
 struct PipelineConfig {
   DependenceOptions dependence;
   /// Explicit time function Π; when unset, the small-integer search is used.
