@@ -12,6 +12,7 @@
 #include "core/error.hpp"
 #include "fault/degraded_route.hpp"
 #include "fault/remap.hpp"
+#include "numeric/rational.hpp"
 #include "partition/symbolic.hpp"
 
 namespace hypart {
@@ -103,145 +104,295 @@ struct SymbolicFeed {
   std::int64_t sigma = 1;  ///< step stride of the projection lines
   std::function<void(const std::function<void(const SymLine&)>&)> lines;
   std::function<void(const std::function<void(const SymBundle&)>&)> bundles;
-  /// Build the per-step tables under every accounting and emit the per-step
-  /// telemetry from them.  Only the dense feed sets it (see exec_sim.hpp).
+  /// Sweep the per-step state under every accounting and emit the per-step
+  /// telemetry from it.  Only the dense feed sets it (see exec_sim.hpp).
   bool per_step_telemetry = false;
 };
 
-/// Words per rebased step of one directed (src, dst) processor channel.
-struct Channel {
-  ProcId src = 0;
-  ProcId dst = 0;
-  std::vector<std::int64_t> words;
-};
-
-/// The core's per-step tables, indexed by step - lo.
-struct StepTables {
-  std::int64_t lo = 0;
-  std::vector<std::vector<std::int64_t>> iters;  ///< [slot][step]
-  std::vector<Channel> channels;                 ///< in first-use order
-  std::map<std::pair<ProcId, ProcId>, std::size_t> channel_index;  ///< (src, dst) order
-};
-
-/// Visits the directed links (from, to) a message on `ch` occupies: its
-/// route's hops, or the logical channel itself when there is no route.
-template <class Visit>
-void for_each_link(const Channel& ch, const fault::Route* rt, const Visit& visit) {
-  if (rt == nullptr) return visit(std::pair{ch.src, ch.dst});
-  ProcId at = ch.src;
-  for (ProcId hop : rt->hops) visit(std::pair{std::exchange(at, hop), hop});
+/// Checked Cost arithmetic: every product and sum the core accumulates
+/// throws ArithmeticError instead of wrapping.
+Cost checked_sum(const Cost& a, const Cost& b) {
+  return {detail::checked_add(a.calc, b.calc), detail::checked_add(a.start, b.start),
+          detail::checked_add(a.comm, b.comm)};
+}
+Cost checked_scale(const Cost& c, std::int64_t k) {
+  return {detail::checked_mul(c.calc, k), detail::checked_mul(c.start, k),
+          detail::checked_mul(c.comm, k)};
+}
+/// acc += k·c, checked.
+void add_scaled(std::int64_t& acc, std::int64_t c, std::int64_t k) {
+  acc = detail::checked_add(acc, detail::checked_mul(c, k));
 }
 
-/// Hop distance of a message: its route's length, or the topology's
-/// distance when there is no route.  Prices charge_hops and sim.msg_hops.
-std::int64_t message_hops(const Topology& topo, const Channel& ch, const fault::Route* rt) {
-  return rt != nullptr ? static_cast<std::int64_t>(rt->hops.size())
-                       : static_cast<std::int64_t>(topo.distance(ch.src, ch.dst));
-}
+/// Run-length form of the core's per-step state: iterations per slot and
+/// words per channel.  A run — row `row` (a processor slot, or nslots + a
+/// channel) holding one iteration or one word at each rebased step t,
+/// t+σ, …, t+(n−1)σ — raises its row's level by one at its first step and
+/// lowers it one stride past its last.  Edges are bucketed by step,
+/// residue-major: residue r = t mod σ owns the buckets r·span + t/σ, the
+/// last one just past its final step.  seal() counting-sorts them, so one
+/// walk visits each residue's steps in order and the levels change only at
+/// nonempty buckets.  O(runs + steps) time and memory, in 32-bit fields: a
+/// dense plan has many runs and few steps.  A walk returns every level to
+/// zero, so the state can be walked again.
+class StepSweep {
+ public:
+  /// Throws Error(Config) when the schedule's buckets overflow 32 bits.
+  StepSweep(std::size_t nslots, std::int64_t nsteps, std::int64_t sigma)
+      : nslots_(nslots),
+        nsteps_(nsteps),
+        sigma_(sigma),
+        nres_(std::min(sigma, nsteps)),
+        span_(ceil_div(nsteps, sigma) + 1) {
+    if (nres_ * span_ > kMaxBuckets) throw_too_large();
+  }
 
-/// Per-step telemetry read from the core's tables: busy and idle steps per
+  /// Records the run of `row` at rebased steps first, …, first+(count−1)σ.
+  /// Its last step lies inside the schedule, so its falling edge lands at
+  /// most one bucket past its residue's final step.
+  void add(std::size_t row, std::int64_t first, std::int64_t count) {
+    const std::int64_t rise = (first % sigma_) * span_ + first / sigma_;
+    runs_.push_back({static_cast<std::uint32_t>(row), static_cast<std::uint32_t>(rise),
+                     static_cast<std::uint32_t>(rise + count)});
+  }
+
+  /// Counting-sorts the recorded edges of `nrows` rows; call once, after
+  /// the last add().  Throws Error(Config) when the rows overflow 31 bits.
+  void seal(std::size_t nrows) {
+    if (nrows > kMaxRows) throw_too_large();
+    level_.assign(nrows, 0);
+    head_.assign(static_cast<std::size_t>(nres_ * span_) + 1, 0);
+    for (const Run& r : runs_) {
+      ++head_[r.rise + 1];
+      ++head_[r.fall + 1];
+    }
+    std::partial_sum(head_.begin(), head_.end(), head_.begin());
+    edges_.resize(head_.back());
+    for (const Run& r : runs_) {
+      edges_[head_[r.rise]++] = r.row << 1;
+      edges_[head_[r.fall]++] = r.row << 1 | 1;
+    }
+    // Placing advanced every bucket's head to the start of the next one.
+    std::copy_backward(head_.begin(), head_.end() - 1, head_.end());
+    head_[0] = 0;
+    std::vector<Run>().swap(runs_);
+  }
+
+  [[nodiscard]] std::size_t slots() const { return nslots_; }
+  [[nodiscard]] std::int64_t sigma() const { return sigma_; }
+  [[nodiscard]] std::int64_t level(std::size_t row) const { return level_[row]; }
+  /// No slot computes during the current segment.
+  [[nodiscard]] bool idle() const { return busy_ == 0; }
+
+  /// Calls visit(t, len) once per maximal segment of rebased steps t, t+σ,
+  /// …, t+(len−1)σ over which no level changes; level() and idle()
+  /// describe the segment during the call.
+  template <class Visit>
+  void walk(const Visit& visit) {
+    for (std::int64_t r = 0; r < nres_; ++r) {
+      const std::int64_t nres_steps = ceil_div(nsteps_ - r, sigma_);
+      const auto base = static_cast<std::size_t>(r * span_);
+      for (std::int64_t j = 0; j < nres_steps;) {
+        apply(base + j);
+        std::int64_t end = j + 1;
+        while (end < nres_steps && head_[base + end] == head_[base + end + 1]) ++end;
+        visit(r + j * sigma_, end - j);
+        j = end;
+      }
+      apply(base + nres_steps);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kMaxRows = std::size_t{1} << 31;
+  static constexpr std::int64_t kMaxBuckets = std::int64_t{0xffffffff};
+  [[noreturn]] static void throw_too_large() {
+    throw Error(ErrorKind::Config,
+                "simulate_execution: schedule too long or too many channels for a per-step "
+                "accounting (32-bit sweep); PaperMaxChannel has no such limit");
+  }
+  struct Run {
+    std::uint32_t row, rise, fall;  ///< rise and fall are bucket indices
+  };
+
+  void apply(std::size_t b) {
+    for (std::size_t e = head_[b]; e < head_[b + 1]; ++e) {
+      const std::uint32_t row = edges_[e] >> 1;
+      std::int64_t& lv = level_[row];
+      const bool was = lv != 0;
+      lv += (edges_[e] & 1) != 0 ? -1 : 1;
+      if (row < nslots_)
+        busy_ += static_cast<std::int64_t>(lv != 0) - static_cast<std::int64_t>(was);
+    }
+  }
+
+  std::size_t nslots_;
+  std::int64_t nsteps_, sigma_, nres_, span_;
+  std::vector<Run> runs_;            ///< until seal()
+  std::vector<std::size_t> head_;    ///< bucket starts into edges_
+  std::vector<std::uint32_t> edges_;  ///< row << 1 | (1 for the falling edge)
+  std::vector<std::int64_t> level_;  ///< per row, at the current segment
+  std::int64_t busy_ = 0;            ///< slots with a nonzero level
+};
+
+/// Dense ids for the directed links (from, to) the core's messages occupy,
+/// assigned on first use.  Link loads live in flat arrays indexed by id;
+/// in_order() lists the ids in ascending (from, to) order, the scan order
+/// that fixes tie-breaks and trace tids.
+class LinkIndex {
+ public:
+  std::size_t id_of(std::pair<ProcId, ProcId> link) {
+    auto [it, inserted] = ids_.try_emplace(link, keys_.size());
+    if (inserted) keys_.push_back(link);
+    return it->second;
+  }
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
+  [[nodiscard]] std::pair<ProcId, ProcId> key(std::size_t id) const { return keys_[id]; }
+  const std::vector<std::size_t>& in_order() {
+    if (order_.size() != keys_.size()) {
+      order_.clear();
+      for (const auto& [link, id] : ids_) order_.push_back(id);
+    }
+    return order_;
+  }
+
+ private:
+  std::map<std::pair<ProcId, ProcId>, std::size_t> ids_;
+  std::vector<std::pair<ProcId, ProcId>> keys_;
+  std::vector<std::size_t> order_;
+};
+
+/// How a message on one channel travels in one fault epoch: its hop count
+/// (prices charge_hops and sim.msg_hops), whether it detours, and the ids
+/// of the links it occupies — its route's hops, or the logical channel
+/// itself when there is no route (off a hypercube).
+struct ChannelRoute {
+  bool resolved = false;
+  bool rerouted = false;
+  std::int64_t hops = 0;
+  std::vector<std::size_t> links;
+};
+
+/// Per-step telemetry read from the core's sweep: busy and idle steps per
 /// processor, the sim.msg_* histograms, the busiest-link series, the
 /// sim.max_link_words gauge and the Chrome trace on the simulated clock (pid
 /// obs::kSimPid: one tid per processor, one per directed link — the logical
-/// channel off a hypercube).  `route(c, step)` is channel c's link path at an
-/// absolute step: the e-cube route, detoured around failures under a fault
-/// plan; null off a hypercube.
-template <class ChannelRoute>
-void emit_step_telemetry(const StepTables& tab, const ChannelRoute& route, const Topology& topo,
+/// channel off a hypercube).  Every step of a segment repeats its events on
+/// its own clock.  `channels` maps each (src, dst) pair to its channel c,
+/// whose words sit at sweep row nslots + c; messages are reported in
+/// (src, dst) order.  `route(c, step)` is channel c's ChannelRoute at an
+/// absolute step.  Only the dense feed asks for it; its σ = 1 makes the
+/// sweep's order the time order the clock needs.
+template <class RouteOf>
+void emit_step_telemetry(StepSweep& sweep,
+                         const std::map<std::pair<ProcId, ProcId>, std::size_t>& channels,
+                         const RouteOf& route, LinkIndex& links, std::int64_t lo,
                          const MachineParams& machine, const SimOptions& opts,
                          std::int64_t nsteps) {
   obs::TraceSink* sink = opts.obs.trace;
   obs::MetricsRegistry* reg = opts.obs.metrics;
-  const std::size_t nslots = tab.iters.size();
+  const std::size_t nslots = sweep.slots();
   auto compute_time = [&](std::int64_t iters) {
-    return static_cast<double>(iters * opts.flops_per_iteration) * machine.t_calc;
+    return static_cast<double>(detail::checked_mul(iters, opts.flops_per_iteration)) *
+           machine.t_calc;
   };
 
   // Link tracks in (from, to) order, so tids and names are stable.
-  std::map<std::pair<ProcId, ProcId>, std::uint64_t> link_tid;
+  std::vector<std::uint64_t> link_tid;
   if (sink != nullptr) {
-    for (std::size_t c = 0; c < tab.channels.size(); ++c)
-      for (std::int64_t t = 0; t < nsteps; ++t)
-        if (tab.channels[c].words[t] != 0)
-          for_each_link(tab.channels[c], route(c, t + tab.lo),
-                        [&](std::pair<ProcId, ProcId> link) { link_tid.emplace(link, 0); });
+    sweep.walk([&](std::int64_t t, std::int64_t) {
+      for (std::size_t c = 0; c < channels.size(); ++c)
+        if (sweep.level(nslots + c) != 0) route(c, t + lo);
+    });
+    link_tid.resize(links.size());
     std::uint64_t next_tid = obs::kLinkTidBase;
-    for (auto& [link, tid] : link_tid) tid = next_tid++;
+    for (std::size_t l : links.in_order()) link_tid[l] = next_tid++;
 
     obs::emit_process_name(sink, obs::kSimPid, "hypart simulator (simulated time)");
     for (std::size_t p = 0; p < nslots; ++p)
       obs::emit_thread_name(sink, obs::kSimPid, p, "proc " + std::to_string(p));
-    for (const auto& [link, tid] : link_tid)
-      obs::emit_thread_name(sink, obs::kSimPid, tid, "link " + std::to_string(link.first) +
-                                                         "->" + std::to_string(link.second));
+    for (std::size_t l : links.in_order())
+      obs::emit_thread_name(sink, obs::kSimPid, link_tid[l],
+                            "link " + std::to_string(links.key(l).first) + "->" +
+                                std::to_string(links.key(l).second));
   }
 
   static const std::vector<std::int64_t> kWordBounds{1, 2, 4, 8, 16, 32, 64, 128, 256};
   static const std::vector<std::int64_t> kHopBounds{0, 1, 2, 3, 4, 6, 8};
   std::vector<std::int64_t> busy(nslots, 0);
-  std::map<std::pair<ProcId, ProcId>, std::int64_t> total_link_words;
+  std::vector<Cost> load;                 // {0, msgs, words} per link, one step
+  std::vector<std::int64_t> link_words;   // per link, whole run
+  std::vector<std::size_t> loaded;        // links loaded this segment, (from, to) order
   double clock = 0.0;
-  for (std::int64_t t = 0; t < nsteps; ++t) {
-    const std::int64_t step = t + tab.lo;
+  sweep.walk([&](std::int64_t t, std::int64_t len) {
+    if (sweep.idle()) return;
     double max_compute = 0.0;
-    bool computing = false;
     for (std::size_t p = 0; p < nslots; ++p) {
-      const std::int64_t iters = tab.iters[p][t];
-      if (iters == 0) continue;
-      computing = true;
-      ++busy[p];
-      const double c = compute_time(iters);
-      max_compute = std::max(max_compute, c);
-      if (sink != nullptr)
-        obs::emit_complete(sink, "compute", "sim", clock, c, obs::kSimPid, p,
-                           {{"step", step}, {"iterations", iters}});
+      if (sweep.level(p) == 0) continue;
+      busy[p] += len;
+      max_compute = std::max(max_compute, compute_time(sweep.level(p)));
     }
-    if (!computing) continue;
-
-    // Messages sent this step in (src, dst) order, serialized per link
-    // after the compute phase.
-    std::map<std::pair<ProcId, ProcId>, Cost> links;  // {0, msgs, words} per link
-    for (const auto& [key, c] : tab.channel_index) {
-      const Channel& ch = tab.channels[c];
-      const std::int64_t words = ch.words[t];
-      if (words == 0) continue;
-      const fault::Route* rt = route(c, step);
-      const std::int64_t hops = message_hops(topo, ch, rt);
-      if (reg != nullptr) {
-        reg->observe("sim.msg_words", words, kWordBounds);
-        reg->observe("sim.msg_hops", hops, kHopBounds);
+    // Messages are serialized per link after the compute phase; every step
+    // of the segment carries the same loads.
+    for (std::size_t c = 0; c < channels.size(); ++c) {
+      const std::int64_t w = sweep.level(nslots + c);
+      if (w == 0) continue;
+      const ChannelRoute& rt = route(c, t + lo);
+      load.resize(links.size());
+      link_words.resize(links.size());
+      for (std::size_t l : rt.links) {
+        load[l] = checked_sum(load[l], Cost{0, 1, w});
+        add_scaled(link_words[l], w, len);
       }
-      if (sink != nullptr)
-        obs::emit_instant(sink, "msg", "sim", clock + compute_time(tab.iters[ch.src][t]),
-                          obs::kSimPid, ch.src,
-                          {{"src", static_cast<std::int64_t>(ch.src)},
-                           {"dst", static_cast<std::int64_t>(ch.dst)},
-                           {"words", words}, {"hops", hops}, {"step", step}});
-      for_each_link(ch, rt, [&](std::pair<ProcId, ProcId> link) {
-        links[link] += Cost{0, 1, words};
-        total_link_words[link] += words;
-      });
     }
-
     double comm = 0.0;
     std::int64_t busiest_words = 0;
-    for (const auto& [link, load] : links) {
-      const double occupancy = load.value(machine);
+    loaded.clear();
+    for (std::size_t l : links.in_order()) {
+      if (l >= load.size() || load[l].start == 0) continue;
+      loaded.push_back(l);
+      comm = std::max(comm, load[l].value(machine));
+      busiest_words = std::max(busiest_words, load[l].comm);
+    }
+
+    for (std::int64_t k = 0; k < len; ++k) {
+      const std::int64_t step = lo + t + k * sweep.sigma();
       if (sink != nullptr)
-        obs::emit_complete(sink, "xfer", "sim", clock + max_compute, occupancy, obs::kSimPid,
-                           link_tid.at(link),
-                           {{"step", step}, {"msgs", load.start}, {"words", load.comm}});
-      comm = std::max(comm, occupancy);
-      busiest_words = std::max(busiest_words, load.comm);
+        for (std::size_t p = 0; p < nslots; ++p)
+          if (const std::int64_t iters = sweep.level(p); iters != 0)
+            obs::emit_complete(sink, "compute", "sim", clock, compute_time(iters), obs::kSimPid,
+                               p, {{"step", step}, {"iterations", iters}});
+      for (const auto& [key, c] : channels) {
+        const std::int64_t words = sweep.level(nslots + c);
+        if (words == 0) continue;
+        const auto [src, dst] = key;
+        const std::int64_t hops = route(c, step).hops;
+        if (reg != nullptr) {
+          reg->observe("sim.msg_words", words, kWordBounds);
+          reg->observe("sim.msg_hops", hops, kHopBounds);
+        }
+        if (sink != nullptr)
+          obs::emit_instant(sink, "msg", "sim", clock + compute_time(sweep.level(src)),
+                            obs::kSimPid, src,
+                            {{"src", static_cast<std::int64_t>(src)},
+                             {"dst", static_cast<std::int64_t>(dst)},
+                             {"words", words}, {"hops", hops}, {"step", step}});
+      }
+      if (sink != nullptr)
+        for (std::size_t l : loaded)
+          obs::emit_complete(sink, "xfer", "sim", clock + max_compute, load[l].value(machine),
+                             obs::kSimPid, link_tid[l],
+                             {{"step", step}, {"msgs", load[l].start}, {"words", load[l].comm}});
+      if (!loaded.empty()) {
+        if (reg != nullptr)
+          reg->append("sim.link.busiest_words", step, static_cast<double>(busiest_words));
+        obs::emit_counter(sink, "busiest_link_words", clock + max_compute, obs::kSimPid,
+                          static_cast<double>(busiest_words));
+      }
+      clock += max_compute + comm;
     }
-    if (!links.empty()) {
-      if (reg != nullptr)
-        reg->append("sim.link.busiest_words", step, static_cast<double>(busiest_words));
-      obs::emit_counter(sink, "busiest_link_words", clock + max_compute, obs::kSimPid,
-                        static_cast<double>(busiest_words));
-    }
-    clock += max_compute + comm;
-  }
+    for (std::size_t l : loaded) load[l] = Cost{};
+  });
 
   if (reg != nullptr) {
     for (std::size_t p = 0; p < nslots; ++p) {
@@ -250,7 +401,7 @@ void emit_step_telemetry(const StepTables& tab, const ChannelRoute& route, const
       reg->append("sim.proc.idle_steps", x, static_cast<double>(nsteps - busy[p]));
     }
     std::int64_t max_words = 0;
-    for (const auto& [link, words] : total_link_words) max_words = std::max(max_words, words);
+    for (std::int64_t w : link_words) max_words = std::max(max_words, w);
     reg->set_gauge("sim.max_link_words", static_cast<double>(max_words));
   }
 }
@@ -300,10 +451,14 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
   // the cube, so degraded runs account over the whole topology.
   const std::size_t nslots = fstate.active ? std::max(in.nprocs, topo.size()) : in.nprocs;
   const auto* cube = dynamic_cast<const Hypercube*>(&topo);  // non-null under faults
+  if (opts.accounting == CommAccounting::LinkContention && cube == nullptr)
+    throw std::invalid_argument(
+        "simulate_execution: LinkContention accounting requires a Hypercube topology");
   SimResult res;
   res.per_proc_iterations.assign(nslots, 0);
   res.steps = in.steps;
   const std::int64_t lo = in.lo, sigma = in.sigma;
+  const std::int64_t flops = opts.flops_per_iteration;
   if (fstate.active) {
     res.failed_nodes = static_cast<std::int64_t>(fstate.set.failed_node_count());
     res.failed_links = static_cast<std::int64_t>(fstate.set.failed_link_count());
@@ -314,7 +469,7 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
   }
   // Every accounting ends with the migration charge and one metrics pass.
   auto finish = [&]() -> SimResult {
-    res.total += res.migration_cost;
+    res.total = checked_sum(res.total, res.migration_cost);
     res.time = res.total.value(machine);
     emit_metrics(opts, fstate, res);
     return std::move(res);
@@ -380,24 +535,34 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
                        });
     });
   };
-  // Degraded route of a channel, cached per fault epoch (the number of
-  // breaks at or before the step): the detour BFS runs once per
-  // (channel, epoch), not once per step.
-  std::map<std::tuple<ProcId, ProcId, std::size_t>, fault::Route> route_cache;
-  auto routed = [&](ProcId ps, ProcId pd, std::int64_t step) -> const fault::Route& {
-    const std::size_t epoch = static_cast<std::size_t>(
+  // Fault epoch of a step: the number of breaks at or before it.
+  auto epoch_of = [&](std::int64_t step) {
+    return static_cast<std::size_t>(
         std::upper_bound(fstate.breaks.begin(), fstate.breaks.end(), step) -
         fstate.breaks.begin());
-    auto [it, inserted] = route_cache.try_emplace({ps, pd, epoch});
+  };
+  // Degraded route of a channel, cached per fault epoch: the detour BFS
+  // runs once per (channel, epoch), not once per step.
+  std::map<std::tuple<ProcId, ProcId, std::size_t>, fault::Route> route_cache;
+  auto routed = [&](ProcId ps, ProcId pd, std::int64_t step) -> const fault::Route& {
+    auto [it, inserted] = route_cache.try_emplace({ps, pd, epoch_of(step)});
     if (inserted) it->second = fault::route_with_faults(*cube, ps, pd, fstate.set, step);
     return it->second;
   };
 
-  for_each_line_run(
-      [&](ProcId p, std::int64_t, std::int64_t n) { res.per_proc_iterations[p] += n; });
+  // The per-step accountings and the per-step telemetry read the line and
+  // channel runs through a StepSweep; the paper convention needs neither.
+  const bool per_step =
+      opts.accounting != CommAccounting::PaperMaxChannel || in.per_step_telemetry;
+  std::optional<StepSweep> step_state;
+  if (per_step) step_state.emplace(nslots, res.steps, sigma);
+  for_each_line_run([&](ProcId p, std::int64_t first, std::int64_t n) {
+    res.per_proc_iterations[p] = detail::checked_add(res.per_proc_iterations[p], n);
+    if (step_state) step_state->add(p, first - lo, n);
+  });
   std::int64_t max_iters = 0;
   for (std::int64_t c : res.per_proc_iterations) max_iters = std::max(max_iters, c);
-  res.compute_bottleneck = Cost{max_iters * opts.flops_per_iteration, 0, 0};
+  res.compute_bottleneck = Cost{detail::checked_mul(max_iters, flops), 0, 0};
 
   if (opts.accounting == CommAccounting::PaperMaxChannel) {
     // Channel volumes need no step resolution beyond the fault segments: one
@@ -409,136 +574,143 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
       std::int64_t units = 1;
       if (fstate.active) {
         const fault::Route& rt = routed(ps, pd, step);
-        if (rt.rerouted) res.rerouted_messages += count;
+        if (rt.rerouted) res.rerouted_messages = detail::checked_add(res.rerouted_messages, count);
         if (opts.charge_hops) units = static_cast<std::int64_t>(rt.hops.size());
       } else if (opts.charge_hops) {
         units = static_cast<std::int64_t>(topo.distance(ps, pd));
       }
-      channel[std::minmax(ps, pd)] += units * count;
-      res.messages += count;
-      res.words += count;
+      add_scaled(channel[std::minmax(ps, pd)], units, count);
+      res.messages = detail::checked_add(res.messages, count);
+      res.words = detail::checked_add(res.words, count);
     });
     std::int64_t worst = 0;
     for (const auto& [pair, units] : channel) worst = std::max(worst, units);
     res.comm_bottleneck = Cost{0, worst, worst};
-    res.total = res.compute_bottleneck + res.comm_bottleneck;
+    res.total = checked_sum(res.compute_bottleneck, res.comm_bottleneck);
     if (!in.per_step_telemetry) return finish();
   }
 
-  // Per-step tables.  Every line (and every arc bundle segment) occupies
-  // steps t0, t0+sigma, ..., so per-step tables are strided difference
-  // arrays: +1 at the run's first step, -1 one stride past its last, then a
-  // strided prefix sum recovers exact per-step counts in O(steps) per row.
-  const std::int64_t nsteps = res.steps;
-  auto add_run = [&](std::vector<std::int64_t>& row, std::int64_t first, std::int64_t count) {
-    const std::int64_t t0 = first - lo;
-    const std::int64_t end = t0 + count * sigma;
-    row[t0] += 1;
-    if (end < nsteps) row[end] -= 1;
-  };
-  auto strided_prefix = [&](std::vector<std::int64_t>& v) {
-    for (std::int64_t t = sigma; t < nsteps; ++t) v[t] += v[t - sigma];
-  };
-  StepTables tab{lo, {}, {}, {}};
-  tab.iters.assign(nslots, std::vector<std::int64_t>(nsteps, 0));
-  for_each_line_run([&](ProcId p, std::int64_t first, std::int64_t n) {
-    add_run(tab.iters[p], first, n);
-  });
-  for (auto& v : tab.iters) strided_prefix(v);
+  // Channel runs: channel c is the c-th directed (src, dst) processor pair
+  // to carry a word, at row nslots + c.
+  StepSweep& sweep = *step_state;
+  std::map<std::pair<ProcId, ProcId>, std::size_t> channel_index;
+  std::vector<std::pair<ProcId, ProcId>> chans;
   std::int64_t words = 0;
   for_each_bundle_run([&](ProcId src, ProcId dst, std::int64_t first, std::int64_t count) {
     if (src == dst) return;
-    words += count;
-    auto [it, inserted] = tab.channel_index.try_emplace({src, dst}, tab.channels.size());
-    if (inserted) tab.channels.push_back({src, dst, std::vector<std::int64_t>(nsteps, 0)});
-    add_run(tab.channels[it->second].words, first, count);
+    auto [it, inserted] = channel_index.try_emplace({src, dst}, chans.size());
+    if (inserted) chans.push_back({src, dst});
+    words = detail::checked_add(words, count);
+    sweep.add(nslots + it->second, first - lo, count);
   });
-  for (Channel& ch : tab.channels) strided_prefix(ch.words);
   res.words = words;
+  sweep.seal(nslots + chans.size());
 
-  // Fault-free channels keep one static e-cube route, built on first use;
-  // degraded channels look their route up per occupied step through the
-  // epoch cache.
-  std::vector<fault::Route> static_routes;
-  auto route = [&](std::size_t c, std::int64_t step) -> const fault::Route* {
-    if (fstate.active) return &routed(tab.channels[c].src, tab.channels[c].dst, step);
-    if (cube == nullptr) return nullptr;
-    if (static_routes.empty())
-      for (const Channel& ch : tab.channels)
-        static_routes.push_back({cube->ecube_route(ch.src, ch.dst), false});
-    return &static_routes[c];
+  // Routes resolve on first use per (channel, epoch): fault-free channels
+  // keep their e-cube route, degraded ones go through the epoch cache.  A
+  // segment's first step fixes the route of every message in it: bundle
+  // runs split at every fault break, so no segment that carries a message
+  // straddles one.
+  LinkIndex links;
+  const std::size_t nepochs = fstate.breaks.size() + 1;
+  std::vector<ChannelRoute> croutes(chans.size() * nepochs);
+  auto route = [&](std::size_t c, std::int64_t step) -> const ChannelRoute& {
+    ChannelRoute& cr = croutes[c * nepochs + epoch_of(step)];
+    if (cr.resolved) return cr;
+    const auto [src, dst] = chans[c];
+    fault::Route ecube;
+    const fault::Route* rt = nullptr;
+    if (fstate.active) {
+      rt = &routed(src, dst, step);
+    } else if (cube != nullptr) {
+      ecube.hops = cube->ecube_route(src, dst);
+      rt = &ecube;
+    }
+    cr.resolved = true;
+    cr.rerouted = rt != nullptr && rt->rerouted;
+    cr.hops = rt != nullptr ? static_cast<std::int64_t>(rt->hops.size())
+                            : static_cast<std::int64_t>(topo.distance(src, dst));
+    if (rt == nullptr) {
+      cr.links.push_back(links.id_of({src, dst}));
+    } else {
+      ProcId at = src;
+      for (ProcId hop : rt->hops) cr.links.push_back(links.id_of({std::exchange(at, hop), hop}));
+    }
+    return cr;
   };
 
   if (opts.accounting == CommAccounting::LinkContention) {
     // Per step: the busiest processor's compute plus the busiest directed
     // link's serialized traffic.
-    if (cube == nullptr)
-      throw std::invalid_argument(
-          "simulate_execution: LinkContention accounting requires a Hypercube topology");
-    std::map<std::pair<ProcId, ProcId>, std::int64_t> total_link_words;
-    for (std::int64_t t = 0; t < nsteps; ++t) {
+    std::vector<Cost> load;                // {0, msgs, words} per link, one step
+    std::vector<std::int64_t> link_words;  // per link, whole run
+    sweep.walk([&](std::int64_t t, std::int64_t len) {
+      if (sweep.idle()) return;  // messages only originate from computing procs
       std::int64_t step_iters = 0;
-      for (std::size_t p = 0; p < nslots; ++p) step_iters = std::max(step_iters, tab.iters[p][t]);
-      if (step_iters == 0) continue;  // messages only originate from computing procs
-      std::map<std::pair<ProcId, ProcId>, Cost> links;  // {0, msgs, words} per link
-      for (std::size_t c = 0; c < tab.channels.size(); ++c) {
-        const std::int64_t w = tab.channels[c].words[t];
+      for (std::size_t p = 0; p < nslots; ++p) step_iters = std::max(step_iters, sweep.level(p));
+      std::int64_t msgs = 0, rerouted = 0;
+      for (std::size_t c = 0; c < chans.size(); ++c) {
+        const std::int64_t w = sweep.level(nslots + c);
         if (w == 0) continue;
-        ++res.messages;
-        const fault::Route& rt = *route(c, t + lo);
-        if (rt.rerouted) ++res.rerouted_messages;
-        for_each_link(tab.channels[c], &rt, [&](std::pair<ProcId, ProcId> link) {
-          links[link] += Cost{0, 1, w};
-          if (fstate.active) total_link_words[link] += w;
-        });
+        ++msgs;
+        const ChannelRoute& rt = route(c, t + lo);
+        if (rt.rerouted) ++rerouted;
+        load.resize(links.size());
+        link_words.resize(links.size());
+        for (std::size_t l : rt.links) {
+          load[l] = checked_sum(load[l], Cost{0, 1, w});
+          add_scaled(link_words[l], w, len);
+        }
       }
       Costliest busiest;
-      for (const auto& [link, load] : links) busiest.offer(load, machine);
-      res.total += Cost{step_iters * opts.flops_per_iteration, 0, 0} + busiest.worst;
-      res.comm_bottleneck += busiest.worst;
-    }
-    // Fault-free routes are static: link totals follow from channel totals.
-    for (std::size_t c = 0; c < tab.channels.size() && !fstate.active; ++c) {
-      const std::vector<std::int64_t>& w = tab.channels[c].words;
-      const std::int64_t total = std::accumulate(w.begin(), w.end(), std::int64_t{0});
-      for_each_link(tab.channels[c], route(c, lo),
-                    [&](std::pair<ProcId, ProcId> link) { total_link_words[link] += total; });
-    }
-    for (const auto& [link, w] : total_link_words)
-      res.max_link_words = std::max(res.max_link_words, w);
+      for (std::size_t l : links.in_order()) {
+        if (load[l].start == 0) continue;
+        busiest.offer(load[l], machine);
+        load[l] = Cost{};
+      }
+      const Cost step_cost =
+          checked_sum(Cost{detail::checked_mul(step_iters, flops), 0, 0}, busiest.worst);
+      res.total = checked_sum(res.total, checked_scale(step_cost, len));
+      res.comm_bottleneck = checked_sum(res.comm_bottleneck, checked_scale(busiest.worst, len));
+      add_scaled(res.messages, msgs, len);
+      add_scaled(res.rerouted_messages, rerouted, len);
+    });
+    for (std::int64_t w : link_words) res.max_link_words = std::max(res.max_link_words, w);
   } else if (opts.accounting == CommAccounting::PerStepBarrier) {
     // Each processor's step time is its compute plus its aggregated sends;
     // the step ends when the slowest processor finishes (barrier).
     std::vector<Cost> proc_cost(nslots);
-    for (std::int64_t t = 0; t < nsteps; ++t) {
-      bool any = false;
-      for (std::size_t p = 0; p < nslots; ++p) {
-        proc_cost[p] = Cost{tab.iters[p][t] * opts.flops_per_iteration, 0, 0};
-        any = any || tab.iters[p][t] > 0;
-      }
-      if (!any) continue;
-      for (std::size_t c = 0; c < tab.channels.size(); ++c) {
-        const Channel& ch = tab.channels[c];
-        const std::int64_t w = ch.words[t];
+    sweep.walk([&](std::int64_t t, std::int64_t len) {
+      if (sweep.idle()) return;
+      for (std::size_t p = 0; p < nslots; ++p)
+        proc_cost[p] = Cost{detail::checked_mul(sweep.level(p), flops), 0, 0};
+      std::int64_t msgs = 0, rerouted = 0;
+      for (std::size_t c = 0; c < chans.size(); ++c) {
+        const std::int64_t w = sweep.level(nslots + c);
         if (w == 0) continue;
-        ++res.messages;
+        ++msgs;
         std::int64_t mult = 1;
         if (fstate.active || opts.charge_hops) {
-          const fault::Route* rt = route(c, t + lo);
-          if (rt != nullptr && rt->rerouted) ++res.rerouted_messages;
-          if (opts.charge_hops) mult = message_hops(topo, ch, rt);
+          const ChannelRoute& rt = route(c, t + lo);
+          if (rt.rerouted) ++rerouted;
+          if (opts.charge_hops) mult = rt.hops;
         }
-        proc_cost[ch.src] += Cost{0, mult, mult * w};
+        Cost& pc = proc_cost[chans[c].first];
+        pc = checked_sum(pc, Cost{0, mult, detail::checked_mul(mult, w)});
       }
       Costliest slowest;
       for (std::size_t p = 0; p < nslots; ++p)
-        if (tab.iters[p][t] > 0) slowest.offer(proc_cost[p], machine);  // idle procs send nothing
-      res.total += slowest.worst;
-      res.comm_bottleneck += Cost{0, slowest.worst.start, slowest.worst.comm};
-    }
+        if (sweep.level(p) > 0) slowest.offer(proc_cost[p], machine);  // idle procs send nothing
+      res.total = checked_sum(res.total, checked_scale(slowest.worst, len));
+      const Cost comm{0, slowest.worst.start, slowest.worst.comm};
+      res.comm_bottleneck = checked_sum(res.comm_bottleneck, checked_scale(comm, len));
+      add_scaled(res.messages, msgs, len);
+      add_scaled(res.rerouted_messages, rerouted, len);
+    });
   }
 
-  if (in.per_step_telemetry) emit_step_telemetry(tab, route, topo, machine, opts, nsteps);
+  if (in.per_step_telemetry)
+    emit_step_telemetry(sweep, channel_index, route, links, lo, machine, opts, res.steps);
   return finish();
 }
 

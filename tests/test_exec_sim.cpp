@@ -7,8 +7,12 @@
 #include <string>
 #include <variant>
 
+#include "core/error.hpp"
+#include "core/pipeline.hpp"
+#include "frontend/parser.hpp"
 #include "mapping/baseline_map.hpp"
 #include "mapping/hypercube_map.hpp"
+#include "numeric/rational.hpp"
 #include "perf/perf_model.hpp"
 #include "workloads/workloads.hpp"
 
@@ -198,6 +202,61 @@ TEST(ExecSim, ValidationErrors) {
   EXPECT_THROW(simulate_execution(*s.q, s.tf, s.partition, too_many, Hypercube(1), MachineParams{},
                                   SimOptions{}),
                std::invalid_argument);
+}
+
+TEST(ExecSim, CostOverflowThrowsTyped) {
+  // 2^62 flops per iteration: any processor's work of two or more
+  // iterations, and any sum of two steps, leaves int64.  Every accounting,
+  // dense and lattice feed alike, must raise ArithmeticError instead of
+  // returning a wrapped (negative) T_exec.
+  const LoopNest nest = workloads::sor2d(8, 8);
+  PartitionFixture s = make(nest, {1, 1});
+  Mapping map = map_to_hypercube(s.tig, 2).mapping;
+  for (CommAccounting acc : {CommAccounting::PaperMaxChannel, CommAccounting::PerStepBarrier,
+                             CommAccounting::LinkContention}) {
+    SCOPED_TRACE("accounting " + std::to_string(static_cast<int>(acc)));
+    SimOptions opts;
+    opts.accounting = acc;
+    opts.flops_per_iteration = std::int64_t{1} << 62;
+    EXPECT_THROW(
+        simulate_execution(*s.q, s.tf, s.partition, map, Hypercube(2), MachineParams{}, opts),
+        ArithmeticError);
+
+    PipelineConfig cfg;
+    cfg.cube_dim = 2;
+    cfg.time_function = IntVec{1, 1};
+    cfg.space_mode = SpaceMode::Symbolic;
+    cfg.sim.accounting = acc;
+    cfg.flops_override = std::int64_t{1} << 62;
+    EXPECT_THROW(run_pipeline(nest, cfg), ArithmeticError);
+    cfg.flops_override = 1;
+    EXPECT_NE(run_pipeline(nest, cfg).lattice, nullptr);  // the lattice feed priced it
+  }
+}
+
+TEST(ExecSim, PerStepAccountingPastItsStepLimitThrowsConfig) {
+  // Two chains of 5·10⁹ points: the paper convention prices them in closed
+  // form, while a per-step accounting needs more schedule steps than its
+  // 32-bit sweep holds and must say so with a typed error up front.
+  const LoopNest nest = parse_loop_nest(R"(
+    loop chains {
+      for i = 1 to 2
+      for j = 1 to 5000000000
+      A[i, j] = A[i, j-1] + 1;
+    })");
+  PipelineConfig cfg;
+  cfg.cube_dim = 1;
+  cfg.space_mode = SpaceMode::Symbolic;
+  EXPECT_EQ(run_pipeline(nest, cfg).sim.steps, 5000000000);
+  for (CommAccounting acc : {CommAccounting::PerStepBarrier, CommAccounting::LinkContention}) {
+    cfg.sim.accounting = acc;
+    try {
+      (void)run_pipeline(nest, cfg);
+      ADD_FAILURE() << "accounting " << static_cast<int>(acc) << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Config);
+    }
+  }
 }
 
 TEST(ExecSim, BarrierHandComputedTinyCase) {

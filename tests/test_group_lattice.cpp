@@ -496,5 +496,60 @@ TEST(GroupLattice, SymbolicFaultInjectionMatchesDense) {
   }
 }
 
+TEST(GroupLattice, PerStepFeedsMatchOracleOnLongRuns) {
+  // Few long lines with σ > 1 (floyd_warshall_band) and many short ones
+  // (pyramid_stencil): the dense, line and lattice feeds against the
+  // brute-force oracle under both per-step accountings, with and without
+  // hop charging, fault-free and under link-only fault plans whose break
+  // steps fall mid-schedule, inside the runs.
+  const unsigned dim = 3;
+  Hypercube cube(dim);
+  const MachineParams machine{1.0, 50.0, 5.0};
+  bool saw_stride = false;
+  for (const LoopNest& nest :
+       {workloads::floyd_warshall_band(40, 6), workloads::pyramid_stencil(32)}) {
+    ComputationStructure q = ComputationStructure::from_loop(nest);
+    std::optional<TimeFunction> tf = search_time_function(q);
+    ASSERT_TRUE(tf.has_value()) << nest.name();
+    ProjectedStructure ps(q, *tf);
+    Grouping grouping = Grouping::compute(ps);
+    Partition partition = Partition::build(q, grouping);
+    TaskInteractionGraph tig = TaskInteractionGraph::from_partition(q, partition, grouping);
+    Mapping map = map_to_hypercube(tig, dim).mapping;
+
+    IterSpace space(nest, analyze_dependences(nest).distance_vectors());
+    ProjectedStructure sym_ps(space, *tf);
+    Grouping sym_grouping = Grouping::compute(sym_ps);
+    std::optional<GroupLattice> gl = GroupLattice::build(space, *tf);
+    ASSERT_TRUE(gl.has_value()) << nest.name();
+    LatticeHypercubeMapping lm = map_to_hypercube(*gl, dim);
+    saw_stride = saw_stride || gl->step_stride() > 1;
+
+    const std::int64_t lo = space.min_step(tf->pi), hi = space.max_step(tf->pi);
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    const std::string at = std::to_string(mid), later = std::to_string(mid + (hi - mid) / 2 + 1);
+    for (const std::string& spec :
+         {std::string{}, "link:0-1@" + at, "link:1-3@" + at + ",link:2-6@" + later}) {
+      for (CommAccounting acc : {CommAccounting::PerStepBarrier, CommAccounting::LinkContention}) {
+        for (bool hops : {false, true}) {
+          SCOPED_TRACE(nest.name() + " faults=" + spec + " acc=" +
+                       std::to_string(static_cast<int>(acc)) + (hops ? " hops" : ""));
+          SimOptions opts;
+          opts.accounting = acc;
+          opts.charge_hops = hops;
+          if (!spec.empty()) opts.faults = fault::FaultPlan::parse(spec);
+          const SimResult want = oracle::simulate(q, *tf, partition, map, cube, machine, opts);
+          oracle::expect_matches(simulate_execution(q, *tf, partition, map, cube, machine, opts),
+                                 want);
+          oracle::expect_matches(
+              simulate_execution(space, sym_grouping, map, cube, machine, opts), want);
+          oracle::expect_matches(simulate_execution(*gl, lm, cube, machine, opts), want);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_stride) << "no nest exercised a step stride above 1";
+}
+
 }  // namespace
 }  // namespace hypart
