@@ -4,32 +4,31 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
+
+#include "exec/worker_loop.hpp"
 
 namespace hypart {
 
 namespace {
 
-struct Message {
-  std::size_t sink_vid;  ///< iteration this value unblocks
-  std::string array;
-  IntVec element;
-  double value;
-};
+using exec::ValueMessage;
+
+/// Delivery attempts to a closed mailbox before the run aborts.
+constexpr int kDeliveryAttempts = 4;
 
 struct Mailbox {
   std::mutex mutex;
   std::condition_variable cv;
-  std::deque<Message> queue;
+  std::vector<ValueMessage> queue;
   bool closed = false;        ///< set by injected worker death
   std::size_t max_depth = 0;  ///< deepest the queue ever got
 
-  /// Deliver one message; false when the mailbox is closed (owner dead).
-  bool post(Message msg) {
+  /// Deliver one message (moved from only on success); false when the
+  /// mailbox is closed (owner dead).
+  bool post(ValueMessage& msg) {
     {
       std::lock_guard<std::mutex> lock(mutex);
       if (closed) return false;
@@ -39,51 +38,126 @@ struct Mailbox {
     cv.notify_one();
     return true;
   }
-
-  [[nodiscard]] std::size_t depth() {
-    std::lock_guard<std::mutex> lock(mutex);
-    return queue.size();
-  }
 };
-
-/// First-error-wins abort channel shared by all workers.
-struct AbortState {
-  enum class Kind { None, Stall, WorkerDeath, Internal };
-
-  std::atomic<bool> flag{false};
-  std::mutex mutex;
-  Kind kind = Kind::None;
-  std::string message;
-  std::string diagnostics;
-
-  /// Record the first failure; later calls only see `flag` already set.
-  /// Returns true for the caller that won the race.
-  bool trigger(Kind k, std::string msg, std::string diag = {}) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (kind != Kind::None) return false;
-    kind = k;
-    message = std::move(msg);
-    diagnostics = std::move(diag);
-    flag.store(true, std::memory_order_release);
-    return true;
-  }
-};
-
-struct WriteRecord {
-  std::string array;
-  IntVec element;
-  std::int64_t step;
-  double value;
-};
-
-IntVec eval_subscripts(const std::vector<AffineExpr>& subs, const IntVec& iteration) {
-  IntVec element(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) element[i] = subs[i].evaluate(iteration);
-  return element;
-}
 
 constexpr std::int64_t kRunning = -1;
 constexpr std::int64_t kDone = -2;
+
+/// The in-process transport all thread workers share: a blocking mailbox
+/// receive under the stall watchdog, capped-backoff delivery that gives up
+/// on a dead worker's closed mailbox, and a first-error-wins abort.
+class ThreadTransport final : public exec::WorkerTransport {
+ public:
+  ThreadTransport(std::size_t nprocs, std::int64_t recv_timeout_ms)
+      : mailbox(nprocs), blocked_vid_(nprocs), outstanding_(nprocs),
+        recv_timeout_ms_(recv_timeout_ms) {
+    for (std::size_t p = 0; p < nprocs; ++p) mark(p, kRunning);
+  }
+
+  bool before_vertex(ProcId /*me*/, std::size_t /*vid*/, std::int64_t /*step*/) override {
+    return !aborted();
+  }
+
+  bool receive(ProcId me, std::size_t vid, std::uint32_t outstanding,
+               std::vector<ValueMessage>& inbox) override {
+    mark(me, static_cast<std::int64_t>(vid), outstanding);
+    Mailbox& mb = mailbox[me];
+    std::unique_lock<std::mutex> lock(mb.mutex);
+    auto wakeup = [&] { return !mb.queue.empty() || aborted(); };
+    // The watchdog deadline restarts on every call, i.e. whenever a
+    // delivery made progress; expiring with nothing delivered means the
+    // schedule is stuck.
+    if (recv_timeout_ms_ <= 0) {
+      mb.cv.wait(lock, wakeup);
+    } else if (!mb.cv.wait_for(lock, std::chrono::milliseconds(recv_timeout_ms_), wakeup)) {
+      lock.unlock();
+      fail(ErrorKind::Stall,
+           "run_parallel: stall watchdog fired after " + std::to_string(recv_timeout_ms_) +
+               " ms (proc " + std::to_string(me) + " blocked on vertex " + std::to_string(vid) +
+               ")",
+           dump_workers());
+      return false;
+    }
+    if (aborted()) return false;
+    inbox.swap(mb.queue);
+    lock.unlock();
+    mark(me, kRunning);
+    return true;
+  }
+
+  bool send(ProcId me, ProcId target, ValueMessage& msg) override {
+    for (int attempt = 0; attempt < kDeliveryAttempts; ++attempt) {
+      if (attempt > 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(std::min(8, 1 << (attempt - 1))));
+      if (aborted()) return false;
+      if (mailbox[target].post(msg)) return true;
+    }
+    fail(ErrorKind::WorkerDeath, "run_parallel: delivery to dead worker " +
+                                     std::to_string(target) + " failed after " +
+                                     std::to_string(kDeliveryAttempts) + " attempts (sender proc " +
+                                     std::to_string(me) + ", value for vertex " +
+                                     std::to_string(msg.sink_vid) + ")");
+    return false;
+  }
+
+  /// Record the first failure (later ones are dropped) and wake every
+  /// blocked worker.
+  void fail(ErrorKind kind, std::string message, std::string diagnostics = {}) {
+    {
+      std::lock_guard<std::mutex> lock(failure_mutex_);
+      if (aborted()) return;
+      failure_kind = kind;
+      failure_message = std::move(message);
+      failure_diagnostics = std::move(diagnostics);
+      aborted_.store(true, std::memory_order_release);
+    }
+    for (Mailbox& mb : mailbox) {
+      std::lock_guard<std::mutex> lock(mb.mutex);
+      mb.cv.notify_all();
+    }
+  }
+
+  [[nodiscard]] bool aborted() const { return aborted_.load(std::memory_order_acquire); }
+
+  /// Stall-report state of worker `me`: kRunning, kDone, or the vertex it
+  /// is blocked on and how many messages that vertex still awaits.
+  void mark(ProcId me, std::int64_t vid, std::uint32_t outstanding = 0) {
+    blocked_vid_[me].store(vid, std::memory_order_relaxed);
+    outstanding_[me].store(outstanding, std::memory_order_relaxed);
+  }
+
+  std::vector<Mailbox> mailbox;
+  /// The first failure, written under the failure mutex and read only
+  /// after every worker has joined.
+  ErrorKind failure_kind = ErrorKind::Internal;
+  std::string failure_message;
+  std::string failure_diagnostics;
+
+ private:
+  /// Snapshot every worker's blocked-on state for the stall report.  The
+  /// owners write it while this reads it, racily but harmlessly.
+  std::string dump_workers() {
+    std::ostringstream os;
+    for (ProcId p = 0; p < mailbox.size(); ++p) {
+      std::int64_t vid = blocked_vid_[p].load(std::memory_order_relaxed);
+      os << "  proc " << p << ": ";
+      if (vid == kDone) os << "finished";
+      else if (vid == kRunning) os << "running";
+      else
+        os << "blocked on vertex " << vid << " (awaiting "
+           << outstanding_[p].load(std::memory_order_relaxed) << " message(s))";
+      std::lock_guard<std::mutex> lock(mailbox[p].mutex);
+      os << ", mailbox depth " << mailbox[p].queue.size() << "\n";
+    }
+    return os.str();
+  }
+
+  std::vector<std::atomic<std::int64_t>> blocked_vid_;
+  std::vector<std::atomic<std::uint32_t>> outstanding_;
+  std::int64_t recv_timeout_ms_;
+  std::atomic<bool> aborted_{false};
+  std::mutex failure_mutex_;
+};
 
 }  // namespace
 
@@ -91,324 +165,91 @@ ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure&
                                const TimeFunction& tf, const Partition& part,
                                const Mapping& mapping, const DependenceInfo& deps,
                                const ParallelRunOptions& options) {
-  for (const Statement& s : nest.statements())
-    if (!s.is_executable())
-      throw std::invalid_argument("run_parallel: statement '" + s.label +
-                                  "' has no executable right-hand side");
-  require_serializable_updates(nest);
-  if (mapping.block_to_proc.size() != part.block_count())
-    throw std::invalid_argument("run_parallel: mapping/partition size mismatch");
-  if (options.delivery_attempts < 1)
-    throw Error(ErrorKind::Config, "run_parallel: delivery_attempts must be >= 1");
-
+  const exec::NodeProgram program("run_parallel", nest, q, tf, part, mapping, deps,
+                                  options.init, options.measure_phases);
   const std::size_t nprocs = mapping.processor_count;
-  const std::size_t nverts = q.vertices().size();
-  const InitFn& init = options.init;
   const obs::ObsContext& obs = options.obs;
   for (ProcId d : options.dead_workers)
     if (d >= nprocs)
       throw Error(ErrorKind::Config,
                   "run_parallel: dead worker " + std::to_string(d) + " out of range");
 
-  // ---- static schedule ------------------------------------------------------
-  std::vector<ProcId> vproc(nverts);
-  std::vector<std::vector<std::size_t>> my_order(nprocs);  // vids per proc
-  for (std::size_t vid = 0; vid < nverts; ++vid) {
-    vproc[vid] = mapping.block_to_proc[part.block_of(vid)];
-    my_order[vproc[vid]].push_back(vid);
-  }
-  for (auto& order : my_order)
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      std::int64_t sa = tf.step_of(q.vertices()[a]);
-      std::int64_t sb = tf.step_of(q.vertices()[b]);
-      if (sa != sb) return sa < sb;
-      return q.vertices()[a] < q.vertices()[b];
-    });
+  ThreadTransport transport(nprocs, options.recv_timeout_ms);
+  // Injected death: a dead worker's mailbox is closed *before* any thread
+  // starts, so no send can slip a message in during worker startup — the
+  // first delivery attempt already sees the closed box deterministically.
+  for (ProcId d : options.dead_workers) transport.mailbox[d].closed = true;
 
-  // Messages each iteration must receive before it can run.
-  std::vector<std::uint32_t> expected(nverts, 0);
-  for (std::size_t vid = 0; vid < nverts; ++vid) {
-    for (const Dependence& d : deps.dependences) {
-      IntVec src = sub(q.vertices()[vid], d.distance);
-      auto it = q.vertex_index().find(src);
-      if (it == q.vertex_index().end()) continue;
-      if (vproc[it->second] != vproc[vid]) ++expected[vid];
-    }
-  }
-
-  // ---- runtime state --------------------------------------------------------
-  std::vector<Mailbox> mailbox(nprocs);
-  std::vector<std::vector<WriteRecord>> writes(nprocs);
-  std::atomic<std::int64_t> messages_sent{0};
-  std::atomic<std::int64_t> halo_loads{0};
-  AbortState abort;
-  const bool watchdog = options.recv_timeout_ms > 0;
-  const auto recv_timeout = std::chrono::milliseconds(options.recv_timeout_ms);
-
-  // Per-worker diagnostic state, written by the owner and read (racily but
-  // harmlessly) by whichever worker dumps a stall report.
-  std::vector<std::atomic<std::int64_t>> blocked_vid(nprocs);
-  std::vector<std::atomic<std::int64_t>> outstanding(nprocs);
-  for (std::size_t p = 0; p < nprocs; ++p) {
-    blocked_vid[p].store(kRunning, std::memory_order_relaxed);
-    outstanding[p].store(0, std::memory_order_relaxed);
-  }
-
-  auto notify_all_workers = [&] {
-    for (Mailbox& mb : mailbox) {
-      std::lock_guard<std::mutex> lock(mb.mutex);
-      mb.cv.notify_all();
-    }
-  };
-
-  /// Snapshot every worker's blocked-on state for the stall report.
-  auto dump_workers = [&] {
-    std::ostringstream os;
-    for (ProcId p = 0; p < nprocs; ++p) {
-      std::int64_t vid = blocked_vid[p].load(std::memory_order_relaxed);
-      os << "  proc " << p << ": ";
-      if (vid == kDone) os << "finished";
-      else if (vid == kRunning) os << "running";
-      else
-        os << "blocked on vertex " << vid << " (awaiting "
-           << outstanding[p].load(std::memory_order_relaxed) << " message(s))";
-      os << ", mailbox depth " << mailbox[p].depth() << "\n";
-    }
-    return os.str();
-  };
-
-  // Per-worker observability slots: each is touched by exactly one thread
-  // and read only after join, so no synchronization (and no sink calls from
-  // worker threads) is needed.
-  std::vector<std::int64_t> proc_messages(nprocs, 0);
-  std::vector<std::int64_t> proc_halo(nprocs, 0);
+  // Per-worker slots: each is touched by exactly one thread and read only
+  // after join, so no synchronization (and no sink calls from worker
+  // threads) is needed.
+  std::vector<exec::WorkerOutcome> outcome(nprocs);
   std::vector<double> span_begin(nprocs, 0.0), span_end(nprocs, 0.0);
-  std::vector<double> proc_compute_us(nprocs, 0.0);
-  std::vector<double> proc_wait_us(nprocs, 0.0);
-  std::vector<double> proc_send_us(nprocs, 0.0);
   const bool measure = options.measure_phases;
   const bool timing = obs.trace != nullptr || measure;
 
   obs::Span run_span(obs.trace, "run_parallel", "runtime", obs::kPipelinePid, obs::kPipelineTid,
                      {{"threads", static_cast<std::int64_t>(nprocs)}});
 
-  // Injected death: a dead worker's mailbox is closed *before* any thread
-  // starts, so no send can slip a message in during worker startup — the
-  // first delivery attempt already sees the closed box deterministically.
-  for (ProcId d : options.dead_workers) mailbox[d].closed = true;
-
-  auto worker = [&](ProcId me, bool dead) {
-    if (timing) span_begin[me] = obs::wall_clock_us();
-    if (dead) {
-      // Executes nothing; senders hit the closed box and abort the run.
-      blocked_vid[me].store(kDone, std::memory_order_relaxed);
-      if (timing) span_end[me] = obs::wall_clock_us();
-      return;
-    }
-
-    ArrayStore local;
-    std::unordered_map<std::size_t, std::uint32_t> received;
-    auto drain = [&](std::deque<Message>& pending) {
-      for (Message& m : pending) {
-        local.store(m.array, m.element, m.value);
-        ++received[m.sink_vid];
-      }
-      pending.clear();
-    };
-
-    // Phase clocks (measure_phases): accumulate how long this worker spent
-    // blocked on receives, computing iteration bodies, and posting sends.
-    // Each phase costs two steady_clock reads; off the measured path the
-    // lambda bodies never run.
-    using phase_clock = std::chrono::steady_clock;
-    auto phase_us = [](phase_clock::time_point a, phase_clock::time_point b) {
-      return std::chrono::duration<double, std::micro>(b - a).count();
-    };
-
-    for (std::size_t vid : my_order[me]) {
-      // Block until every remote input of this iteration has arrived.  The
-      // watchdog deadline restarts whenever progress (any delivery) is
-      // made; expiring with nothing delivered means the schedule is stuck.
-      if (expected[vid] > 0) {
-        phase_clock::time_point w0;
-        if (measure) w0 = phase_clock::now();
-        blocked_vid[me].store(static_cast<std::int64_t>(vid), std::memory_order_relaxed);
-        std::unique_lock<std::mutex> lock(mailbox[me].mutex);
-        auto deadline = std::chrono::steady_clock::now() + recv_timeout;
-        while (received[vid] < expected[vid]) {
-          outstanding[me].store(expected[vid] - received[vid], std::memory_order_relaxed);
-          if (abort.flag.load(std::memory_order_acquire)) return;
-          if (!mailbox[me].queue.empty()) {
-            std::deque<Message> pending;
-            pending.swap(mailbox[me].queue);
-            lock.unlock();
-            drain(pending);
-            lock.lock();
-            deadline = std::chrono::steady_clock::now() + recv_timeout;
-            continue;
-          }
-          auto wakeup = [&] {
-            return !mailbox[me].queue.empty() || abort.flag.load(std::memory_order_acquire);
-          };
-          if (!watchdog) {
-            mailbox[me].cv.wait(lock, wakeup);
-          } else if (!mailbox[me].cv.wait_until(lock, deadline, wakeup)) {
-            // Timed out with no delivery: declare a stall.
-            lock.unlock();
-            abort.trigger(AbortState::Kind::Stall,
-                          "run_parallel: stall watchdog fired after " +
-                              std::to_string(options.recv_timeout_ms) + " ms (proc " +
-                              std::to_string(me) + " blocked on vertex " +
-                              std::to_string(vid) + ")",
-                          dump_workers());
-            notify_all_workers();
-            return;
-          }
-        }
-        blocked_vid[me].store(kRunning, std::memory_order_relaxed);
-        outstanding[me].store(0, std::memory_order_relaxed);
-        if (measure) proc_wait_us[me] += phase_us(w0, phase_clock::now());
-      }
-
-      phase_clock::time_point c0;
-      if (measure) c0 = phase_clock::now();
-      const IntVec& iter = q.vertices()[vid];
-      const std::int64_t step = tf.step_of(iter);
-      auto load = [&](const std::string& array, const IntVec& element) {
-        std::optional<double> v = local.load(array, element);
-        if (v) return *v;
-        double h = init(array, element);
-        local.store(array, element, h);
-        halo_loads.fetch_add(1, std::memory_order_relaxed);
-        ++proc_halo[me];
-        return h;
-      };
-      for (const Statement& s : nest.statements()) {
-        double value = evaluate(s.rhs, load, iter);
-        const ArrayAccess& w = s.accesses.front();
-        IntVec element = eval_subscripts(w.subscripts, iter);
-        local.store(w.array, element, value);
-        writes[me].push_back({w.array, std::move(element), step, value});
-      }
-      if (measure) {
-        phase_clock::time_point now = phase_clock::now();
-        proc_compute_us[me] += phase_us(c0, now);
-        c0 = now;  // reuse as the send-phase start
-      }
-
-      // Forward produced/consumed values along every crossing dependence.
-      for (const Dependence& d : deps.dependences) {
-        IntVec sink = add(iter, d.distance);
-        auto it = q.vertex_index().find(sink);
-        if (it == q.vertex_index().end()) continue;
-        ProcId target = vproc[it->second];
-        if (target == me) continue;
-        IntVec element = eval_subscripts(d.source_subscripts, iter);
-        std::optional<double> value = local.load(d.array, element);
-        if (!value) {
-          value = init(d.array, element);
-          halo_loads.fetch_add(1, std::memory_order_relaxed);
-          ++proc_halo[me];
-        }
-        // Deliver with capped backoff: a closed mailbox (dead worker) stays
-        // closed, so after the attempts give up the run aborts typed.
-        bool delivered = false;
-        for (int attempt = 0; attempt < options.delivery_attempts; ++attempt) {
-          if (attempt > 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(std::min(8, 1 << (attempt - 1))));
-          if (abort.flag.load(std::memory_order_acquire)) return;
-          if (mailbox[target].post({it->second, d.array, element, *value})) {
-            delivered = true;
-            break;
-          }
-        }
-        if (!delivered) {
-          abort.trigger(AbortState::Kind::WorkerDeath,
-                        "run_parallel: delivery to dead worker " + std::to_string(target) +
-                            " failed after " + std::to_string(options.delivery_attempts) +
-                            " attempts (sender proc " + std::to_string(me) + ", vertex " +
-                            std::to_string(vid) + ")");
-          notify_all_workers();
-          return;
-        }
-        messages_sent.fetch_add(1, std::memory_order_relaxed);
-        ++proc_messages[me];
-      }
-      if (measure) proc_send_us[me] += phase_us(c0, phase_clock::now());
-    }
-    blocked_vid[me].store(kDone, std::memory_order_relaxed);
-    if (timing) span_end[me] = obs::wall_clock_us();
-  };
-
-  auto is_dead = [&](ProcId p) {
-    return std::find(options.dead_workers.begin(), options.dead_workers.end(), p) !=
-           options.dead_workers.end();
-  };
   std::vector<std::thread> threads;
   threads.reserve(nprocs);
   for (ProcId p = 0; p < nprocs; ++p)
     threads.emplace_back([&, p] {
+      if (timing) span_begin[p] = obs::wall_clock_us();
       try {
-        worker(p, is_dead(p));
+        // A dead worker executes nothing; senders hit its closed box.  The
+        // flag is read-only once the threads start.
+        const bool dead = transport.mailbox[p].closed;
+        if (dead || program.run(p, transport, outcome[p])) transport.mark(p, kDone);
       } catch (const std::exception& e) {
-        abort.trigger(AbortState::Kind::Internal,
-                      "run_parallel: worker " + std::to_string(p) + " threw: " + e.what());
-        notify_all_workers();
+        transport.fail(ErrorKind::Internal,
+                       "run_parallel: worker " + std::to_string(p) + " threw: " + e.what());
       }
+      if (timing) span_end[p] = obs::wall_clock_us();
     });
   for (std::thread& t : threads) t.join();
 
   std::int64_t max_depth = 0;
-  for (Mailbox& mb : mailbox)
+  for (Mailbox& mb : transport.mailbox)
     max_depth = std::max(max_depth, static_cast<std::int64_t>(mb.max_depth));
 
-  if (abort.flag.load(std::memory_order_acquire)) {
+  if (transport.aborted()) {
     // Surface the failure through obs before throwing so even failed runs
     // leave a diagnosable record.
+    const std::string& message = transport.failure_message;
     if (obs.metrics != nullptr) {
-      if (abort.kind == AbortState::Kind::Stall) obs.metrics->add("fault.stalls_detected");
-      if (abort.kind == AbortState::Kind::WorkerDeath)
+      if (transport.failure_kind == ErrorKind::Stall) obs.metrics->add("fault.stalls_detected");
+      if (transport.failure_kind == ErrorKind::WorkerDeath)
         obs.metrics->add("fault.worker_deaths");
       obs.metrics->set_gauge("runtime.max_mailbox_depth", static_cast<double>(max_depth));
     }
     if (obs.trace != nullptr)
       obs::emit_instant(obs.trace, "abort", "runtime", obs::wall_clock_us(), obs::kPipelinePid,
-                        obs::kPipelineTid, {{"reason", abort.message}});
-    switch (abort.kind) {
-      case AbortState::Kind::Stall: throw StallError(abort.message, abort.diagnostics);
-      case AbortState::Kind::WorkerDeath: throw WorkerDeathError(abort.message);
-      default: throw Error(ErrorKind::Internal, abort.message);
+                        obs::kPipelineTid, {{"reason", message}});
+    switch (transport.failure_kind) {
+      case ErrorKind::Stall: throw StallError(message, transport.failure_diagnostics);
+      case ErrorKind::WorkerDeath: throw WorkerDeathError(message);
+      default: throw Error(ErrorKind::Internal, message);
     }
   }
 
-  // ---- merge: last write (largest step) wins --------------------------------
   ParallelRunResult result;
-  std::unordered_map<std::string,
-                     std::unordered_map<IntVec, std::pair<std::int64_t, double>, IntVecHash>>
-      merged;
-  for (const auto& proc_writes : writes) {
-    for (const WriteRecord& w : proc_writes) {
-      auto& amap = merged[w.array];
-      auto it = amap.find(w.element);
-      if (it == amap.end() || it->second.first <= w.step) amap[w.element] = {w.step, w.value};
-    }
+  result.written = exec::merge_writes(outcome);
+  ParallelRunStats& stats = result.stats;
+  stats.threads = nprocs;
+  stats.max_mailbox_depth = max_depth;
+  for (const exec::WorkerOutcome& w : outcome) {
+    stats.messages_sent += w.messages_sent;
+    stats.halo_loads += w.halo_loads;
+    stats.per_proc_messages.push_back(w.messages_sent);
+    if (!measure) continue;
+    stats.per_proc_compute_us.push_back(w.compute_us);
+    stats.per_proc_wait_us.push_back(w.wait_us);
+    stats.per_proc_send_us.push_back(w.send_us);
   }
-  for (const auto& [array, values] : merged)
-    for (const auto& [element, step_value] : values)
-      result.written.store(array, element, step_value.second);
-  result.stats.messages_sent = messages_sent.load();
-  result.stats.halo_loads = halo_loads.load();
-  result.stats.threads = nprocs;
-  result.stats.per_proc_messages = proc_messages;
-  result.stats.max_mailbox_depth = max_depth;
-  if (measure) {
-    result.stats.per_proc_compute_us = proc_compute_us;
-    result.stats.per_proc_wait_us = proc_wait_us;
-    result.stats.per_proc_send_us = proc_send_us;
+  if (measure)
     for (ProcId p = 0; p < nprocs; ++p)
-      result.stats.wall_us = std::max(result.stats.wall_us, span_end[p] - span_begin[p]);
-  }
+      stats.wall_us = std::max(stats.wall_us, span_end[p] - span_begin[p]);
 
   if (obs.trace != nullptr) {
     for (ProcId p = 0; p < nprocs; ++p) {
@@ -417,29 +258,20 @@ ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure&
       obs::emit_complete(obs.trace, "worker", "runtime", span_begin[p],
                          span_end[p] - span_begin[p], obs::kPipelinePid,
                          obs::kRuntimeTidBase + p,
-                         {{"messages_sent", proc_messages[p]}, {"halo_loads", proc_halo[p]}});
+                         {{"messages_sent", outcome[p].messages_sent},
+                          {"halo_loads", outcome[p].halo_loads}});
     }
   }
   if (obs.metrics != nullptr) {
-    obs.metrics->add("runtime.messages_sent", result.stats.messages_sent);
-    obs.metrics->add("runtime.halo_loads", result.stats.halo_loads);
+    obs.metrics->add("runtime.messages_sent", stats.messages_sent);
+    obs.metrics->add("runtime.halo_loads", stats.halo_loads);
     obs.metrics->add("runtime.threads", static_cast<std::int64_t>(nprocs));
     obs.metrics->set_gauge("runtime.max_mailbox_depth", static_cast<double>(max_depth));
     for (ProcId p = 0; p < nprocs; ++p)
       obs.metrics->add("runtime.proc." + std::to_string(p) + ".messages_sent",
-                       proc_messages[p]);
+                       outcome[p].messages_sent);
   }
   return result;
-}
-
-ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure& q,
-                               const TimeFunction& tf, const Partition& part,
-                               const Mapping& mapping, const DependenceInfo& deps,
-                               const InitFn& init, const obs::ObsContext& obs) {
-  ParallelRunOptions options;
-  options.init = init;
-  options.obs = obs;
-  return run_parallel(nest, q, tf, part, mapping, deps, options);
 }
 
 }  // namespace hypart

@@ -1,17 +1,18 @@
-// hypart — a real multithreaded message-passing runtime.
+// hypart — the threaded execution backend.
 //
-// The distributed interpreter (exec/interpreter.hpp) executes the mapped
-// loop deterministically in a single thread; this runtime actually runs it
-// on N concurrent worker threads, one per simulated processor, with
-// per-processor mailboxes (mutex + condition variable) and blocking
-// receives.  No shared mutable array state exists: a worker only touches
-// its own local store and its mailbox, exactly like a node of the paper's
-// message-passing machine.  Every value a remote iteration needs is sent as
-// a typed message and *waited for*, so a partitioning or mapping bug that
-// breaks the schedule shows up as a wrong result or — via the stall
-// watchdog — as a typed StallError with a per-worker diagnostic dump,
-// never as a silent hang.  Injected worker death (a mailbox closed before
-// the run) is surfaced as WorkerDeathError after capped delivery retries.
+// run_parallel() runs the shared node program (exec/worker_loop.hpp) on N
+// concurrent worker threads, one per simulated processor, over an
+// in-process transport: per-processor mailboxes (mutex + condition
+// variable) and blocking receives.  No shared mutable array state exists:
+// a worker only touches its own local store and its mailbox, exactly like a
+// node of the paper's message-passing machine.  Every value a remote
+// iteration needs is sent as a typed message and *waited for*, so a
+// partitioning or mapping bug that breaks the schedule shows up as a wrong
+// result or — via the stall watchdog — as a typed StallError with a
+// per-worker diagnostic dump, never as a silent hang.  Injected worker
+// death (a mailbox closed before the run) is surfaced as WorkerDeathError
+// after capped delivery retries; a worker exception aborts the run as
+// Error(Internal) naming the worker.
 //
 // Results must equal sequential execution; the tests assert this under
 // thread-schedule nondeterminism.
@@ -63,10 +64,9 @@ struct ParallelRunOptions {
   std::int64_t recv_timeout_ms = 30000;
   /// Fault injection: these workers die at startup — their mailbox closes
   /// and they execute nothing.  Message delivery to a closed mailbox is
-  /// retried with capped backoff, then the run aborts with WorkerDeathError.
+  /// tried four times with capped backoff, then the run aborts with
+  /// WorkerDeathError.
   std::vector<ProcId> dead_workers;
-  /// Delivery attempts to a closed mailbox before giving up (>= 1).
-  int delivery_attempts = 4;
   /// Record per-worker compute/wait/send phase clocks into
   /// ParallelRunStats (two steady_clock reads per phase per iteration).
   /// Off by default so the fast path stays measurement-free.
@@ -75,23 +75,16 @@ struct ParallelRunOptions {
 
 /// Execute the partitioned, mapped nest on one OS thread per processor.
 /// Blocking message passing between threads; throws on non-executable
-/// statements or mapping mismatch, StallError when the watchdog fires, and
-/// WorkerDeathError when delivery to a dead worker's mailbox gives up.
-/// Deterministic result (not timing).  When `obs` carries a trace sink,
-/// each worker gets a wall-clock span (pid kPipelinePid, tid
-/// kRuntimeTidBase + proc); counters and per-proc send totals land in the
-/// registry.  Workers never touch the sink concurrently — timestamps are
-/// collected locally and emitted after join.
+/// statements or mapping mismatch, StallError when the watchdog fires,
+/// WorkerDeathError when delivery to a dead worker's mailbox gives up, and
+/// Error(Internal) when a worker throws.  Deterministic result (not
+/// timing).  When `obs` carries a trace sink, each worker gets a wall-clock
+/// span (pid kPipelinePid, tid kRuntimeTidBase + proc); counters and
+/// per-proc send totals land in the registry.  Workers never touch the sink
+/// concurrently — timestamps are collected locally and emitted after join.
 ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure& q,
                                const TimeFunction& tf, const Partition& part,
                                const Mapping& mapping, const DependenceInfo& deps,
-                               const ParallelRunOptions& options);
-
-/// Back-compatible overload with default watchdog settings.
-ParallelRunResult run_parallel(const LoopNest& nest, const ComputationStructure& q,
-                               const TimeFunction& tf, const Partition& part,
-                               const Mapping& mapping, const DependenceInfo& deps,
-                               const InitFn& init = default_init,
-                               const obs::ObsContext& obs = {});
+                               const ParallelRunOptions& options = {});
 
 }  // namespace hypart

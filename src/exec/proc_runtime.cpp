@@ -2,20 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <random>
-#include <unordered_map>
+#include <thread>
 
 #include <signal.h>
-#include <time.h>
 #include <unistd.h>
 
 #include "core/io_util.hpp"
 #include "exec/parallel_runtime.hpp"
 #include "exec/supervisor.hpp"
+#include "exec/worker_loop.hpp"
 #include "fault/remap.hpp"
+#include "mapping/gray.hpp"
 
 namespace hypart {
 
@@ -30,82 +29,6 @@ using exec::SupervisorEvent;
 using exec::SupervisorEventKind;
 using exec::WorkerDeath;
 
-struct WriteRecord {
-  std::string array;
-  IntVec element;
-  std::int64_t step;
-  double value;
-};
-
-struct WorkerStats {
-  double compute_us = 0.0;
-  double wait_us = 0.0;
-  double send_us = 0.0;
-  std::int64_t halo_loads = 0;
-  std::int64_t send_retries = 0;
-};
-
-IntVec eval_subscripts(const std::vector<AffineExpr>& subs, const IntVec& iteration) {
-  IntVec element(subs.size());
-  for (std::size_t i = 0; i < subs.size(); ++i) element[i] = subs[i].evaluate(iteration);
-  return element;
-}
-
-void sleep_ms(std::int64_t ms) {
-  timespec ts{};
-  ts.tv_sec = ms / 1000;
-  ts.tv_nsec = (ms % 1000) * 1000000L;
-  ::nanosleep(&ts, nullptr);
-}
-
-/// The per-epoch static schedule, identical to the threaded runtime's (and
-/// to the program codegen/spmd emits): vertex -> proc, per-proc vertex
-/// order by (hyperplane step, vertex), and per-vertex expected cross-proc
-/// message counts.
-struct Schedule {
-  std::vector<ProcId> vproc;
-  std::vector<std::vector<std::size_t>> my_order;
-  std::vector<std::uint32_t> expected;
-  std::int64_t min_step = 0;
-  std::int64_t max_step = 0;
-};
-
-Schedule build_schedule(const ComputationStructure& q, const TimeFunction& tf,
-                        const Partition& part, const Mapping& mapping,
-                        const DependenceInfo& deps) {
-  const std::size_t nverts = q.vertices().size();
-  const std::size_t nprocs = mapping.processor_count;
-  Schedule s;
-  s.vproc.resize(nverts);
-  s.my_order.resize(nprocs);
-  bool first = true;
-  for (std::size_t vid = 0; vid < nverts; ++vid) {
-    s.vproc[vid] = mapping.block_to_proc[part.block_of(vid)];
-    s.my_order[s.vproc[vid]].push_back(vid);
-    std::int64_t step = tf.step_of(q.vertices()[vid]);
-    if (first || step < s.min_step) s.min_step = step;
-    if (first || step > s.max_step) s.max_step = step;
-    first = false;
-  }
-  for (auto& order : s.my_order)
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      std::int64_t sa = tf.step_of(q.vertices()[a]);
-      std::int64_t sb = tf.step_of(q.vertices()[b]);
-      if (sa != sb) return sa < sb;
-      return q.vertices()[a] < q.vertices()[b];
-    });
-  s.expected.assign(nverts, 0);
-  for (std::size_t vid = 0; vid < nverts; ++vid) {
-    for (const Dependence& d : deps.dependences) {
-      IntVec src = sub(q.vertices()[vid], d.distance);
-      auto it = q.vertex_index().find(src);
-      if (it == q.vertex_index().end()) continue;
-      if (s.vproc[it->second] != s.vproc[vid]) ++s.expected[vid];
-    }
-  }
-  return s;
-}
-
 /// Worker-side fault triggers for one proc, derived from the plan.
 struct WorkerFaults {
   std::optional<std::int64_t> kill_at;   // hyperplane step (kFromStart = now)
@@ -119,173 +42,133 @@ bool triggered(const std::optional<std::int64_t>& at, std::int64_t step) {
   return at.has_value() && (*at == fault::kFromStart || step >= *at);
 }
 
-/// The worker body: executes `my_order[me]` of the schedule, receiving
-/// forwarded DATA frames and sending one DATA frame per crossing
-/// dependence, heartbeating whenever it waits.  Runs in the forked child
-/// and never returns.
-void worker_main(int fd, ProcId me, const LoopNest& nest, const ComputationStructure& q,
-                 const TimeFunction& tf, const DependenceInfo& deps, const InitFn& init,
-                 const Schedule& sched, const WorkerFaults& faults,
-                 std::int64_t heartbeat_interval_ms, bool measure) {
-  using phase_clock = std::chrono::steady_clock;
-  auto phase_us = [](phase_clock::time_point a, phase_clock::time_point b) {
-    return std::chrono::duration<double, std::micro>(b - a).count();
-  };
+/// One worker's end of the socket transport, in the forked child: value
+/// messages travel as DATA frames through the supervisor, the worker
+/// heartbeats whenever it waits, and the `proc:` fault triggers fire at
+/// their hyperplane step.  A lost supervisor ends the child (the epoch is
+/// over), so no operation ever reports an abort.
+class SocketTransport final : public exec::WorkerTransport {
+ public:
+  SocketTransport(int fd, const WorkerFaults& faults, std::int64_t heartbeat_interval_ms)
+      : fd_(fd), faults_(faults), heartbeat_interval_ms_(heartbeat_interval_ms) {}
 
-  WorkerStats stats;
-  ArrayStore local;
-  std::unordered_map<std::size_t, std::uint32_t> received;
-  std::vector<WriteRecord> writes;
-  bool delaying = false;
-  auto last_hb = phase_clock::now();
-
-  auto send = [&](const Frame& f) {
+  void send_frame(const Frame& f) {
     int retries = 0;
-    if (!exec::write_frame(fd, f, &retries)) _exit(3);  // supervisor gone
-    stats.send_retries += retries;
-  };
-  auto heartbeat_if_due = [&] {
-    auto now = phase_clock::now();
-    if (std::chrono::duration<double, std::milli>(now - last_hb).count() >=
-        static_cast<double>(heartbeat_interval_ms)) {
-      send({FrameType::Heartbeat, {}});
-      last_hb = now;
-    }
-  };
-  auto fire_faults = [&](std::int64_t step) {
-    if (triggered(faults.kill_at, step)) ::raise(SIGKILL);
-    if (triggered(faults.trunc_at, step)) {
+    if (!exec::write_frame(fd_, f, &retries)) _exit(3);  // supervisor gone
+    send_retries_ += retries;
+    last_hb_ = std::chrono::steady_clock::now();
+  }
+
+  void fire_faults(std::int64_t step) {
+    if (triggered(faults_.kill_at, step)) ::raise(SIGKILL);
+    if (triggered(faults_.trunc_at, step)) {
       // Deliberately corrupt the stream: a length prefix promising more
       // bytes than ever arrive, then die.  The supervisor must classify
       // this as a truncated frame, not hang waiting for the rest.
       const std::uint8_t junk[6] = {0xff, 0x00, 0x00, 0x00,
                                     static_cast<std::uint8_t>(FrameType::Data), 0x42};
-      (void)write_full(fd, junk, sizeof(junk));
+      (void)write_full(fd_, junk, sizeof(junk));
       _exit(4);
     }
-    if (triggered(faults.hang_at, step)) {
-      for (;;) sleep_ms(1000);  // silent forever; heartbeat watchdog's case
+    if (triggered(faults_.hang_at, step)) {
+      for (;;)  // silent forever; heartbeat watchdog's case
+        std::this_thread::sleep_for(std::chrono::seconds(1));
     }
-    if (triggered(faults.delay_at, step)) delaying = true;
-  };
-
-  {
-    PayloadWriter pw;
-    pw.u64(me);
-    send({FrameType::Hello, pw.take()});
+    if (triggered(faults_.delay_at, step)) delaying_ = true;
   }
-  fire_faults(sched.min_step - 1);  // kFromStart faults fire before any vertex
 
-  for (std::size_t vid : sched.my_order[me]) {
-    const IntVec& iter = q.vertices()[vid];
-    const std::int64_t step = tf.step_of(iter);
+  bool before_vertex(ProcId /*me*/, std::size_t /*vid*/, std::int64_t step) override {
     fire_faults(step);
-    heartbeat_if_due();
+    if (std::chrono::steady_clock::now() - last_hb_ >=
+        std::chrono::milliseconds(heartbeat_interval_ms_))
+      send_frame({FrameType::Heartbeat, {}});
+    return true;
+  }
 
-    if (sched.expected[vid] > 0) {
-      phase_clock::time_point w0;
-      if (measure) w0 = phase_clock::now();
-      while (received[vid] < sched.expected[vid]) {
-        int r = exec::wait_readable(fd, static_cast<int>(heartbeat_interval_ms));
-        if (r < 0) _exit(3);
-        if (r == 0) {
-          send({FrameType::Heartbeat, {}});
-          last_hb = phase_clock::now();
-          continue;
-        }
-        Frame f;
-        int rc = exec::read_frame(fd, f);
-        if (rc <= 0) _exit(3);  // supervisor closed our end: epoch is over
-        if (f.type != FrameType::Data) continue;
-        PayloadReader pr(f.payload);
-        (void)pr.u64();  // routing target (us), already consumed by the hub
-        std::size_t sink_vid = static_cast<std::size_t>(pr.u64());
-        std::string array = pr.str();
-        IntVec element = pr.ivec();
-        double value = pr.f64();
-        local.store(array, element, value);
-        ++received[sink_vid];
+  bool receive(ProcId /*me*/, std::size_t /*vid*/, std::uint32_t /*outstanding*/,
+               std::vector<exec::ValueMessage>& inbox) override {
+    for (;;) {
+      int r = exec::wait_readable(fd_, static_cast<int>(heartbeat_interval_ms_));
+      if (r < 0) _exit(3);
+      if (r == 0) {
+        send_frame({FrameType::Heartbeat, {}});
+        continue;
       }
-      if (measure) stats.wait_us += phase_us(w0, phase_clock::now());
+      Frame f;
+      if (exec::read_frame(fd_, f) <= 0) _exit(3);  // supervisor closed our end: epoch is over
+      if (f.type != FrameType::Data) continue;
+      PayloadReader pr(f.payload);
+      (void)pr.u64();  // routing target (us), already consumed by the hub
+      exec::ValueMessage& m = inbox.emplace_back();
+      m.sink_vid = static_cast<std::size_t>(pr.u64());
+      m.array = pr.str();
+      m.element = pr.ivec();
+      m.value = pr.f64();
+      return true;
     }
-
-    phase_clock::time_point c0;
-    if (measure) c0 = phase_clock::now();
-    auto load = [&](const std::string& array, const IntVec& element) {
-      std::optional<double> v = local.load(array, element);
-      if (v) return *v;
-      double h = init(array, element);
-      local.store(array, element, h);
-      ++stats.halo_loads;
-      return h;
-    };
-    for (const Statement& s : nest.statements()) {
-      double value = evaluate(s.rhs, load, iter);
-      const ArrayAccess& w = s.accesses.front();
-      IntVec element = eval_subscripts(w.subscripts, iter);
-      local.store(w.array, element, value);
-      writes.push_back({w.array, std::move(element), step, value});
-    }
-    if (measure) {
-      phase_clock::time_point now = phase_clock::now();
-      stats.compute_us += phase_us(c0, now);
-      c0 = now;
-    }
-
-    for (const Dependence& d : deps.dependences) {
-      IntVec sink = add(iter, d.distance);
-      auto it = q.vertex_index().find(sink);
-      if (it == q.vertex_index().end()) continue;
-      ProcId target = sched.vproc[it->second];
-      if (target == me) continue;
-      IntVec element = eval_subscripts(d.source_subscripts, iter);
-      std::optional<double> value = local.load(d.array, element);
-      if (!value) {
-        value = init(d.array, element);
-        ++stats.halo_loads;
-      }
-      if (delaying && faults.delay_ms > 0) sleep_ms(faults.delay_ms);
-      PayloadWriter pw;
-      pw.u64(target);
-      pw.u64(it->second);
-      pw.str(d.array);
-      pw.ivec(element);
-      pw.f64(*value);
-      send({FrameType::Data, pw.take()});
-    }
-    if (measure) stats.send_us += phase_us(c0, phase_clock::now());
   }
 
-  {
+  bool send(ProcId /*me*/, ProcId target, exec::ValueMessage& msg) override {
+    if (delaying_) std::this_thread::sleep_for(std::chrono::milliseconds(faults_.delay_ms));
     PayloadWriter pw;
-    pw.u32(static_cast<std::uint32_t>(writes.size()));
-    for (const WriteRecord& w : writes) {
-      pw.str(w.array);
-      pw.ivec(w.element);
-      pw.i64(w.step);
-      pw.f64(w.value);
+    pw.u64(target);
+    pw.u64(msg.sink_vid);
+    pw.str(msg.array);
+    pw.ivec(msg.element);
+    pw.f64(msg.value);
+    send_frame({FrameType::Data, pw.take()});
+    return true;
+  }
+
+  [[nodiscard]] std::int64_t send_retries() const { return send_retries_; }
+
+ private:
+  int fd_;
+  const WorkerFaults& faults_;
+  std::int64_t heartbeat_interval_ms_;
+  bool delaying_ = false;
+  std::chrono::steady_clock::time_point last_hb_ = std::chrono::steady_clock::now();
+  std::int64_t send_retries_ = 0;
+};
+
+/// The forked child: runs proc `me`'s node program over the socket, then
+/// reports its write records and counters.  A worker exception is sent to
+/// the supervisor as an ERROR frame.  Never returns.
+[[noreturn]] void worker_main(int fd, ProcId me, const exec::NodeProgram& program,
+                              const WorkerFaults& faults, std::int64_t heartbeat_interval_ms) {
+  SocketTransport link(fd, faults, heartbeat_interval_ms);
+  try {
+    PayloadWriter hello;
+    hello.u64(me);
+    link.send_frame({FrameType::Hello, hello.take()});
+    link.fire_faults(program.schedule().min_step - 1);  // kFromStart faults fire first
+
+    exec::WorkerOutcome out;
+    (void)program.run(me, link, out);
+    PayloadWriter writes;
+    writes.u32(static_cast<std::uint32_t>(out.writes.size()));
+    for (const exec::WriteRecord& w : out.writes) {
+      writes.str(w.array);
+      writes.ivec(w.element);
+      writes.i64(w.step);
+      writes.f64(w.value);
     }
-    send({FrameType::Writes, pw.take()});
-  }
-  {
+    link.send_frame({FrameType::Writes, writes.take()});
+    PayloadWriter stats;
+    stats.f64(out.compute_us);
+    stats.f64(out.wait_us);
+    stats.f64(out.send_us);
+    stats.i64(out.halo_loads);
+    stats.i64(link.send_retries());
+    link.send_frame({FrameType::Stats, stats.take()});
+    link.send_frame({FrameType::Done, {}});
+  } catch (const std::exception& e) {
     PayloadWriter pw;
-    pw.f64(stats.compute_us);
-    pw.f64(stats.wait_us);
-    pw.f64(stats.send_us);
-    pw.i64(stats.halo_loads);
-    pw.i64(stats.send_retries);
-    send({FrameType::Stats, pw.take()});
+    pw.str(e.what());
+    (void)exec::write_frame(fd, {FrameType::Error, pw.take()});
+    _exit(1);
   }
-  send({FrameType::Done, {}});
   _exit(0);
-}
-
-[[nodiscard]] bool is_power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
-
-[[nodiscard]] unsigned log2_exact(std::size_t n) {
-  unsigned d = 0;
-  while ((std::size_t{1} << d) < n) ++d;
-  return d;
 }
 
 }  // namespace
@@ -294,13 +177,8 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
                         const TimeFunction& tf, const Partition& part,
                         const Mapping& mapping, const DependenceInfo& deps,
                         const ProcRunOptions& options) {
-  for (const Statement& s : nest.statements())
-    if (!s.is_executable())
-      throw std::invalid_argument("run_procs: statement '" + s.label +
-                                  "' has no executable right-hand side");
-  require_serializable_updates(nest);
-  if (mapping.block_to_proc.size() != part.block_count())
-    throw std::invalid_argument("run_procs: mapping/partition size mismatch");
+  exec::NodeProgram program("run_procs", nest, q, tf, part, mapping, deps, options.init,
+                            options.measure_phases);
   if (options.max_recoveries < 0)
     throw Error(ErrorKind::Config, "run_procs: max_recoveries must be >= 0");
   if (options.heartbeat_interval_ms <= 0)
@@ -351,12 +229,8 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
     return result;
   };
 
-  if (std::getenv("HYPART_PROC_FORCE_DEGRADE") != nullptr)
-    return degrade("HYPART_PROC_FORCE_DEGRADE set");
-
   // Resolve seeded RandKill terms into concrete Kill faults so every epoch
   // (and every rerun with the same seed) injects identically.
-  Schedule sched = build_schedule(q, tf, part, mapping, deps);
   std::vector<fault::ProcFault> pending_faults;
   for (const fault::ProcFault& f : options.proc_faults) {
     if (f.kind != fault::ProcFaultKind::RandKill) {
@@ -367,8 +241,8 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
     fault::ProcFault kill;
     kill.kind = fault::ProcFaultKind::Kill;
     kill.proc = static_cast<ProcId>(rng() % nprocs);
-    const std::uint64_t steps =
-        static_cast<std::uint64_t>(sched.max_step - sched.min_step) + 1;
+    const exec::Schedule& sched = program.schedule();
+    const std::uint64_t steps = static_cast<std::uint64_t>(sched.max_step - sched.min_step) + 1;
     kill.at_step = sched.min_step + static_cast<std::int64_t>(rng() % steps);
     pending_faults.push_back(kill);
   }
@@ -391,8 +265,6 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
   const auto run_clock_start = std::chrono::steady_clock::now();
 
   for (int epoch = 0;; ++epoch) {
-    sched = build_schedule(q, tf, part, epoch_mapping, deps);
-
     std::vector<ProcId> live_procs;
     for (ProcId p = 0; p < nprocs; ++p)
       if (std::find(ever_dead.begin(), ever_dead.end(), p) == ever_dead.end())
@@ -418,8 +290,7 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
     bool spawned = sup.spawn(
         live_procs,
         [&](ProcId me, int fd) {
-          worker_main(fd, me, nest, q, tf, deps, options.init, sched, wf[me],
-                      options.heartbeat_interval_ms, measure);
+          worker_main(fd, me, program, wf[me], options.heartbeat_interval_ms);
         },
         &spawn_error);
     if (!spawned) return degrade(spawn_error);
@@ -428,8 +299,8 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
     auto last_progress = epoch_start;
     std::vector<std::pair<ProcId, Frame>> frames;
     std::vector<WorkerDeath> deaths;
-    std::vector<WriteRecord> epoch_writes;
-    std::vector<WorkerStats> epoch_stats(nprocs);
+    std::vector<exec::WorkerOutcome> epoch_out(nprocs);
+    std::int64_t worker_retries = 0;
     std::int64_t epoch_messages = 0, epoch_hops = 0;
     std::size_t done = 0;
     bool epoch_failed = false;
@@ -461,24 +332,23 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
             PayloadReader pr(f.payload);
             std::uint32_t n = pr.u32();
             for (std::uint32_t i = 0; i < n; ++i) {
-              WriteRecord w;
+              exec::WriteRecord& w = epoch_out[src].writes.emplace_back();
               w.array = pr.str();
               w.element = pr.ivec();
               w.step = pr.i64();
               w.value = pr.f64();
-              epoch_writes.push_back(std::move(w));
             }
             last_progress = std::chrono::steady_clock::now();
             break;
           }
           case FrameType::Stats: {
             PayloadReader pr(f.payload);
-            WorkerStats& ws = epoch_stats[src];
+            exec::WorkerOutcome& ws = epoch_out[src];
             ws.compute_us = pr.f64();
             ws.wait_us = pr.f64();
             ws.send_us = pr.f64();
             ws.halo_loads = pr.i64();
-            ws.send_retries = pr.i64();
+            worker_retries += pr.i64();
             break;
           }
           case FrameType::Done:
@@ -487,7 +357,7 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
             break;
           case FrameType::Error: {
             PayloadReader pr(f.payload);
-            worker_error = "worker " + std::to_string(src) + ": " + pr.str();
+            worker_error = "worker " + std::to_string(src) + " threw: " + pr.str();
             break;
           }
         }
@@ -530,46 +400,24 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
     }
 
     if (!epoch_failed) {
-      // Success: drain remaining frames (Stats/Done may trail), merge
-      // writes and report.
-      for (int i = 0; i < 10 && sup.done_count() < live_procs.size(); ++i) {
-        frames.clear();
-        deaths.clear();
-        sup.poll_once(10, frames, deaths);
-      }
+      // Success: every worker's WRITES and STATS precede its DONE on the
+      // wire, so all of them have been read.
       sup.reset();
 
-      std::unordered_map<std::string,
-                         std::unordered_map<IntVec, std::pair<std::int64_t, double>, IntVecHash>>
-          merged;
-      for (const WriteRecord& w : epoch_writes) {
-        auto& amap = merged[w.array];
-        auto it = amap.find(w.element);
-        if (it == amap.end() || it->second.first <= w.step)
-          amap[w.element] = {w.step, w.value};
-      }
-      for (const auto& [array, values] : merged)
-        for (const auto& [element, step_value] : values)
-          result.written.store(array, element, step_value.second);
-
+      result.written = exec::merge_writes(epoch_out);
       stats.messages_sent = epoch_messages;
       stats.route_hops = epoch_hops;
       stats.workers = live_procs.size();
       stats.heartbeat_misses = sup.heartbeat_misses();
-      stats.send_retries = sup.send_retries();
-      for (const WorkerStats& ws : epoch_stats) {
+      stats.send_retries = sup.send_retries() + worker_retries;
+      for (const exec::WorkerOutcome& ws : epoch_out) {
         stats.halo_loads += ws.halo_loads;
-        stats.send_retries += ws.send_retries;
+        if (!measure) continue;
+        stats.per_proc_compute_us.push_back(ws.compute_us);
+        stats.per_proc_wait_us.push_back(ws.wait_us);
+        stats.per_proc_send_us.push_back(ws.send_us);
       }
       if (measure) {
-        stats.per_proc_compute_us.assign(nprocs, 0.0);
-        stats.per_proc_wait_us.assign(nprocs, 0.0);
-        stats.per_proc_send_us.assign(nprocs, 0.0);
-        for (ProcId p = 0; p < nprocs; ++p) {
-          stats.per_proc_compute_us[p] = epoch_stats[p].compute_us;
-          stats.per_proc_wait_us[p] = epoch_stats[p].wait_us;
-          stats.per_proc_send_us[p] = epoch_stats[p].send_us;
-        }
         stats.wall_us = std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - run_clock_start)
                             .count();
@@ -646,6 +494,7 @@ ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
       stats.migrated_blocks += migrated;
       stats.migration_words += words;
     }
+    program.remap(epoch_mapping);
     if (obs.metrics != nullptr) {
       obs.metrics->add("procs.recoveries");
       obs.metrics->add("procs.migrated_blocks",

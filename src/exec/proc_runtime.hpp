@@ -1,13 +1,14 @@
 // hypart — the multi-process execution backend.
 //
-// run_procs() executes the same per-processor SPMD program that
-// codegen/spmd emits and the threaded runtime interprets, but with the
-// paper's machine model taken literally: every simulated processor is a
-// real OS process with a private address space, values cross between them
-// only as framed messages over sockets, and a processor can actually fail.
-// A Supervisor (exec/supervisor.hpp) forks the workers, routes every DATA
-// frame along the mapped hypercube (charging e-cube hop counts), and
-// watches for crashes, hangs and truncated frames.
+// run_procs() runs the node program the threaded runtime runs
+// (exec/worker_loop.hpp), but with the paper's machine model taken
+// literally: every simulated processor is a real OS process with a private
+// address space, values cross between them only as framed messages over
+// sockets, and a processor can actually fail.  A Supervisor
+// (exec/supervisor.hpp) forks the workers, routes every DATA frame along
+// the mapped hypercube (charging e-cube hop counts), and watches for
+// crashes, hangs and truncated frames.  A worker exception comes back as an
+// ERROR frame and aborts the run as Error(Internal) naming the worker.
 //
 // Recovery is epoch restart with block reassignment: when a worker dies,
 // the supervisor kills the epoch, reassigns every dead processor's blocks
@@ -20,10 +21,9 @@
 // tests pin under every injected failure.
 //
 // When fork/socketpair hit resource exhaustion (EMFILE/ENFILE/ENOMEM/
-// EAGAIN) — or HYPART_PROC_FORCE_DEGRADE is set — the backend degrades
-// gracefully to the threaded run_parallel with `stats.degraded` set, a
-// documented fallback rather than a crash (proc faults are not injectable
-// in degraded mode and are skipped).
+// EAGAIN) the backend degrades gracefully to the threaded run_parallel
+// with `stats.degraded` set, a documented fallback rather than a crash
+// (proc faults are not injectable in degraded mode and are skipped).
 #pragma once
 
 #include "core/error.hpp"
@@ -85,7 +85,8 @@ struct ProcRunOptions {
 /// under supervision.  Deterministic result (equals run_sequential);
 /// throws StallError when the run watchdog fires, WorkerDeathError when
 /// recovery attempts are exhausted, FaultError when a death is
-/// unsurvivable (no live spare), Error(Config) on invalid options.
+/// unsurvivable (no live spare), Error(Internal) when a worker throws,
+/// Error(Config) on invalid options.
 ProcRunResult run_procs(const LoopNest& nest, const ComputationStructure& q,
                         const TimeFunction& tf, const Partition& part,
                         const Mapping& mapping, const DependenceInfo& deps,

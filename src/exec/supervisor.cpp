@@ -255,9 +255,14 @@ bool Supervisor::spawn(const std::vector<ProcId>& procs,
     if (pid == 0) {
       // Child: keep only our end, blocking, and run the worker body.  The
       // body never returns; _exit (not exit) so no parent-owned state
-      // (atexit handlers, stream buffers) runs twice.
+      // (atexit handlers, stream buffers) runs twice, and an escaping
+      // exception never unwinds into the child's copy of the caller's stack.
       ::close(sv[0]);
-      body(proc, sv[1]);
+      try {
+        body(proc, sv[1]);
+      } catch (...) {
+        _exit(70);
+      }
       _exit(0);
     }
     ::close(sv[1]);
@@ -468,15 +473,6 @@ std::size_t Supervisor::live_count() const {
   for (const auto& [proc, w] : workers_) {
     (void)proc;
     if (!w.dead) ++n;
-  }
-  return n;
-}
-
-std::size_t Supervisor::done_count() const {
-  std::size_t n = 0;
-  for (const auto& [proc, w] : workers_) {
-    (void)proc;
-    if (w.done) ++n;
   }
   return n;
 }

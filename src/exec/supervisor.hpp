@@ -167,7 +167,8 @@ class Supervisor {
   Supervisor& operator=(const Supervisor&) = delete;
 
   /// Fork one worker per id in `procs`; `body(proc, fd)` runs in the child
-  /// with a blocking socket fd and must never return (it _exit()s).
+  /// with a blocking socket fd and must never return (it _exit()s).  An
+  /// exception escaping `body` ends the child with status 70.
   /// Returns false — with any partially spawned workers cleaned up and
   /// `*error` describing the failed resource — when fork/socketpair hit
   /// resource exhaustion (EAGAIN/EMFILE/ENFILE/ENOMEM): the caller's
@@ -202,8 +203,6 @@ class Supervisor {
 
   [[nodiscard]] bool alive(ProcId proc) const;
   [[nodiscard]] std::size_t live_count() const;
-  /// Workers that sent Done (still counted by live_count until they exit).
-  [[nodiscard]] std::size_t done_count() const;
   /// Total backoff retries taken by buffered sends (observability).
   [[nodiscard]] std::int64_t send_retries() const { return send_retries_; }
   /// Heartbeat deadlines missed since construction (survives reset()).

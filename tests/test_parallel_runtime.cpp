@@ -2,36 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "mapping/hypercube_map.hpp"
-#include "workloads/workloads.hpp"
+#include "exec_fixture.hpp"
 
 namespace hypart {
 namespace {
-
-struct RuntimeFixture {
-  std::unique_ptr<ComputationStructure> q;
-  std::unique_ptr<ProjectedStructure> ps;
-  Grouping grouping;
-  Partition partition;
-  TaskInteractionGraph tig;
-  TimeFunction tf;
-  DependenceInfo deps;
-  LoopNest nest;
-
-  explicit RuntimeFixture(LoopNest n) : nest(std::move(n)) {
-    deps = analyze_dependences(nest);
-    IndexSet is(nest);
-    q = std::make_unique<ComputationStructure>(is.points(), deps.distance_vectors());
-    auto found = search_time_function(*q);
-    tf = *found;
-    ps = std::make_unique<ProjectedStructure>(*q, tf);
-    grouping = Grouping::compute(*ps);
-    partition = Partition::build(*q, grouping);
-    tig = TaskInteractionGraph::from_partition(*q, partition, grouping);
-  }
-};
 
 TEST(ParallelRuntime, MatvecThreadsMatchSequential) {
   RuntimeFixture f(workloads::matrix_vector(12));
@@ -45,11 +19,17 @@ TEST(ParallelRuntime, MatvecThreadsMatchSequential) {
 }
 
 TEST(ParallelRuntime, MessageCountMatchesInterpreter) {
-  RuntimeFixture f(workloads::sor2d(8, 8));
-  Mapping map = map_to_hypercube(f.tig, 2).mapping;
-  ParallelRunResult par = run_parallel(f.nest, *f.q, f.tf, f.partition, map, f.deps);
-  DistributedResult sim = run_distributed(f.nest, *f.q, f.tf, f.partition, map, f.deps);
-  EXPECT_EQ(par.stats.messages_sent, sim.stats.value_messages);
+  for (LoopNest& nest : parity_nests()) {
+    RuntimeFixture f(std::move(nest));
+    for (unsigned dim : {1u, 2u}) {
+      SCOPED_TRACE(f.nest.name() + " dim " + std::to_string(dim));
+      Mapping map = f.map(dim);
+      ParallelRunResult par = run_parallel(f.nest, *f.q, f.tf, f.partition, map, f.deps);
+      DistributedResult sim = run_distributed(f.nest, *f.q, f.tf, f.partition, map, f.deps);
+      EXPECT_EQ(par.stats.messages_sent, sim.stats.value_messages);
+      EXPECT_EQ(par.stats.halo_loads, sim.stats.halo_loads);
+    }
+  }
 }
 
 TEST(ParallelRuntime, SingleThreadDegenerate) {

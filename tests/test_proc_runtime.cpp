@@ -8,15 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cstdlib>
-#include <memory>
-#include <set>
+#include <exception>
+#include <stdexcept>
 
 #include "core/error.hpp"
+#include "exec/parallel_runtime.hpp"
+#include "exec_fixture.hpp"
 #include "fault/fault_plan.hpp"
-#include "mapping/hypercube_map.hpp"
 #include "obs/ledger.hpp"
-#include "workloads/workloads.hpp"
 
 namespace hypart {
 namespace {
@@ -26,42 +30,6 @@ std::uint64_t fault_seed() {
   const char* env = std::getenv("HYPART_FAULT_SEED");
   return env != nullptr ? std::strtoull(env, nullptr, 10) : 42;
 }
-
-struct RuntimeFixture {
-  std::unique_ptr<ComputationStructure> q;
-  std::unique_ptr<ProjectedStructure> ps;
-  Grouping grouping;
-  Partition partition;
-  TaskInteractionGraph tig;
-  TimeFunction tf;
-  DependenceInfo deps;
-  LoopNest nest;
-
-  explicit RuntimeFixture(LoopNest n) : nest(std::move(n)) {
-    deps = analyze_dependences(nest);
-    IndexSet is(nest);
-    q = std::make_unique<ComputationStructure>(is.points(), deps.distance_vectors());
-    tf = *search_time_function(*q);
-    ps = std::make_unique<ProjectedStructure>(*q, tf);
-    grouping = Grouping::compute(*ps);
-    partition = Partition::build(*q, grouping);
-    tig = TaskInteractionGraph::from_partition(*q, partition, grouping);
-  }
-
-  [[nodiscard]] Mapping map(unsigned dim) const { return map_to_hypercube(tig, dim).mapping; }
-
-  [[nodiscard]] std::pair<std::int64_t, std::int64_t> step_range() const {
-    std::int64_t lo = 0, hi = 0;
-    bool first = true;
-    for (const IntVec& v : q->vertices()) {
-      std::int64_t s = tf.step_of(v);
-      if (first || s < lo) lo = s;
-      if (first || s > hi) hi = s;
-      first = false;
-    }
-    return {lo, hi};
-  }
-};
 
 /// Fast supervision constants for fault tests: detect a hang in ~hundreds
 /// of ms instead of the production 2 s.
@@ -88,13 +56,19 @@ TEST(ProcRuntime, MatvecProcsMatchSequential) {
 }
 
 TEST(ProcRuntime, MessageCountMatchesInterpreterAndHopsAreCharged) {
-  RuntimeFixture f(workloads::sor2d(8, 8));
-  Mapping map = f.map(2);
-  ProcRunResult pr = run_procs(f.nest, *f.q, f.tf, f.partition, map, f.deps);
-  DistributedResult sim = run_distributed(f.nest, *f.q, f.tf, f.partition, map, f.deps);
-  EXPECT_EQ(pr.stats.messages_sent, sim.stats.value_messages);
-  // Every routed message crosses processors, so it is charged >= 1 hop.
-  EXPECT_GE(pr.stats.route_hops, pr.stats.messages_sent);
+  for (LoopNest& nest : parity_nests()) {
+    RuntimeFixture f(std::move(nest));
+    for (unsigned dim : {1u, 2u}) {
+      SCOPED_TRACE(f.nest.name() + " dim " + std::to_string(dim));
+      Mapping map = f.map(dim);
+      ProcRunResult pr = run_procs(f.nest, *f.q, f.tf, f.partition, map, f.deps);
+      DistributedResult sim = run_distributed(f.nest, *f.q, f.tf, f.partition, map, f.deps);
+      EXPECT_EQ(pr.stats.messages_sent, sim.stats.value_messages);
+      EXPECT_EQ(pr.stats.halo_loads, sim.stats.halo_loads);
+      // Every routed message crosses processors, so it is charged >= 1 hop.
+      EXPECT_GE(pr.stats.route_hops, pr.stats.messages_sent);
+    }
+  }
 }
 
 TEST(ProcRuntime, WorkloadSweepMatchesSequential) {
@@ -277,29 +251,100 @@ TEST(ProcRuntime, KillingEveryWorkerIsUnsurvivableFaultError) {
   EXPECT_THROW(run_procs(f.nest, *f.q, f.tf, f.partition, map, f.deps, opts), FaultError);
 }
 
+/// Lowers the soft RLIMIT_NOFILE so that exactly one descriptor is free:
+/// socketpair() then really fails with EMFILE, the resource exhaustion
+/// run_procs degrades on.  Restores the limit when it goes out of scope.
+///
+/// UBSan's vptr check probes memory through a pipe the first time it meets
+/// a dynamic type, so each test first meets every type it will need (the
+/// same calls, and the error it expects) with descriptors to spare.
+class OneFreeFd {
+ public:
+  OneFreeFd() {
+    int lowest_free = ::open("/dev/null", O_RDONLY);
+    EXPECT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    rlimit tight = saved_;
+    tight.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  }
+  ~OneFreeFd() { ::setrlimit(RLIMIT_NOFILE, &saved_); }
+  OneFreeFd(const OneFreeFd&) = delete;
+  OneFreeFd& operator=(const OneFreeFd&) = delete;
+
+ private:
+  rlimit saved_{};
+};
+
 TEST(ProcRuntime, ForcedDegradationFallsBackToThreads) {
   RuntimeFixture f(workloads::matrix_vector(8));
   ArrayStore seq = run_sequential(f.nest);
-  ::setenv("HYPART_PROC_FORCE_DEGRADE", "1", 1);
-  ProcRunResult pr = run_procs(f.nest, *f.q, f.tf, f.partition, f.map(2), f.deps);
-  ::unsetenv("HYPART_PROC_FORCE_DEGRADE");
+  Mapping map = f.map(2);
+  ProcRunResult spared = run_procs(f.nest, *f.q, f.tf, f.partition, map, f.deps);
+  EXPECT_FALSE(spared.stats.degraded);
+  ParallelRunResult threads = run_parallel(f.nest, *f.q, f.tf, f.partition, map, f.deps);
+  ProcRunResult pr;
+  {
+    OneFreeFd exhausted;
+    pr = run_procs(f.nest, *f.q, f.tf, f.partition, map, f.deps);
+  }
   EXPECT_TRUE(pr.stats.degraded);
   EXPECT_TRUE(compare_stores(seq, pr.written).equal);
+  EXPECT_EQ(pr.stats.messages_sent, threads.stats.messages_sent);
 }
 
 TEST(ProcRuntime, DegradationCanBeDisallowed) {
   RuntimeFixture f(workloads::example_l1(4));
-  ::setenv("HYPART_PROC_FORCE_DEGRADE", "1", 1);
+  Mapping map = f.map(1);
   ProcRunOptions opts;
   opts.allow_degrade = false;
-  try {
-    run_procs(f.nest, *f.q, f.tf, f.partition, f.map(1), f.deps, opts);
-    ::unsetenv("HYPART_PROC_FORCE_DEGRADE");
-    FAIL() << "degradation disabled must throw";
-  } catch (const Error& e) {
-    ::unsetenv("HYPART_PROC_FORCE_DEGRADE");
-    EXPECT_EQ(e.kind(), ErrorKind::Io);
+  EXPECT_FALSE(run_procs(f.nest, *f.q, f.tf, f.partition, map, f.deps, opts).stats.degraded);
+  EXPECT_EQ(Error(ErrorKind::Io, "spare descriptors").kind(), ErrorKind::Io);
+  std::exception_ptr thrown;
+  {
+    OneFreeFd exhausted;
+    try {
+      run_procs(f.nest, *f.q, f.tf, f.partition, map, f.deps, opts);
+    } catch (...) {
+      thrown = std::current_exception();
+    }
   }
+  ASSERT_TRUE(thrown) << "degradation disabled must throw";
+  try {
+    std::rethrow_exception(thrown);
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Io) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped error: " << e.what();
+  }
+}
+
+TEST(ProcRuntime, WorkerExceptionIsInternalOnBothBackends) {
+  RuntimeFixture f(workloads::matrix_vector(8));
+  Mapping map = f.map(2);
+  InitFn refuse = [](const std::string&, const IntVec&) -> double {
+    throw std::runtime_error("init refused");
+  };
+  auto expect_internal = [](const char* backend, const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << backend << ": a throwing init must abort the run";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.kind(), ErrorKind::Internal) << backend << ": " << what;
+      EXPECT_NE(what.find("worker "), std::string::npos) << backend << ": " << what;
+      EXPECT_NE(what.find("threw: init refused"), std::string::npos) << backend << ": " << what;
+    }
+  };
+  ParallelRunOptions threads;
+  threads.init = refuse;
+  expect_internal("threads",
+                  [&] { run_parallel(f.nest, *f.q, f.tf, f.partition, map, f.deps, threads); });
+  ProcRunOptions procs = fast_opts();
+  procs.init = refuse;
+  expect_internal("procs",
+                  [&] { run_procs(f.nest, *f.q, f.tf, f.partition, map, f.deps, procs); });
 }
 
 TEST(ProcRuntime, BadOptionsAreConfigErrors) {

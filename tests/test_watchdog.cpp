@@ -124,11 +124,6 @@ TEST(Watchdog, BadOptionsAreConfigErrors) {
   EXPECT_THROW(run_parallel(f.nest, *f.q, TimeFunction{{1}}, f.partition, f.mapping, f.deps,
                             opts),
                Error);
-  ParallelRunOptions opts2;
-  opts2.delivery_attempts = 0;
-  EXPECT_THROW(run_parallel(f.nest, *f.q, TimeFunction{{1}}, f.partition, f.mapping, f.deps,
-                            opts2),
-               Error);
 }
 
 TEST(Watchdog, MailboxDepthReportedOnRealWorkload) {
