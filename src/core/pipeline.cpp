@@ -9,15 +9,6 @@
 
 namespace hypart {
 
-const char* to_string(SpaceMode mode) {
-  switch (mode) {
-    case SpaceMode::Dense: return "dense";
-    case SpaceMode::Symbolic: return "symbolic";
-    case SpaceMode::Verify: return "verify";
-  }
-  return "unknown";
-}
-
 const char* to_string(ExecBackend backend) {
   switch (backend) {
     case ExecBackend::Threads: return "threads";
@@ -46,10 +37,15 @@ void emit_pipeline_names(obs::TraceSink* sink) {
   obs::emit_thread_name(sink, obs::kPipelinePid, obs::kPipelineTid, "pipeline stages");
 }
 
-TimeFunction choose_time_function(const PipelineConfig& config,
+TimeFunction choose_time_function(const PipelineConfig& config, std::size_t depth,
                                   const std::vector<IntVec>& dependences,
                                   const std::optional<TimeFunction>& searched) {
   if (config.time_function) {
+    if (config.time_function->size() != depth)
+      throw Error(ErrorKind::Config, "run_pipeline: supplied time function has " +
+                                         std::to_string(config.time_function->size()) +
+                                         " coefficients; the nest has depth " +
+                                         std::to_string(depth));
     TimeFunction tf{*config.time_function};
     if (!is_valid_time_function(tf, dependences))
       throw Error(ErrorKind::Config, "run_pipeline: supplied time function is invalid");
@@ -91,7 +87,8 @@ PipelineResult run_dense(const LoopNest& nest, const PipelineConfig& config) {
     obs::Span span(sink, "time_function", "pipeline");
     std::optional<TimeFunction> searched;
     if (!config.time_function) searched = search_time_function(*r.structure, config.tf_search);
-    r.time_function = choose_time_function(config, r.structure->dependences(), searched);
+    r.time_function =
+        choose_time_function(config, nest.depth(), r.structure->dependences(), searched);
     span.arg("pi", r.time_function.to_string());
   }
 
@@ -173,7 +170,8 @@ PipelineResult run_symbolic(const LoopNest& nest, const PipelineConfig& config) 
     obs::Span span(sink, "time_function", "pipeline");
     std::optional<TimeFunction> searched;
     if (!config.time_function) searched = search_time_function(*r.space, config.tf_search);
-    r.time_function = choose_time_function(config, r.space->dependences(), searched);
+    r.time_function =
+        choose_time_function(config, nest.depth(), r.space->dependences(), searched);
     span.arg("pi", r.time_function.to_string());
   }
 

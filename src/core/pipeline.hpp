@@ -27,6 +27,7 @@ enum class SpaceMode {
   Verify     ///< run dense, then re-derive every stage symbolically and assert equality
 };
 
+/// The space row's name for `mode` (core/params.hpp).
 [[nodiscard]] const char* to_string(SpaceMode mode);
 
 /// Which *real* execution backend the measured side runs on (CLI
@@ -39,8 +40,8 @@ enum class ExecBackend {
 
 [[nodiscard]] const char* to_string(ExecBackend backend);
 
-/// Largest accepted hypercube dimension (2^20 processors): the CLI's --dim
-/// and serve's params.dim both enforce [0, kMaxCubeDim].
+/// Largest accepted hypercube dimension (2^20 processors): the dim row of
+/// the parameter table (core/params.hpp) enforces [0, kMaxCubeDim].
 inline constexpr unsigned kMaxCubeDim = 20;
 
 struct PipelineConfig {

@@ -66,10 +66,14 @@ class ThreadTransport final : public exec::WorkerTransport {
     auto wakeup = [&] { return !mb.queue.empty() || aborted(); };
     // The watchdog deadline restarts on every call, i.e. whenever a
     // delivery made progress; expiring with nothing delivered means the
-    // schedule is stuck.
-    if (recv_timeout_ms_ <= 0) {
+    // schedule is stuck.  A deadline past the clock's range never expires.
+    const auto now = std::chrono::steady_clock::now();
+    const auto headroom = std::chrono::floor<std::chrono::milliseconds>(
+        std::chrono::steady_clock::time_point::max() - now);
+    if (recv_timeout_ms_ <= 0 || recv_timeout_ms_ > headroom.count()) {
       mb.cv.wait(lock, wakeup);
-    } else if (!mb.cv.wait_for(lock, std::chrono::milliseconds(recv_timeout_ms_), wakeup)) {
+    } else if (!mb.cv.wait_until(lock, now + std::chrono::milliseconds(recv_timeout_ms_),
+                                 wakeup)) {
       lock.unlock();
       fail(ErrorKind::Stall,
            "run_parallel: stall watchdog fired after " + std::to_string(recv_timeout_ms_) +

@@ -8,6 +8,7 @@
 
 #include "core/json_reader.hpp"
 #include "core/json_writer.hpp"
+#include "core/params.hpp"
 #include "exec/parallel_runtime.hpp"
 #include "exec/proc_runtime.hpp"
 #include "perf/table.hpp"
@@ -15,15 +16,6 @@
 namespace hypart::obs {
 
 namespace {
-
-const char* accounting_name(CommAccounting a) {
-  switch (a) {
-    case CommAccounting::PaperMaxChannel: return "paper";
-    case CommAccounting::PerStepBarrier: return "barrier";
-    case CommAccounting::LinkContention: return "contention";
-  }
-  return "unknown";
-}
 
 void breakdown_to_json(JsonWriter& w, const char* key, const ComponentBreakdown& b) {
   w.key(key).begin_object();
@@ -107,7 +99,7 @@ LedgerRow run_ledger(const LoopNest& nest, PipelineConfig config, const LedgerOp
   row.workload = nest.name();
   row.iterations = static_cast<std::int64_t>(r.iteration_count());
   row.cube_dim = config.cube_dim;
-  row.accounting = accounting_name(config.sim.accounting);
+  row.accounting = to_string(config.sim.accounting);
   row.backend = to_string(opts.backend);
   row.repeats = std::max(1, opts.repeats);
 

@@ -10,6 +10,7 @@
 #include "core/error.hpp"
 #include "core/json_export.hpp"
 #include "core/json_writer.hpp"
+#include "core/params.hpp"
 #include "frontend/parser.hpp"
 #include "serve/canonical.hpp"
 #include "serve/replay.hpp"
@@ -46,8 +47,8 @@ JsonValue error_reply(const JsonValue& id) {
 
 struct PlanParams {
   PipelineConfig config;
-  std::optional<IntVec> explicit_pi;
-  std::string fingerprint;  ///< deterministic rendering of the resolved params
+  bool explicit_pi = false;  ///< params.pi was given: never read or fill the Π tier
+  std::string fingerprint;   ///< params_fingerprint(config), before any cached Π
 };
 
 /// Resolve and validate request.params against the service defaults.
@@ -57,80 +58,13 @@ PlanParams resolve_params(const JsonValue& request, const ServiceOptions& opts) 
   PlanParams p;
   p.config.cube_dim = opts.default_cube_dim;
   p.config.space_mode = opts.default_space;
-
-  const char* space_str = to_string(p.config.space_mode);
-  std::string accounting_str = "paper";
-  bool weighted = false;
-
   const JsonValue& params = request.get("params");
   if (!params.is_null()) {
     if (!params.is_object()) throw config_error("\"params\" must be an object");
-    for (const auto& [key, value] : params.as_object()) {
-      if (key == "dim") {
-        if (value.kind() != JsonValue::Kind::Int || value.as_int64() < 0 ||
-            value.as_int64() > kMaxCubeDim)
-          throw config_error("params.dim must be an integer in [0, " +
-                             std::to_string(kMaxCubeDim) + "]");
-        p.config.cube_dim = static_cast<unsigned>(value.as_int64());
-      } else if (key == "space") {
-        const std::string& s = value.is_string() ? value.as_string() : std::string();
-        if (s == "dense") p.config.space_mode = SpaceMode::Dense;
-        else if (s == "symbolic") p.config.space_mode = SpaceMode::Symbolic;
-        else if (s == "verify") p.config.space_mode = SpaceMode::Verify;
-        else throw config_error("params.space must be \"dense\", \"symbolic\" or \"verify\"");
-        space_str = to_string(p.config.space_mode);
-      } else if (key == "accounting") {
-        const std::string& s = value.is_string() ? value.as_string() : std::string();
-        if (s == "paper") p.config.sim.accounting = CommAccounting::PaperMaxChannel;
-        else if (s == "barrier") p.config.sim.accounting = CommAccounting::PerStepBarrier;
-        else if (s == "contention") p.config.sim.accounting = CommAccounting::LinkContention;
-        else throw config_error("params.accounting must be \"paper\", \"barrier\" or \"contention\"");
-        accounting_str = s;
-      } else if (key == "weighted") {
-        if (value.kind() != JsonValue::Kind::Bool)
-          throw config_error("params.weighted must be a boolean");
-        weighted = value.as_bool();
-        p.config.mapping.weighted = weighted;
-      } else if (key == "tcalc" || key == "tstart" || key == "tcomm") {
-        if (!value.is_number() || value.as_double() < 0)
-          throw config_error("params." + key + " must be a non-negative number");
-        double v = value.as_double();
-        if (key == "tcalc") p.config.machine.t_calc = v;
-        else if (key == "tstart") p.config.machine.t_start = v;
-        else p.config.machine.t_comm = v;
-      } else if (key == "pi") {
-        if (!value.is_array() || value.as_array().empty())
-          throw config_error("params.pi must be a non-empty integer array");
-        IntVec pi;
-        for (const JsonValue& c : value.as_array()) {
-          if (c.kind() != JsonValue::Kind::Int)
-            throw config_error("params.pi must be a non-empty integer array");
-          pi.push_back(c.as_int64());
-        }
-        p.explicit_pi = std::move(pi);
-      } else {
-        throw config_error("unknown params member \"" + key + "\"");
-      }
-    }
+    for (const auto& [key, value] : params.as_object()) set_param(p.config, "params.", key, value);
   }
-
-  // Deterministic fingerprint of the *resolved* configuration: requests
-  // that spell the defaults explicitly share cache entries with requests
-  // that omit them.
-  JsonValue fp;
-  fp.set("accounting", JsonValue::make_string(accounting_str));
-  fp.set("dim", JsonValue::make_int(static_cast<std::int64_t>(p.config.cube_dim)));
-  fp.set("space", JsonValue::make_string(space_str));
-  fp.set("tcalc", JsonValue::make_double(p.config.machine.t_calc));
-  fp.set("tstart", JsonValue::make_double(p.config.machine.t_start));
-  fp.set("tcomm", JsonValue::make_double(p.config.machine.t_comm));
-  fp.set("weighted", JsonValue::make_bool(weighted));
-  if (p.explicit_pi) {
-    std::vector<JsonValue> pi;
-    for (std::int64_t c : *p.explicit_pi) pi.push_back(JsonValue::make_int(c));
-    fp.set("pi", JsonValue::make_array(std::move(pi)));
-  }
-  p.fingerprint = fp.to_json();
+  p.explicit_pi = p.config.time_function.has_value();
+  p.fingerprint = params_fingerprint(p.config);
   return p;
 }
 
@@ -174,9 +108,8 @@ void probe(PlanCache& cache, PlanJob& job) {
     return;
   }
   job.disposition = "miss";
-  if (job.params.explicit_pi) {
-    job.params.config.time_function = *job.params.explicit_pi;
-  } else if (std::optional<IntVec> pi = cache.find_pi(job.cf.structure_key)) {
+  if (job.params.explicit_pi) return;
+  if (std::optional<IntVec> pi = cache.find_pi(job.cf.structure_key)) {
     // A cached Π is valid for any nest with this structure (Π·d > 0 is a
     // condition on D alone); under pure rescaling of the bounds it is
     // also the Π the search would pick.  See docs/serve.md for the

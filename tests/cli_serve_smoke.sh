@@ -52,42 +52,73 @@ if ! grep -q '"rps":' "$BATCH_JSON"; then
   echo "FAIL: loadgen JSON does not report rps"; cat "$BATCH_JSON"; exit 1
 fi
 
-# Canonical keys from `hypart json` must round-trip against the keys the
-# daemon itself derives (the pre-warming contract: offline tools compute
-# the same structure/exact keys the daemon caches under).
+# `hypart json` must round-trip against the daemon: for each flag set and
+# its params twin, the offline document equals explain's `result`, and its
+# `canonical` (both nest keys plus the resolved `params`, i.e. the whole
+# document key) equals explain's.  A bad value gets the same message from
+# both doors after the "--" / "params." prefix.  The daemon's default space
+# is symbolic and the CLI's dense, so every set names its space.
 PROG="$WORKDIR/serve_smoke_roundtrip.loop"
 cat >"$PROG" <<'EOF'
 loop sor { for i = 1 to 24 for j = 1 to 24 A[i, j] = (A[i-1, j] + A[i, j-1]) * 0.5; }
 EOF
-if ! "$HYPART" json "$PROG" >"$WORKDIR/serve_smoke_offline.json"; then
-  echo "FAIL: hypart json"; exit 1
-fi
-python3 - "$SOCK" "$PROG" "$WORKDIR/serve_smoke_offline.json" <<'EOF'
-import json, socket, sys
-sock_path, prog_path, offline_path = sys.argv[1:4]
-offline = json.load(open(offline_path))["canonical"]
+python3 - "$SOCK" "$PROG" "$HYPART" <<'EOF'
+import json, socket, subprocess, sys
+sock_path, prog_path, hypart = sys.argv[1:4]
 prog = open(prog_path).read()
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.connect(sock_path)
-s.sendall((json.dumps({"id": 1, "op": "explain", "program": prog}) + "\n").encode())
 buf = b""
-while b"\n" not in buf:
-    chunk = s.recv(65536)
-    if not chunk:
-        sys.exit("daemon closed the connection before replying")
-    buf += chunk
-reply = json.loads(buf.split(b"\n", 1)[0])
-if not reply.get("ok"):
-    sys.exit("explain failed: %s" % json.dumps(reply))
-daemon = reply["canonical"]
-for key in ("structure_key", "exact_key", "structure", "exact"):
-    if offline[key] != daemon[key]:
-        sys.exit("%s mismatch:\n  offline: %s\n  daemon:  %s"
-                 % (key, offline[key], daemon[key]))
-print("canonical keys round-trip OK")
+
+def ask(request):
+    global buf
+    s.sendall((json.dumps(request) + "\n").encode())
+    while b"\n" not in buf:
+        chunk = s.recv(65536)
+        if not chunk:
+            sys.exit("daemon closed the connection before replying")
+        buf += chunk
+    line, buf = buf.split(b"\n", 1)
+    return json.loads(line)
+
+sets = [
+    (["--dim", "2", "--space", "symbolic", "--accounting", "barrier", "--tstart", "20"],
+     {"dim": 2, "space": "symbolic", "accounting": "barrier", "tstart": 20}),
+    (["--space", "dense", "--weighted"], {"space": "dense", "weighted": True}),
+    (["--space", "verify", "--pi", "1,1"], {"space": "verify", "pi": [1, 1]}),
+    (["--space", "dense", "--accounting", "contention", "--tcalc", "2.5"],
+     {"space": "dense", "accounting": "contention", "tcalc": 2.5}),
+]
+for flags, params in sets:
+    out = subprocess.run([hypart, "json", prog_path] + flags, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit("hypart json %s exited %d: %s" % (flags, out.returncode, out.stderr))
+    offline = json.loads(out.stdout)
+    offline_canonical = offline.pop("canonical")
+    reply = ask({"id": 1, "op": "explain", "program": prog, "params": params})
+    if not reply.get("ok"):
+        sys.exit("explain failed: %s" % json.dumps(reply))
+    if offline_canonical != reply["canonical"]:
+        sys.exit("canonical mismatch for %s:\n  offline: %s\n  daemon:  %s"
+                 % (flags, offline_canonical, reply["canonical"]))
+    if offline != reply["result"]:
+        sys.exit("result mismatch for %s" % flags)
+
+# The one deliberate error reply of this script (the metrics check below
+# expects exactly one).
+out = subprocess.run([hypart, "json", prog_path, "--dim", "21"], capture_output=True, text=True)
+cli = out.stderr.splitlines()[0] if out.stderr else ""
+reply = ask({"id": 2, "op": "explain", "program": prog, "params": {"dim": 21}})
+error = reply.get("error", {})
+serve = error.get("message", "")
+if (out.returncode != 64 or error.get("code") != 78
+        or not cli.startswith("hypart: --") or not serve.startswith("params.")
+        or cli[len("hypart: --"):] != serve[len("params."):]):
+    sys.exit("bad --dim / params.dim differ: exit %d, %r vs %r" % (out.returncode, cli, serve))
+print("document keys round-trip OK")
 EOF
 if [ $? -ne 0 ]; then
-  echo "FAIL: canonical key round-trip"; cat "$LOG"; exit 1
+  echo "FAIL: hypart json / serve explain round-trip"; cat "$LOG"; exit 1
 fi
 
 kill -TERM "$SERVER_PID"
@@ -103,11 +134,12 @@ if [ "$SERVER_RC" -ne 0 ]; then
   echo "FAIL: server exit code $SERVER_RC after SIGTERM"; cat "$LOG"; exit 1
 fi
 
-# The daemon wrote its metrics snapshot on the way out: hits > 0, no errors.
+# The daemon wrote its metrics snapshot on the way out: hits > 0, and no
+# errors but the one bad params.dim request above.
 if ! grep -q '"serve.cache.hit": *[1-9]' "$METRICS"; then
   echo "FAIL: no serve.cache.hit counter in $METRICS"; cat "$METRICS"; exit 1
 fi
-if grep -q '"serve.errors"' "$METRICS"; then
-  echo "FAIL: serve.errors recorded in $METRICS"; cat "$METRICS"; exit 1
+if ! grep -q '"serve.errors": *1[,}]' "$METRICS"; then
+  echo "FAIL: serve.errors is not exactly 1 in $METRICS"; cat "$METRICS"; exit 1
 fi
 echo "OK"

@@ -51,6 +51,23 @@ TEST(Pipeline, InvalidExplicitTimeFunctionThrows) {
   }
 }
 
+TEST(Pipeline, ExplicitTimeFunctionOfWrongLengthIsAConfigError) {
+  // L1 has depth 2; a 3-coefficient Π must be refused by name, not reach
+  // the dot products as an internal size mismatch.
+  for (SpaceMode mode : {SpaceMode::Dense, SpaceMode::Symbolic}) {
+    PipelineConfig cfg;
+    cfg.space_mode = mode;
+    cfg.time_function = IntVec{1, 1, 1};
+    try {
+      run_pipeline(workloads::example_l1(), cfg);
+      FAIL() << "expected hypart::Error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Config);
+      EXPECT_NE(std::string(e.what()).find("depth 2"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Pipeline, SearchBoxTooSmallThrows) {
   PipelineConfig cfg;
   cfg.tf_search.max_coefficient = 0;

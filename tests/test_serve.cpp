@@ -425,6 +425,57 @@ TEST(PlanService, ErrorMappingMatchesTypedHierarchy) {
   EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), 6);
 }
 
+TEST(PlanService, EveryParamsMemberRejectsEveryWrongJsonKind) {
+  // The eight members of docs/serve.md's params table, each with the JSON
+  // kinds it accepts; every other kind is config/78 with the shared
+  // "params.<name> must be ..." message, and the service keeps answering.
+  const std::map<std::string, std::set<std::string>> kAccepts = {
+      {"dim", {"int"}},
+      {"space", {"string"}},
+      {"accounting", {"string"}},
+      {"weighted", {"bool"}},
+      {"tcalc", {"int", "double"}},
+      {"tstart", {"int", "double"}},
+      {"tcomm", {"int", "double"}},
+      {"pi", {"array"}},
+  };
+  const std::map<std::string, std::string> kKinds = {
+      {"null", "null"},     {"bool", "true"},  {"int", "1"},     {"double", "1.5"},
+      {"string", "\"x\""}, {"array", "[1]"}, {"object", "{}"},
+  };
+  obs::MetricsRegistry metrics;
+  ServiceOptions opts;
+  opts.obs.metrics = &metrics;
+  PlanService service(opts);
+  const std::string program = JsonWriter::escape(sor_like("X", "8"));
+  int errors = 0;
+  for (const auto& [member, accepted] : kAccepts) {
+    for (const auto& [kind, literal] : kKinds) {
+      if (accepted.count(kind) != 0) continue;
+      JsonValue r = parse_json(service.handle_line("{\"op\":\"predict\",\"program\":" + program +
+                                                   ",\"params\":{\"" + member + "\":" + literal +
+                                                   "}}"));
+      ++errors;
+      EXPECT_FALSE(r.get("ok").as_bool()) << member << "=" << literal;
+      EXPECT_EQ(r.get("error").get("kind").as_string(), "config") << member << "=" << literal;
+      EXPECT_EQ(r.get("error").get("code").as_int64(), 78) << member << "=" << literal;
+      const std::string message = r.get("error").get("message").as_string();
+      EXPECT_EQ(message.rfind("params." + member + " must be ", 0), 0u) << message;
+    }
+  }
+  EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), errors);
+  EXPECT_TRUE(parse_json(service.handle_line("{\"op\":\"ping\"}")).get("ok").as_bool());
+}
+
+TEST(PlanService, PiOfWrongLengthIsAConfigError) {
+  PlanService service;
+  JsonValue r = parse_json(service.handle_line(
+      "{\"op\":\"predict\",\"program\":" + JsonWriter::escape(sor_like("X", "8")) +
+      ",\"params\":{\"dim\":2,\"pi\":[1,1,1]}}"));
+  EXPECT_EQ(r.get("error").get("kind").as_string(), "config") << r.to_json();
+  EXPECT_EQ(r.get("error").get("code").as_int64(), 78);
+}
+
 TEST(PlanService, PingStatsShutdown) {
   PlanService service;
   JsonValue ping = parse_json(service.handle_line("{\"id\":\"p\",\"op\":\"ping\"}"));

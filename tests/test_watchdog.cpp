@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "core/error.hpp"
@@ -89,6 +90,18 @@ TEST(Watchdog, ValidScheduleStillRunsUnderWatchdog) {
   EXPECT_TRUE(compare_stores(seq, par.written).equal);
   EXPECT_EQ(par.stats.messages_sent, 3);  // every chain link crosses procs
   EXPECT_GE(par.stats.max_mailbox_depth, 1);
+}
+
+TEST(Watchdog, UnrepresentableDeadlineWaitsWithoutOne) {
+  // A timeout past the steady clock's range means "no deadline"; it must
+  // not overflow into one that has already passed.
+  ChainFixture f;
+  ParallelRunOptions opts;
+  opts.recv_timeout_ms = std::numeric_limits<std::int64_t>::max();
+  ParallelRunResult par =
+      run_parallel(f.nest, *f.q, TimeFunction{{1}}, f.partition, f.mapping, f.deps, opts);
+  EXPECT_TRUE(compare_stores(run_sequential(f.nest), par.written).equal);
+  EXPECT_EQ(par.stats.messages_sent, 3);
 }
 
 TEST(Watchdog, DeadWorkerRaisesWorkerDeathError) {

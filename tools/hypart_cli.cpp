@@ -17,24 +17,7 @@
 //   serve      long-running NDJSON plan service with a canonical plan cache
 //              (docs/serve.md; takes no <file> argument)
 //
-// options:
-//   --dim N          hypercube dimension (default 3)
-//   --space M        dense | symbolic | verify (default dense); symbolic
-//                    partitions via IterSpace closed forms without ever
-//                    materializing the index set (docs/iterspace.md)
-//   --pi a,b,..      explicit time function (default: search)
-//   --weighted       weighted cluster bisection
-//   --accounting M   paper | barrier | contention (default paper)
-//   --tcalc/--tstart/--tcomm X   machine constants (default 1/50/5)
-//   --faults SPEC    deterministic fault injection (node:5,link:2-6@4,rand:7:2n,
-//                    proc:kill:1@2 for real process faults with --backend procs)
-//   --backend B      threads | procs: real execution backend for run/explain
-//   --recv-timeout-ms N   stall watchdog for `run` (default 30000, 0 = off)
-//   --trace FILE     write a Chrome trace-event JSON (any command)
-//   --metrics FILE   write a metrics snapshot JSON (any command)
-//   --json           machine-readable output for profile/explain
-//   --repeats N      threaded-runtime repetitions for explain (default 3)
-//   --ledger FILE    accumulate explain rows in FILE across runs
+// options: `hypart --help`; the plan options are the rows of core/params.hpp.
 //
 // exit codes (see docs/robustness.md): 0 ok, 2 check/verify failure,
 // 64 usage, 65 parse, 66 cannot open input, 69 unsatisfiable, 70 internal,
@@ -51,6 +34,7 @@
 #include "codegen/spmd.hpp"
 #include "core/error.hpp"
 #include "core/json_export.hpp"
+#include "core/params.hpp"
 #include "core/pipeline.hpp"
 #include "core/io_util.hpp"
 #include "exec/interpreter.hpp"
@@ -74,20 +58,21 @@ namespace {
 
 using namespace hypart;
 
-const char kUsage[] =
+const char kSynopsis[] =
     "usage: hypart <analyze|partition|map|simulate|run|codegen|wavefront|json|trace\n"
     "               |profile|explain>\n"
-    "              <file.loop|-> [--dim N] [--space dense|symbolic|verify]\n"
-    "              [--pi a,b,..] [--weighted]\n"
-    "              [--accounting paper|barrier|contention]\n"
-    "              [--tcalc X] [--tstart X] [--tcomm X]\n"
+    "              <file.loop|-> [plan options]\n"
     "              [--faults SPEC] [--backend threads|procs] [--recv-timeout-ms N]\n"
     "              [--trace FILE] [--metrics FILE]\n"
     "              [--json] [--repeats N] [--ledger FILE]\n"
     "       hypart serve [--socket PATH | --port N] [--threads N] [--dim N]\n"
-    "              [--space dense|symbolic|verify] [--cache N] [--skeleton-cache N]\n"
+    "              [--space M] [--cache N] [--skeleton-cache N]\n"
     "              [--shards N] [--max-pending N] [--batch-threads N]\n"
     "              [--trace FILE] [--metrics FILE]\n"
+    "\n"
+    "plan options (serve's \"params\" members take the same names and ranges):\n";
+
+const char kOtherOptions[] =
     "\n"
     "fault injection (see docs/robustness.md):\n"
     "  --faults SPEC  deterministic fault plan, comma-separated terms:\n"
@@ -136,14 +121,32 @@ const char kUsage[] =
     "  caps the planning fan-out of {\"op\":\"batch\"} requests (0 = cores).\n"
     "  SIGTERM/SIGINT or an {\"op\":\"shutdown\"} request stop it cleanly.\n";
 
+/// The help text; its plan-option lines are rendered from the parameter
+/// table, one per row, with the row's constraint and default.
+std::string usage_text() {
+  const char* const metavar[] = {"N", "X", "", "M", "a,b,.."};  // by ParamSpec::Type
+  std::string text = kSynopsis;
+  for (const ParamSpec& p : param_table()) {
+    const bool bare = p.type == ParamSpec::Type::Bool;
+    std::string line = "  --" + std::string(p.name) + " " + metavar[static_cast<int>(p.type)];
+    line.resize(std::max<std::size_t>(line.size() + 1, 18), ' ');
+    line += p.help;
+    if (!bare) line += ": " + param_constraint(p);
+    JsonValue d = p.get(PipelineConfig{});
+    if (!bare && !d.is_null()) line += "; default " + (d.is_string() ? d.as_string() : d.to_json());
+    text += line + "\n";
+  }
+  return text + kOtherOptions;
+}
+
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "hypart: %s\n", msg);
-  std::fprintf(stderr, "%s", kUsage);
+  std::fprintf(stderr, "%s", usage_text().c_str());
   std::exit(64);
 }
 
 [[noreturn]] void help() {
-  std::printf("%s", kUsage);
+  std::printf("%s", usage_text().c_str());
   std::exit(0);
 }
 
@@ -176,13 +179,17 @@ T parse_number(const std::string& flag, const std::string& text,
   return v;
 }
 
-IntVec parse_pi(const std::string& arg) {
-  IntVec pi;
-  std::stringstream ss(arg);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) pi.push_back(parse_number<std::int64_t>("--pi", tok));
-  if (pi.empty()) usage("--pi needs a comma-separated integer vector");
-  return pi;
+/// Apply plan flag `flag` (`--<name>` of a parameter-table row) to
+/// `config`; an unknown flag or a bad value is a usage error (exit 64).
+template <typename Next>
+void set_plan_flag(const std::string& flag, Next next, PipelineConfig& config) {
+  const ParamSpec* p = flag.rfind("--", 0) == 0 ? find_param(flag.substr(2)) : nullptr;
+  if (p == nullptr) usage(("unknown option " + flag).c_str());
+  try {
+    set_param_text(config, "--", p->name, p->type == ParamSpec::Type::Bool ? "true" : next());
+  } catch (const Error& e) {
+    usage(e.what());
+  }
 }
 
 struct CliOptions {
@@ -204,33 +211,13 @@ CliOptions parse_args(int argc, char** argv) {
   CliOptions o;
   o.command = argv[1];
   o.file = argv[2];
-  o.config.cube_dim = 3;
   for (int i = 3; i < argc; ++i) {
     std::string a = argv[i];
     auto next = [&]() -> std::string {
       if (i + 1 >= argc) usage(("missing value for " + a).c_str());
       return argv[++i];
     };
-    if (a == "--dim") o.config.cube_dim = parse_number(a, next(), 0u, kMaxCubeDim);
-    else if (a == "--space") {
-      std::string m = next();
-      if (m == "dense") o.config.space_mode = SpaceMode::Dense;
-      else if (m == "symbolic") o.config.space_mode = SpaceMode::Symbolic;
-      else if (m == "verify") o.config.space_mode = SpaceMode::Verify;
-      else usage("unknown space mode (want dense|symbolic|verify)");
-    }
-    else if (a == "--pi") o.config.time_function = parse_pi(next());
-    else if (a == "--weighted") o.config.mapping.weighted = true;
-    else if (a == "--accounting") {
-      std::string m = next();
-      if (m == "paper") o.config.sim.accounting = CommAccounting::PaperMaxChannel;
-      else if (m == "barrier") o.config.sim.accounting = CommAccounting::PerStepBarrier;
-      else if (m == "contention") o.config.sim.accounting = CommAccounting::LinkContention;
-      else usage("unknown accounting mode");
-    } else if (a == "--tcalc") o.config.machine.t_calc = parse_number<double>(a, next());
-    else if (a == "--tstart") o.config.machine.t_start = parse_number<double>(a, next());
-    else if (a == "--tcomm") o.config.machine.t_comm = parse_number<double>(a, next());
-    else if (a == "--faults") {
+    if (a == "--faults") {
       try {
         o.config.sim.faults = fault::FaultPlan::parse(next());
       } catch (const Error& e) {
@@ -249,7 +236,7 @@ CliOptions parse_args(int argc, char** argv) {
     else if (a == "--json") o.json = true;
     else if (a == "--repeats") o.repeats = parse_number(a, next(), 1);
     else if (a == "--ledger") o.ledger_path = next();
-    else usage(("unknown option " + a).c_str());
+    else set_plan_flag(a, next, o.config);
   }
   return o;
 }
@@ -525,6 +512,11 @@ int cmd_serve(int argc, char** argv) {
   serve::ServiceOptions vopts;
   std::string trace_path;
   std::string metrics_path;
+  // --dim/--space are the parameter table's rows, read into the request
+  // defaults below.
+  PipelineConfig defaults;
+  defaults.cube_dim = vopts.default_cube_dim;
+  defaults.space_mode = vopts.default_space;
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
     auto next = [&]() -> std::string {
@@ -534,14 +526,7 @@ int cmd_serve(int argc, char** argv) {
     if (a == "--socket") sopts.unix_path = next();
     else if (a == "--port") sopts.tcp_port = parse_number(a, next(), 0, 65535);
     else if (a == "--threads") sopts.threads = parse_number<std::size_t>(a, next());
-    else if (a == "--dim") vopts.default_cube_dim = parse_number(a, next(), 0u, kMaxCubeDim);
-    else if (a == "--space") {
-      std::string m = next();
-      if (m == "dense") vopts.default_space = SpaceMode::Dense;
-      else if (m == "symbolic") vopts.default_space = SpaceMode::Symbolic;
-      else if (m == "verify") vopts.default_space = SpaceMode::Verify;
-      else usage("unknown space mode (want dense|symbolic|verify)");
-    }
+    else if (a == "--dim" || a == "--space") set_plan_flag(a, next, defaults);
     else if (a == "--cache") vopts.doc_cache_capacity = parse_number<std::size_t>(a, next());
     else if (a == "--skeleton-cache")
       vopts.skeleton_cache_capacity = parse_number<std::size_t>(a, next());
@@ -555,6 +540,8 @@ int cmd_serve(int argc, char** argv) {
   }
   if (!sopts.unix_path.empty() && sopts.tcp_port != 0)
     usage("--socket and --port are mutually exclusive");
+  vopts.default_cube_dim = defaults.cube_dim;
+  vopts.default_space = defaults.space_mode;
 
   obs::ChromeTraceSink trace_sink;
   obs::MetricsRegistry metrics;
@@ -742,16 +729,16 @@ int main(int argc, char** argv) {
     WavefrontTransform wt = make_wavefront_transform(r.time_function);
     std::printf("%s", wavefront_loop_to_string(wt, *r.structure, nest.index_names()).c_str());
   } else if (o.command == "json") {
-    // The pipeline document plus the daemon's canonical cache keys, so
-    // offline tooling can compute a nest's identity (and pre-warm or probe
-    // a `hypart serve` instance) without speaking the wire protocol.  The
-    // daemon's document tier additionally folds the resolved request
-    // params into its key; exact_key here is the nest-identity half.
+    // The pipeline document plus the daemon's whole document key: the
+    // canonical nest keys and the resolved params, so offline tooling can
+    // compute a plan's identity (and pre-warm or probe a `hypart serve`
+    // instance) without speaking the wire protocol.
     JsonValue doc = parse_json(pipeline_result_to_json(nest, r));
     serve::CanonicalForm cf = serve::canonicalize_nest(nest, r.dependence);
     JsonValue canonical;
     canonical.set("exact", JsonValue::make_string(cf.exact_hex()));
     canonical.set("exact_key", JsonValue::make_string(cf.exact_key));
+    canonical.set("params", parse_json(params_fingerprint(o.config)));
     canonical.set("structure", JsonValue::make_string(cf.structure_hex()));
     canonical.set("structure_key", JsonValue::make_string(cf.structure_key));
     doc.set("canonical", std::move(canonical));
