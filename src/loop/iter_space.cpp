@@ -224,7 +224,8 @@ std::int64_t IterSpace::min_step(const IntVec& pi) const {
   for (const Slab& slab : slabs_) {
     std::int64_t s = 0;
     for (std::size_t i = 0; i < dims_.size(); ++i)
-      s += pi[i] * (pi[i] >= 0 ? slab.box[i].first : slab.box[i].second);
+      s = detail::checked_add(
+          s, detail::checked_mul(pi[i], pi[i] >= 0 ? slab.box[i].first : slab.box[i].second));
     best = std::min(best, s);
   }
   return best;
@@ -238,7 +239,8 @@ std::int64_t IterSpace::max_step(const IntVec& pi) const {
   for (const Slab& slab : slabs_) {
     std::int64_t s = 0;
     for (std::size_t i = 0; i < dims_.size(); ++i)
-      s += pi[i] * (pi[i] >= 0 ? slab.box[i].second : slab.box[i].first);
+      s = detail::checked_add(
+          s, detail::checked_mul(pi[i], pi[i] >= 0 ? slab.box[i].second : slab.box[i].first));
     best = std::max(best, s);
   }
   return best;
@@ -278,6 +280,41 @@ std::optional<std::pair<std::int64_t, std::int64_t>> IterSpace::line_range(
   if (k_lo == INT64_MIN || k_hi == INT64_MAX)
     throw std::logic_error("IterSpace::line_range: unbounded line in a finite space");
   return std::make_pair(k_lo, k_hi);
+}
+
+LineForm IterSpace::line_form(const IntVec& origin, const std::vector<IntVec>& generators,
+                              const IntVec& u) const {
+  const std::size_t n = dims_.size();
+  if (origin.size() != n || u.size() != n)
+    throw std::invalid_argument("IterSpace::line_form: dimension mismatch");
+  if (generators.empty() || generators.size() > 2)
+    throw std::invalid_argument("IterSpace::line_form: one or two generators");
+  for (const IntVec& g : generators)
+    if (g.size() != n) throw std::invalid_argument("IterSpace::line_form: dimension mismatch");
+  if (is_zero(u)) throw std::invalid_argument("IterSpace::line_form: zero direction");
+  // A term t of dimension j is the half-space g·p + h >= 0 with
+  // g = e_j - coeffs(t), h = -constant(t) for a lower bound and the negation
+  // for an upper one (line_range's c and m, as linear functionals of p).
+  // Substituting p = origin + Σ x_i·gen_i + k·u gives the row.
+  LineForm form;
+  IntVec g(n);
+  auto add_row = [&](const AffineExpr& t, std::int64_t sign, std::size_t j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int64_t coeff = i < t.coeffs.size() ? t.coeffs[i] : 0;
+      g[i] = detail::checked_mul(sign, detail::checked_sub(i == j ? 1 : 0, coeff));
+    }
+    LineForm::Row row;
+    row.beta = detail::checked_add(dot(g, origin), detail::checked_mul(-sign, t.constant));
+    row.alpha0 = dot(g, generators[0]);
+    if (generators.size() == 2) row.alpha1 = dot(g, generators[1]);
+    row.m = dot(g, u);
+    form.rows_.push_back(row);
+  };
+  for (std::size_t j = 0; j < n; ++j) {
+    for (const AffineExpr& t : dims_[j].lower.terms) add_row(t, 1, j);
+    for (const AffineExpr& t : dims_[j].upper.terms) add_row(t, -1, j);
+  }
+  return form;
 }
 
 void IterSpace::for_each_line(

@@ -32,10 +32,12 @@
 // and the dense-fallback rules.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -70,6 +72,57 @@ using DimBounds = std::pair<std::int64_t, std::int64_t>;
 struct AffineDim {
   BoundExpr lower;
   BoundExpr upper;
+};
+
+/// The bounds of an IterSpace compiled along a family of parallel lines
+/// p(x) + k·u whose anchors p(x) = origin + x_0·g_0 + x_1·g_1 are affine in a
+/// line coordinate x of one or two components (IterSpace::line_form builds
+/// it).  Along such a line every bound term is affine in both x and k, so
+/// each term becomes one row
+///
+///     (α·x + β) + k·m ≥ 0,
+///
+/// and range(x) is exactly line_range(p(x), u): rows with m > 0 bound k from
+/// below, m < 0 from above, m == 0 test feasibility.  Evaluating a line costs
+/// one pass over the rows and no bound re-evaluation.  A row's bound on k is
+/// affine in x up to rounding, so the lines where the binding row changes
+/// are the breakpoints of the line populations.  Row arithmetic is checked:
+/// a value outside int64 throws ArithmeticError.
+class LineForm {
+ public:
+  /// The k-interval of line x; nullopt when the line misses the space.
+  /// Throws std::logic_error on a populated line unbounded in k, like
+  /// line_range.
+  [[nodiscard]] std::optional<std::pair<std::int64_t, std::int64_t>> range(
+      std::int64_t x0, std::int64_t x1 = 0) const {
+    std::int64_t k_lo = INT64_MIN, k_hi = INT64_MAX;
+    for (const Row& r : rows_) {
+      const std::int64_t c = detail::checked_add(
+          detail::checked_add(r.beta, detail::checked_mul(r.alpha0, x0)),
+          detail::checked_mul(r.alpha1, x1));
+      if (r.m > 0)
+        k_lo = std::max(k_lo, r.m == 1 ? detail::checked_neg(c)
+                                       : ceil_div(detail::checked_neg(c), r.m));
+      else if (r.m < 0)
+        k_hi = std::min(k_hi, r.m == -1 ? c : floor_div(detail::checked_neg(c), r.m));
+      else if (c < 0)
+        return std::nullopt;
+    }
+    if (k_lo > k_hi) return std::nullopt;
+    if (k_lo == INT64_MIN || k_hi == INT64_MAX)
+      throw std::logic_error("LineForm::range: unbounded line in a finite space");
+    return std::make_pair(k_lo, k_hi);
+  }
+
+ private:
+  friend class IterSpace;
+  struct Row {
+    std::int64_t alpha0 = 0;  ///< coefficient of x_0
+    std::int64_t alpha1 = 0;  ///< coefficient of x_1 (0 for one-component x)
+    std::int64_t beta = 0;    ///< constant term
+    std::int64_t m = 0;       ///< slope in k
+  };
+  std::vector<Row> rows_;  ///< one per bound term, dimension-major, lower before upper
 };
 
 class IterSpace {
@@ -135,7 +188,8 @@ class IterSpace {
   [[nodiscard]] std::uint64_t total_arc_count() const;
 
   /// Extremes of Π·x over J, attained at slab corners; throw
-  /// std::logic_error when the space is empty.
+  /// std::logic_error when the space is empty and ArithmeticError when a
+  /// corner's Π·x leaves int64.
   [[nodiscard]] std::int64_t min_step(const IntVec& pi) const;
   [[nodiscard]] std::int64_t max_step(const IntVec& pi) const;
 
@@ -146,6 +200,12 @@ class IterSpace {
   /// keeps the intersection contiguous.
   [[nodiscard]] std::optional<std::pair<std::int64_t, std::int64_t>> line_range(
       const IntVec& p, const IntVec& u) const;
+
+  /// Compile the bounds along the lines p(x) + k·u with anchors
+  /// p(x) = origin + Σ_i x_i·generators[i] (one or two generators): the
+  /// returned LineForm's range(x) equals line_range(p(x), u).  O(terms·n).
+  [[nodiscard]] LineForm line_form(const IntVec& origin, const std::vector<IntVec>& generators,
+                                   const IntVec& u) const;
 
   /// Visit the constant box of every slab (per-dimension inclusive bounds;
   /// exactly one box for a non-empty rectangular space).  The boxes

@@ -1,6 +1,8 @@
 #include "partition/group_lattice.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <tuple>
@@ -26,12 +28,6 @@ IntVec proj_scaled(const IntVec& x, const IntVec& pi, std::int64_t s) {
   return sub(scale(x, s), scale(pi, dot(pi, x)));
 }
 
-bool lex_less(const IntVec& a, const IntVec& b) {
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i] != b[i]) return a[i] < b[i];
-  return false;
-}
-
 IntVec cross3(const IntVec& x, const IntVec& y) {
   return IntVec{x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
                 x[0] * y[1] - x[1] * y[0]};
@@ -43,6 +39,28 @@ std::int64_t pos_mod(std::int64_t a, std::int64_t m) {
 }
 
 std::int64_t iabs(std::int64_t x) { return x < 0 ? -x : x; }
+
+/// Line-index image [min w·j, max w·j] of a slab box.
+std::pair<std::int64_t, std::int64_t> line_interval(const IntVec& w,
+                                                    const std::vector<DimBounds>& box) {
+  std::int64_t lo = 0, hi = 0;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const auto [from, to] = w[i] >= 0 ? box[i] : DimBounds{box[i].second, box[i].first};
+    lo = detail::checked_add(lo, detail::checked_mul(w[i], from));
+    hi = detail::checked_add(hi, detail::checked_mul(w[i], to));
+  }
+  return {lo, hi};
+}
+
+/// κ with v = κ·u, for v on the line through 0 with primitive direction u.
+std::int64_t line_multiple(const IntVec& v, const IntVec& u) {
+  std::size_t i = 0;
+  while (u[i] == 0) ++i;
+  const std::int64_t kappa = v[i] / u[i];
+  if (v != scale(u, kappa))
+    throw std::logic_error("GroupLattice: dependence shift is not a multiple of the line");
+  return kappa;
+}
 
 /// Tiny set of group offsets: per group and dependence at most a handful of
 /// distinct offsets occur (a slot window of width < r lands in at most two
@@ -123,8 +141,8 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     // ---- chain layout -----------------------------------------------------
     gl.layout_ = LatticeLayout::Chain;
     gl.w_ = IntVec{gl.u_[1], -gl.u_[0]};
-    gl.gamma_.reserve(nd);
-    for (const IntVec& d : deps) gl.gamma_.push_back(dot(gl.w_, d));
+    gl.shifts_.resize(nd);
+    for (std::size_t k = 0; k < nd; ++k) gl.shifts_[k].dx0 = dot(gl.w_, deps[k]);
 
     // Anchor axis: any axis where w has a unit entry (δ = that signed unit
     // vector, w·δ = 1).  Admission additionally needs every slab's
@@ -152,25 +170,15 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     }
     if (!have_unit) return fail("no-unit-w-entry");
     if (unit_axis == 2) return fail("slab-interval-hole");
-    gl.delta_ = IntVec{0, 0};
-    gl.delta_[unit_axis] = gl.w_[unit_axis];
+    IntVec delta{0, 0};
+    delta[unit_axis] = gl.w_[unit_axis];
 
     // Line-index interval: each slab box contributes its (contiguous) image;
     // the union over slabs must be one contiguous interval (a hole would
     // split the dense BFS chain and the closed forms would mislabel groups).
     std::vector<std::pair<std::int64_t, std::int64_t>> ivs;
     space.for_each_slab_box([&](const std::vector<DimBounds>& box) {
-      std::int64_t lo = 0, hi = 0;
-      for (std::size_t i = 0; i < 2; ++i) {
-        if (gl.w_[i] >= 0) {
-          lo += gl.w_[i] * box[i].first;
-          hi += gl.w_[i] * box[i].second;
-        } else {
-          lo += gl.w_[i] * box[i].second;
-          hi += gl.w_[i] * box[i].first;
-        }
-      }
-      ivs.emplace_back(lo, hi);
+      ivs.push_back(line_interval(gl.w_, box));
     });
     std::sort(ivs.begin(), ivs.end());
     std::int64_t c_lo = ivs.front().first;
@@ -181,16 +189,29 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     }
     gl.c_lo_ = c_lo;
     gl.c_hi_ = c_hi;
-    const std::int64_t len = c_hi - c_lo + 1;
+    const std::int64_t len = detail::checked_add(detail::checked_sub(c_hi, c_lo), 1);
     gl.line_count_ = static_cast<std::uint64_t>(len);
 
     // Orientation and the seed line.  The dense lexicographic seed is the
     // lex-min scaled projected point; ĵ(c) = c·v with v = proj(δ), so it
     // sits at c_lo when v is lex-positive, else at c_hi.
-    IntVec v = proj_scaled(gl.delta_, pi, gl.scale_);
+    IntVec v = proj_scaled(delta, pi, gl.scale_);
     const bool lexpos = lex_positive(v);
     gl.lexdir_ = lexpos ? 1 : -1;
     gl.c_seed_ = lexpos ? c_lo : c_hi;
+
+    // Anchors p(c) = c·δ.  d_k moves line c to line c + γ_k, and
+    // d_k - γ_k·δ lies on the line through 0 (w·(d_k - γ_k·δ) = 0), so it is
+    // κ_k·u with u primitive.
+    gl.anchor_origin_ = IntVec{0, 0};
+    gl.anchor_gens_ = {delta};
+    std::int64_t max_shift = 0;
+    for (std::size_t k = 0; k < nd; ++k) {
+      DepShift& sh = gl.shifts_[k];
+      sh.kappa = line_multiple(sub(deps[k], scale(delta, sh.dx0)), gl.u_);
+      max_shift = std::max(max_shift, iabs(sh.dx0));
+    }
+    gl.ring_size_ = std::bit_ceil(static_cast<std::uint64_t>(2 * max_shift + 1));
 
     if (l) {
       // One slot step along d_l^p shifts the line index by γ_l = w·d_l.
@@ -200,28 +221,38 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
       // c = c_seed + m·lexdir + t·γ_l with group a = floor(t/r).
       gl.grouping_ = l;
       gl.r_ = r;
-      gl.gamma_l_ = gl.gamma_[*l];
+      gl.gamma_l_ = gl.shifts_[*l].dx0;
       const std::int64_t g = iabs(gl.gamma_l_);
       const std::int64_t ncomp = std::min(g, len);
       gl.comp_t_.reserve(static_cast<std::size_t>(ncomp));
       gl.a_min_ = std::numeric_limits<std::int64_t>::max();
       gl.a_max_ = std::numeric_limits<std::int64_t>::min();
+      std::int64_t groups = 0;
       for (std::int64_t m = 0; m < ncomp; ++m) {
         const std::int64_t cs = gl.c_seed_ + m * gl.lexdir_;
         std::int64_t tmin, tmax;
         if (gl.gamma_l_ > 0) {
-          tmin = ceil_div(c_lo - cs, gl.gamma_l_);
-          tmax = floor_div(c_hi - cs, gl.gamma_l_);
+          tmin = ceil_div(detail::checked_sub(c_lo, cs), gl.gamma_l_);
+          tmax = floor_div(detail::checked_sub(c_hi, cs), gl.gamma_l_);
         } else {
-          tmin = ceil_div(c_hi - cs, gl.gamma_l_);
-          tmax = floor_div(c_lo - cs, gl.gamma_l_);
+          tmin = ceil_div(detail::checked_sub(c_hi, cs), gl.gamma_l_);
+          tmax = floor_div(detail::checked_sub(c_lo, cs), gl.gamma_l_);
         }
         gl.comp_t_.emplace_back(tmin, tmax);
         const std::int64_t a1 = floor_div(tmin, gl.r_);
         const std::int64_t a2 = floor_div(tmax, gl.r_);
         gl.a_min_ = std::min(gl.a_min_, a1);
         gl.a_max_ = std::max(gl.a_max_, a2);
-        gl.group_count_ += static_cast<std::uint64_t>(a2 - a1 + 1);
+        groups = detail::checked_add(groups, detail::checked_add(detail::checked_sub(a2, a1), 1));
+      }
+      gl.group_count_ = static_cast<std::uint64_t>(groups);
+      // Target residue component and slot of line c + γ_k from component m:
+      // m' = (m + γ_k·lexdir) mod g and t' = t + (γ_k + (m - m')·lexdir)/γ_l.
+      // m + dcomp overshoots g at most once, which moves t' by g·lexdir/γ_l.
+      gl.wrap_slot_ = gl.gamma_l_ > 0 ? gl.lexdir_ : -gl.lexdir_;
+      for (DepShift& sh : gl.shifts_) {
+        sh.dcomp = pos_mod(sh.dx0 * gl.lexdir_, g);
+        sh.dslot = (sh.dx0 - sh.dcomp * gl.lexdir_) / gl.gamma_l_;
       }
     } else {
       // Degenerate: every line is its own group and its own dense
@@ -235,12 +266,13 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
       gl.a_max_ = len - 1;
       gl.group_count_ = static_cast<std::uint64_t>(len);
     }
+    gl.form_ = space.line_form(gl.anchor_origin_, gl.anchor_gens_, gl.u_);
+    gl.step_x0_ = dot(pi, delta);
     return gl;
   }
 
   // ---- plane layout (n = 3, β = 2, single coset) --------------------------
   gl.layout_ = LatticeLayout::Plane;
-  gl.gamma_.assign(nd, 0);
   if (!l) return fail("3d-degenerate");
   // β = 2 needs an auxiliary vector: the first projected dependence outside
   // span(d_l^p) (the dense greedy Step 2 choice).
@@ -256,8 +288,6 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   gl.grouping_ = l;
   gl.aux_ = ax;
   gl.r_ = r;
-  gl.dl_orig_ = deps[*l];
-  gl.da_orig_ = deps[*ax];
 
   // Dual functionals: A(x) = x·(d_a^p × Π) and B(x) = x·(Π × d_l^p) with
   // shared divisor D = det(d_l^p, d_a^p, Π) satisfy A(d_l^p) = B(d_a^p) = D
@@ -283,28 +313,33 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     if (dot(gl.avec_, pe) % gl.ddet_ != 0 || dot(gl.bvec_, pe) % gl.ddet_ != 0)
       return fail("plane-multi-coset");
   }
-  gl.dt_.reserve(nd);
-  gl.db_.reserve(nd);
+  gl.shifts_.resize(nd);
   for (std::size_t k = 0; k < nd; ++k) {
-    gl.dt_.push_back(dot(gl.avec_, gl.pdeps_[k]) / gl.ddet_);
-    gl.db_.push_back(dot(gl.bvec_, gl.pdeps_[k]) / gl.ddet_);
+    gl.shifts_[k].dx0 = dot(gl.avec_, gl.pdeps_[k]) / gl.ddet_;
+    gl.shifts_[k].dx1 = dot(gl.bvec_, gl.pdeps_[k]) / gl.ddet_;
   }
 
   // One O(lines) enumeration: per aux chain (fixed raw B) track the slot
   // extremes and the line count, and find the dense lexicographic seed.
+  // A and B are cross products with Π, so A·Π = B·Π = 0 and
+  // A(proj x) = (s·A - (A·Π)·Π)·x = s·A(x): each line's lattice coordinates
+  // come straight from its entry point, and the projected point is needed
+  // only componentwise for the lex comparison — nothing is allocated per line.
+  const IntVec afold = sub(scale(gl.avec_, gl.scale_), scale(pi, dot(gl.avec_, pi)));
+  const IntVec bfold = sub(scale(gl.bvec_, gl.scale_), scale(pi, dot(gl.bvec_, pi)));
   struct Acc {
     std::int64_t t_lo, t_hi;
     std::uint64_t count;
   };
   std::map<std::int64_t, Acc> table;
   bool have_seed = false;
-  IntVec jseed, seed_entry;
+  std::array<std::int64_t, 3> jseed{};
+  IntVec seed_entry(3);
   std::int64_t qa_seed = 0, qb_seed = 0;
   std::uint64_t nlines = 0;
   space.for_each_line(gl.u_, [&](const IntVec& entry, std::int64_t) {
-    IntVec jp = proj_scaled(entry, pi, gl.scale_);
-    const std::int64_t qa = dot(gl.avec_, jp) / gl.ddet_;
-    const std::int64_t qb = dot(gl.bvec_, jp) / gl.ddet_;
+    const std::int64_t qa = dot(afold, entry) / gl.ddet_;
+    const std::int64_t qb = dot(bfold, entry) / gl.ddet_;
     ++nlines;
     auto [it, fresh] = table.try_emplace(qb, Acc{qa, qa, 1});
     if (!fresh) {
@@ -312,10 +347,15 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
       it->second.t_hi = std::max(it->second.t_hi, qa);
       ++it->second.count;
     }
-    if (!have_seed || lex_less(jp, jseed)) {
+    const std::int64_t pe = dot(pi, entry);
+    std::array<std::int64_t, 3> jp{};
+    for (std::size_t i = 0; i < 3; ++i)
+      jp[i] = detail::checked_sub(detail::checked_mul(gl.scale_, entry[i]),
+                                  detail::checked_mul(pe, pi[i]));
+    if (!have_seed || jp < jseed) {
       have_seed = true;
       jseed = jp;
-      seed_entry = entry;
+      std::copy(entry.begin(), entry.end(), seed_entry.begin());
       qa_seed = qa;
       qb_seed = qb;
     }
@@ -324,38 +364,51 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   gl.chains_.reserve(table.size());
   gl.a_min_ = std::numeric_limits<std::int64_t>::max();
   gl.a_max_ = std::numeric_limits<std::int64_t>::min();
+  std::int64_t groups = 0;
   for (const auto& [qb, acc] : table) {
     // Each aux chain must meet the domain in one contiguous slot run, else
     // per-chain interval queries would miscount groups.
-    if (acc.count != static_cast<std::uint64_t>(acc.t_hi - acc.t_lo + 1))
-      return fail("chain-noncontiguous");
+    const std::int64_t run =
+        detail::checked_add(detail::checked_sub(acc.t_hi, acc.t_lo), 1);
+    if (acc.count != static_cast<std::uint64_t>(run)) return fail("chain-noncontiguous");
     PlaneChainRec rec;
-    rec.b = qb - qb_seed;
-    rec.t_lo = acc.t_lo - qa_seed;
-    rec.t_hi = acc.t_hi - qa_seed;
+    rec.b = detail::checked_sub(qb, qb_seed);
+    rec.t_lo = detail::checked_sub(acc.t_lo, qa_seed);
+    rec.t_hi = detail::checked_sub(acc.t_hi, qa_seed);
     gl.chains_.push_back(rec);
     const std::int64_t a1 = floor_div(rec.t_lo, gl.r_);
     const std::int64_t a2 = floor_div(rec.t_hi, gl.r_);
     gl.a_min_ = std::min(gl.a_min_, a1);
     gl.a_max_ = std::max(gl.a_max_, a2);
-    gl.group_count_ += static_cast<std::uint64_t>(a2 - a1 + 1);
+    groups = detail::checked_add(groups, detail::checked_add(detail::checked_sub(a2, a1), 1));
   }
-  gl.jseed_ = std::move(jseed);
-  gl.seed_entry_ = std::move(seed_entry);
+  gl.group_count_ = static_cast<std::uint64_t>(groups);
   gl.line_count_ = nlines;
   gl.comp_t_.emplace_back(0, 0);  // single region-growing component
   gl.c_lo_ = 0;
   gl.c_hi_ = -1;  // chain line-index queries are inert for planes
+
+  // Anchors p(t, b) = seed_entry + t·d_l + b·d_a.  d_k moves line (t, b) to
+  // (t + Δt_k, b + Δb_k); d_k - Δt_k·d_l - Δb_k·d_a projects to
+  // pdep_k - Δt_k·d_l^p - Δb_k·d_a^p = 0, so it is κ_k·u.
+  const IntVec& dl = deps[*l];
+  const IntVec& da = deps[*ax];
+  gl.anchor_origin_ = std::move(seed_entry);
+  gl.anchor_gens_ = {dl, da};
+  for (std::size_t k = 0; k < nd; ++k) {
+    DepShift& sh = gl.shifts_[k];
+    sh.kappa = line_multiple(sub(sub(deps[k], scale(dl, sh.dx0)), scale(da, sh.dx1)), gl.u_);
+  }
+  gl.form_ = space.line_form(gl.anchor_origin_, gl.anchor_gens_, gl.u_);
+  gl.step_base_ = dot(pi, gl.anchor_origin_);
+  gl.step_x0_ = dot(pi, dl);
+  gl.step_x1_ = dot(pi, da);
   return gl;
 }
 
-IntVec GroupLattice::line_anchor(std::int64_t c) const {
-  return IntVec{c * delta_[0], c * delta_[1]};
-}
-
-IntVec GroupLattice::plane_anchor(std::int64_t t, std::int64_t b) const {
-  IntVec p = seed_entry_;
-  for (std::size_t i = 0; i < p.size(); ++i) p[i] += t * dl_orig_[i] + b * da_orig_[i];
+IntVec GroupLattice::line_anchor(std::int64_t x0, std::int64_t x1) const {
+  IntVec p = add(anchor_origin_, scale(anchor_gens_[0], x0));
+  if (anchor_gens_.size() == 2) p = add(p, scale(anchor_gens_[1], x1));
   return p;
 }
 
@@ -382,7 +435,7 @@ std::int64_t GroupLattice::slot_of_line(std::int64_t c) const {
 
 std::int64_t GroupLattice::line_population(std::int64_t c) const {
   if (c < c_lo_ || c > c_hi_) return 0;
-  auto range = space_->line_range(line_anchor(c), u_);
+  const auto range = form_.range(c);
   if (!range) return 0;
   return range->second - range->first + 1;
 }
@@ -429,20 +482,19 @@ DimBounds GroupLattice::group_line_range(const GroupKey& g) const {
 
 std::int64_t GroupLattice::group_population(const GroupKey& g) const {
   std::int64_t total = 0;
+  auto add = [&](const WalkLine& line, const auto&) {
+    total = detail::checked_add(total, line.k_hi - line.k_lo + 1);
+  };
   if (layout_ == LatticeLayout::Plane) {
-    auto [t_lo, t_hi] = group_line_range(g);
-    for (std::int64_t t = t_lo; t <= t_hi; ++t) {
-      auto range = space_->line_range(plane_anchor(t, g.b), u_);
-      if (range) total += range->second - range->first + 1;
-    }
+    const PlaneChainRec* ch = plane_chain(g.b);
+    if (!ch) return 0;
+    walk_plane(*ch, std::max(g.a * r_, ch->t_lo), std::min(g.a * r_ + r_ - 1, ch->t_hi), add);
     return total;
   }
   if (degenerate()) return line_population(c_seed_ + g.a * lexdir_);
   const auto& [tmin, tmax] = comp_t_[static_cast<std::size_t>(g.comp)];
-  const std::int64_t t_lo = std::max(g.a * r_, tmin);
-  const std::int64_t t_hi = std::min(g.a * r_ + r_ - 1, tmax);
-  const std::int64_t cs = c_seed_ + g.comp * lexdir_;
-  for (std::int64_t t = t_lo; t <= t_hi; ++t) total += line_population(cs + t * gamma_l_);
+  walk_chain(static_cast<std::size_t>(g.comp), std::max(g.a * r_, tmin),
+             std::min(g.a * r_ + r_ - 1, tmax), add);
   return total;
 }
 
@@ -529,11 +581,8 @@ GroupLattice::GroupKey GroupLattice::group_at_sorted_index(std::uint64_t k) cons
 void GroupLattice::for_each_group(
     const std::function<void(const GroupKey&, std::int64_t)>& visit) const {
   if (layout_ == LatticeLayout::Chain && degenerate()) {
-    const std::int64_t len = comp_t_.front().second + 1;
-    for (std::int64_t t = 0; t < len; ++t) {
-      const GroupKey g{t, 0, t};
-      visit(g, line_population(c_seed_ + t * lexdir_));
-    }
+    // Every line is its own group, in slot order.
+    walk([&](const WalkLine& line, const auto&) { visit(line.g, line.k_hi - line.k_lo + 1); });
     return;
   }
   for (std::int64_t a = a_min_; a <= a_max_; ++a) {
@@ -569,16 +618,7 @@ std::vector<GroupLattice::GroupBox> GroupLattice::enumerate_boxes() const {
   }
   const std::int64_t gabs = std::max<std::int64_t>(1, iabs(gamma_l_));
   space_->for_each_slab_box([&](const std::vector<DimBounds>& box) {
-    std::int64_t lo = 0, hi = 0;
-    for (std::size_t i = 0; i < 2; ++i) {
-      if (w_[i] >= 0) {
-        lo += w_[i] * box[i].first;
-        hi += w_[i] * box[i].second;
-      } else {
-        lo += w_[i] * box[i].second;
-        hi += w_[i] * box[i].first;
-      }
-    }
+    const auto [lo, hi] = line_interval(w_, box);
     // Extreme grouping-chain coordinates over every residue component whose
     // lines meet this slab's interval (a is monotone in c per component).
     std::int64_t a_lo = std::numeric_limits<std::int64_t>::max();
@@ -600,125 +640,20 @@ std::vector<GroupLattice::GroupBox> GroupLattice::enumerate_boxes() const {
   return boxes;
 }
 
-void GroupLattice::for_each_line(
-    const std::function<void(const GroupKey&, std::int64_t, std::int64_t)>& visit) const {
-  if (layout_ == LatticeLayout::Plane) {
-    const std::int64_t pi_dl = dot(tf_.pi, dl_orig_);
-    const std::int64_t base = dot(tf_.pi, seed_entry_);
-    const std::int64_t pi_da = dot(tf_.pi, da_orig_);
-    for (const PlaneChainRec& ch : chains_) {
-      IntVec p = plane_anchor(ch.t_lo, ch.b);
-      std::int64_t step_anchor = base + ch.t_lo * pi_dl + ch.b * pi_da;
-      for (std::int64_t t = ch.t_lo; t <= ch.t_hi; ++t) {
-        auto range = space_->line_range(p, u_);
-        if (range)
-          visit(GroupKey{floor_div(t, r_), ch.b, 0}, range->second - range->first + 1,
-                step_anchor + range->first * sigma_);
-        for (std::size_t i = 0; i < 3; ++i) p[i] += dl_orig_[i];
-        step_anchor += pi_dl;
-      }
-    }
-    return;
-  }
-  const std::int64_t pi_delta = dot(tf_.pi, delta_);
-  for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-    const auto& [tmin, tmax] = comp_t_[m];
-    const std::int64_t cs = c_seed_ + static_cast<std::int64_t>(m) * lexdir_;
-    std::int64_t c = cs + tmin * gamma_l_;
-    IntVec p = line_anchor(c);
-    std::int64_t step_anchor = c * pi_delta;
-    for (std::int64_t t = tmin; t <= tmax; ++t) {
-      auto range = space_->line_range(p, u_);
-      if (range) {
-        const GroupKey g = degenerate()
-                               ? GroupKey{t, 0, t}
-                               : GroupKey{floor_div(t, r_), 0, static_cast<std::int64_t>(m)};
-        visit(g, range->second - range->first + 1, step_anchor + range->first * sigma_);
-      }
-      for (std::size_t i = 0; i < 2; ++i) p[i] += gamma_l_ * delta_[i];
-      step_anchor += gamma_l_ * pi_delta;
-    }
-  }
-}
-
-void GroupLattice::for_each_arc_bundle(
-    const std::function<void(const GroupKey&, const GroupKey&, std::size_t, std::int64_t,
-                             std::int64_t)>& visit) const {
-  const std::vector<IntVec>& deps = space_->dependences();
-  const std::size_t nd = deps.size();
-  if (layout_ == LatticeLayout::Plane) {
-    const std::int64_t pi_dl = dot(tf_.pi, dl_orig_);
-    const std::int64_t pi_da = dot(tf_.pi, da_orig_);
-    const std::int64_t base = dot(tf_.pi, seed_entry_);
-    for (const PlaneChainRec& ch : chains_) {
-      IntVec p = plane_anchor(ch.t_lo, ch.b);
-      std::vector<IntVec> pd(nd);
-      for (std::size_t k = 0; k < nd; ++k) pd[k] = add(p, deps[k]);
-      std::int64_t step_anchor = base + ch.t_lo * pi_dl + ch.b * pi_da;
-      for (std::int64_t t = ch.t_lo; t <= ch.t_hi; ++t) {
-        auto range = space_->line_range(p, u_);
-        if (range) {
-          const GroupKey src{floor_div(t, r_), ch.b, 0};
-          for (std::size_t k = 0; k < nd; ++k) {
-            auto mrange = space_->line_range(pd[k], u_);
-            if (!mrange) continue;
-            const std::int64_t lo2 = std::max(range->first, mrange->first);
-            const std::int64_t hi2 = std::min(range->second, mrange->second);
-            if (lo2 > hi2) continue;
-            const GroupKey dst{floor_div(t + dt_[k], r_), ch.b + db_[k], 0};
-            visit(src, dst, k, hi2 - lo2 + 1, step_anchor + lo2 * sigma_);
-          }
-        }
-        for (std::size_t i = 0; i < 3; ++i) {
-          p[i] += dl_orig_[i];
-          for (std::size_t k = 0; k < nd; ++k) pd[k][i] += dl_orig_[i];
-        }
-        step_anchor += pi_dl;
-      }
-    }
-    return;
-  }
-  const std::int64_t pi_delta = dot(tf_.pi, delta_);
-  for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-    const auto& [tmin, tmax] = comp_t_[m];
-    const std::int64_t cs = c_seed_ + static_cast<std::int64_t>(m) * lexdir_;
-    std::int64_t c = cs + tmin * gamma_l_;
-    IntVec p = line_anchor(c);
-    std::vector<IntVec> pd(nd);
-    for (std::size_t k = 0; k < nd; ++k) pd[k] = add(p, deps[k]);
-    std::int64_t step_anchor = c * pi_delta;
-    for (std::int64_t t = tmin; t <= tmax; ++t) {
-      auto range = space_->line_range(p, u_);
-      if (range) {
-        const GroupKey src = degenerate()
-                                 ? GroupKey{t, 0, t}
-                                 : GroupKey{floor_div(t, r_), 0, static_cast<std::int64_t>(m)};
-        for (std::size_t k = 0; k < nd; ++k) {
-          auto mrange = space_->line_range(pd[k], u_);
-          if (!mrange) continue;
-          const std::int64_t lo2 = std::max(range->first, mrange->first);
-          const std::int64_t hi2 = std::min(range->second, mrange->second);
-          if (lo2 > hi2) continue;
-          visit(src, group_of_line(c + gamma_[k]), k, hi2 - lo2 + 1,
-                step_anchor + lo2 * sigma_);
-        }
-      }
-      for (std::size_t i = 0; i < 2; ++i) {
-        p[i] += gamma_l_ * delta_[i];
-        for (std::size_t k = 0; k < nd; ++k) pd[k][i] += gamma_l_ * delta_[i];
-      }
-      c += gamma_l_;
-      step_anchor += gamma_l_ * pi_delta;
-    }
-  }
-}
-
 LatticeSweepResult GroupLattice::sweep(bool validate) const {
   LatticeSweepResult out;
   using GroupOffset = LatticeSweepResult::GroupOffset;
-  const std::vector<IntVec>& deps = space_->dependences();
-  const std::size_t nd = deps.size();
-  const IntVec& pi = tf_.pi;
+  const std::size_t nd = shifts_.size();
+
+  // A dependence moves between lines iff its projection is nonzero; it is
+  // "special" (Lemma 2) if its projected vector equals the grouping or an
+  // auxiliary vector — the dense checker's is_special_direction.
+  std::vector<char> moving(nd), special(nd);
+  for (std::size_t k = 0; k < nd; ++k) {
+    moving[k] = !is_zero(pdeps_[k]);
+    special[k] = grouping_ && (k == *grouping_ || pdeps_[k] == pdeps_[*grouping_] ||
+                               (aux_ && (k == *aux_ || pdeps_[k] == pdeps_[*aux_])));
+  }
 
   // Per-group rolling state (O(r + deps), reset at each group boundary).
   struct LineRec {
@@ -732,20 +667,13 @@ LatticeSweepResult GroupLattice::sweep(bool validate) const {
   std::int64_t acc = 0;                 // current group's iteration count
   bool group_open = false;
   GroupKey cur{};
+  // Arc weight per (dep, offset): a handful of offsets per dependence, so a
+  // flat table per dependence, folded into the result's map at the end.
+  std::vector<std::vector<std::pair<GroupOffset, std::int64_t>>> weights(nd);
 
   out.theorem1 = true;
   out.lemmas.lemma2_holds = true;
   out.lemmas.lemma3_holds = true;
-  // A dependence direction is "special" (Lemma 2) if its projected vector
-  // equals the grouping or an auxiliary vector — the dense checker's
-  // is_special_direction.
-  auto is_special = [&](std::size_t k) {
-    if (!grouping_) return false;
-    if (k == *grouping_ || pdeps_[k] == pdeps_[*grouping_]) return true;
-    if (aux_ && (k == *aux_ || pdeps_[k] == pdeps_[*aux_])) return true;
-    return false;
-  };
-
   out.stats.min_block = std::numeric_limits<std::int64_t>::max();
   std::uint64_t covered = 0;
   std::size_t arc_total = 0, arc_inter = 0;
@@ -758,9 +686,9 @@ LatticeSweepResult GroupLattice::sweep(bool validate) const {
     if (validate) {
       succ.clear();
       for (std::size_t k = 0; k < nd; ++k) {
-        if (is_zero(pdeps_[k])) continue;
+        if (!moving[k]) continue;
         const std::size_t fan = dep_offs[k].size();
-        if (is_special(k)) {
+        if (special[k]) {
           out.lemmas.worst_lemma2_fanout = std::max(out.lemmas.worst_lemma2_fanout, fan);
           if (fan > 1) out.lemmas.lemma2_holds = false;
         } else {
@@ -777,20 +705,18 @@ LatticeSweepResult GroupLattice::sweep(bool validate) const {
   };
 
   // One populated line of group g: Theorem 1 window, arc bundles, offsets.
-  auto visit_line = [&](const GroupKey& g, std::int64_t k_lo, std::int64_t k_hi,
-                        std::int64_t step_anchor,
-                        const std::function<std::optional<std::pair<std::int64_t, std::int64_t>>(
-                            std::size_t)>& dep_range,
-                        const std::function<std::optional<GroupKey>(std::size_t)>& dep_target) {
+  walk([&](const WalkLine& line, const auto& arc_of) {
+    const GroupKey& g = line.g;
     if (!group_open || !(g == cur)) {
       close_group();
       group_open = true;
       cur = g;
     }
-    const std::int64_t pop = k_hi - k_lo + 1;
-    const std::int64_t first_step = step_anchor + k_lo * sigma_;
+    const std::int64_t pop = line.k_hi - line.k_lo + 1;
+    const std::int64_t first_step =
+        detail::checked_add(line.step_anchor, detail::checked_mul(line.k_lo, sigma_));
     covered += static_cast<std::uint64_t>(pop);
-    acc += pop;
+    acc = detail::checked_add(acc, pop);
 
     if (validate) {
       // Theorem 1 within the group: lines collide iff their step APs
@@ -809,92 +735,29 @@ LatticeSweepResult GroupLattice::sweep(bool validate) const {
       // Group-digraph edges use projected-point existence (the dense
       // checker's find_point semantics), not arc counts: an edge exists
       // whenever the shifted line is populated.
+      const WalkArc arc = arc_of(k);
+      const bool has_dst = moving[k] && arc.populated();
       GroupOffset off{};
-      std::optional<GroupKey> dst = dep_target(k);
-      if (dst) off = GroupOffset{dst->a - g.a, dst->b - g.b, dst->comp - g.comp};
-      auto mrange = dep_range(k);
-      if (mrange) {
-        const std::int64_t lo2 = std::max(k_lo, mrange->first);
-        const std::int64_t hi2 = std::min(k_hi, mrange->second);
-        if (lo2 <= hi2) {
-          const std::size_t count = static_cast<std::size_t>(hi2 - lo2 + 1);
-          arc_total += count;
-          if (!(off == GroupOffset{})) arc_inter += count;
-          out.offset_weights[{k, off}] += static_cast<std::int64_t>(hi2 - lo2 + 1);
-        }
+      if (has_dst) off = GroupOffset{arc.dst.a - g.a, arc.dst.b - g.b, arc.dst.comp - g.comp};
+      const std::int64_t lo2 = std::max(line.k_lo, arc.k_lo);
+      const std::int64_t hi2 = std::min(line.k_hi, arc.k_hi);
+      if (lo2 <= hi2) {
+        const std::int64_t count = hi2 - lo2 + 1;
+        arc_total += static_cast<std::size_t>(count);
+        if (!(off == GroupOffset{})) arc_inter += static_cast<std::size_t>(count);
+        auto& table = weights[k];
+        auto it = std::find_if(table.begin(), table.end(),
+                               [&](const auto& entry) { return entry.first == off; });
+        if (it == table.end()) table.emplace_back(off, count);
+        else it->second = detail::checked_add(it->second, count);
       }
-      if (validate && dst && !(off == GroupOffset{})) dep_offs[k].insert(off);
+      if (validate && has_dst && !(off == GroupOffset{})) dep_offs[k].insert(off);
     }
-  };
-
-  if (layout_ == LatticeLayout::Plane) {
-    const std::int64_t pi_dl = dot(pi, dl_orig_);
-    const std::int64_t pi_da = dot(pi, da_orig_);
-    const std::int64_t base = dot(pi, seed_entry_);
-    for (const PlaneChainRec& ch : chains_) {
-      IntVec p = plane_anchor(ch.t_lo, ch.b);
-      std::vector<IntVec> pd(nd);
-      for (std::size_t k = 0; k < nd; ++k) pd[k] = add(p, deps[k]);
-      std::int64_t step_anchor = base + ch.t_lo * pi_dl + ch.b * pi_da;
-      for (std::int64_t t = ch.t_lo; t <= ch.t_hi; ++t) {
-        auto range = space_->line_range(p, u_);
-        if (range) {
-          const GroupKey g{floor_div(t, r_), ch.b, 0};
-          visit_line(
-              g, range->first, range->second, step_anchor,
-              [&](std::size_t k) { return space_->line_range(pd[k], u_); },
-              [&](std::size_t k) -> std::optional<GroupKey> {
-                if (is_zero(pdeps_[k])) return std::nullopt;
-                const PlaneChainRec* tc = plane_chain(ch.b + db_[k]);
-                const std::int64_t tt = t + dt_[k];
-                if (!tc || tt < tc->t_lo || tt > tc->t_hi) return std::nullopt;
-                return GroupKey{floor_div(tt, r_), tc->b, 0};
-              });
-        }
-        for (std::size_t i = 0; i < 3; ++i) {
-          p[i] += dl_orig_[i];
-          for (std::size_t k = 0; k < nd; ++k) pd[k][i] += dl_orig_[i];
-        }
-        step_anchor += pi_dl;
-      }
-    }
-  } else {
-    const std::int64_t pi_delta = dot(pi, delta_);
-    for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-      const auto& [tmin, tmax] = comp_t_[m];
-      const std::int64_t cs = c_seed_ + static_cast<std::int64_t>(m) * lexdir_;
-      std::int64_t c = cs + tmin * gamma_l_;
-      IntVec p = line_anchor(c);
-      std::vector<IntVec> pd(nd);
-      for (std::size_t k = 0; k < nd; ++k) pd[k] = add(p, deps[k]);
-      std::int64_t step_anchor = c * pi_delta;
-      for (std::int64_t t = tmin; t <= tmax; ++t) {
-        auto range = space_->line_range(p, u_);
-        if (range) {
-          const GroupKey g =
-              degenerate() ? GroupKey{t, 0, t}
-                           : GroupKey{floor_div(t, r_), 0, static_cast<std::int64_t>(m)};
-          visit_line(
-              g, range->first, range->second, step_anchor,
-              [&](std::size_t k) { return space_->line_range(pd[k], u_); },
-              [&](std::size_t k) -> std::optional<GroupKey> {
-                if (is_zero(pdeps_[k])) return std::nullopt;
-                const std::int64_t ct = c + gamma_[k];
-                if (ct < c_lo_ || ct > c_hi_) return std::nullopt;
-                return group_of_line(ct);
-              });
-        }
-        for (std::size_t i = 0; i < 2; ++i) {
-          p[i] += gamma_l_ * delta_[i];
-          for (std::size_t k = 0; k < nd; ++k) pd[k][i] += gamma_l_ * delta_[i];
-        }
-        c += gamma_l_;
-        step_anchor += gamma_l_ * pi_delta;
-      }
-    }
-  }
+  });
   close_group();
 
+  for (std::size_t k = 0; k < nd; ++k)
+    for (const auto& [off, weight] : weights[k]) out.offset_weights[{k, off}] = weight;
   out.stats.total_iterations = covered;
   if (out.stats.group_count == 0) out.stats.min_block = 0;
   out.partition.total_arcs = arc_total;

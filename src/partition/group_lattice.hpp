@@ -30,11 +30,18 @@
 //    projected unit vector to stay on the seed coset (D | A(proj e_i) and
 //    D | B(proj e_i)); multi-coset 3-D nests take the line-based fallback.
 //
-// Group populations, block statistics, TIG arc-class weights, and the
-// theorem/lemma checks all reduce to per-line IterSpace::line_range queries
-// (O(dimension) each), and Algorithm 2's bisection reduces to ceil-halving
-// of the sorted group order (chain) or an alternating-direction fragment
-// bisection (plane) — mapping/hypercube_map.hpp.
+// build() compiles the nest's bounds once into a LineForm
+// (loop/iter_space.hpp): one row (α·x + β) + k·m ≥ 0 per bound term, where x
+// is the lattice line coordinate — c for chains, (t, b) for planes.  One
+// walker per layout (walk_chain / walk_plane below) then visits the lines
+// in group-contiguous order and evaluates each line's k-range once from the
+// rows.  Every dependence-shifted range is the target line's own range
+// moved by a constant: p(x) + d_k = p(x + shift_k) + κ_k·u, because both
+// sides lie on the same line.  Group populations, block statistics, TIG
+// arc-class weights, the theorem/lemma checks and the simulator feed all
+// read the walk, and Algorithm 2's bisection reduces to ceil-halving of the
+// sorted group order (chain) or an alternating-direction fragment bisection
+// (plane) — mapping/hypercube_map.hpp.
 //
 // When no layout applies, build() returns nullopt with a stable fallback
 // reason slug (surfaced as the pipeline.lattice_fallback.<reason> metric)
@@ -44,6 +51,7 @@
 // form.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -149,6 +157,12 @@ class GroupLattice {
   [[nodiscard]] std::optional<std::size_t> grouping_vector_index() const { return grouping_; }
   /// Auxiliary dependence index (plane layout only).
   [[nodiscard]] std::optional<std::size_t> auxiliary_vector_index() const { return aux_; }
+  /// Anchor of lattice line x, the point its k-coordinates count from:
+  /// p(c) = c·δ for chains (w·δ = 1, δ a signed unit vector; not
+  /// necessarily inside J) and p(t, b) = ĵ*-entry + t·d_l + b·d_a for planes
+  /// (ĵ*-entry: the dense seed line's entry point; d_l, d_a the original
+  /// grouping and auxiliary dependences).
+  [[nodiscard]] IntVec line_anchor(std::int64_t x0, std::int64_t x1 = 0) const;
   /// Number of dense region-growing components: the residue count
   /// min(|γ_l|, line interval length) for a strided chain, else 1.
   [[nodiscard]] std::int64_t component_count() const {
@@ -172,9 +186,9 @@ class GroupLattice {
   [[nodiscard]] std::int64_t component_of_line(std::int64_t c) const;
   /// Slot index of line c within its component: t = (c - c_seed_m)/γ_l.
   [[nodiscard]] std::int64_t slot_of_line(std::int64_t c) const;
-  /// Points on line c (0 outside [c_min, c_max]); O(dimension).
+  /// Points on line c (0 outside [c_min, c_max]); O(rows).
   [[nodiscard]] std::int64_t line_population(std::int64_t c) const;
-  /// Σ line_population over [c1, c2] ∩ [c_min, c_max]; O(|interval|·dim).
+  /// Σ line_population over [c1, c2] ∩ [c_min, c_max]; O(|interval|·rows).
   [[nodiscard]] std::uint64_t sum_line_populations(std::int64_t c1, std::int64_t c2) const;
 
   // ---- groups -------------------------------------------------------------
@@ -192,7 +206,7 @@ class GroupLattice {
   /// Plane layout: the group's inclusive slot interval [t_lo, t_hi] on its
   /// aux chain.
   [[nodiscard]] DimBounds group_line_range(const GroupKey& g) const;
-  /// Block size of the group: Σ of its lines' populations; O(r·dimension).
+  /// Block size of the group: Σ of its lines' populations; O(r·rows).
   [[nodiscard]] std::int64_t group_population(const GroupKey& g) const;
   /// Position in the canonical deterministic sort order — ascending
   /// (a, comp) for chains (identical to the dense mapper's β = 1 key:
@@ -200,7 +214,7 @@ class GroupLattice {
   [[nodiscard]] std::uint64_t sorted_index_of_group(const GroupKey& g) const;
   [[nodiscard]] GroupKey group_at_sorted_index(std::uint64_t k) const;
   /// Visit every group in canonical sorted order with its population;
-  /// O(groups · r · dim) — the node-fault remap's block-size feed.
+  /// O(lines · rows) — the node-fault remap's block-size feed.
   void for_each_group(const std::function<void(const GroupKey&, std::int64_t pop)>& visit) const;
 
   /// One lattice box per slab (chain) or per aux chain (plane): the
@@ -219,35 +233,35 @@ class GroupLattice {
   [[nodiscard]] const std::vector<IntVec>& original_deps() const { return space_->dependences(); }
   /// Line-index shift of dependence k (chain layout): target line of an arc
   /// from line c is c + line_shift(k) (0 when d_k ∥ Π).
-  [[nodiscard]] std::int64_t line_shift(std::size_t k) const { return gamma_[k]; }
+  [[nodiscard]] std::int64_t line_shift(std::size_t k) const { return shifts_[k].dx0; }
   /// Lattice shift of dependence k (plane layout): (Δt, Δb) in slot/aux
   /// coordinates.
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> plane_shift(std::size_t k) const {
-    return {dt_[k], db_[k]};
+    return {shifts_[k].dx0, shifts_[k].dx1};
   }
   /// Scaled projected dependence s·d - (Π·d)·Π (dense pdep coordinates).
   [[nodiscard]] const IntVec& projected_dep_scaled(std::size_t k) const { return pdeps_[k]; }
 
   /// The full O(lines·deps) pass: block stats, partition stats, per-offset
   /// TIG weights, and (when `validate`) exact-cover/Theorem 1/Theorem 2/
-  /// lemma verdicts.  Time O(lines·(deps + r)·dim), memory
-  /// O(deps + r + components).
+  /// lemma verdicts.  One walk: O(lines·rows) range evaluations plus
+  /// O(lines·(deps + r)) bookkeeping; memory O(deps + r + components).
   [[nodiscard]] LatticeSweepResult sweep(bool validate = true) const;
 
   /// Visit every populated line (group-contiguous order: component-major
   /// ascending slot for chains, aux-chain-major ascending slot for planes)
-  /// with its group, population, and the absolute step of its first point
-  /// (Π·entry).  O(lines·dim), O(1) extra memory — the simulator's line
-  /// feed.
-  void for_each_line(const std::function<void(const GroupKey&, std::int64_t pop,
-                                              std::int64_t first_step)>& visit) const;
-  /// Visit every (line, dependence) arc bundle: `count` arcs from a line of
+  /// as visit(group, population, first_step), first_step being the absolute
+  /// step of its first point (Π·entry).  O(lines·rows), O(1) extra memory —
+  /// the simulator's line feed.
+  template <class Visit>
+  void for_each_line(Visit&& visit) const;
+  /// Visit every (line, dependence) arc bundle as
+  /// visit(src, dst, dep, count, first_step): `count` arcs from a line of
   /// group `src` to the shifted line of group `dst`, the first one leaving
   /// at absolute step `first_step`.  Values match partition/symbolic.hpp's
-  /// for_each_line_dep.
-  void for_each_arc_bundle(
-      const std::function<void(const GroupKey& src, const GroupKey& dst, std::size_t dep,
-                               std::int64_t count, std::int64_t first_step)>& visit) const;
+  /// for_each_line_dep.  O(lines·(rows + deps)).
+  template <class Visit>
+  void for_each_arc_bundle(Visit&& visit) const;
 
  private:
   GroupLattice() = default;
@@ -259,12 +273,46 @@ class GroupLattice {
     std::int64_t t_lo = 0, t_hi = 0;
   };
 
-  /// Entry point of chain line c for line_range queries: p(c) = c·δ with
-  /// w·δ = 1 (not necessarily inside J; line_range only needs a point on
-  /// the line).
-  [[nodiscard]] IntVec line_anchor(std::int64_t c) const;
-  /// Anchor of plane line (t, b): seed_entry + t·d_l + b·d_a.
-  [[nodiscard]] IntVec plane_anchor(std::int64_t t, std::int64_t b) const;
+  /// One populated line as a walker hands it out: its group, its k-interval
+  /// [k_lo, k_hi] along u from the line's anchor, and Π·anchor.
+  struct WalkLine {
+    GroupKey g;
+    std::int64_t k_lo = 0, k_hi = 0;
+    std::int64_t step_anchor = 0;
+  };
+  /// Dependence k's arcs out of the current line: the target line's range
+  /// moved into the source line's k-coordinates (k_lo > k_hi when the
+  /// target line is unpopulated) and the target line's group.
+  struct WalkArc {
+    std::int64_t k_lo = 0, k_hi = -1;
+    GroupKey dst;
+    [[nodiscard]] bool populated() const { return k_lo <= k_hi; }
+  };
+  /// Per-dependence constants of the walk.  Chain: dx0 = γ_k (line-index
+  /// shift); dcomp/dslot give the target line's residue component
+  /// m' = m + dcomp (minus g on wrap, which adds wrap_slot_ to the slot
+  /// shift) and slot shift t' - t.  Plane: (dx0, dx1) = (Δt, Δb).
+  struct DepShift {
+    std::int64_t dx0 = 0, dx1 = 0;
+    std::int64_t kappa = 0;  ///< p(x) + d_k = p(x + shift_k) + κ_k·u
+    std::int64_t dcomp = 0, dslot = 0;
+  };
+
+  /// The walkers: visit(line, arc) for every populated line of chain
+  /// component m with slot t in [t_lo, t_hi] (resp. of aux chain `ch`),
+  /// ascending; arc(k) yields a WalkArc on demand, so a visitor that never
+  /// asks pays for no target range.  The chain walker keeps the last
+  /// 2·max|γ_k| + 1 line ranges in a ring, so a line's range is evaluated
+  /// once even when it is also its neighbours' target.
+  template <class F>
+  void walk_chain(std::size_t m, std::int64_t t_lo, std::int64_t t_hi, F&& visit) const;
+  template <class F>
+  void walk_plane(const PlaneChainRec& ch, std::int64_t t_lo, std::int64_t t_hi,
+                  F&& visit) const;
+  /// Every populated line of the lattice, group-contiguous.
+  template <class F>
+  void walk(F&& visit) const;
+
   /// Plane chain index holding aux coordinate b; nullptr when absent.
   [[nodiscard]] const PlaneChainRec* plane_chain(std::int64_t b) const;
 
@@ -273,11 +321,18 @@ class GroupLattice {
   LatticeLayout layout_ = LatticeLayout::Chain;
   IntVec u_;       ///< line direction Π/content(Π), Π·u > 0
   IntVec w_;       ///< chain: primitive line-index vector
-  IntVec delta_;   ///< chain: lattice generator with w·δ = 1 (anchor direction)
   std::int64_t sigma_ = 1;  ///< step stride Π·u
   std::int64_t scale_ = 1;  ///< s = Π·Π
   std::vector<IntVec> pdeps_;      ///< scaled projected dependences
-  std::vector<std::int64_t> gamma_;///< chain: line-index shifts w·d_k
+  std::vector<DepShift> shifts_;   ///< per-dependence walk constants
+  /// Line anchors p(x) = origin + x_0·gens[0] (+ x_1·gens[1]) and the bounds
+  /// compiled along them: form_.range(x) == line_range(line_anchor(x), u).
+  IntVec anchor_origin_;
+  std::vector<IntVec> anchor_gens_;
+  LineForm form_;
+  std::int64_t step_base_ = 0;  ///< Π·origin
+  std::int64_t step_x0_ = 0;    ///< Π·gens[0]
+  std::int64_t step_x1_ = 0;    ///< Π·gens[1] (plane)
   std::int64_t r_ = 1;
   std::optional<std::size_t> grouping_;  ///< grouping-vector index (nullopt: degenerate)
   std::optional<std::size_t> aux_;       ///< plane: auxiliary dependence index
@@ -290,18 +345,153 @@ class GroupLattice {
   std::int64_t c_seed_ = 0;   ///< component 0's seed line
   std::int64_t lexdir_ = 1;   ///< ±1: lex order of ĵ(c) along c
   std::int64_t gamma_l_ = 1;  ///< signed slot stride (γ_l; lexdir_ when degenerate)
+  std::int64_t wrap_slot_ = 0;///< slot-shift correction when a target's component wraps
+  std::size_t ring_size_ = 1; ///< power of two >= 2·max|γ_k| + 1
   /// Per-component inclusive slot range [t_min, t_max] (size 1 unless
   /// strided).  Component m's lines are c_seed_ + m·lexdir_ + t·γ_l.
   std::vector<std::pair<std::int64_t, std::int64_t>> comp_t_;
 
   // Plane layout state.
-  IntVec seed_entry_;  ///< original-space entry point of the seed's line
-  IntVec jseed_;       ///< scaled projected seed (lex-min projected point)
-  IntVec dl_orig_, da_orig_;  ///< original grouping/auxiliary dependences
   IntVec avec_, bvec_;        ///< dual functionals (cross products), D-normalized
   std::int64_t ddet_ = 1;     ///< shared divisor D = det(d_l^p, d_a^p, Π) > 0
-  std::vector<std::int64_t> dt_, db_;  ///< per-dep lattice shifts (Δt, Δb)
   std::vector<PlaneChainRec> chains_;  ///< ascending b, one per aux chain
 };
+
+// ---- walkers ----------------------------------------------------------------
+
+template <class F>
+void GroupLattice::walk_chain(std::size_t m, std::int64_t t_lo, std::int64_t t_hi,
+                              F&& visit) const {
+  if (t_lo > t_hi) return;
+  // Ring of the most recent line ranges, slot c mod ring_size_.  One line's
+  // queries span [c - max|γ_k|, c + max|γ_k|], fewer lines than slots, so
+  // they never evict each other.
+  struct Slot {
+    std::int64_t c, k_lo, k_hi;
+    bool filled;
+  };
+  std::array<Slot, 64> local;
+  std::vector<Slot> spill;
+  Slot* ring = local.data();
+  if (ring_size_ > local.size()) {
+    spill.resize(ring_size_);
+    ring = spill.data();
+  }
+  for (std::size_t i = 0; i < ring_size_; ++i) ring[i].filled = false;
+  const std::uint64_t mask = ring_size_ - 1;
+  auto range_of = [&](std::int64_t c) -> const Slot& {
+    Slot& s = ring[static_cast<std::uint64_t>(c) & mask];
+    if (!s.filled || s.c != c) {
+      const auto r = form_.range(c);
+      s = r ? Slot{c, r->first, r->second, true} : Slot{c, 0, -1, true};
+    }
+    return s;
+  };
+
+  const std::int64_t mi = static_cast<std::int64_t>(m);
+  const std::int64_t g = gamma_l_ < 0 ? -gamma_l_ : gamma_l_;
+  std::int64_t c = detail::checked_add(c_seed_ + mi * lexdir_, detail::checked_mul(t_lo, gamma_l_));
+  std::int64_t step_anchor = detail::checked_mul(c, step_x0_);
+  const std::int64_t step_stride = detail::checked_mul(gamma_l_, step_x0_);
+  std::int64_t a = floor_div(t_lo, r_);
+  std::int64_t pos = t_lo - a * r_;  // slot within group a
+  for (std::int64_t t = t_lo;; ++t) {
+    const Slot& src = range_of(c);
+    if (src.k_lo <= src.k_hi) {
+      const WalkLine line{degenerate() ? GroupKey{t, 0, t} : GroupKey{a, 0, mi}, src.k_lo,
+                          src.k_hi, step_anchor};
+      visit(line, [&](std::size_t k) {
+        const DepShift& s = shifts_[k];
+        const Slot& tgt = range_of(detail::checked_add(c, s.dx0));
+        WalkArc arc;
+        arc.k_lo = detail::checked_sub(tgt.k_lo, s.kappa);
+        arc.k_hi = detail::checked_sub(tgt.k_hi, s.kappa);
+        if (degenerate()) {
+          arc.dst = line.g;  // every dependence is parallel to the lines
+        } else {
+          std::int64_t mt = mi + s.dcomp, dt = s.dslot;
+          if (mt >= g) {
+            mt -= g;
+            dt += wrap_slot_;
+          }
+          arc.dst = GroupKey{floor_div(t + dt, r_), 0, mt};
+        }
+        return arc;
+      });
+    }
+    if (t == t_hi) break;
+    c += gamma_l_;
+    step_anchor = detail::checked_add(step_anchor, step_stride);
+    if (++pos == r_) {
+      ++a;
+      pos = 0;
+    }
+  }
+}
+
+template <class F>
+void GroupLattice::walk_plane(const PlaneChainRec& ch, std::int64_t t_lo, std::int64_t t_hi,
+                              F&& visit) const {
+  if (t_lo > t_hi) return;
+  std::int64_t step_anchor = detail::checked_add(
+      detail::checked_add(step_base_, detail::checked_mul(t_lo, step_x0_)),
+      detail::checked_mul(ch.b, step_x1_));
+  std::int64_t a = floor_div(t_lo, r_);
+  std::int64_t pos = t_lo - a * r_;
+  for (std::int64_t t = t_lo;; ++t) {
+    if (const auto range = form_.range(t, ch.b)) {
+      const WalkLine line{GroupKey{a, ch.b, 0}, range->first, range->second, step_anchor};
+      visit(line, [&](std::size_t k) {
+        const DepShift& s = shifts_[k];
+        const std::int64_t tt = t + s.dx0, bt = ch.b + s.dx1;
+        WalkArc arc;
+        if (const auto target = form_.range(tt, bt)) {
+          arc.k_lo = detail::checked_sub(target->first, s.kappa);
+          arc.k_hi = detail::checked_sub(target->second, s.kappa);
+        }
+        arc.dst = GroupKey{floor_div(tt, r_), bt, 0};
+        return arc;
+      });
+    }
+    if (t == t_hi) break;
+    step_anchor = detail::checked_add(step_anchor, step_x0_);
+    if (++pos == r_) {
+      ++a;
+      pos = 0;
+    }
+  }
+}
+
+template <class F>
+void GroupLattice::walk(F&& visit) const {
+  if (layout_ == LatticeLayout::Plane) {
+    for (const PlaneChainRec& ch : chains_) walk_plane(ch, ch.t_lo, ch.t_hi, visit);
+    return;
+  }
+  for (std::size_t m = 0; m < comp_t_.size(); ++m)
+    walk_chain(m, comp_t_[m].first, comp_t_[m].second, visit);
+}
+
+template <class Visit>
+void GroupLattice::for_each_line(Visit&& visit) const {
+  walk([&](const WalkLine& line, const auto&) {
+    visit(line.g, line.k_hi - line.k_lo + 1,
+          detail::checked_add(line.step_anchor, detail::checked_mul(line.k_lo, sigma_)));
+  });
+}
+
+template <class Visit>
+void GroupLattice::for_each_arc_bundle(Visit&& visit) const {
+  walk([&](const WalkLine& line, const auto& arc_of) {
+    for (std::size_t k = 0; k < shifts_.size(); ++k) {
+      const WalkArc arc = arc_of(k);
+      const std::int64_t lo = std::max(line.k_lo, arc.k_lo);
+      const std::int64_t hi = std::min(line.k_hi, arc.k_hi);
+      if (lo > hi) continue;
+      visit(line.g, arc.dst, k, hi - lo + 1,
+            detail::checked_add(line.step_anchor, detail::checked_mul(lo, sigma_)));
+    }
+  });
+}
 
 }  // namespace hypart

@@ -85,7 +85,8 @@ std::optional<TimeFunction> search_time_function(const IterSpace& space,
                      [&](const IntVec& cand) {
     TimeFunction tf{cand};
     if (!is_valid_time_function(tf, space.dependences())) return;
-    std::int64_t span = space.max_step(cand) - space.min_step(cand) + 1;
+    const std::int64_t span = detail::checked_add(
+        detail::checked_sub(space.max_step(cand), space.min_step(cand)), 1);
     std::int64_t norm = tf.norm2();
     if (!best || span < best_span || (span == best_span && norm < best_norm) ||
         (span == best_span && norm == best_norm && cand < best->pi)) {

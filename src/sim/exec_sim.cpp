@@ -727,7 +727,7 @@ SymbolicFeed closed_form_frame(const IterSpace& space, const TimeFunction& tf,
   SymbolicFeed feed;
   feed.nprocs = nprocs;
   feed.lo = space.min_step(tf.pi);
-  feed.steps = space.max_step(tf.pi) - feed.lo + 1;
+  feed.steps = detail::checked_add(detail::checked_sub(space.max_step(tf.pi), feed.lo), 1);
   feed.sigma = sigma;
   return feed;
 }
@@ -842,20 +842,34 @@ SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercube
   };
   const std::vector<std::int64_t> shifts = step_shifts(space, tf);
 
+  // The walks are group-contiguous, so the owner of the current source
+  // group and of the last target group answer almost every lookup.
+  struct OwnerMemo {
+    GroupLattice::GroupKey key;
+    ProcId proc = 0;
+    bool valid = false;
+  };
+  auto owner = [&](OwnerMemo& memo, const GroupLattice::GroupKey& g) {
+    if (!memo.valid || !(memo.key == g)) memo = {g, mapping.proc_of_group(lattice, g), true};
+    return memo.proc;
+  };
+  OwnerMemo line_owner, src_owner, dst_owner;
+
   SymbolicFeed feed =
       closed_form_frame(space, tf, mapping.processor_count, lattice.step_stride());
   feed.lines = [&](const std::function<void(const SymLine&)>& v) {
     lattice.for_each_line(
         [&](const GroupLattice::GroupKey& g, std::int64_t pop, std::int64_t first_step) {
-          v({mapping.proc_of_group(lattice, g), block_of(g), pop, first_step});
+          v({owner(line_owner, g), block_of(g), pop, first_step});
         });
   };
   feed.bundles = [&](const std::function<void(const SymBundle&)>& v) {
     lattice.for_each_arc_bundle([&](const GroupLattice::GroupKey& src,
                                     const GroupLattice::GroupKey& dst, std::size_t dep,
                                     std::int64_t count, std::int64_t first_step) {
-      v({mapping.proc_of_group(lattice, src), mapping.proc_of_group(lattice, dst), block_of(src),
-         block_of(dst), shifts[dep], count, first_step});
+      const ProcId ps = owner(src_owner, src);
+      const ProcId pd = dst == src ? ps : owner(dst_owner, dst);
+      v({ps, pd, block_of(src), block_of(dst), shifts[dep], count, first_step});
     });
   };
   return simulate_symbolic_core(feed, topo, machine, opts, fstate);

@@ -17,6 +17,7 @@
 
 #include "core/pipeline.hpp"
 #include "fault/fault_plan.hpp"
+#include "frontend/parser.hpp"
 #include "graph/comp_structure.hpp"
 #include "loop/iter_space.hpp"
 #include "mapping/hypercube_map.hpp"
@@ -25,6 +26,7 @@
 #include "partition/projection.hpp"
 #include "schedule/hyperplane.hpp"
 #include "workloads/workloads.hpp"
+#include "lattice_walk_oracle.hpp"
 #include "sim_oracle.hpp"
 
 namespace hypart {
@@ -225,6 +227,12 @@ TEST(GroupLattice, StridedChainsMatchDense) {
   expect_lattice_matches_dense(workloads::strided_recurrence(9, 2), {1, 1}, 2, false);
   expect_lattice_matches_dense(workloads::strided_recurrence(9, 3), {1, 1}, 3, false);
   expect_lattice_matches_dense(workloads::strided_recurrence(12, 4), {1, 1}, 2, true);
+  // γ = (3, -1): the second dependence crosses residue components.
+  const LoopNest crossing = parse_loop_nest(
+      "loop crossing {\n  for i = 0 to 9\n  for j = 0 to 7\n"
+      "  A[i, j] = A[i-3, j] + A[i, j-1];\n}\n");
+  expect_lattice_matches_dense(crossing, {1, 1}, 2, false);
+  expect_lattice_matches_dense(crossing, {1, 1}, 3, true);
 }
 
 TEST(GroupLattice, DisjunctiveBoundsMatchDense) {
@@ -549,6 +557,145 @@ TEST(GroupLattice, PerStepFeedsMatchOracleOnLongRuns) {
     }
   }
   EXPECT_TRUE(saw_stride) << "no nest exercised a step stride above 1";
+}
+
+/// The compiled walkers against the per-line line_range walk: identical
+/// line and bundle sequences (order included) and an identical sweep.
+void expect_walk_matches_oracle(const IterSpace& space, const TimeFunction& tf,
+                                const std::string& label) {
+  SCOPED_TRACE(label);
+  std::string why;
+  std::optional<GroupLattice> gl = GroupLattice::build(space, tf, {}, &why);
+  ASSERT_TRUE(gl.has_value()) << "lattice gate refused: " << why;
+
+  using Line = std::tuple<GroupKey, std::int64_t, std::int64_t>;
+  std::vector<Line> want_lines, got_lines;
+  oracle::for_each_line(*gl, [&](const GroupKey& g, std::int64_t pop, std::int64_t step) {
+    want_lines.emplace_back(g, pop, step);
+  });
+  gl->for_each_line([&](const GroupKey& g, std::int64_t pop, std::int64_t step) {
+    got_lines.emplace_back(g, pop, step);
+  });
+  EXPECT_FALSE(want_lines.empty());
+  EXPECT_EQ(got_lines, want_lines);
+
+  using Bundle = std::tuple<GroupKey, GroupKey, std::size_t, std::int64_t, std::int64_t>;
+  std::vector<Bundle> want_bundles, got_bundles;
+  oracle::for_each_arc_bundle(*gl, [&](const GroupKey& src, const GroupKey& dst, std::size_t k,
+                                       std::int64_t count, std::int64_t step) {
+    want_bundles.emplace_back(src, dst, k, count, step);
+  });
+  gl->for_each_arc_bundle([&](const GroupKey& src, const GroupKey& dst, std::size_t k,
+                              std::int64_t count, std::int64_t step) {
+    got_bundles.emplace_back(src, dst, k, count, step);
+  });
+  EXPECT_EQ(got_bundles, want_bundles);
+
+  for (bool validate : {true, false}) {
+    SCOPED_TRACE(validate ? "sweep(true)" : "sweep(false)");
+    const LatticeSweepResult want = oracle::sweep(*gl, validate);
+    const LatticeSweepResult got = gl->sweep(validate);
+    EXPECT_EQ(got.stats.group_count, want.stats.group_count);
+    EXPECT_EQ(got.stats.total_iterations, want.stats.total_iterations);
+    EXPECT_EQ(got.stats.min_block, want.stats.min_block);
+    EXPECT_EQ(got.stats.max_block, want.stats.max_block);
+    EXPECT_EQ(got.partition.total_arcs, want.partition.total_arcs);
+    EXPECT_EQ(got.partition.interblock_arcs, want.partition.interblock_arcs);
+    EXPECT_EQ(got.partition.intrablock_arcs, want.partition.intrablock_arcs);
+    EXPECT_EQ(got.offset_weights, want.offset_weights);
+    EXPECT_EQ(got.exact_cover, want.exact_cover);
+    EXPECT_EQ(got.theorem1, want.theorem1);
+    EXPECT_EQ(got.theorem2.m, want.theorem2.m);
+    EXPECT_EQ(got.theorem2.beta, want.theorem2.beta);
+    EXPECT_EQ(got.theorem2.bound, want.theorem2.bound);
+    EXPECT_EQ(got.theorem2.max_out_degree, want.theorem2.max_out_degree);
+    EXPECT_EQ(got.theorem2.holds, want.theorem2.holds);
+    EXPECT_EQ(got.lemmas.lemma2_holds, want.lemmas.lemma2_holds);
+    EXPECT_EQ(got.lemmas.lemma3_holds, want.lemmas.lemma3_holds);
+    EXPECT_EQ(got.lemmas.worst_lemma2_fanout, want.lemmas.worst_lemma2_fanout);
+    EXPECT_EQ(got.lemmas.worst_lemma3_fanout, want.lemmas.worst_lemma3_fanout);
+  }
+
+  // Group populations, via the walker over one group's slots, against the
+  // oracle's per-line populations.
+  std::map<GroupKey, std::int64_t> pop_by_group;
+  for (const Line& line : want_lines) pop_by_group[std::get<0>(line)] += std::get<1>(line);
+  std::size_t visited = 0;
+  gl->for_each_group([&](const GroupKey& g, std::int64_t pop) {
+    EXPECT_EQ(pop, pop_by_group[g]) << "group (" << g.a << "," << g.b << "," << g.comp << ")";
+    ++visited;
+  });
+  EXPECT_EQ(visited, pop_by_group.size());
+}
+
+/// `pi` empty means "search".
+void expect_walk_matches_oracle(const LoopNest& nest, const IntVec& pi) {
+  IterSpace space(nest, analyze_dependences(nest).distance_vectors());
+  TimeFunction tf{pi};
+  if (pi.empty()) {
+    std::optional<TimeFunction> searched = search_time_function(space);
+    ASSERT_TRUE(searched.has_value()) << nest.name();
+    tf = *searched;
+  }
+  expect_walk_matches_oracle(space, tf, nest.name() + " pi=" + tf.to_string());
+}
+
+TEST(GroupLattice, WalkMatchesLineRangeOracle) {
+  // Chains: rectangular, triangular and disjunctive (max/min) bounds.
+  expect_walk_matches_oracle(workloads::sor2d(13, 9), {1, 1});
+  expect_walk_matches_oracle(workloads::sor2d(7, 7), {2, 1});
+  expect_walk_matches_oracle(workloads::triangular_matvec(17), {1, 1});
+  expect_walk_matches_oracle(workloads::pyramid_stencil(21), {1, 1});
+  expect_walk_matches_oracle(workloads::pyramid_stencil(32), {});
+  expect_walk_matches_oracle(workloads::floyd_warshall_band(19, 4), {1, 1});
+  expect_walk_matches_oracle(workloads::floyd_warshall_band(40, 6), {});
+  expect_walk_matches_oracle(workloads::example_l1(8), {1, 1});
+  // Strided chains: |γ_l| > 1 splits the lines into residue components, so
+  // targets land on other components' lines.
+  expect_walk_matches_oracle(workloads::strided_recurrence(11, 2), {1, 1});
+  expect_walk_matches_oracle(workloads::strided_recurrence(13, 3), {1, 1});
+  expect_walk_matches_oracle(workloads::strided_recurrence(12, 4), {1, 1});
+  // γ = (3, -1): the second dependence's targets change residue component,
+  // and from the last components the component index wraps past g = 3.
+  expect_walk_matches_oracle(IterSpace({{0, 9}, {0, 7}}, {IntVec{3, 0}, IntVec{0, 1}}),
+                             TimeFunction{IntVec{1, 1}}, "strided, component-changing targets");
+  // Planes.
+  expect_walk_matches_oracle(workloads::wavefront3d(6), {1, 1, 1});
+  expect_walk_matches_oracle(workloads::lu_decomposition(9), {1, 1, 1});
+  expect_walk_matches_oracle(workloads::matrix_multiplication(5), {1, 1, 1});
+  expect_walk_matches_oracle(workloads::transitive_closure(5), {1, 1, 1});
+  // Degenerate lattices: every dependence parallel to Π, each line its own
+  // group, in either lexicographic orientation.
+  expect_walk_matches_oracle(IterSpace({{0, 5}, {-2, 6}}, {IntVec{0, 1}, IntVec{0, 2}}),
+                             TimeFunction{IntVec{0, 1}}, "degenerate (0,1)");
+  expect_walk_matches_oracle(IterSpace({{0, 6}, {0, 4}}, {IntVec{1, 1}}),
+                             TimeFunction{IntVec{1, 1}}, "degenerate (1,1)");
+  expect_walk_matches_oracle(IterSpace({{-3, 4}, {0, 5}}, {IntVec{1, -1}}),
+                             TimeFunction{IntVec{1, -1}}, "degenerate (1,-1)");
+}
+
+TEST(GroupLattice, HugeBoundsThrowArithmeticError) {
+  // Closed forms whose values leave int64 must fail typed, not wrap: sor at
+  // N = 4e18 (its Π search spans and line interval overflow) and a 4 x 4e18
+  // nest (its step span overflows).
+  PipelineConfig cfg;
+  cfg.space_mode = SpaceMode::Symbolic;
+  const std::string huge = "4000000000000000000";
+  const std::string sor = "loop sor {\n  for i = 1 to " + huge + "\n  for j = 1 to " + huge +
+                          "\n  A[i, j] = (A[i-1, j] + A[i, j-1]) * 0.5;\n}\n";
+  EXPECT_THROW((void)run_pipeline(parse_loop_nest(sor), cfg), ArithmeticError);
+  auto narrow = [](const std::string& n) {
+    return parse_loop_nest("loop narrow {\n  for i = 1 to 4\n  for j = 1 to " + n +
+                           "\n  A[i, j] = A[i, j-1] + 1;\n}\n");
+  };
+  EXPECT_THROW((void)run_pipeline(narrow(huge), cfg), ArithmeticError);
+  // A representable neighbour still plans exactly: 4 x 2^60 runs its 2^60
+  // steps along j.
+  const std::int64_t n60 = std::int64_t{1} << 60;
+  PipelineResult r = run_pipeline(narrow(std::to_string(n60)), cfg);
+  ASSERT_NE(r.lattice, nullptr);
+  EXPECT_EQ(r.sim.steps, n60);
+  EXPECT_EQ(r.lattice_stats->total_iterations, std::uint64_t{4} << 60);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include "graph/comp_structure.hpp"
+#include "loop/index_set.hpp"
 #include "loop/iter_space.hpp"
 #include "mapping/tig.hpp"
 #include "partition/checkers.hpp"
@@ -517,6 +518,140 @@ TEST(IterSpace, DisjunctiveWorkloadsSizeAndSlabs) {
     expect += static_cast<std::uint64_t>(std::min<std::int64_t>(10, i + 3) -
                                          std::max<std::int64_t>(0, i - 3) + 1);
   EXPECT_EQ(fw.size(), expect);
+}
+
+// ---- compiled line forms ----------------------------------------------------
+
+/// Determinant of the square matrix whose columns are `cols` (n = 2 or 3).
+std::int64_t det(const std::vector<IntVec>& cols) {
+  if (cols.size() == 2) return cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0];
+  const IntVec& a = cols[0];
+  const IntVec& b = cols[1];
+  const IntVec& c = cols[2];
+  return a[0] * (b[1] * c[2] - b[2] * c[1]) - b[0] * (a[1] * c[2] - a[2] * c[1]) +
+         c[0] * (a[1] * b[2] - a[2] * b[1]);
+}
+
+/// n - 1 small generators completing u to a unimodular basis (g_0, [g_1,] u).
+std::vector<IntVec> unimodular_generators(const IntVec& u) {
+  const std::size_t n = u.size();
+  std::vector<IntVec> small;
+  IntVec v(n, -2);
+  while (true) {
+    if (!is_zero(v)) small.push_back(v);
+    std::size_t i = 0;
+    while (i < n && v[i] == 2) v[i++] = -2;
+    if (i == n) break;
+    ++v[i];
+  }
+  for (const IntVec& g0 : small) {
+    if (n == 2) {
+      const std::int64_t d = det({g0, u});
+      if (d == 1 || d == -1) return {g0};
+      continue;
+    }
+    for (const IntVec& g1 : small) {
+      const std::int64_t d = det({g0, g1, u});
+      if (d == 1 || d == -1) return {g0, g1};
+    }
+  }
+  return {};
+}
+
+/// Line coordinate x of point j: j = origin + Σ x_i·gens_i + k·u, by
+/// Cramer's rule (the basis is unimodular, so x is integral).
+IntVec line_coordinate(const IntVec& j, const IntVec& origin, const std::vector<IntVec>& gens,
+                       const IntVec& u) {
+  std::vector<IntVec> basis = gens;
+  basis.push_back(u);
+  const std::int64_t d = det(basis);
+  const IntVec rhs = sub(j, origin);
+  IntVec x(gens.size());
+  for (std::size_t i = 0; i < gens.size(); ++i) {
+    std::vector<IntVec> m = basis;
+    m[i] = rhs;
+    x[i] = det(m) / d;
+  }
+  return x;
+}
+
+/// Every line coordinate in the populated box ±3 gives line_range's answer
+/// at the line's anchor, unpopulated lines (nullopt) included.  Returns the
+/// number of populated lines checked.
+std::size_t expect_line_form_matches(const IterSpace& space, const std::vector<IntVec>& pts,
+                                     const IntVec& pi, const IntVec& origin) {
+  const std::int64_t g = content(pi);
+  IntVec u = pi;
+  for (std::int64_t& x : u) x /= g;
+  const std::vector<IntVec> gens = unimodular_generators(u);
+  EXPECT_EQ(gens.size(), pi.size() - 1);
+  if (gens.size() != pi.size() - 1) return 0;
+  const LineForm form = space.line_form(origin, gens, u);
+  IntVec lo(gens.size(), INT64_MAX), hi(gens.size(), INT64_MIN);
+  for (const IntVec& j : pts) {
+    const IntVec x = line_coordinate(j, origin, gens, u);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      lo[i] = std::min(lo[i], x[i]);
+      hi[i] = std::max(hi[i], x[i]);
+    }
+  }
+  std::size_t populated = 0;
+  auto check = [&](std::int64_t x0, std::int64_t x1) {
+    IntVec anchor = add(origin, scale(gens[0], x0));
+    if (gens.size() == 2) anchor = add(anchor, scale(gens[1], x1));
+    const auto want = space.line_range(anchor, u);
+    EXPECT_EQ(form.range(x0, x1), want) << "pi=" << to_string(pi) << " x=(" << x0 << "," << x1
+                                        << ")";
+    if (want) ++populated;
+  };
+  for (std::int64_t x0 = lo[0] - 3; x0 <= hi[0] + 3; ++x0) {
+    if (gens.size() == 1) {
+      check(x0, 0);
+      continue;
+    }
+    for (std::int64_t x1 = lo[1] - 3; x1 <= hi[1] + 3; ++x1) check(x0, x1);
+  }
+  return populated;
+}
+
+TEST(IterSpaceProperty, CompiledLineFormMatchesLineRange) {
+  // Random affine (triangular) and disjunctive (max/min) nests in 2-D and
+  // 3-D under unit and non-unit line directions, plus the affine workloads.
+  const std::vector<IntVec> pis2 = {{1, 1}, {2, 1}, {1, 3}, {1, -1}, {0, 1}, {3, 2}};
+  const std::vector<IntVec> pis3 = {{1, 1, 1}, {2, 1, 1}, {1, 3, 2}, {0, 1, 1}, {2, 2, 1}};
+  std::mt19937 rng(31337);
+  std::uniform_int_distribution<std::int64_t> origin_dist(-3, 3);
+  std::size_t lines = 0, cases = 0, three_d = 0;
+  for (int attempt = 0; attempt < 80; ++attempt) {
+    AffineCase c = attempt % 2 == 0 ? random_affine_case(rng) : random_disjunctive_case(rng);
+    std::vector<IntVec> pts = enumerate_affine(c.dims);
+    if (pts.empty()) continue;
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    IterSpace space = IterSpace::from_affine(c.dims, c.deps);
+    const std::vector<IntVec>& pis = c.dims.size() == 2 ? pis2 : pis3;
+    IntVec origin(c.dims.size());
+    for (std::int64_t& x : origin) x = origin_dist(rng);
+    lines += expect_line_form_matches(space, pts, pis[static_cast<std::size_t>(attempt) % pis.size()],
+                                      origin);
+    ++cases;
+    if (c.dims.size() == 3) ++three_d;
+  }
+  for (const LoopNest& nest : {workloads::triangular_matvec(9), workloads::pyramid_stencil(12),
+                               workloads::floyd_warshall_band(10, 3)}) {
+    SCOPED_TRACE(nest.name());
+    IterSpace space = IterSpace::from_nest(nest);
+    const std::vector<IntVec> pts = IndexSet(nest).points();
+    for (const IntVec& pi : pis2) lines += expect_line_form_matches(space, pts, pi, {0, 0});
+  }
+  {
+    const LoopNest nest = workloads::lu_decomposition(6);
+    IterSpace space = IterSpace::from_nest(nest);
+    const std::vector<IntVec> pts = IndexSet(nest).points();
+    for (const IntVec& pi : pis3) lines += expect_line_form_matches(space, pts, pi, {1, -2, 0});
+  }
+  EXPECT_GE(cases, 40u);
+  EXPECT_GE(three_d, 10u);
+  EXPECT_GE(lines, 1000u);
 }
 
 }  // namespace

@@ -44,6 +44,7 @@
 #include "fault/remap.hpp"
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
+#include "numeric/rational.hpp"
 #include "obs/ledger.hpp"
 #include "obs/obs.hpp"
 #include "perf/table.hpp"
@@ -137,6 +138,25 @@ std::string usage_text() {
     text += line + "\n";
   }
   return text + kOtherOptions;
+}
+
+/// Reports a failure that escaped planning and returns its exit code:
+/// typed errors carry their own; a checked-arithmetic overflow means the
+/// input is too large for exact 64-bit closed forms, a configuration error
+/// (78); anything else is a hypart bug (70).
+int report_failure(const std::exception& e) {
+  if (const auto* typed = dynamic_cast<const Error*>(&e)) {
+    std::fprintf(stderr, "hypart: %s\n", typed->what());
+    return typed->exit_code();
+  }
+  if (dynamic_cast<const ArithmeticError*>(&e) != nullptr) {
+    const Error typed(ErrorKind::Config,
+                      std::string("input too large for exact 64-bit closed forms: ") + e.what());
+    std::fprintf(stderr, "hypart: %s\n", typed.what());
+    return typed.exit_code();
+  }
+  std::fprintf(stderr, "hypart: %s\n", e.what());
+  return 70;
 }
 
 [[noreturn]] void usage(const char* msg = nullptr) {
@@ -663,12 +683,8 @@ int main(int argc, char** argv) {
     int rc = 0;
     try {
       rc = cmd_explain(nest, o);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "hypart: %s\n", e.what());
-      return e.exit_code();
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "hypart: %s\n", e.what());
-      return 70;
+      return report_failure(e);
     }
     int obs_rc = write_obs_outputs();
     return rc != 0 ? rc : obs_rc;
@@ -677,12 +693,8 @@ int main(int argc, char** argv) {
   PipelineResult r = [&] {
     try {
       return run_pipeline(nest, o.config);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "hypart: %s\n", e.what());
-      std::exit(e.exit_code());
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "hypart: %s\n", e.what());
-      std::exit(70);
+      std::exit(report_failure(e));
     }
   }();
 
@@ -698,12 +710,8 @@ int main(int argc, char** argv) {
     dense_cfg.obs = {};
     try {
       r = run_pipeline(nest, dense_cfg);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "hypart: %s\n", e.what());
-      return e.exit_code();
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "hypart: %s\n", e.what());
-      return 70;
+      return report_failure(e);
     }
   }
 
