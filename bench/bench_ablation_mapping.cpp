@@ -4,8 +4,6 @@
 // simulated execution time on the hypercube.
 #include "bench_common.hpp"
 
-#include <memory>
-
 #include "mapping/baseline_map.hpp"
 #include "mapping/hypercube_map.hpp"
 #include "perf/table.hpp"
@@ -15,26 +13,7 @@
 namespace {
 
 using namespace hypart;
-
-struct Pieces {
-  std::unique_ptr<ComputationStructure> q;
-  std::unique_ptr<ProjectedStructure> ps;
-  Grouping grouping;
-  Partition partition;
-  TaskInteractionGraph tig;
-  TimeFunction tf;
-};
-
-Pieces build(const LoopNest& nest, const IntVec& pi) {
-  Pieces p;
-  p.q = std::make_unique<ComputationStructure>(ComputationStructure::from_loop(nest));
-  p.tf = TimeFunction{pi};
-  p.ps = std::make_unique<ProjectedStructure>(*p.q, p.tf);
-  p.grouping = Grouping::compute(*p.ps);
-  p.partition = Partition::build(*p.q, p.grouping);
-  p.tig = TaskInteractionGraph::from_partition(*p.q, p.partition, p.grouping);
-  return p;
-}
+using bench::Pieces;
 
 void compare(const char* title, Pieces& p, unsigned dim, std::int64_t flops) {
   Hypercube cube(dim);
@@ -74,21 +53,21 @@ void compare(const char* title, Pieces& p, unsigned dim, std::int64_t flops) {
 void report() {
   bench::banner("Ablation A1: Gray-code bisection vs baseline mappings");
   {
-    Pieces p = build(workloads::matrix_vector(64), {1, 1});
+    Pieces p(workloads::matrix_vector(64), {1, 1});
     compare("matvec M=64 on 3-cube", p, 3, 2);
   }
   {
-    Pieces p = build(workloads::matrix_multiplication(15), {1, 1, 1});
+    Pieces p(workloads::matrix_multiplication(15), {1, 1, 1});
     compare("matmul 16^3 on 4-cube", p, 4, 2);
   }
   {
-    Pieces p = build(workloads::sor2d(48, 48), {1, 1});
+    Pieces p(workloads::sor2d(48, 48), {1, 1});
     compare("sor2d 48x48 on 4-cube", p, 4, 4);
   }
 }
 
 void bm_gray_mapping(benchmark::State& state) {
-  Pieces p = build(workloads::matrix_vector(state.range(0)), {1, 1});
+  Pieces p(workloads::matrix_vector(state.range(0)), {1, 1});
   for (auto _ : state) {
     HypercubeMappingResult r = map_to_hypercube(p.tig, 4);
     benchmark::DoNotOptimize(r);
@@ -97,7 +76,7 @@ void bm_gray_mapping(benchmark::State& state) {
 BENCHMARK(bm_gray_mapping)->Arg(64)->Arg(128)->Arg(256);
 
 void bm_greedy_refinement(benchmark::State& state) {
-  Pieces p = build(workloads::matrix_vector(state.range(0)), {1, 1});
+  Pieces p(workloads::matrix_vector(state.range(0)), {1, 1});
   Hypercube cube(3);
   Mapping start = map_random(p.tig, 8, 1);
   for (auto _ : state) {

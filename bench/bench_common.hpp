@@ -38,13 +38,41 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/json_writer.hpp"
+#include "loop/index_set.hpp"
+#include "mapping/tig.hpp"
 #include "obs/obs.hpp"
+#include "partition/blocks.hpp"
 
 namespace hypart::bench {
+
+/// The dense stages of one nest up to its task interaction graph: what the
+/// mapping, topology and execution benches run their own mappers over.
+struct Pieces {
+  LoopNest nest;
+  DependenceInfo deps;
+  std::unique_ptr<ComputationStructure> q;
+  TimeFunction tf;
+  std::unique_ptr<ProjectedStructure> ps;
+  Grouping grouping;
+  Partition partition;
+  TaskInteractionGraph tig;
+
+  /// Π = `pi`, or the small-integer search when `pi` is empty.
+  explicit Pieces(LoopNest n, const IntVec& pi = {}) : nest(std::move(n)) {
+    deps = analyze_dependences(nest);
+    q = std::make_unique<ComputationStructure>(IndexSet(nest).points(), deps.distance_vectors());
+    tf = pi.empty() ? *search_time_function(*q) : TimeFunction{pi};
+    ps = std::make_unique<ProjectedStructure>(*q, tf);
+    grouping = Grouping::compute(*ps);
+    partition = Partition::build(*q, grouping);
+    tig = TaskInteractionGraph::from_partition(*q, partition, grouping);
+  }
+};
 
 inline void banner(const std::string& title) {
   std::string rule(title.size() + 8, '=');

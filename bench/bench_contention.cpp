@@ -7,8 +7,6 @@
 // is nil, while scattered placements congest shared links.
 #include "bench_common.hpp"
 
-#include <memory>
-
 #include "mapping/baseline_map.hpp"
 #include "mapping/hypercube_map.hpp"
 #include "perf/table.hpp"
@@ -18,26 +16,7 @@
 namespace {
 
 using namespace hypart;
-
-struct Pieces {
-  std::unique_ptr<ComputationStructure> q;
-  std::unique_ptr<ProjectedStructure> ps;
-  Grouping grouping;
-  Partition partition;
-  TaskInteractionGraph tig;
-  TimeFunction tf;
-};
-
-Pieces build(const LoopNest& nest, const IntVec& pi) {
-  Pieces p;
-  p.q = std::make_unique<ComputationStructure>(ComputationStructure::from_loop(nest));
-  p.tf = TimeFunction{pi};
-  p.ps = std::make_unique<ProjectedStructure>(*p.q, p.tf);
-  p.grouping = Grouping::compute(*p.ps);
-  p.partition = Partition::build(*p.q, p.grouping);
-  p.tig = TaskInteractionGraph::from_partition(*p.q, p.partition, p.grouping);
-  return p;
-}
+using bench::Pieces;
 
 void contention_table(const char* title, Pieces& p, unsigned dim, std::int64_t flops) {
   Hypercube cube(dim);
@@ -67,11 +46,11 @@ void contention_table(const char* title, Pieces& p, unsigned dim, std::int64_t f
 void report() {
   bench::banner("Ablation A6: link contention vs contention-free accounting");
   {
-    Pieces p = build(workloads::matrix_vector(64), {1, 1});
+    Pieces p(workloads::matrix_vector(64), {1, 1});
     contention_table("matvec M=64, 3-cube", p, 3, 2);
   }
   {
-    Pieces p = build(workloads::sor2d(32, 32), {1, 1});
+    Pieces p(workloads::sor2d(32, 32), {1, 1});
     contention_table("sor2d 32x32, 4-cube", p, 4, 3);
   }
   std::printf(
@@ -82,7 +61,7 @@ void report() {
 }
 
 void bm_contention_sim(benchmark::State& state) {
-  Pieces p = build(workloads::matrix_vector(state.range(0)), {1, 1});
+  Pieces p(workloads::matrix_vector(state.range(0)), {1, 1});
   Mapping m = map_to_hypercube(p.tig, 3).mapping;
   Hypercube cube(3);
   SimOptions opts;

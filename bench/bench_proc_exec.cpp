@@ -10,8 +10,6 @@
 // byte-identical baseline contract.
 #include "bench_common.hpp"
 
-#include <memory>
-
 #include "exec/interpreter.hpp"
 #include "exec/parallel_runtime.hpp"
 #include "exec/proc_runtime.hpp"
@@ -23,28 +21,7 @@
 namespace {
 
 using namespace hypart;
-
-struct Pieces {
-  std::unique_ptr<ComputationStructure> q;
-  std::unique_ptr<ProjectedStructure> ps;
-  Grouping grouping;
-  Partition partition;
-  TaskInteractionGraph tig;
-  TimeFunction tf;
-  DependenceInfo deps;
-  LoopNest nest;
-
-  explicit Pieces(LoopNest n) : nest(std::move(n)) {
-    deps = analyze_dependences(nest);
-    IndexSet is(nest);
-    q = std::make_unique<ComputationStructure>(is.points(), deps.distance_vectors());
-    tf = *search_time_function(*q);
-    ps = std::make_unique<ProjectedStructure>(*q, tf);
-    grouping = Grouping::compute(*ps);
-    partition = Partition::build(*q, grouping);
-    tig = TaskInteractionGraph::from_partition(*q, partition, grouping);
-  }
-};
+using bench::Pieces;
 
 void report() {
   bench::banner("Robustness R1: supervised process execution == sequential");

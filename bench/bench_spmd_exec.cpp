@@ -4,8 +4,6 @@
 // interblock-arc counts.
 #include "bench_common.hpp"
 
-#include <memory>
-
 #include "exec/interpreter.hpp"
 #include "exec/parallel_runtime.hpp"
 #include "mapping/hypercube_map.hpp"
@@ -16,29 +14,7 @@
 namespace {
 
 using namespace hypart;
-
-struct Pieces {
-  std::unique_ptr<ComputationStructure> q;
-  std::unique_ptr<ProjectedStructure> ps;
-  Grouping grouping;
-  Partition partition;
-  TaskInteractionGraph tig;
-  TimeFunction tf;
-  DependenceInfo deps;
-  LoopNest nest;
-
-  explicit Pieces(LoopNest n) : nest(std::move(n)) {
-    deps = analyze_dependences(nest);
-    IndexSet is(nest);
-    q = std::make_unique<ComputationStructure>(is.points(), deps.distance_vectors());
-    auto found = search_time_function(*q);
-    tf = *found;
-    ps = std::make_unique<ProjectedStructure>(*q, tf);
-    grouping = Grouping::compute(*ps);
-    partition = Partition::build(*q, grouping);
-    tig = TaskInteractionGraph::from_partition(*q, partition, grouping);
-  }
-};
+using bench::Pieces;
 
 void report() {
   bench::banner("Ablation A8: distributed execution == sequential (all workloads)");

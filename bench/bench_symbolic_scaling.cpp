@@ -48,17 +48,6 @@ double peak_rss_mib() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
-/// Projected-line count regardless of grouping backend (the lattice path
-/// leaves `projected` null).
-std::uint64_t lines_of(const PipelineResult& r) {
-  return r.lattice ? r.lattice->line_count() : r.projected->point_count();
-}
-
-std::uint64_t blocks_of(const PipelineResult& r) {
-  return r.lattice ? r.lattice->group_count()
-                   : static_cast<std::uint64_t>(r.block_sizes.size());
-}
-
 void verify_agreement() {
   std::printf("\nVerify mode (dense and symbolic both run; any disagreement throws):\n");
   TextTable t({"N", "iterations", "blocks", "interblock", "steps", "T_exec"});
@@ -66,7 +55,7 @@ void verify_agreement() {
     PipelineConfig cfg = base_config();
     cfg.space_mode = SpaceMode::Verify;
     PipelineResult r = run_pipeline(workloads::sor2d(n, n), cfg);
-    t.row(n, r.iteration_count(), r.block_sizes.size(), r.stats.interblock_arcs,
+    t.row(n, r.iteration_count(), r.plan->blocks.group_count, r.plan->stats.interblock_arcs,
           static_cast<std::uint64_t>(r.sim.steps), r.sim.time);
   }
   std::printf("%s", t.to_string().c_str());
@@ -82,7 +71,7 @@ void symbolic_sweep() {
     cfg.space_mode = SpaceMode::Symbolic;
     cfg.obs = bench::obs_context();
     PipelineResult r = run_pipeline(workloads::sor2d(n, n), cfg);
-    t.row(n, r.iteration_count(), lines_of(r), blocks_of(r),
+    t.row(n, r.iteration_count(), r.plan->line_count, r.plan->blocks.group_count,
           static_cast<std::uint64_t>(r.sim.steps), r.sim.time,
           static_cast<std::uint64_t>(r.sim.messages), peak_rss_mib());
   }
@@ -99,7 +88,7 @@ void triangular_verify() {
     cfg.space_mode = SpaceMode::Verify;
     PipelineResult r = run_pipeline(workloads::triangular_matvec(n), cfg);
     t.row(n, r.iteration_count(), static_cast<std::uint64_t>(r.space->slab_count()),
-          r.block_sizes.size(), static_cast<std::uint64_t>(r.sim.steps), r.sim.time);
+          r.plan->blocks.group_count, static_cast<std::uint64_t>(r.sim.steps), r.sim.time);
   }
   std::printf("%s", t.to_string().c_str());
   std::printf("all sizes agree (verify mode raises on any symbolic/dense mismatch)\n");
@@ -114,8 +103,8 @@ void triangular_sweep() {
     cfg.obs = bench::obs_context();
     PipelineResult r = run_pipeline(workloads::triangular_matvec(n), cfg);
     t.row(n, r.iteration_count(), static_cast<std::uint64_t>(r.space->slab_count()),
-          lines_of(r), blocks_of(r), static_cast<std::uint64_t>(r.sim.steps), r.sim.time,
-          peak_rss_mib());
+          r.plan->line_count, r.plan->blocks.group_count,
+          static_cast<std::uint64_t>(r.sim.steps), r.sim.time, peak_rss_mib());
   }
   std::printf("%s", t.to_string().c_str());
 }
@@ -137,8 +126,9 @@ void closure_sweep() {
     cfg.space_mode = SpaceMode::Symbolic;
     cfg.obs = bench::obs_context();
     PipelineResult r = run_pipeline(nest, cfg);
-    t.row(name, static_cast<std::uint64_t>(n), r.iteration_count(), lines_of(r), blocks_of(r),
-          static_cast<std::uint64_t>(r.sim.steps), r.sim.time, peak_rss_mib());
+    t.row(name, static_cast<std::uint64_t>(n), r.iteration_count(), r.plan->line_count,
+          r.plan->blocks.group_count, static_cast<std::uint64_t>(r.sim.steps), r.sim.time,
+          peak_rss_mib());
   };
   for (std::int64_t n : {64, 512, 2048})
     run_case("wavefront3d", n, workloads::wavefront3d(n), IntVec{1, 1, 1});

@@ -3,8 +3,6 @@
 // quantifies what the richer topology buys).
 #include "bench_common.hpp"
 
-#include <memory>
-
 #include "mapping/hypercube_map.hpp"
 #include "mapping/other_topologies.hpp"
 #include "perf/table.hpp"
@@ -14,26 +12,7 @@
 namespace {
 
 using namespace hypart;
-
-struct Pieces {
-  std::unique_ptr<ComputationStructure> q;
-  std::unique_ptr<ProjectedStructure> ps;
-  Grouping grouping;
-  Partition partition;
-  TaskInteractionGraph tig;
-  TimeFunction tf;
-};
-
-Pieces build(const LoopNest& nest, const IntVec& pi) {
-  Pieces p;
-  p.q = std::make_unique<ComputationStructure>(ComputationStructure::from_loop(nest));
-  p.tf = TimeFunction{pi};
-  p.ps = std::make_unique<ProjectedStructure>(*p.q, p.tf);
-  p.grouping = Grouping::compute(*p.ps);
-  p.partition = Partition::build(*p.q, p.grouping);
-  p.tig = TaskInteractionGraph::from_partition(*p.q, p.partition, p.grouping);
-  return p;
-}
+using bench::Pieces;
 
 void topo_table(const char* title, Pieces& p, std::int64_t flops) {
   // 16 processors in each shape.
@@ -68,15 +47,15 @@ void topo_table(const char* title, Pieces& p, std::int64_t flops) {
 void report() {
   bench::banner("Ablation A7: hypercube vs mesh vs ring vs fully-connected");
   {
-    Pieces p = build(workloads::matrix_vector(64), {1, 1});
+    Pieces p(workloads::matrix_vector(64), {1, 1});
     topo_table("matvec M=64 (1-D block chain)", p, 2);
   }
   {
-    Pieces p = build(workloads::matrix_multiplication(15), {1, 1, 1});
+    Pieces p(workloads::matrix_multiplication(15), {1, 1, 1});
     topo_table("matmul 16^3 (2-D block lattice)", p, 2);
   }
   {
-    Pieces p = build(workloads::sor2d(32, 32), {1, 1});
+    Pieces p(workloads::sor2d(32, 32), {1, 1});
     topo_table("sor2d 32x32", p, 3);
   }
   std::printf(
@@ -87,7 +66,7 @@ void report() {
 }
 
 void bm_mesh_mapping(benchmark::State& state) {
-  Pieces p = build(workloads::matrix_multiplication(state.range(0)), {1, 1, 1});
+  Pieces p(workloads::matrix_multiplication(state.range(0)), {1, 1, 1});
   Mesh2D mesh(4, 4);
   for (auto _ : state) {
     Mapping m = map_to_mesh(p.tig, mesh);
@@ -97,7 +76,7 @@ void bm_mesh_mapping(benchmark::State& state) {
 BENCHMARK(bm_mesh_mapping)->Arg(7)->Arg(11)->Arg(15);
 
 void bm_ring_mapping(benchmark::State& state) {
-  Pieces p = build(workloads::matrix_vector(state.range(0)), {1, 1});
+  Pieces p(workloads::matrix_vector(state.range(0)), {1, 1});
   for (auto _ : state) {
     Mapping m = map_to_ring(p.tig, 16);
     benchmark::DoNotOptimize(m);

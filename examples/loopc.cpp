@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     std::printf("  %s\n", d.to_string().c_str());
   std::printf("Pi = %s, %zu blocks on %zu processors, interblock %zu/%zu arcs\n\n",
               r.time_function.to_string().c_str(), r.partition.block_count(),
-              r.mapping.mapping.processor_count, r.stats.interblock_arcs, r.stats.total_arcs);
+              r.plan->processors, r.plan->stats.interblock_arcs, r.plan->stats.total_arcs);
 
   std::printf("=== SPMD node program ===\n%s\n",
               generate_spmd_program(nest, *r.structure, r.time_function, r.partition,

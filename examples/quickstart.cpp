@@ -41,20 +41,23 @@ int main() {
               result.time_function.to_string().c_str(),
               static_cast<long long>(result.sim.steps));
 
-  std::printf("Projected points: %zu, group size r = %lld, groups/blocks: %zu\n",
-              result.projected->point_count(),
-              static_cast<long long>(result.grouping.group_size_r()),
-              result.grouping.group_count());
+  // The plan: Algorithm 1's blocks and Algorithm 2's processors, read the
+  // same way whichever grouping built them (dense, line-based or lattice).
+  const PlanView& plan = *result.plan;
+  std::printf("Projected points: %llu, group size r = %lld, groups/blocks: %llu\n",
+              static_cast<unsigned long long>(plan.line_count),
+              static_cast<long long>(plan.group_size_r),
+              static_cast<unsigned long long>(plan.blocks.group_count));
 
   std::printf("Communication: %zu of %zu dependence pairs cross blocks (%.1f%%)\n",
-              result.stats.interblock_arcs, result.stats.total_arcs,
-              100.0 * result.stats.interblock_fraction());
+              plan.stats.interblock_arcs, plan.stats.total_arcs,
+              100.0 * plan.stats.interblock_fraction());
 
-  std::printf("\nBlock -> processor (N = %zu):\n", result.mapping.mapping.processor_count);
-  for (std::size_t b = 0; b < result.mapping.mapping.block_to_proc.size(); ++b)
-    std::printf("  block %zu (%zu iterations) -> processor %llu\n", b,
-                result.partition.blocks()[b].iterations.size(),
-                static_cast<unsigned long long>(result.mapping.mapping.block_to_proc[b]));
+  std::printf("\nBlock -> processor (N = %zu):\n", plan.processors);
+  for (std::uint64_t b = 0; b < plan.blocks.group_count; ++b)
+    std::printf("  block %llu (%lld iterations) -> processor %llu\n",
+                static_cast<unsigned long long>(b), static_cast<long long>(plan.population(b)),
+                static_cast<unsigned long long>(plan.owner(b)));
 
   std::printf("\nSimulated execution: T = %s  (= %.1f time units)\n",
               result.sim.total.to_string().c_str(), result.sim.time);

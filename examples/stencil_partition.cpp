@@ -46,13 +46,15 @@ int main(int argc, char** argv) {
     std::printf("  %s\n", d.to_string().c_str());
   std::printf("\nfound Pi = %s (%lld schedule steps)\n", r.time_function.to_string().c_str(),
               static_cast<long long>(r.sim.steps));
-  std::printf("r = %lld, blocks = %zu, interblock = %zu/%zu arcs\n",
-              static_cast<long long>(r.grouping.group_size_r()), r.grouping.group_count(),
-              r.stats.interblock_arcs, r.stats.total_arcs);
+  const PlanView& plan = *r.plan;
+  std::printf("r = %lld, blocks = %llu, interblock = %zu/%zu arcs\n",
+              static_cast<long long>(plan.group_size_r),
+              static_cast<unsigned long long>(plan.blocks.group_count), plan.stats.interblock_arcs,
+              plan.stats.total_arcs);
 
   // Distribution of block sizes (how even is the decomposition?).
-  std::map<std::size_t, std::size_t> histogram;
-  for (const PartitionBlock& b : r.partition.blocks()) ++histogram[b.iterations.size()];
+  std::map<std::int64_t, std::size_t> histogram;
+  for (std::uint64_t b = 0; b < plan.blocks.group_count; ++b) ++histogram[plan.population(b)];
   TextTable t({"block size (iterations)", "count"});
   for (const auto& [size, count] : histogram) t.row(size, count);
   std::printf("%s", t.to_string().c_str());
@@ -61,7 +63,7 @@ int main(int argc, char** argv) {
               r.exact_cover ? "ok" : "FAIL", r.theorem1 ? "ok" : "FAIL",
               r.theorem2.holds ? "ok" : "FAIL", r.lemmas.lemma2_holds ? "ok" : "FAIL",
               r.lemmas.lemma3_holds ? "ok" : "FAIL");
-  std::printf("simulated on %zu processors: T = %s\n", r.mapping.mapping.processor_count,
+  std::printf("simulated on %zu processors: T = %s\n", plan.processors,
               r.sim.total.to_string().c_str());
   return 0;
 }

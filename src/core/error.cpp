@@ -1,5 +1,7 @@
 #include "core/error.hpp"
 
+#include "numeric/rational.hpp"
+
 namespace hypart {
 
 const char* to_string(ErrorKind kind) {
@@ -30,6 +32,14 @@ int Error::exit_code() const {
     case ErrorKind::Overloaded: return 79;
   }
   return 70;
+}
+
+Error classify_failure(const std::exception& e) {
+  if (const auto* typed = dynamic_cast<const Error*>(&e)) return *typed;
+  if (dynamic_cast<const ArithmeticError*>(&e) != nullptr)
+    return Error(ErrorKind::Config,
+                 std::string("input too large for exact 64-bit closed forms: ") + e.what());
+  return Error(ErrorKind::Internal, e.what());
 }
 
 }  // namespace hypart

@@ -45,6 +45,12 @@ class Error : public std::runtime_error {
   ErrorKind kind_;
 };
 
+/// The one failure classification of both front doors (the CLI's exit code,
+/// serve's error reply): a typed Error as it is; a checked-arithmetic
+/// overflow (ArithmeticError) means the input is too large for exact 64-bit
+/// closed forms, a Config error; anything else is Internal (a hypart bug).
+[[nodiscard]] Error classify_failure(const std::exception& e);
+
 /// The parallel runtime's stall watchdog fired: a blocking receive exceeded
 /// its timeout.  `diagnostics()` holds the per-worker dump (proc id,
 /// blocked-on vertex, outstanding message count, mailbox depth).

@@ -1,21 +1,14 @@
 #include "core/json_export.hpp"
 
-#include <charconv>
-
 namespace hypart {
-
-namespace {
-
-void write_intvec(JsonWriter& w, const IntVec& v) {
-  w.begin_array();
-  for (std::int64_t x : v) w.value(x);
-  w.end_array();
-}
-
-}  // namespace
 
 std::string pipeline_result_to_json(const LoopNest& nest, const PipelineResult& r) {
   JsonWriter w;
+  auto write_intvec = [&w](const IntVec& v) {
+    w.begin_array();
+    for (std::int64_t x : v) w.value(x);
+    w.end_array();
+  };
   w.begin_object();
   w.field("loop", nest.name());
   w.field("depth", static_cast<std::uint64_t>(nest.depth()));
@@ -28,70 +21,30 @@ std::string pipeline_result_to_json(const LoopNest& nest, const PipelineResult& 
     w.field("array", d.array);
     w.field("kind", to_string(d.kind));
     w.key("distance");
-    write_intvec(w, d.distance);
+    write_intvec(d.distance);
     w.end_object();
   }
   w.end_array();
 
   w.key("time_function");
-  write_intvec(w, r.time_function.pi);
+  write_intvec(r.time_function.pi);
   w.field("steps", r.sim.steps);
 
+  const PlanView& plan = *r.plan;  // the same members whichever grouping ran
   w.key("partition").begin_object();
-  if (r.lattice) {
-    w.field("projected_points", r.lattice->line_count());
-    w.field("group_size_r", r.lattice->group_size_r());
-    w.field("beta", static_cast<std::uint64_t>(r.lattice->beta()));
-    w.field("blocks", r.lattice->group_count());
-    w.field("grouping_backend", "lattice");
-    w.field("layout", r.lattice->layout() == LatticeLayout::Plane ? "plane" : "chain");
-    w.field("components", r.lattice->component_count());
-    if (r.lattice_stats) {
-      w.field("min_block", r.lattice_stats->min_block);
-      w.field("max_block", r.lattice_stats->max_block);
-    }
-  } else {
-    w.field("projected_points", static_cast<std::uint64_t>(r.projected->point_count()));
-    w.field("group_size_r", r.grouping.group_size_r());
-    w.field("beta", static_cast<std::uint64_t>(r.grouping.beta()));
-    w.field("blocks", static_cast<std::uint64_t>(r.block_sizes.size()));
-  }
-  w.field("total_arcs", static_cast<std::uint64_t>(r.stats.total_arcs));
-  w.field("interblock_arcs", static_cast<std::uint64_t>(r.stats.interblock_arcs));
+  w.field("projected_points", plan.line_count);
+  w.field("group_size_r", plan.group_size_r);
+  w.field("beta", static_cast<std::uint64_t>(plan.beta));
+  w.field("blocks", plan.blocks.group_count);
+  plan.write_partition_json(w);
+  w.field("total_arcs", static_cast<std::uint64_t>(plan.stats.total_arcs));
+  w.field("interblock_arcs", static_cast<std::uint64_t>(plan.stats.interblock_arcs));
   w.end_object();
 
   w.key("mapping").begin_object();
-  if (r.lattice_mapping) {
-    w.field("processors", static_cast<std::uint64_t>(r.lattice_mapping->processor_count));
-    w.field("method", r.lattice_mapping->method);
-    // The per-block processor array is intentionally not emitted: the
-    // lattice path never materializes it.  Chains emit the sorted-index
-    // cluster boundaries; planes emit the per-aux-chain fragment runs.
-    if (r.lattice_mapping->frag_b.empty()) {
-      w.begin_array("cluster_boundaries");
-      for (std::uint64_t b : r.lattice_mapping->boundaries) w.value(b);
-      w.end_array();
-    } else {
-      w.begin_array("fragment_runs");
-      for (std::size_t i = 0; i < r.lattice_mapping->frag_b.size(); ++i) {
-        for (std::size_t k = r.lattice_mapping->frag_off[i];
-             k < r.lattice_mapping->frag_off[i + 1]; ++k) {
-          w.begin_object();
-          w.field("b", r.lattice_mapping->frag_b[i]);
-          w.field("a_from", r.lattice_mapping->frag_runs[k].first);
-          w.field("proc", static_cast<std::uint64_t>(r.lattice_mapping->frag_runs[k].second));
-          w.end_object();
-        }
-      }
-      w.end_array();
-    }
-  } else {
-    w.field("processors", static_cast<std::uint64_t>(r.mapping.mapping.processor_count));
-    w.field("method", r.mapping.mapping.method);
-    w.begin_array("block_to_proc");
-    for (ProcId p : r.mapping.mapping.block_to_proc) w.value(static_cast<std::uint64_t>(p));
-    w.end_array();
-  }
+  w.field("processors", static_cast<std::uint64_t>(plan.processors));
+  w.field("method", plan.method);
+  plan.write_mapping_json(w);
   w.end_object();
 
   w.key("simulation").begin_object();

@@ -1,9 +1,9 @@
 // hypart — end-to-end pipeline facade.
 //
-// Runs the whole paper on a loop nest:
-//   loop -> dependence analysis -> hyperplane time function -> projection ->
-//   grouping (Algorithm 1) -> blocks -> TIG -> hypercube mapping
-//   (Algorithm 2) -> simulated execution.
+// Runs the whole paper on a loop nest, one stage sequence in every mode:
+//   loop -> dependence analysis -> structure (dense) or space (symbolic) ->
+//   hyperplane time function -> plan (Algorithm 1: grouping, blocks) ->
+//   hypercube mapping (Algorithm 2) -> simulated execution -> checks.
 // This is the one-call public API used by the examples and benches;
 // individual stages remain available for fine-grained use.
 #pragma once
@@ -11,12 +11,10 @@
 #include <memory>
 #include <optional>
 
+#include "core/plan_view.hpp"
 #include "loop/dependence.hpp"
 #include "loop/iter_space.hpp"
 #include "loop/loop_nest.hpp"
-#include "mapping/hypercube_map.hpp"
-#include "partition/checkers.hpp"
-#include "sim/exec_sim.hpp"
 
 namespace hypart {
 
@@ -74,8 +72,10 @@ struct PipelineConfig {
   obs::ObsContext obs{};
 };
 
-/// All stage outputs.  Heap-held where later stages keep references.
-struct PipelineResult {
+/// All stage outputs.  Heap-held where later stages keep references.  The
+/// plan's checks (exact_cover, theorem1, theorem2, lemmas) are populated
+/// when config.validate.
+struct PipelineResult : PlanChecks {
   /// The mode this result was produced under.
   SpaceMode space_mode = SpaceMode::Dense;
   DependenceInfo dependence;
@@ -84,39 +84,24 @@ struct PipelineResult {
   /// Closed-form space; set in symbolic and verify modes, null in dense.
   std::unique_ptr<IterSpace> space;
   TimeFunction time_function;
-  std::unique_ptr<ProjectedStructure> projected;
-  Grouping grouping;
-  /// Per-vertex block assignment; empty in symbolic mode.
+  /// The plan — Algorithm 1's blocks, Algorithm 2's processors and the
+  /// simulator feed — whichever grouping built it (core/plan_view.hpp).
+  std::unique_ptr<PlanView> plan;
+  /// Dense execution fields for exec, codegen and the ledger: the plan's
+  /// per-vertex blocks and Algorithm 2 result.  Empty in symbolic mode.
   Partition partition;
-  /// Per-block iteration counts.  Filled in dense/verify and in the
-  /// line-based symbolic fallback; EMPTY on the pure lattice path (use
-  /// `lattice`/`lattice_stats` — materializing one entry per group is
-  /// exactly what that path avoids).
-  std::vector<std::int64_t> block_sizes;
-  PartitionStats stats;
-  TaskInteractionGraph tig;
   HypercubeMappingResult mapping;
   SimResult sim;
 
-  /// Closed-form grouping; set when the symbolic path ran on the group
-  /// lattice (partition/group_lattice.hpp).  When set, `projected`,
-  /// `grouping`, `block_sizes`, `tig` and `mapping` are empty/default —
-  /// the lattice fields below replace them.
-  std::unique_ptr<GroupLattice> lattice;
-  /// Closed-form Algorithm 2 result for the lattice path.
-  std::optional<LatticeHypercubeMapping> lattice_mapping;
-  /// Aggregate block statistics for the lattice path (stand-in for
-  /// `block_sizes`).
+  /// Kept only for perfbench (perfbench/src/plan.cpp); read `plan`.
+  /// Per-block iteration counts of a grouping plan, empty on the lattice.
+  std::vector<std::int64_t> block_sizes;
+  /// Kept only for perfbench; read `plan->blocks`.  The lattice plan's block
+  /// statistics, unset on grouping plans.
   std::optional<LatticeBlockStats> lattice_stats;
 
   /// Iteration count regardless of backend.
   [[nodiscard]] std::uint64_t iteration_count() const;
-
-  // Validation reports (populated when config.validate).
-  bool exact_cover = false;
-  bool theorem1 = false;
-  Theorem2Report theorem2;
-  LemmaReport lemmas;
 
   /// Final metrics snapshot; set only when config.obs carried a registry.
   std::optional<obs::MetricsSnapshot> metrics;

@@ -40,6 +40,16 @@ std::int64_t Digraph::edge_weight(std::size_t u, std::size_t v) const {
   return 0;
 }
 
+bool Digraph::same_weights(const Digraph& other) const {
+  if (vertex_count() != other.vertex_count() || edge_count() != other.edge_count()) return false;
+  for (std::size_t u = 0; u < vertex_count(); ++u) {
+    if (out_degree(u) != other.out_degree(u)) return false;
+    for (const Edge& e : out_[u])
+      if (other.edge_weight(u, e.to) != e.weight) return false;
+  }
+  return true;
+}
+
 std::int64_t Digraph::total_weight() const {
   std::int64_t w = 0;
   for (const auto& adj : out_)

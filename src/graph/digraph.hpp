@@ -36,6 +36,9 @@ class Digraph {
   [[nodiscard]] std::size_t out_degree(std::size_t u) const { return out_[u].size(); }
   [[nodiscard]] std::size_t in_degree(std::size_t v) const { return in_[v].size(); }
 
+  /// Same vertices, same edges and same weights, in any edge order.
+  [[nodiscard]] bool same_weights(const Digraph& other) const;
+
   /// Total weight over all edges.
   [[nodiscard]] std::int64_t total_weight() const;
 

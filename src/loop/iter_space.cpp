@@ -9,6 +9,11 @@ namespace hypart {
 
 namespace {
 
+/// Points in the inclusive range [lo, hi], lo <= hi; ArithmeticError past int64.
+std::int64_t box_extent(std::int64_t lo, std::int64_t hi) {
+  return detail::checked_add(detail::checked_sub(hi, lo), 1);
+}
+
 /// Slab-count cap: beyond this the decomposition is no cheaper than the
 /// dense enumeration it replaces, so construction refuses (std::length_error)
 /// and callers fall back to the dense path.
@@ -121,7 +126,7 @@ void IterSpace::init() {
       s.key.reserve(sliced_.size());
       for (std::size_t d : sliced_) s.key.push_back(vals[d]);
       s.box.resize(n);
-      std::uint64_t points = 1;
+      std::int64_t points = 1;
       for (std::size_t j = 0; j < n; ++j) {
         if (referenced[j]) {
           s.box[j] = {vals[j], vals[j]};
@@ -129,9 +134,10 @@ void IterSpace::init() {
           s.box[j] = {dims_[j].lower.evaluate_lower(vals), dims_[j].upper.evaluate_upper(vals)};
           if (s.box[j].first > s.box[j].second) return;  // empty slab
         }
-        points *= static_cast<std::uint64_t>(s.box[j].second - s.box[j].first + 1);
+        points = detail::checked_mul(points, box_extent(s.box[j].first, s.box[j].second));
       }
-      size_ += points;
+      size_ = static_cast<std::uint64_t>(
+          detail::checked_add(static_cast<std::int64_t>(size_), points));
       slab_index_.emplace(s.key, slabs_.size());
       slabs_.push_back(std::move(s));
       return;
@@ -189,31 +195,33 @@ bool IterSpace::contains(const IntVec& p) const {
 std::uint64_t IterSpace::arc_count(const IntVec& d) const {
   if (d.size() != dims_.size())
     throw std::invalid_argument("IterSpace::arc_count: dimension mismatch");
-  std::uint64_t total = 0;
+  std::int64_t total = 0;
   IntVec target_key(sliced_.size());
   for (const Slab& s : slabs_) {
     for (std::size_t i = 0; i < sliced_.size(); ++i) target_key[i] = s.key[i] + d[sliced_[i]];
     const Slab* t = slab_at(target_key);
     if (t == nullptr) continue;
-    std::uint64_t prod = 1;
+    std::int64_t prod = 1;
     for (std::size_t j = 0; j < dims_.size(); ++j) {
-      const std::int64_t lo = std::max(s.box[j].first, t->box[j].first - d[j]);
-      const std::int64_t hi = std::min(s.box[j].second, t->box[j].second - d[j]);
+      const std::int64_t lo =
+          std::max(s.box[j].first, detail::checked_sub(t->box[j].first, d[j]));
+      const std::int64_t hi =
+          std::min(s.box[j].second, detail::checked_sub(t->box[j].second, d[j]));
       if (hi < lo) {
         prod = 0;
         break;
       }
-      prod *= static_cast<std::uint64_t>(hi - lo + 1);
+      prod = detail::checked_mul(prod, box_extent(lo, hi));
     }
-    total += prod;
+    total = detail::checked_add(total, prod);
   }
-  return total;
+  return static_cast<std::uint64_t>(total);
 }
 
 std::uint64_t IterSpace::total_arc_count() const {
-  std::uint64_t n = 0;
-  for (const IntVec& d : deps_) n += arc_count(d);
-  return n;
+  std::int64_t n = 0;
+  for (const IntVec& d : deps_) n = detail::checked_add(n, detail::checked_cast(arc_count(d)));
+  return static_cast<std::uint64_t>(n);
 }
 
 std::int64_t IterSpace::min_step(const IntVec& pi) const {

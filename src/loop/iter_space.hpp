@@ -165,7 +165,8 @@ class IterSpace {
   [[nodiscard]] const std::vector<DimBounds>& bounds() const;
 
   /// Number of index points (sum of per-slab extent products), without
-  /// enumeration.
+  /// enumeration.  Construction throws ArithmeticError when it, or any
+  /// slab's extent product, leaves int64.
   [[nodiscard]] std::uint64_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -180,7 +181,8 @@ class IterSpace {
   /// #{ j : j in J and j + d in J } — the arc count of one dependence.
   /// Arcs leaving slab v land in the unique slab keyed v + d_S; the count
   /// is the overlap volume of B_v with B_{v+d_S} translated by -d (on a box
-  /// this reduces to prod_i max(0, extent_i - |d_i|)).
+  /// this reduces to prod_i max(0, extent_i - |d_i|)).  ArithmeticError
+  /// when the count leaves int64 (as total_arc_count's sum does).
   [[nodiscard]] std::uint64_t arc_count(const IntVec& d) const;
 
   /// Total dependence arcs over all dependence vectors (the dense

@@ -397,4 +397,8 @@ LatticeHypercubeMapping map_to_hypercube(const GroupLattice& lattice, unsigned c
   return result;
 }
 
+bool closed_form_mapping(const GroupLattice& lattice, const HypercubeMapOptions& options) {
+  return !(options.weighted && lattice.layout() == LatticeLayout::Plane);
+}
+
 }  // namespace hypart

@@ -103,6 +103,11 @@ struct LatticeHypercubeMapping {
   }
 };
 
+/// Whether Algorithm 2 has a closed form on `lattice`: every layout except
+/// a plane under weighted splitting.
+[[nodiscard]] bool closed_form_mapping(const GroupLattice& lattice,
+                                       const HypercubeMapOptions& options);
+
 LatticeHypercubeMapping map_to_hypercube(const GroupLattice& lattice, unsigned cube_dim,
                                          const HypercubeMapOptions& options = {});
 

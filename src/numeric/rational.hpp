@@ -45,6 +45,10 @@ inline std::int64_t checked_neg(std::int64_t a) {
   if (a == INT64_MIN) throw ArithmeticError("int64 negate overflow");
   return -a;
 }
+inline std::int64_t checked_cast(std::uint64_t a) {
+  if (a > static_cast<std::uint64_t>(INT64_MAX)) throw ArithmeticError("int64 narrowing overflow");
+  return static_cast<std::int64_t>(a);
+}
 
 }  // namespace detail
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -21,6 +22,7 @@ struct PartitionBlock {
 };
 
 /// The partitioning G_Π(Q): blocks in 1:1 correspondence with groups.
+/// Immutable once built; copies share one block table (O(1)).
 class Partition {
  public:
   static Partition build(const ComputationStructure& q, const Grouping& grouping);
@@ -31,8 +33,8 @@ class Partition {
   static Partition from_labels(const ComputationStructure& q,
                                const std::vector<std::size_t>& labels);
 
-  [[nodiscard]] const std::vector<PartitionBlock>& blocks() const { return blocks_; }
-  [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
+  [[nodiscard]] const std::vector<PartitionBlock>& blocks() const { return table().blocks; }
+  [[nodiscard]] std::size_t block_count() const { return table().blocks.size(); }
 
   /// Block id of a computational-structure vertex id.
   [[nodiscard]] std::size_t block_of(std::size_t vertex_id) const;
@@ -41,8 +43,14 @@ class Partition {
   [[nodiscard]] std::size_t min_block_size() const;
 
  private:
-  std::vector<PartitionBlock> blocks_;
-  std::vector<std::size_t> vertex_block_;
+  struct Table {
+    std::vector<PartitionBlock> blocks;
+    std::vector<std::size_t> vertex_block;
+  };
+  static inline const Table kEmpty{};
+  /// The shared table; an empty one when unset or moved from.
+  [[nodiscard]] const Table& table() const { return table_ ? *table_ : kEmpty; }
+  std::shared_ptr<const Table> table_;
 };
 
 /// Communication statistics of a partition over its structure.

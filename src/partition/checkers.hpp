@@ -43,6 +43,7 @@ struct Theorem2Report {
   std::size_t max_out_degree = 0;  ///< observed max #groups a group sends to
   bool holds = false;
   [[nodiscard]] std::string to_string() const;
+  friend bool operator==(const Theorem2Report&, const Theorem2Report&) = default;
 };
 
 /// Theorem 2 on the group-level communication graph.
@@ -53,6 +54,7 @@ struct LemmaReport {
   bool lemma3_holds = false;  ///< ≤2 successor groups along the remaining dirs
   std::size_t worst_lemma2_fanout = 0;
   std::size_t worst_lemma3_fanout = 0;
+  friend bool operator==(const LemmaReport&, const LemmaReport&) = default;
 };
 
 /// Per-direction successor-group fanout checks (Lemmas 2 and 3).

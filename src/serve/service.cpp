@@ -38,10 +38,9 @@ Error config_error(const std::string& message) { return Error(ErrorKind::Config,
 JsonValue error_reply(const JsonValue& id) {
   try {
     throw;
-  } catch (const Error& e) {
-    return make_error_reply(id, to_string(e.kind()), e.exit_code(), e.what());
   } catch (const std::exception& e) {
-    return make_error_reply(id, "internal", 70, e.what());
+    const Error typed = classify_failure(e);
+    return make_error_reply(id, to_string(typed.kind()), typed.exit_code(), typed.what());
   }
 }
 

@@ -24,6 +24,23 @@ double SimResult::speedup(const MachineParams& m, std::int64_t total_iterations,
   return time > 0 ? seq / time : 0.0;
 }
 
+std::string first_difference(const SimResult& a, const SimResult& b) {
+  if (a.total != b.total) return "total";
+  if (a.compute_bottleneck != b.compute_bottleneck) return "compute_bottleneck";
+  if (a.comm_bottleneck != b.comm_bottleneck) return "comm_bottleneck";
+  if (a.steps != b.steps) return "steps";
+  if (a.messages != b.messages) return "messages";
+  if (a.words != b.words) return "words";
+  if (a.max_link_words != b.max_link_words) return "max_link_words";
+  if (a.per_proc_iterations != b.per_proc_iterations) return "per_proc_iterations";
+  if (a.failed_nodes != b.failed_nodes) return "failed_nodes";
+  if (a.failed_links != b.failed_links) return "failed_links";
+  if (a.rerouted_messages != b.rerouted_messages) return "rerouted_messages";
+  if (a.migrated_blocks != b.migrated_blocks) return "migrated_blocks";
+  if (a.migration_cost != b.migration_cost) return "migration_cost";
+  return {};
+}
+
 namespace {
 
 /// Resolved machine-fault state for one simulation.  `remap` is present

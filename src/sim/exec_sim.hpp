@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
@@ -86,6 +87,12 @@ struct SimResult {
   /// a MetricsRegistry (snapshot taken as the simulation returns).
   std::optional<obs::MetricsSnapshot> metrics;
 };
+
+/// The first field on which two results differ, or "" when they agree:
+/// the totals, both bottlenecks, steps, messages, words, busiest-link
+/// words, per-processor loads and every degraded count.  Verify mode
+/// compares each feed's result with it.
+[[nodiscard]] std::string first_difference(const SimResult& a, const SimResult& b);
 
 // One accounting core prices every plan.  Each overload below is a *feed*
 // for it: a frame (processors, schedule span, step stride σ) plus two

@@ -369,11 +369,10 @@ TEST(GroupLattice, SymbolicPipelineUsesLatticeAndVerifyAgrees) {
   cfg.time_function = IntVec{1, 1};
   cfg.space_mode = SpaceMode::Symbolic;
   PipelineResult sym = run_pipeline(workloads::sor2d(20, 20), cfg);
-  ASSERT_NE(sym.lattice, nullptr);
-  EXPECT_TRUE(sym.lattice_mapping.has_value());
+  ASSERT_EQ(sym.plan->groups_materialized, 0u);  // the lattice plan ran
+  EXPECT_EQ(sym.plan->processors, 8u);
   EXPECT_TRUE(sym.lattice_stats.has_value());
   EXPECT_TRUE(sym.block_sizes.empty());
-  EXPECT_EQ(sym.projected, nullptr);
   EXPECT_TRUE(sym.exact_cover);
   EXPECT_TRUE(sym.theorem1);
   EXPECT_TRUE(sym.theorem2.holds);
@@ -382,7 +381,7 @@ TEST(GroupLattice, SymbolicPipelineUsesLatticeAndVerifyAgrees) {
   PipelineResult ver = run_pipeline(workloads::sor2d(20, 20), cfg);
   EXPECT_EQ(ver.sim.time, sym.sim.time);
   EXPECT_EQ(ver.sim.messages, sym.sim.messages);
-  EXPECT_EQ(ver.stats.interblock_arcs, sym.stats.interblock_arcs);
+  EXPECT_EQ(ver.plan->stats.interblock_arcs, sym.plan->stats.interblock_arcs);
 }
 
 TEST(GroupLattice, Fig6MatmulVerifyRun) {
@@ -394,13 +393,13 @@ TEST(GroupLattice, Fig6MatmulVerifyRun) {
   cfg.time_function = IntVec{1, 1, 1};
   cfg.space_mode = SpaceMode::Verify;
   PipelineResult r = run_pipeline(workloads::matrix_multiplication(), cfg);
-  EXPECT_EQ(r.grouping.group_size_r(), 3);
+  EXPECT_EQ(r.plan->group_size_r, 3);
   EXPECT_TRUE(r.exact_cover);
   EXPECT_TRUE(r.theorem2.holds);
 
   cfg.space_mode = SpaceMode::Symbolic;
   PipelineResult sym = run_pipeline(workloads::matrix_multiplication(), cfg);
-  ASSERT_NE(sym.lattice, nullptr);
+  ASSERT_EQ(sym.plan->groups_materialized, 0u);  // the lattice plan ran
   EXPECT_TRUE(sym.block_sizes.empty());  // pure lattice path: nothing materialized
   EXPECT_EQ(sym.sim.time, r.sim.time);
 }
@@ -693,7 +692,7 @@ TEST(GroupLattice, HugeBoundsThrowArithmeticError) {
   // steps along j.
   const std::int64_t n60 = std::int64_t{1} << 60;
   PipelineResult r = run_pipeline(narrow(std::to_string(n60)), cfg);
-  ASSERT_NE(r.lattice, nullptr);
+  ASSERT_EQ(r.plan->groups_materialized, 0u);  // the lattice plan ran
   EXPECT_EQ(r.sim.steps, n60);
   EXPECT_EQ(r.lattice_stats->total_iterations, std::uint64_t{4} << 60);
 }

@@ -58,6 +58,20 @@ TEST(IterSpace, SizeExtentContains) {
   EXPECT_EQ(degenerate.size(), 0u);
 }
 
+TEST(IterSpace, SizeAtTheInt64BoundaryIsExactOnePastThrows) {
+  // 153092023 * 60247241209 == 2^63 - 1: the largest representable size is
+  // exact, one more column leaves int64 and throws instead of wrapping.
+  IterSpace edge({{1, 153092023}, {1, 60247241209}}, {{1, 0}, {0, 1}});
+  EXPECT_EQ(edge.size(), static_cast<std::uint64_t>(INT64_MAX));
+  EXPECT_FALSE(edge.empty());
+  EXPECT_EQ(edge.arc_count({1, 0}), std::uint64_t{153092022} * 60247241209);
+  EXPECT_THROW((void)edge.total_arc_count(), ArithmeticError);  // the two counts' sum
+  EXPECT_THROW(IterSpace({{1, 153092023}, {0, 60247241209}}, {{1, 0}}), ArithmeticError);
+  // 2^22 cubed is 2^66, which a wrapping count read as 0: an empty space.
+  const std::int64_t n = std::int64_t{1} << 22;
+  EXPECT_THROW(IterSpace({{1, n}, {1, n}, {1, n}}, {{1, 0, 0}}), ArithmeticError);
+}
+
 TEST(IterSpace, ArcCountsMatchPaperL1) {
   // L1 on [1,4]^2 with D = {(0,1), (1,1), (1,0)}: 12 + 9 + 12 = 33 arcs.
   IterSpace s({{1, 4}, {1, 4}}, {{0, 1}, {1, 1}, {1, 0}});

@@ -274,10 +274,10 @@ TEST(SymbolicVerify, L1PaperCounts) {
   EXPECT_EQ(r.space_mode, SpaceMode::Verify);
   ASSERT_NE(r.space, nullptr);
   EXPECT_EQ(r.iteration_count(), 16u);
-  EXPECT_EQ(r.projected->point_count(), 7u);
+  EXPECT_EQ(r.plan->line_count, 7u);
   EXPECT_EQ(r.block_sizes.size(), 4u);
-  EXPECT_EQ(r.stats.total_arcs, 33u);
-  EXPECT_EQ(r.stats.interblock_arcs, 12u);
+  EXPECT_EQ(r.plan->stats.total_arcs, 33u);
+  EXPECT_EQ(r.plan->stats.interblock_arcs, 12u);
   EXPECT_TRUE(r.exact_cover);
   EXPECT_TRUE(r.theorem1);
 }
@@ -292,9 +292,9 @@ TEST(SymbolicVerify, MatmulPaperGrouping) {
   cfg.grouping = paper_matmul_options(ps);
   cfg.space_mode = SpaceMode::Verify;
   PipelineResult r = run_pipeline(workloads::matrix_multiplication(), cfg);
-  EXPECT_EQ(r.projected->point_count(), 37u);
-  EXPECT_EQ(r.grouping.beta(), 2u);
-  EXPECT_EQ(r.grouping.group_size_r(), 3);
+  EXPECT_EQ(r.plan->line_count, 37u);
+  EXPECT_EQ(r.plan->beta, 2u);
+  EXPECT_EQ(r.plan->group_size_r, 3);
   EXPECT_EQ(r.block_sizes.size(), 17u);
   std::int64_t covered = 0;
   for (std::int64_t b : r.block_sizes) covered += b;

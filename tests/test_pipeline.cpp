@@ -17,10 +17,10 @@ TEST(Pipeline, L1EndToEnd) {
   cfg.cube_dim = 1;
   PipelineResult r = run_pipeline(workloads::example_l1(), cfg);
   EXPECT_EQ(r.time_function.pi, (IntVec{1, 1}));
-  EXPECT_EQ(r.projected->point_count(), 7u);
-  EXPECT_EQ(r.grouping.group_count(), 4u);
-  EXPECT_EQ(r.stats.total_arcs, 33u);
-  EXPECT_EQ(r.stats.interblock_arcs, 12u);
+  EXPECT_EQ(r.plan->line_count, 7u);
+  EXPECT_EQ(r.plan->blocks.group_count, 4u);
+  EXPECT_EQ(r.plan->stats.total_arcs, 33u);
+  EXPECT_EQ(r.plan->stats.interblock_arcs, 12u);
   EXPECT_TRUE(r.exact_cover);
   EXPECT_TRUE(r.theorem1);
   EXPECT_TRUE(r.theorem2.holds);
@@ -122,8 +122,8 @@ TEST(Pipeline, MatmulEndToEnd) {
   cfg.cube_dim = 2;
   cfg.time_function = IntVec{1, 1, 1};
   PipelineResult r = run_pipeline(workloads::matrix_multiplication(3), cfg);
-  EXPECT_EQ(r.projected->point_count(), 37u);
-  EXPECT_EQ(r.grouping.group_size_r(), 3);
+  EXPECT_EQ(r.plan->line_count, 37u);
+  EXPECT_EQ(r.plan->group_size_r, 3);
   EXPECT_TRUE(r.exact_cover);
   EXPECT_TRUE(r.theorem1);
   EXPECT_TRUE(r.theorem2.holds);
@@ -138,7 +138,7 @@ TEST(Pipeline, GroupingOptionsForwarded) {
   cfg.grouping.explicit_bases = {{1, -1}};  // start the region growing here
   PipelineResult r = run_pipeline(workloads::example_l1(), cfg);
   EXPECT_TRUE(r.exact_cover);
-  EXPECT_EQ(r.grouping.group_count(), 4u);
+  EXPECT_EQ(r.plan->blocks.group_count, 4u);
 }
 
 TEST(Pipeline, ParsedProgramEndToEnd) {

@@ -476,6 +476,24 @@ TEST(PlanService, PiOfWrongLengthIsAConfigError) {
   EXPECT_EQ(r.get("error").get("code").as_int64(), 78);
 }
 
+TEST(PlanService, OverflowIsAConfigErrorAsOnTheCli) {
+  // A 4 x 4e18 nest leaves int64 in its closed forms.  The CLI exits 78
+  // ("input too large for exact 64-bit closed forms"); the daemon replies
+  // with the same classification (core/error.hpp) and keeps serving.
+  PlanService service;
+  const std::string program =
+      "loop narrow { for i = 1 to 4 for j = 1 to 4000000000000000000 A[i, j] = A[i, j-1] + 1; }";
+  JsonValue r = parse_json(service.handle_line("{\"id\":3,\"op\":\"predict\",\"program\":" +
+                                               JsonWriter::escape(program) +
+                                               ",\"params\":{\"space\":\"symbolic\"}}"));
+  EXPECT_FALSE(r.get("ok").as_bool());
+  EXPECT_EQ(r.get("error").get("kind").as_string(), "config") << r.to_json();
+  EXPECT_EQ(r.get("error").get("code").as_int64(), 78);
+  EXPECT_NE(r.get("error").get("message").as_string().find("overflow"), std::string::npos);
+  EXPECT_EQ(r.get("id").as_int64(), 3);
+  EXPECT_TRUE(parse_json(service.handle_line("{\"op\":\"ping\"}")).get("ok").as_bool());
+}
+
 TEST(PlanService, PingStatsShutdown) {
   PlanService service;
   JsonValue ping = parse_json(service.handle_line("{\"id\":\"p\",\"op\":\"ping\"}"));

@@ -24,6 +24,7 @@
 // 74 io, 75 stall, 76 worker death, 77 fault plan, 78 config, 79 overloaded.
 #include <algorithm>
 #include <charconv>
+#include <csignal>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -44,7 +45,6 @@
 #include "fault/remap.hpp"
 #include "frontend/lexer.hpp"
 #include "frontend/parser.hpp"
-#include "numeric/rational.hpp"
 #include "obs/ledger.hpp"
 #include "obs/obs.hpp"
 #include "perf/table.hpp"
@@ -52,8 +52,6 @@
 #include "serve/server.hpp"
 #include "sim/report.hpp"
 #include "transform/wavefront.hpp"
-
-#include <csignal>
 
 namespace {
 
@@ -140,23 +138,12 @@ std::string usage_text() {
   return text + kOtherOptions;
 }
 
-/// Reports a failure that escaped planning and returns its exit code:
-/// typed errors carry their own; a checked-arithmetic overflow means the
-/// input is too large for exact 64-bit closed forms, a configuration error
-/// (78); anything else is a hypart bug (70).
+/// Reports a failure that escaped planning (classified by core/error) and
+/// returns its exit code.
 int report_failure(const std::exception& e) {
-  if (const auto* typed = dynamic_cast<const Error*>(&e)) {
-    std::fprintf(stderr, "hypart: %s\n", typed->what());
-    return typed->exit_code();
-  }
-  if (dynamic_cast<const ArithmeticError*>(&e) != nullptr) {
-    const Error typed(ErrorKind::Config,
-                      std::string("input too large for exact 64-bit closed forms: ") + e.what());
-    std::fprintf(stderr, "hypart: %s\n", typed.what());
-    return typed.exit_code();
-  }
-  std::fprintf(stderr, "hypart: %s\n", e.what());
-  return 70;
+  const Error typed = classify_failure(e);
+  std::fprintf(stderr, "hypart: %s\n", typed.what());
+  return typed.exit_code();
 }
 
 [[noreturn]] void usage(const char* msg = nullptr) {
@@ -171,18 +158,14 @@ int report_failure(const std::exception& e) {
 }
 
 std::string read_source(const std::string& path) {
-  if (path == "-") {
-    std::ostringstream ss;
-    ss << std::cin.rdbuf();
-    return ss.str();
-  }
-  std::ifstream in(path);
-  if (!in) {
+  std::ifstream file;
+  if (path != "-") file.open(path);
+  if (path != "-" && !file) {
     std::fprintf(stderr, "hypart: cannot open '%s'\n", path.c_str());
     std::exit(66);
   }
   std::ostringstream ss;
-  ss << in.rdbuf();
+  ss << (file.is_open() ? file.rdbuf() : std::cin.rdbuf());
   return ss.str();
 }
 
@@ -225,8 +208,6 @@ struct CliOptions {
 };
 
 CliOptions parse_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) help();
   if (argc < 3) usage();
   CliOptions o;
   o.command = argv[1];
@@ -241,8 +222,7 @@ CliOptions parse_args(int argc, char** argv) {
       try {
         o.config.sim.faults = fault::FaultPlan::parse(next());
       } catch (const Error& e) {
-        std::fprintf(stderr, "hypart: %s\n", e.what());
-        std::exit(e.exit_code());
+        std::exit(report_failure(e));
       }
     } else if (a == "--backend") {
       std::string b = next();
@@ -275,93 +255,24 @@ int cmd_analyze(const LoopNest& nest, const PipelineResult& r) {
 }
 
 int cmd_partition(const PipelineResult& r) {
-  if (r.lattice) {
-    // Pure lattice path: no per-block vectors exist; print the closed-form
-    // summary and the per-slab group boxes instead of the block table.
-    const GroupLattice& gl = *r.lattice;
-    std::printf("projected points: %llu, r = %lld, beta = %zu, blocks: %llu (lattice)\n",
-                static_cast<unsigned long long>(gl.line_count()),
-                static_cast<long long>(gl.group_size_r()), gl.beta(),
-                static_cast<unsigned long long>(gl.group_count()));
-    std::printf("interblock arcs: %zu / %zu (%.1f%%)\n", r.stats.interblock_arcs,
-                r.stats.total_arcs, 100.0 * r.stats.interblock_fraction());
-    std::printf("cover=%s theorem1=%s %s lemma2=%s lemma3=%s\n", r.exact_cover ? "ok" : "FAIL",
-                r.theorem1 ? "ok" : "FAIL", r.theorem2.to_string().c_str(),
-                r.lemmas.lemma2_holds ? "ok" : "FAIL", r.lemmas.lemma3_holds ? "ok" : "FAIL");
-    if (r.lattice_stats)
-      std::printf("block sizes: min %lld, max %lld, total %llu\n",
-                  static_cast<long long>(r.lattice_stats->min_block),
-                  static_cast<long long>(r.lattice_stats->max_block),
-                  static_cast<unsigned long long>(r.lattice_stats->total_iterations));
-    // Chain boxes pair the slab's group range with its line interval; plane
-    // boxes pair each aux chain (fixed b) with its group range along a.
-    const bool plane = gl.layout() == LatticeLayout::Plane;
-    TextTable t({"box", "groups", plane ? "aux chain b" : "lines"});
-    std::vector<GroupLattice::GroupBox> boxes = gl.enumerate_boxes();
-    for (std::size_t i = 0; i < boxes.size(); ++i) {
-      const GroupLattice::GroupBox& b = boxes[i];
-      std::string second = plane ? std::to_string(b.c_lo)
-                                 : "[" + std::to_string(b.c_lo) + ", " +
-                                       std::to_string(b.c_hi) + "]";
-      t.row(i, "[" + std::to_string(b.a_lo) + ", " + std::to_string(b.a_hi) + "]", second);
-    }
-    std::printf("%s", t.to_string().c_str());
-    return r.exact_cover && r.theorem1 && r.theorem2.holds ? 0 : 2;
-  }
-  std::printf("projected points: %zu, r = %lld, beta = %zu, blocks: %zu\n",
-              r.projected->point_count(), static_cast<long long>(r.grouping.group_size_r()),
-              r.grouping.beta(), r.block_sizes.size());
-  std::printf("interblock arcs: %zu / %zu (%.1f%%)\n", r.stats.interblock_arcs,
-              r.stats.total_arcs, 100.0 * r.stats.interblock_fraction());
+  const PlanView& plan = *r.plan;
+  std::printf("projected points: %llu, r = %lld, beta = %zu, blocks: %llu%s\n",
+              static_cast<unsigned long long>(plan.line_count),
+              static_cast<long long>(plan.group_size_r), plan.beta,
+              static_cast<unsigned long long>(plan.blocks.group_count), plan.partition_tag.c_str());
+  std::printf("interblock arcs: %zu / %zu (%.1f%%)\n", plan.stats.interblock_arcs,
+              plan.stats.total_arcs, 100.0 * plan.stats.interblock_fraction());
   std::printf("cover=%s theorem1=%s %s lemma2=%s lemma3=%s\n", r.exact_cover ? "ok" : "FAIL",
               r.theorem1 ? "ok" : "FAIL", r.theorem2.to_string().c_str(),
               r.lemmas.lemma2_holds ? "ok" : "FAIL", r.lemmas.lemma3_holds ? "ok" : "FAIL");
-  TextTable t({"block", "iterations", "group lattice"});
-  for (std::size_t b = 0; b < r.block_sizes.size(); ++b)
-    t.row(b, static_cast<std::uint64_t>(r.block_sizes[b]),
-          to_string(r.grouping.groups()[b].lattice));
-  std::printf("%s", t.to_string().c_str());
+  std::printf("%s", plan.partition_table().c_str());
   return r.exact_cover && r.theorem1 && r.theorem2.holds ? 0 : 2;
 }
 
 int cmd_map(const PipelineResult& r, unsigned dim) {
   Hypercube cube(dim);
-  if (r.lattice && r.lattice_mapping) {
-    // Lattice path: block_to_proc is never materialized; print the cluster
-    // boundaries (contiguous sorted-index intervals) per processor instead.
-    const LatticeHypercubeMapping& lm = *r.lattice_mapping;
-    std::printf("blocks: %llu -> %s, method=%s, directions=%zu\n",
-                static_cast<unsigned long long>(r.lattice->group_count()), cube.name().c_str(),
-                lm.method.c_str(), lm.directions_used);
-    if (!lm.frag_b.empty()) {
-      // Plane layout: clusters are unions of per-aux-chain (a-run, proc)
-      // fragments; print the CSR runs, one row per fragment.
-      TextTable t({"aux chain b", "a from", "processor"});
-      for (std::size_t i = 0; i < lm.frag_b.size(); ++i)
-        for (std::size_t k = lm.frag_off[i]; k < lm.frag_off[i + 1]; ++k)
-          t.row(lm.frag_b[i], lm.frag_runs[k].first,
-                static_cast<std::uint64_t>(lm.frag_runs[k].second));
-      std::printf("%s", t.to_string().c_str());
-      return 0;
-    }
-    TextTable t({"cluster", "processor", "sorted groups"});
-    for (std::uint64_t rank = 0; rank < lm.cluster_processor.size(); ++rank) {
-      auto [first, last] = lm.cluster_range(rank);
-      std::string range = first == last
-                              ? std::string("(empty)")
-                              : "[" + std::to_string(first) + ", " + std::to_string(last - 1) + "]";
-      t.row(rank, static_cast<std::uint64_t>(lm.cluster_processor[rank]), range);
-    }
-    std::printf("%s", t.to_string().c_str());
-    return 0;
-  }
-  MappingMetrics m = evaluate_mapping(r.tig, r.mapping.mapping, cube);
-  std::printf("blocks: %zu -> %s, %s\n", r.block_sizes.size(), cube.name().c_str(),
-              m.to_string().c_str());
-  TextTable t({"block", "processor"});
-  for (std::size_t b = 0; b < r.mapping.mapping.block_to_proc.size(); ++b)
-    t.row(b, static_cast<std::uint64_t>(r.mapping.mapping.block_to_proc[b]));
-  std::printf("%s", t.to_string().c_str());
+  std::printf("blocks: %llu -> %s%s", static_cast<unsigned long long>(r.plan->blocks.group_count),
+              cube.name().c_str(), r.plan->mapping_report(cube).c_str());
   return 0;
 }
 
@@ -518,6 +429,24 @@ int cmd_run(const LoopNest& nest, const PipelineResult& r, const CliOptions& o) 
   return e1.equal && e2_equal ? 0 : 2;
 }
 
+/// Write the --trace / --metrics artifacts (either path may be empty); 74
+/// when a file cannot be written.
+int write_obs_files(const std::string& trace_path, const obs::ChromeTraceSink& trace,
+                    const std::string& metrics_path, const obs::MetricsSnapshot& snap) {
+  if (!trace_path.empty() && !trace.write_file(trace_path)) {
+    std::fprintf(stderr, "hypart: cannot write trace to '%s'\n", trace_path.c_str());
+    return 74;
+  }
+  if (metrics_path.empty()) return 0;
+  std::ofstream out(metrics_path);
+  if (!out) {
+    std::fprintf(stderr, "hypart: cannot write metrics to '%s'\n", metrics_path.c_str());
+    return 74;
+  }
+  out << snap.to_json() << "\n";
+  return 0;
+}
+
 // --- serve -----------------------------------------------------------------
 
 serve::Server* g_server = nullptr;  ///< for the signal handler only
@@ -582,36 +511,22 @@ int cmd_serve(int argc, char** argv) {
     server.wait();
     g_server = nullptr;
   } catch (const Error& e) {
-    std::fprintf(stderr, "hypart: %s\n", e.what());
-    return e.exit_code();
+    return report_failure(e);
   }
 
   obs::MetricsSnapshot snap = metrics.snapshot();
   serve::PlanCacheStats cs = service.cache_stats();
+  auto counter = [&](const char* name) {
+    auto it = snap.counters.find(name);
+    return static_cast<long long>(it == snap.counters.end() ? 0 : it->second);
+  };
   std::printf("hypart serve: %lld requests, %lld errors; cache: %lld hit, %lld pi, %lld miss, "
               "%lld evictions\n",
-              static_cast<long long>(snap.counters.count("serve.requests")
-                                         ? snap.counters.at("serve.requests")
-                                         : 0),
-              static_cast<long long>(snap.counters.count("serve.errors")
-                                         ? snap.counters.at("serve.errors")
-                                         : 0),
+              counter("serve.requests"), counter("serve.errors"),
               static_cast<long long>(cs.doc_hits), static_cast<long long>(cs.pi_hits),
               static_cast<long long>(cs.doc_misses - cs.pi_hits),
               static_cast<long long>(cs.doc_evictions + cs.pi_evictions));
-  if (!trace_path.empty() && !trace_sink.write_file(trace_path)) {
-    std::fprintf(stderr, "hypart: cannot write trace to '%s'\n", trace_path.c_str());
-    return 74;
-  }
-  if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) {
-      std::fprintf(stderr, "hypart: cannot write metrics to '%s'\n", metrics_path.c_str());
-      return 74;
-    }
-    out << snap.to_json() << "\n";
-  }
-  return 0;
+  return write_obs_files(trace_path, trace_sink, metrics_path, snap);
 }
 
 }  // namespace
@@ -619,12 +534,10 @@ int cmd_serve(int argc, char** argv) {
 int main(int argc, char** argv) {
   // A worker process dying mid-send must surface as EPIPE, not kill the CLI.
   ignore_sigpipe();
+  for (int i = 1; i < argc; ++i)
+    if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) help();
   // `serve` takes no <file> operand, so it dispatches before parse_args.
-  if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
-    for (int i = 2; i < argc; ++i)
-      if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) help();
-    return cmd_serve(argc, argv);
-  }
+  if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) return cmd_serve(argc, argv);
   CliOptions o = parse_args(argc, argv);
 
   // Observability wiring: the CLI owns the sink/registry; the pipeline and
@@ -645,21 +558,10 @@ int main(int argc, char** argv) {
 
   // Write the --trace / --metrics artifacts; shared by every command path.
   auto write_obs_outputs = [&]() -> int {
-    if (!o.trace_path.empty() && !trace_sink.write_file(o.trace_path)) {
-      std::fprintf(stderr, "hypart: cannot write trace to '%s'\n", o.trace_path.c_str());
-      return 74;
-    }
-    if (want_metrics) {
-      obs::MetricsSnapshot snap = metrics.snapshot();
-      std::ofstream out(o.metrics_path);
-      if (!out) {
-        std::fprintf(stderr, "hypart: cannot write metrics to '%s'\n", o.metrics_path.c_str());
-        return 74;
-      }
-      out << snap.to_json() << "\n";
-      if (o.command == "simulate" || o.command == "run")
-        std::printf("%s", snap.summary().c_str());
-    }
+    obs::MetricsSnapshot snap = metrics.snapshot();
+    if (int rc = write_obs_files(o.trace_path, trace_sink, o.metrics_path, snap)) return rc;
+    if (want_metrics && (o.command == "simulate" || o.command == "run"))
+      std::printf("%s", snap.summary().c_str());
     return 0;
   };
 
@@ -667,8 +569,7 @@ int main(int argc, char** argv) {
     try {
       return parse_loop_nest(read_source(o.file));
     } catch (const ParseError& e) {
-      std::fprintf(stderr, "hypart: %s\n", e.what());
-      std::exit(65);
+      std::exit(report_failure(e));  // 65
     }
   }();
 
@@ -690,13 +591,14 @@ int main(int argc, char** argv) {
     return rc != 0 ? rc : obs_rc;
   }
 
-  PipelineResult r = [&] {
+  auto plan = [&](const PipelineConfig& config) {
     try {
-      return run_pipeline(nest, o.config);
+      return run_pipeline(nest, config);
     } catch (const std::exception& e) {
       std::exit(report_failure(e));
     }
-  }();
+  };
+  PipelineResult r = plan(o.config);
 
   // run / codegen / wavefront execute or print the materialized iteration
   // set.  Symbolic planning keeps its closed forms (and its metrics, already
@@ -708,11 +610,7 @@ int main(int argc, char** argv) {
     PipelineConfig dense_cfg = o.config;
     dense_cfg.space_mode = SpaceMode::Dense;
     dense_cfg.obs = {};
-    try {
-      r = run_pipeline(nest, dense_cfg);
-    } catch (const std::exception& e) {
-      return report_failure(e);
-    }
+    r = plan(dense_cfg);
   }
 
   int rc = 0;
@@ -726,8 +624,7 @@ int main(int argc, char** argv) {
     } catch (const Error& e) {
       // StallError / WorkerDeathError / FaultError carry their own exit codes
       // (75 / 76 / 77); diagnostics ride along in what().
-      std::fprintf(stderr, "hypart: %s\n", e.what());
-      return e.exit_code();
+      return report_failure(e);
     }
   } else if (o.command == "codegen") {
     std::printf("%s", generate_spmd_program(nest, *r.structure, r.time_function, r.partition,
