@@ -22,44 +22,39 @@ class GroupingPlan final : public PlanView {
         ps_(q ? std::make_unique<ProjectedStructure>(*q, tf)
               : std::make_unique<ProjectedStructure>(*space, tf)),
         grouping_(Grouping::compute(*ps_, opts)) {
-    if (q_) partition_ = Partition::build(*q_, grouping_);
-    stats = q_ ? compute_partition_stats(*q_, partition_)
-               : compute_partition_stats(*space_, grouping_);
+    if (q_) {
+      partition_ = Partition::build(*q_, grouping_);
+      stats = compute_partition_stats(*q_, partition_);
+      for (const PartitionBlock& b : partition_.blocks())
+        sizes_.push_back(static_cast<std::int64_t>(b.iterations.size()));
+    } else {
+      stats = compute_partition_stats(*space_, grouping_);
+      sizes_ = symbolic_block_sizes(grouping_);
+    }
     line_count = ps_->point_count();
     group_size_r = grouping_.group_size_r();
     beta = grouping_.beta();
-    groups_materialized = blocks.group_count = grouping_.group_count();
-    for (std::uint64_t g = 0; g < blocks.group_count; ++g) {
-      const std::int64_t n = population(g);
-      blocks.min_block = g == 0 ? n : std::min(blocks.min_block, n);
-      blocks.max_block = std::max(blocks.max_block, n);
-      blocks.total_iterations += static_cast<std::uint64_t>(n);
+    groups_materialized = blocks.group_count = sizes_.size();
+    for (std::size_t g = 0; g < sizes_.size(); ++g) {
+      blocks.min_block = g == 0 ? sizes_[g] : std::min(blocks.min_block, sizes_[g]);
+      blocks.max_block = std::max(blocks.max_block, sizes_[g]);
+      blocks.total_iterations += static_cast<std::uint64_t>(sizes_[g]);
     }
   }
 
   [[nodiscard]] const ProjectedStructure& projected() const { return *ps_; }
   [[nodiscard]] const Grouping& grouping() const { return grouping_; }
-  [[nodiscard]] const TaskInteractionGraph& tig() const { return tig_; }
   [[nodiscard]] const Mapping& mapping() const { return mapping_.mapping; }
-  [[nodiscard]] std::vector<std::int64_t> block_sizes() const {
-    std::vector<std::int64_t> sizes(grouping_.group_count());
-    for (std::size_t g = 0; g < sizes.size(); ++g) sizes[g] = population(g);
-    return sizes;
-  }
+  [[nodiscard]] const std::vector<std::int64_t>& block_sizes() const { return sizes_; }
 
   void map(unsigned cube_dim, const HypercubeMapOptions& opts) override {
-    tig_ = q_ ? TaskInteractionGraph::from_partition(*q_, partition_, grouping_)
-              : TaskInteractionGraph::from_symbolic(*space_, grouping_);
+    tig_ = TaskInteractionGraph::from_blocks(sizes_, grouping_, stats.block_comm);
     mapping_ = map_to_hypercube(tig_, cube_dim, opts);
     processors = mapping_.mapping.processor_count;
     method = mapping_.mapping.method;
   }
   [[nodiscard]] std::int64_t population(std::uint64_t group) const override {
-    if (q_) return static_cast<std::int64_t>(partition_.blocks()[group].iterations.size());
-    std::int64_t n = 0;
-    for (std::size_t p : grouping_.groups()[group].members())
-      n += static_cast<std::int64_t>(ps_->line_population(p));
-    return n;
+    return sizes_[group];
   }
   [[nodiscard]] ProcId owner(std::uint64_t group) const override {
     return mapping_.mapping.block_to_proc[group];
@@ -83,9 +78,8 @@ class GroupingPlan final : public PlanView {
   }
   [[nodiscard]] std::string partition_table() const override {
     TextTable t({"block", "iterations", "group lattice"});
-    std::vector<std::int64_t> sizes = block_sizes();
-    for (std::size_t b = 0; b < sizes.size(); ++b)
-      t.row(b, static_cast<std::uint64_t>(sizes[b]), to_string(grouping_.groups()[b].lattice));
+    for (std::size_t b = 0; b < sizes_.size(); ++b)
+      t.row(b, static_cast<std::uint64_t>(sizes_[b]), to_string(grouping_.groups()[b].lattice));
     return t.to_string();
   }
   [[nodiscard]] std::string mapping_report(const Hypercube& cube) const override {
@@ -109,6 +103,7 @@ class GroupingPlan final : public PlanView {
   std::unique_ptr<ProjectedStructure> ps_;
   Grouping grouping_;
   Partition partition_;  ///< dense plans only
+  std::vector<std::int64_t> sizes_;  ///< block (= group) sizes, in group order
   TaskInteractionGraph tig_;
   HypercubeMappingResult mapping_;
 };
@@ -265,18 +260,12 @@ void verify_against_symbolic(const PipelineResult& r, const PipelineConfig& conf
     if (sym_ps.line_representative(id) != dense.projected().line_representative(id))
       fail("line representatives");
   }
+  // The block sizes and the block graph are the TIG's whole input.
   if (symbolic_block_sizes(grouping) != dense.block_sizes()) fail("block sizes");
   PartitionStats sym_stats = compute_partition_stats(*r.space, grouping);
   if (!same_arcs(sym_stats)) fail("partition stats");
   if (!sym_stats.block_comm.same_weights(dense.stats.block_comm))
     fail("block communication graph");
-  TaskInteractionGraph tig = TaskInteractionGraph::from_symbolic(*r.space, grouping);
-  if (tig.vertex_count() != dense.tig().vertex_count() || tig.edges() != dense.tig().edges())
-    fail("task interaction graph");
-  for (std::size_t v = 0; v < tig.vertex_count(); ++v) {
-    if (tig.compute_weight(v) != dense.tig().compute_weight(v)) fail("TIG vertex weights");
-    if (tig.coordinates(v) != dense.tig().coordinates(v)) fail("TIG coordinates");
-  }
   // The line-based simulator models fault plans with the dense block ids
   // and the same remap/detour machinery, so the cross-check holds under any
   // plan — including the degraded fields.
@@ -292,7 +281,7 @@ void verify_against_symbolic(const PipelineResult& r, const PipelineConfig& conf
 
   // Closed-form group-lattice cross-checks: every lattice-derived quantity
   // (grouping, statistics, arc classes, cube assignment, simulation, theorem
-  // verdicts) must match the dense stages exactly.  Where Algorithm 2 has
+  // verdicts) must equal the dense stages exactly.  Where Algorithm 2 has
   // no closed form (symbolic mode maps those runs on the line-based plan)
   // the lattice is checked up to its mapping.
   std::optional<GroupLattice> gl = GroupLattice::build(*r.space, r.time_function, config.grouping);

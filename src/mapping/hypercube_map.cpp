@@ -40,11 +40,10 @@ HypercubeMappingResult map_to_hypercube(const TaskInteractionGraph& tig, unsigne
   for (unsigned j = 0; j < cube_dim; ++j) {
     const std::size_t dir = j % beta;
     ++bits[dir];
-    obs::ScopedSpan level_span(sink, "bisect_level", "mapping", obs::kPipelinePid,
-                               obs::kMappingTid,
-                               {{"level", static_cast<std::int64_t>(j)},
-                                {"direction", static_cast<std::int64_t>(dir)},
-                                {"clusters_in", static_cast<std::int64_t>(clusters.size())}});
+    obs::Span level_span(sink, "bisect_level", "mapping", obs::kPipelinePid, obs::kMappingTid,
+                         {{"level", static_cast<std::int64_t>(j)},
+                          {"direction", static_cast<std::int64_t>(dir)},
+                          {"clusters_in", static_cast<std::int64_t>(clusters.size())}});
     std::vector<Cluster> next;
     next.reserve(clusters.size() * 2);
     for (Cluster& c : clusters) {

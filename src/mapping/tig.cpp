@@ -10,41 +10,37 @@
 
 namespace hypart {
 
+TaskInteractionGraph TaskInteractionGraph::from_blocks(const std::vector<std::int64_t>& sizes,
+                                                       const Grouping& grouping,
+                                                       const Digraph& block_comm) {
+  if (sizes.size() != grouping.group_count() || block_comm.vertex_count() != sizes.size())
+    throw Error(ErrorKind::Config, "TaskInteractionGraph: " + std::to_string(sizes.size()) +
+                                       " blocks but grouping has " +
+                                       std::to_string(grouping.group_count()) + " groups");
+  TaskInteractionGraph tig(sizes.size());
+  for (std::size_t b = 0; b < sizes.size(); ++b) {
+    tig.set_compute_weight(b, sizes[b]);
+    tig.set_coordinates(b, grouping.groups()[b].lattice);
+  }
+  // Each directed block pair adds its crossing-arc count to the undirected edge.
+  for (std::size_t bs = 0; bs < block_comm.vertex_count(); ++bs)
+    for (const Digraph::Edge& e : block_comm.out_edges(bs)) tig.add_comm(bs, e.to, e.weight);
+  return tig;
+}
+
 TaskInteractionGraph TaskInteractionGraph::from_partition(const ComputationStructure& q,
                                                           const Partition& p,
                                                           const Grouping& grouping) {
-  if (p.block_count() != grouping.group_count())
-    throw Error(ErrorKind::Config, "TaskInteractionGraph::from_partition: partition has " +
-                                       std::to_string(p.block_count()) + " blocks but grouping has " +
-                                       std::to_string(grouping.group_count()) + " groups");
-  TaskInteractionGraph tig(p.block_count());
-  for (std::size_t b = 0; b < p.block_count(); ++b) {
-    tig.set_compute_weight(b, static_cast<std::int64_t>(p.blocks()[b].iterations.size()));
-    tig.set_coordinates(b, grouping.groups()[b].lattice);
-  }
-  // Each directed block pair of the partition's communication graph adds
-  // its crossing-arc count to the undirected edge.
-  const PartitionStats stats = compute_partition_stats(q, p);
-  const Digraph& comm = stats.block_comm;
-  for (std::size_t bs = 0; bs < comm.vertex_count(); ++bs)
-    for (const Digraph::Edge& e : comm.out_edges(bs)) tig.add_comm(bs, e.to, e.weight);
-  return tig;
+  std::vector<std::int64_t> sizes;
+  for (const PartitionBlock& b : p.blocks())
+    sizes.push_back(static_cast<std::int64_t>(b.iterations.size()));
+  return from_blocks(sizes, grouping, compute_partition_stats(q, p).block_comm);
 }
 
 TaskInteractionGraph TaskInteractionGraph::from_symbolic(const IterSpace& space,
                                                          const Grouping& grouping) {
-  TaskInteractionGraph tig(grouping.group_count());
-  std::vector<std::int64_t> sizes = symbolic_block_sizes(grouping);
-  for (std::size_t b = 0; b < grouping.group_count(); ++b) {
-    tig.set_compute_weight(b, sizes[b]);
-    tig.set_coordinates(b, grouping.groups()[b].lattice);
-  }
-  for_each_line_dep(space, grouping.projected(), [&](const LineDepArcs& bundle) {
-    std::size_t bs = grouping.group_of_point(bundle.point);
-    std::size_t bd = grouping.group_of_point(bundle.target);
-    if (bs != bd) tig.add_comm(bs, bd, bundle.count);
-  });
-  return tig;
+  return from_blocks(symbolic_block_sizes(grouping), grouping,
+                     compute_partition_stats(space, grouping).block_comm);
 }
 
 TaskInteractionGraph TaskInteractionGraph::mesh(std::size_t width, std::size_t height,

@@ -21,18 +21,23 @@ class TaskInteractionGraph {
   TaskInteractionGraph() = default;
   explicit TaskInteractionGraph(std::size_t vertices) : compute_(vertices, 1) {}
 
-  /// Build from a partition: edge weights are interblock dependence-pair
-  /// counts (compute_partition_stats' block graph, symmetrised), vertex
-  /// weights are block iteration counts, coordinates are the group-lattice
-  /// coordinates recorded during region growing.  Throws
-  /// Error(ErrorKind::Config) unless p has one block per group.
+  /// Build from Algorithm 1's output: vertex weights are the per-group
+  /// block sizes, coordinates the group-lattice coordinates recorded during
+  /// region growing, and edge weights the block graph's interblock
+  /// dependence-pair counts, symmetrised.  Throws Error(ErrorKind::Config)
+  /// unless there is one size and one block-graph vertex per group.
+  static TaskInteractionGraph from_blocks(const std::vector<std::int64_t>& sizes,
+                                          const Grouping& grouping, const Digraph& block_comm);
+
+  /// from_blocks over a materialized partition and its
+  /// compute_partition_stats block graph.
   static TaskInteractionGraph from_partition(const ComputationStructure& q, const Partition& p,
                                              const Grouping& grouping);
 
-  /// Build the same TIG in closed form from a symbolic iteration space
-  /// (rectangular or affine/slab-decomposed, docs/affine-spaces.md):
-  /// vertex weights are summed line populations, edge weights are
-  /// line-bundle arc counts (partition/symbolic.hpp) — no points touched.
+  /// from_blocks over a symbolic iteration space (rectangular or
+  /// affine/slab-decomposed, docs/affine-spaces.md): summed line
+  /// populations and the closed-form block graph (partition/symbolic.hpp)
+  /// — no points touched.
   static TaskInteractionGraph from_symbolic(const IterSpace& space, const Grouping& grouping);
 
   /// A w x h mesh-like TIG with unit edge weights (the paper's Fig. 8(a));

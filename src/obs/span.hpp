@@ -1,9 +1,8 @@
 // hypart::obs — self-profiling spans and the per-phase profile collector.
 //
-// `ScopedSpan` (obs/trace.hpp) records wall time only; `Span` is the
-// self-profiler upgrade: wall time + peak-RSS delta + heap-allocation count
-// over the span's extent, emitted as one Complete trace event whose args
-// carry the extra dimensions (`allocs`, `rss_peak_delta_kb`).  The
+// `Span` is the one RAII span: wall time + peak-RSS delta + heap-allocation
+// count over the span's extent, emitted as one Complete trace event whose
+// args carry the extra dimensions (`allocs`, `rss_peak_delta_kb`).  The
 // allocation count comes from a thread-local counting hook installed on the
 // global operator new (obs/span.cpp), so it needs no allocator replacement
 // and costs one thread-local increment per allocation; the RSS figure is

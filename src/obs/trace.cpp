@@ -112,28 +112,4 @@ void emit_thread_name(TraceSink* sink, std::uint64_t pid, std::uint64_t tid, std
                          Args{{"name", std::move(name)}}});
 }
 
-ScopedSpan::ScopedSpan(TraceSink* sink, std::string name, std::string cat, std::uint64_t pid,
-                       std::uint64_t tid, Args args)
-    : sink_(sink) {
-  if (sink_ == nullptr) return;
-  ev_.name = std::move(name);
-  ev_.cat = std::move(cat);
-  ev_.phase = Phase::Complete;
-  ev_.pid = pid;
-  ev_.tid = tid;
-  ev_.args = std::move(args);
-  ev_.ts = wall_clock_us();
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (sink_ == nullptr) return;
-  ev_.dur = wall_clock_us() - ev_.ts;
-  sink_->event(ev_);
-}
-
-void ScopedSpan::arg(std::string key, ArgValue value) {
-  if (sink_ == nullptr) return;
-  ev_.args.emplace_back(std::move(key), std::move(value));
-}
-
 }  // namespace hypart::obs

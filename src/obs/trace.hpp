@@ -124,23 +124,4 @@ void emit_counter(TraceSink* sink, std::string name, double ts, std::uint64_t pi
 void emit_process_name(TraceSink* sink, std::uint64_t pid, std::string name);
 void emit_thread_name(TraceSink* sink, std::uint64_t pid, std::uint64_t tid, std::string name);
 
-/// RAII wall-clock span: records start on construction, emits one Complete
-/// event on destruction.  No-op (no clock read) when `sink` is null.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceSink* sink, std::string name, std::string cat,
-             std::uint64_t pid = kPipelinePid, std::uint64_t tid = kPipelineTid, Args args = {});
-  ~ScopedSpan();
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// Attach an argument after construction (e.g. a stage's output size).
-  void arg(std::string key, ArgValue value);
-
- private:
-  TraceSink* sink_;
-  TraceEvent ev_;
-};
-
 }  // namespace hypart::obs

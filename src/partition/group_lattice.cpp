@@ -13,21 +13,6 @@ namespace hypart {
 
 namespace {
 
-/// Π / content(Π) preserving Π's sign — must match projection.cpp's
-/// minimal_line_direction so line populations and strides agree bit-for-bit
-/// with the dense/line-based paths.
-IntVec minimal_line_direction(const IntVec& pi) {
-  std::int64_t g = content(pi);
-  IntVec u(pi.size());
-  for (std::size_t i = 0; i < u.size(); ++i) u[i] = pi[i] / g;
-  return u;
-}
-
-/// Scaled projection s·x - (Π·x)·Π (the dense ProjectedStructure scaling).
-IntVec proj_scaled(const IntVec& x, const IntVec& pi, std::int64_t s) {
-  return sub(scale(x, s), scale(pi, dot(pi, x)));
-}
-
 IntVec cross3(const IntVec& x, const IntVec& y) {
   return IntVec{x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
                 x[0] * y[1] - x[1] * y[0]};
@@ -99,48 +84,26 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   const IntVec& pi = tf.pi;
   if (pi.size() != n || is_zero(pi)) return fail("invalid-hyperplane");
 
-  GroupLattice gl;
+  GroupLattice gl(ProjectionFrame(space.dependences(), tf));
   gl.space_ = &space;
-  gl.tf_ = tf;
-  gl.scale_ = dot(pi, pi);
-  gl.u_ = minimal_line_direction(pi);
-  gl.sigma_ = gl.scale_ / content(pi);
-
-  // Projected dependences and the replication factors of Algorithm 1 Step 1
-  // (r_k = s / gcd(s, content(pdep_k)), as in
-  // ProjectedStructure::replication_factor); the grouping vector is the
-  // first dependence attaining the maximal r.
+  // Steps 1-2 exactly as the dense grouping takes them.  An override the
+  // line-based path rejects, or one parallel to Π (a degenerate grouping
+  // the closed forms do not model), falls back so that path decides.
+  try {
+    gl.choice_ = choose_grouping(gl.frame_, opts);
+  } catch (const std::invalid_argument&) {
+    return fail("invalid-grouping-override");
+  }
+  if (opts.grouping_vector && gl.degenerate()) return fail("invalid-grouping-override");
+  const std::optional<std::size_t> l = gl.choice_.grouping;
+  const IntVec& u = gl.line_direction();
   const std::vector<IntVec>& deps = space.dependences();
   const std::size_t nd = deps.size();
-  gl.pdeps_.reserve(nd);
-  std::int64_t r = 1;
-  for (const IntVec& d : deps) {
-    IntVec pd = proj_scaled(d, pi, gl.scale_);
-    if (!is_zero(pd)) r = std::max(r, gl.scale_ / gcd64(gl.scale_, content(pd)));
-    gl.pdeps_.push_back(std::move(pd));
-  }
-  std::optional<std::size_t> l;
-  for (std::size_t k = 0; k < nd; ++k) {
-    if (is_zero(gl.pdeps_[k])) continue;
-    if (gl.scale_ / gcd64(gl.scale_, content(gl.pdeps_[k])) == r) {
-      l = k;
-      break;
-    }
-  }
-  if (opts.grouping_vector) {
-    // Honor the override only when it is valid (nonzero projection attaining
-    // the maximal r); otherwise fall back so the dense path raises its error.
-    std::size_t k = *opts.grouping_vector;
-    if (k >= nd || is_zero(gl.pdeps_[k]) ||
-        gl.scale_ / gcd64(gl.scale_, content(gl.pdeps_[k])) != r)
-      return fail("invalid-grouping-override");
-    l = k;
-  }
 
   if (n == 2) {
     // ---- chain layout -----------------------------------------------------
     gl.layout_ = LatticeLayout::Chain;
-    gl.w_ = IntVec{gl.u_[1], -gl.u_[0]};
+    gl.w_ = IntVec{u[1], -u[0]};
     gl.shifts_.resize(nd);
     for (std::size_t k = 0; k < nd; ++k) gl.shifts_[k].dx0 = dot(gl.w_, deps[k]);
 
@@ -195,8 +158,7 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     // Orientation and the seed line.  The dense lexicographic seed is the
     // lex-min scaled projected point; ĵ(c) = c·v with v = proj(δ), so it
     // sits at c_lo when v is lex-positive, else at c_hi.
-    IntVec v = proj_scaled(delta, pi, gl.scale_);
-    const bool lexpos = lex_positive(v);
+    const bool lexpos = lex_positive(gl.frame_.project(delta));
     gl.lexdir_ = lexpos ? 1 : -1;
     gl.c_seed_ = lexpos ? c_lo : c_hi;
 
@@ -208,7 +170,7 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     std::int64_t max_shift = 0;
     for (std::size_t k = 0; k < nd; ++k) {
       DepShift& sh = gl.shifts_[k];
-      sh.kappa = line_multiple(sub(deps[k], scale(delta, sh.dx0)), gl.u_);
+      sh.kappa = line_multiple(sub(deps[k], scale(delta, sh.dx0)), u);
       max_shift = std::max(max_shift, iabs(sh.dx0));
     }
     gl.ring_size_ = std::bit_ceil(static_cast<std::uint64_t>(2 * max_shift + 1));
@@ -219,8 +181,6 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
       // the dense region growing seeds class m at the m-th line in lex
       // order (c_seed + m·lexdir), so component m's slot grid is
       // c = c_seed + m·lexdir + t·γ_l with group a = floor(t/r).
-      gl.grouping_ = l;
-      gl.r_ = r;
       gl.gamma_l_ = gl.shifts_[*l].dx0;
       const std::int64_t g = iabs(gl.gamma_l_);
       const std::int64_t ncomp = std::min(g, len);
@@ -239,8 +199,8 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
           tmax = floor_div(detail::checked_sub(c_lo, cs), gl.gamma_l_);
         }
         gl.comp_t_.emplace_back(tmin, tmax);
-        const std::int64_t a1 = floor_div(tmin, gl.r_);
-        const std::int64_t a2 = floor_div(tmax, gl.r_);
+        const std::int64_t a1 = floor_div(tmin, gl.choice_.r);
+        const std::int64_t a2 = floor_div(tmax, gl.choice_.r);
         gl.a_min_ = std::min(gl.a_min_, a1);
         gl.a_max_ = std::max(gl.a_max_, a2);
         groups = detail::checked_add(groups, detail::checked_add(detail::checked_sub(a2, a1), 1));
@@ -258,15 +218,13 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
       // Degenerate: every line is its own group and its own dense
       // region-growing component; dense group/component ids follow the
       // lexicographic point order, i.e. ascending slot t = lexdir·(c - c*).
-      gl.grouping_ = std::nullopt;
-      gl.r_ = 1;
       gl.gamma_l_ = gl.lexdir_;
       gl.comp_t_.emplace_back(0, len - 1);
       gl.a_min_ = 0;
       gl.a_max_ = len - 1;
       gl.group_count_ = static_cast<std::uint64_t>(len);
     }
-    gl.form_ = space.line_form(gl.anchor_origin_, gl.anchor_gens_, gl.u_);
+    gl.form_ = space.line_form(gl.anchor_origin_, gl.anchor_gens_, u);
     gl.step_x0_ = dot(pi, delta);
     return gl;
   }
@@ -274,20 +232,8 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   // ---- plane layout (n = 3, β = 2, single coset) --------------------------
   gl.layout_ = LatticeLayout::Plane;
   if (!l) return fail("3d-degenerate");
-  // β = 2 needs an auxiliary vector: the first projected dependence outside
-  // span(d_l^p) (the dense greedy Step 2 choice).
-  std::optional<std::size_t> ax;
-  for (std::size_t k = 0; k < nd; ++k) {
-    if (is_zero(gl.pdeps_[k])) continue;
-    if (!is_zero(cross3(gl.pdeps_[*l], gl.pdeps_[k]))) {
-      ax = k;
-      break;
-    }
-  }
+  const std::optional<std::size_t> ax = gl.auxiliary_vector_index();
   if (!ax) return fail("3d-beta-not-2");
-  gl.grouping_ = l;
-  gl.aux_ = ax;
-  gl.r_ = r;
 
   // Dual functionals: A(x) = x·(d_a^p × Π) and B(x) = x·(Π × d_l^p) with
   // shared divisor D = det(d_l^p, d_a^p, Π) satisfy A(d_l^p) = B(d_a^p) = D
@@ -295,8 +241,8 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   // are the integer lattice coordinates of a projected point relative to the
   // dense seed ĵ* — provided every projected unit vector stays on the seed
   // coset (D divides both functionals on proj(e_i)).
-  const IntVec& dlp = gl.pdeps_[*l];
-  const IntVec& dap = gl.pdeps_[*ax];
+  const IntVec& dlp = gl.projected_dep_scaled(*l);
+  const IntVec& dap = gl.projected_dep_scaled(*ax);
   gl.avec_ = cross3(dap, pi);
   gl.bvec_ = cross3(pi, dlp);
   gl.ddet_ = dot(gl.avec_, dlp);
@@ -309,14 +255,14 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   for (std::size_t i = 0; i < 3; ++i) {
     IntVec e(3);
     e[i] = 1;
-    IntVec pe = proj_scaled(e, pi, gl.scale_);
+    IntVec pe = gl.frame_.project(e);
     if (dot(gl.avec_, pe) % gl.ddet_ != 0 || dot(gl.bvec_, pe) % gl.ddet_ != 0)
       return fail("plane-multi-coset");
   }
   gl.shifts_.resize(nd);
   for (std::size_t k = 0; k < nd; ++k) {
-    gl.shifts_[k].dx0 = dot(gl.avec_, gl.pdeps_[k]) / gl.ddet_;
-    gl.shifts_[k].dx1 = dot(gl.bvec_, gl.pdeps_[k]) / gl.ddet_;
+    gl.shifts_[k].dx0 = dot(gl.avec_, gl.projected_dep_scaled(k)) / gl.ddet_;
+    gl.shifts_[k].dx1 = dot(gl.bvec_, gl.projected_dep_scaled(k)) / gl.ddet_;
   }
 
   // One O(lines) enumeration: per aux chain (fixed raw B) track the slot
@@ -325,8 +271,8 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   // A(proj x) = (s·A - (A·Π)·Π)·x = s·A(x): each line's lattice coordinates
   // come straight from its entry point, and the projected point is needed
   // only componentwise for the lex comparison — nothing is allocated per line.
-  const IntVec afold = sub(scale(gl.avec_, gl.scale_), scale(pi, dot(gl.avec_, pi)));
-  const IntVec bfold = sub(scale(gl.bvec_, gl.scale_), scale(pi, dot(gl.bvec_, pi)));
+  const IntVec afold = gl.frame_.project(gl.avec_);
+  const IntVec bfold = gl.frame_.project(gl.bvec_);
   struct Acc {
     std::int64_t t_lo, t_hi;
     std::uint64_t count;
@@ -337,7 +283,8 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   IntVec seed_entry(3);
   std::int64_t qa_seed = 0, qb_seed = 0;
   std::uint64_t nlines = 0;
-  space.for_each_line(gl.u_, [&](const IntVec& entry, std::int64_t) {
+  const std::int64_t s = gl.frame_.scale();
+  space.for_each_line(u, [&](const IntVec& entry, std::int64_t) {
     const std::int64_t qa = dot(afold, entry) / gl.ddet_;
     const std::int64_t qb = dot(bfold, entry) / gl.ddet_;
     ++nlines;
@@ -350,7 +297,7 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     const std::int64_t pe = dot(pi, entry);
     std::array<std::int64_t, 3> jp{};
     for (std::size_t i = 0; i < 3; ++i)
-      jp[i] = detail::checked_sub(detail::checked_mul(gl.scale_, entry[i]),
+      jp[i] = detail::checked_sub(detail::checked_mul(s, entry[i]),
                                   detail::checked_mul(pe, pi[i]));
     if (!have_seed || jp < jseed) {
       have_seed = true;
@@ -376,8 +323,8 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     rec.t_lo = detail::checked_sub(acc.t_lo, qa_seed);
     rec.t_hi = detail::checked_sub(acc.t_hi, qa_seed);
     gl.chains_.push_back(rec);
-    const std::int64_t a1 = floor_div(rec.t_lo, gl.r_);
-    const std::int64_t a2 = floor_div(rec.t_hi, gl.r_);
+    const std::int64_t a1 = floor_div(rec.t_lo, gl.choice_.r);
+    const std::int64_t a2 = floor_div(rec.t_hi, gl.choice_.r);
     gl.a_min_ = std::min(gl.a_min_, a1);
     gl.a_max_ = std::max(gl.a_max_, a2);
     groups = detail::checked_add(groups, detail::checked_add(detail::checked_sub(a2, a1), 1));
@@ -397,9 +344,9 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   gl.anchor_gens_ = {dl, da};
   for (std::size_t k = 0; k < nd; ++k) {
     DepShift& sh = gl.shifts_[k];
-    sh.kappa = line_multiple(sub(sub(deps[k], scale(dl, sh.dx0)), scale(da, sh.dx1)), gl.u_);
+    sh.kappa = line_multiple(sub(sub(deps[k], scale(dl, sh.dx0)), scale(da, sh.dx1)), u);
   }
-  gl.form_ = space.line_form(gl.anchor_origin_, gl.anchor_gens_, gl.u_);
+  gl.form_ = space.line_form(gl.anchor_origin_, gl.anchor_gens_, u);
   gl.step_base_ = dot(pi, gl.anchor_origin_);
   gl.step_x0_ = dot(pi, dl);
   gl.step_x1_ = dot(pi, da);
@@ -452,7 +399,7 @@ std::uint64_t GroupLattice::sum_line_populations(std::int64_t c1, std::int64_t c
 GroupLattice::GroupKey GroupLattice::group_of_line(std::int64_t c) const {
   const std::int64_t t = slot_of_line(c);
   if (degenerate()) return GroupKey{t, 0, t};
-  return GroupKey{floor_div(t, r_), 0, component_of_line(c)};
+  return GroupKey{floor_div(t, choice_.r), 0, component_of_line(c)};
 }
 
 IntVec GroupLattice::group_lattice_coord(const GroupKey& g) const {
@@ -465,15 +412,15 @@ DimBounds GroupLattice::group_line_range(const GroupKey& g) const {
   if (layout_ == LatticeLayout::Plane) {
     const PlaneChainRec* ch = plane_chain(g.b);
     if (!ch) return {0, -1};
-    return {std::max(g.a * r_, ch->t_lo), std::min(g.a * r_ + r_ - 1, ch->t_hi)};
+    return {std::max(g.a * choice_.r, ch->t_lo), std::min(g.a * choice_.r + choice_.r - 1, ch->t_hi)};
   }
   if (degenerate()) {
     const std::int64_t c = c_seed_ + g.a * lexdir_;
     return {c, c};
   }
   const auto& [tmin, tmax] = comp_t_[static_cast<std::size_t>(g.comp)];
-  const std::int64_t t_lo = std::max(g.a * r_, tmin);
-  const std::int64_t t_hi = std::min(g.a * r_ + r_ - 1, tmax);
+  const std::int64_t t_lo = std::max(g.a * choice_.r, tmin);
+  const std::int64_t t_hi = std::min(g.a * choice_.r + choice_.r - 1, tmax);
   const std::int64_t cs = c_seed_ + g.comp * lexdir_;
   const std::int64_t c1 = cs + t_lo * gamma_l_;
   const std::int64_t c2 = cs + t_hi * gamma_l_;
@@ -488,13 +435,13 @@ std::int64_t GroupLattice::group_population(const GroupKey& g) const {
   if (layout_ == LatticeLayout::Plane) {
     const PlaneChainRec* ch = plane_chain(g.b);
     if (!ch) return 0;
-    walk_plane(*ch, std::max(g.a * r_, ch->t_lo), std::min(g.a * r_ + r_ - 1, ch->t_hi), add);
+    walk_plane(*ch, std::max(g.a * choice_.r, ch->t_lo), std::min(g.a * choice_.r + choice_.r - 1, ch->t_hi), add);
     return total;
   }
   if (degenerate()) return line_population(c_seed_ + g.a * lexdir_);
   const auto& [tmin, tmax] = comp_t_[static_cast<std::size_t>(g.comp)];
-  walk_chain(static_cast<std::size_t>(g.comp), std::max(g.a * r_, tmin),
-             std::min(g.a * r_ + r_ - 1, tmax), add);
+  walk_chain(static_cast<std::size_t>(g.comp), std::max(g.a * choice_.r, tmin),
+             std::min(g.a * choice_.r + choice_.r - 1, tmax), add);
   return total;
 }
 
@@ -504,16 +451,16 @@ std::uint64_t GroupLattice::sorted_index_of_group(const GroupKey& g) const {
   std::uint64_t idx = 0;
   if (layout_ == LatticeLayout::Chain) {
     for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-      const std::int64_t a1 = floor_div(comp_t_[m].first, r_);
-      const std::int64_t a2 = floor_div(comp_t_[m].second, r_);
+      const std::int64_t a1 = floor_div(comp_t_[m].first, choice_.r);
+      const std::int64_t a2 = floor_div(comp_t_[m].second, choice_.r);
       const std::int64_t hi = std::min(a2, g.a - 1);
       if (hi >= a1) idx += static_cast<std::uint64_t>(hi - a1 + 1);
       if (static_cast<std::int64_t>(m) < g.comp && a1 <= g.a && g.a <= a2) ++idx;
     }
   } else {
     for (const PlaneChainRec& ch : chains_) {
-      const std::int64_t a1 = floor_div(ch.t_lo, r_);
-      const std::int64_t a2 = floor_div(ch.t_hi, r_);
+      const std::int64_t a1 = floor_div(ch.t_lo, choice_.r);
+      const std::int64_t a2 = floor_div(ch.t_hi, choice_.r);
       const std::int64_t hi = std::min(a2, g.a - 1);
       if (hi >= a1) idx += static_cast<std::uint64_t>(hi - a1 + 1);
       if (ch.b < g.b && a1 <= g.a && g.a <= a2) ++idx;
@@ -533,15 +480,15 @@ GroupLattice::GroupKey GroupLattice::group_at_sorted_index(std::uint64_t k) cons
     std::uint64_t cnt = 0;
     if (layout_ == LatticeLayout::Chain) {
       for (const auto& [tmin, tmax] : comp_t_) {
-        const std::int64_t a1 = floor_div(tmin, r_);
-        const std::int64_t a2 = floor_div(tmax, r_);
+        const std::int64_t a1 = floor_div(tmin, choice_.r);
+        const std::int64_t a2 = floor_div(tmax, choice_.r);
         const std::int64_t hi = std::min(a2, a - 1);
         if (hi >= a1) cnt += static_cast<std::uint64_t>(hi - a1 + 1);
       }
     } else {
       for (const PlaneChainRec& ch : chains_) {
-        const std::int64_t a1 = floor_div(ch.t_lo, r_);
-        const std::int64_t a2 = floor_div(ch.t_hi, r_);
+        const std::int64_t a1 = floor_div(ch.t_lo, choice_.r);
+        const std::int64_t a2 = floor_div(ch.t_hi, choice_.r);
         const std::int64_t hi = std::min(a2, a - 1);
         if (hi >= a1) cnt += static_cast<std::uint64_t>(hi - a1 + 1);
       }
@@ -558,8 +505,8 @@ GroupLattice::GroupKey GroupLattice::group_at_sorted_index(std::uint64_t k) cons
   std::uint64_t j = k - below(a);
   if (layout_ == LatticeLayout::Chain) {
     for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-      const std::int64_t a1 = floor_div(comp_t_[m].first, r_);
-      const std::int64_t a2 = floor_div(comp_t_[m].second, r_);
+      const std::int64_t a1 = floor_div(comp_t_[m].first, choice_.r);
+      const std::int64_t a2 = floor_div(comp_t_[m].second, choice_.r);
       if (a1 <= a && a <= a2) {
         if (j == 0) return GroupKey{a, 0, static_cast<std::int64_t>(m)};
         --j;
@@ -567,8 +514,8 @@ GroupLattice::GroupKey GroupLattice::group_at_sorted_index(std::uint64_t k) cons
     }
   } else {
     for (const PlaneChainRec& ch : chains_) {
-      const std::int64_t a1 = floor_div(ch.t_lo, r_);
-      const std::int64_t a2 = floor_div(ch.t_hi, r_);
+      const std::int64_t a1 = floor_div(ch.t_lo, choice_.r);
+      const std::int64_t a2 = floor_div(ch.t_hi, choice_.r);
       if (a1 <= a && a <= a2) {
         if (j == 0) return GroupKey{a, ch.b, 0};
         --j;
@@ -588,8 +535,8 @@ void GroupLattice::for_each_group(
   for (std::int64_t a = a_min_; a <= a_max_; ++a) {
     if (layout_ == LatticeLayout::Chain) {
       for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-        const std::int64_t a1 = floor_div(comp_t_[m].first, r_);
-        const std::int64_t a2 = floor_div(comp_t_[m].second, r_);
+        const std::int64_t a1 = floor_div(comp_t_[m].first, choice_.r);
+        const std::int64_t a2 = floor_div(comp_t_[m].second, choice_.r);
         if (a1 <= a && a <= a2) {
           const GroupKey g{a, 0, static_cast<std::int64_t>(m)};
           visit(g, group_population(g));
@@ -597,8 +544,8 @@ void GroupLattice::for_each_group(
       }
     } else {
       for (const PlaneChainRec& ch : chains_) {
-        const std::int64_t a1 = floor_div(ch.t_lo, r_);
-        const std::int64_t a2 = floor_div(ch.t_hi, r_);
+        const std::int64_t a1 = floor_div(ch.t_lo, choice_.r);
+        const std::int64_t a2 = floor_div(ch.t_hi, choice_.r);
         if (a1 <= a && a <= a2) {
           const GroupKey g{a, ch.b, 0};
           visit(g, group_population(g));
@@ -613,7 +560,7 @@ std::vector<GroupLattice::GroupBox> GroupLattice::enumerate_boxes() const {
   if (layout_ == LatticeLayout::Plane) {
     boxes.reserve(chains_.size());
     for (const PlaneChainRec& ch : chains_)
-      boxes.push_back(GroupBox{floor_div(ch.t_lo, r_), floor_div(ch.t_hi, r_), ch.b, ch.b});
+      boxes.push_back(GroupBox{floor_div(ch.t_lo, choice_.r), floor_div(ch.t_hi, choice_.r), ch.b, ch.b});
     return boxes;
   }
   const std::int64_t gabs = std::max<std::int64_t>(1, iabs(gamma_l_));
@@ -649,10 +596,14 @@ LatticeSweepResult GroupLattice::sweep(bool validate) const {
   // "special" (Lemma 2) if its projected vector equals the grouping or an
   // auxiliary vector — the dense checker's is_special_direction.
   std::vector<char> moving(nd), special(nd);
+  std::vector<std::size_t> lemma2_dirs = choice_.aux;
+  if (choice_.grouping) lemma2_dirs.insert(lemma2_dirs.begin(), *choice_.grouping);
   for (std::size_t k = 0; k < nd; ++k) {
-    moving[k] = !is_zero(pdeps_[k]);
-    special[k] = grouping_ && (k == *grouping_ || pdeps_[k] == pdeps_[*grouping_] ||
-                               (aux_ && (k == *aux_ || pdeps_[k] == pdeps_[*aux_])));
+    const IntVec& pk = projected_dep_scaled(k);
+    moving[k] = !is_zero(pk);
+    special[k] = std::any_of(lemma2_dirs.begin(), lemma2_dirs.end(), [&](std::size_t j) {
+      return k == j || pk == projected_dep_scaled(j);
+    });
   }
 
   // Per-group rolling state (O(r + deps), reset at each group boundary).
@@ -661,7 +612,7 @@ LatticeSweepResult GroupLattice::sweep(bool validate) const {
     std::int64_t pop;
   };
   std::vector<LineRec> window;
-  window.reserve(static_cast<std::size_t>(r_));
+  window.reserve(static_cast<std::size_t>(choice_.r));
   std::vector<OffsetSet> dep_offs(nd);  // per-dep distinct group offsets
   OffsetSet succ;                       // union over deps (out-degree)
   std::int64_t acc = 0;                 // current group's iteration count
@@ -714,7 +665,7 @@ LatticeSweepResult GroupLattice::sweep(bool validate) const {
     }
     const std::int64_t pop = line.k_hi - line.k_lo + 1;
     const std::int64_t first_step =
-        detail::checked_add(line.step_anchor, detail::checked_mul(line.k_lo, sigma_));
+        detail::checked_add(line.step_anchor, detail::checked_mul(line.k_lo, step_stride()));
     covered += static_cast<std::uint64_t>(pop);
     acc = detail::checked_add(acc, pop);
 
@@ -724,8 +675,8 @@ LatticeSweepResult GroupLattice::sweep(bool validate) const {
       // checker, against every earlier line of this group.
       for (const LineRec& o : window) {
         const std::int64_t diff = first_step - o.first_step;
-        if (diff % sigma_ != 0) continue;
-        const std::int64_t msh = diff / sigma_;
+        if (diff % step_stride() != 0) continue;
+        const std::int64_t msh = diff / step_stride();
         if (msh >= -(pop - 1) && msh <= o.pop - 1) out.theorem1 = false;
       }
       window.push_back(LineRec{first_step, pop});

@@ -138,25 +138,28 @@ class GroupLattice {
 
   // ---- frame --------------------------------------------------------------
   [[nodiscard]] const IterSpace& space() const { return *space_; }
-  [[nodiscard]] const TimeFunction& time_function() const { return tf_; }
+  [[nodiscard]] const TimeFunction& time_function() const { return frame_.time_function(); }
   [[nodiscard]] LatticeLayout layout() const { return layout_; }
   /// Line-index vector w (primitive, w·u = 0): line of j is c = w·j.
   /// Chain layout only.
   [[nodiscard]] const IntVec& line_index_vector() const { return w_; }
-  [[nodiscard]] const IntVec& line_direction() const { return u_; }
-  [[nodiscard]] std::int64_t step_stride() const { return sigma_; }
+  [[nodiscard]] const IntVec& line_direction() const { return frame_.line_direction(); }
+  [[nodiscard]] std::int64_t step_stride() const { return frame_.step_stride(); }
   /// Group size r of Algorithm 1 Step 1 (1 in the degenerate case).
-  [[nodiscard]] std::int64_t group_size_r() const { return r_; }
+  [[nodiscard]] std::int64_t group_size_r() const { return choice_.r; }
   /// β = rank(mat(D^p)): 2 for the plane layout, 1 for a grouped chain, 0
   /// when every dependence is parallel to Π (degenerate: every line is its
   /// own group).
-  [[nodiscard]] std::size_t beta() const {
-    return layout_ == LatticeLayout::Plane ? 2 : (grouping_ ? 1 : 0);
+  [[nodiscard]] std::size_t beta() const { return choice_.beta; }
+  [[nodiscard]] bool degenerate() const { return !choice_.grouping; }
+  [[nodiscard]] std::optional<std::size_t> grouping_vector_index() const {
+    return choice_.grouping;
   }
-  [[nodiscard]] bool degenerate() const { return !grouping_; }
-  [[nodiscard]] std::optional<std::size_t> grouping_vector_index() const { return grouping_; }
   /// Auxiliary dependence index (plane layout only).
-  [[nodiscard]] std::optional<std::size_t> auxiliary_vector_index() const { return aux_; }
+  [[nodiscard]] std::optional<std::size_t> auxiliary_vector_index() const {
+    if (choice_.aux.empty()) return std::nullopt;
+    return choice_.aux.front();
+  }
   /// Anchor of lattice line x, the point its k-coordinates count from:
   /// p(c) = c·δ for chains (w·δ = 1, δ a signed unit vector; not
   /// necessarily inside J) and p(t, b) = ĵ*-entry + t·d_l + b·d_a for planes
@@ -240,7 +243,9 @@ class GroupLattice {
     return {shifts_[k].dx0, shifts_[k].dx1};
   }
   /// Scaled projected dependence s·d - (Π·d)·Π (dense pdep coordinates).
-  [[nodiscard]] const IntVec& projected_dep_scaled(std::size_t k) const { return pdeps_[k]; }
+  [[nodiscard]] const IntVec& projected_dep_scaled(std::size_t k) const {
+    return frame_.projected_deps_scaled()[k];
+  }
 
   /// The full O(lines·deps) pass: block stats, partition stats, per-offset
   /// TIG weights, and (when `validate`) exact-cover/Theorem 1/Theorem 2/
@@ -264,7 +269,7 @@ class GroupLattice {
   void for_each_arc_bundle(Visit&& visit) const;
 
  private:
-  GroupLattice() = default;
+  explicit GroupLattice(ProjectionFrame frame) : frame_(std::move(frame)) {}
 
   /// One aux chain of the plane layout: the inclusive slot run at aux
   /// coordinate b.
@@ -317,13 +322,10 @@ class GroupLattice {
   [[nodiscard]] const PlaneChainRec* plane_chain(std::int64_t b) const;
 
   const IterSpace* space_ = nullptr;
-  TimeFunction tf_;
+  ProjectionFrame frame_;  ///< s, u, σ and the scaled projected dependences
+  GroupingChoice choice_;  ///< r, d_l^p and Ψ (Steps 1-2)
   LatticeLayout layout_ = LatticeLayout::Chain;
-  IntVec u_;       ///< line direction Π/content(Π), Π·u > 0
   IntVec w_;       ///< chain: primitive line-index vector
-  std::int64_t sigma_ = 1;  ///< step stride Π·u
-  std::int64_t scale_ = 1;  ///< s = Π·Π
-  std::vector<IntVec> pdeps_;      ///< scaled projected dependences
   std::vector<DepShift> shifts_;   ///< per-dependence walk constants
   /// Line anchors p(x) = origin + x_0·gens[0] (+ x_1·gens[1]) and the bounds
   /// compiled along them: form_.range(x) == line_range(line_anchor(x), u).
@@ -333,9 +335,6 @@ class GroupLattice {
   std::int64_t step_base_ = 0;  ///< Π·origin
   std::int64_t step_x0_ = 0;    ///< Π·gens[0]
   std::int64_t step_x1_ = 0;    ///< Π·gens[1] (plane)
-  std::int64_t r_ = 1;
-  std::optional<std::size_t> grouping_;  ///< grouping-vector index (nullopt: degenerate)
-  std::optional<std::size_t> aux_;       ///< plane: auxiliary dependence index
   std::uint64_t line_count_ = 0;
   std::uint64_t group_count_ = 0;
   std::int64_t a_min_ = 0, a_max_ = 0;
@@ -393,8 +392,8 @@ void GroupLattice::walk_chain(std::size_t m, std::int64_t t_lo, std::int64_t t_h
   std::int64_t c = detail::checked_add(c_seed_ + mi * lexdir_, detail::checked_mul(t_lo, gamma_l_));
   std::int64_t step_anchor = detail::checked_mul(c, step_x0_);
   const std::int64_t step_stride = detail::checked_mul(gamma_l_, step_x0_);
-  std::int64_t a = floor_div(t_lo, r_);
-  std::int64_t pos = t_lo - a * r_;  // slot within group a
+  std::int64_t a = floor_div(t_lo, choice_.r);
+  std::int64_t pos = t_lo - a * choice_.r;  // slot within group a
   for (std::int64_t t = t_lo;; ++t) {
     const Slot& src = range_of(c);
     if (src.k_lo <= src.k_hi) {
@@ -414,7 +413,7 @@ void GroupLattice::walk_chain(std::size_t m, std::int64_t t_lo, std::int64_t t_h
             mt -= g;
             dt += wrap_slot_;
           }
-          arc.dst = GroupKey{floor_div(t + dt, r_), 0, mt};
+          arc.dst = GroupKey{floor_div(t + dt, choice_.r), 0, mt};
         }
         return arc;
       });
@@ -422,7 +421,7 @@ void GroupLattice::walk_chain(std::size_t m, std::int64_t t_lo, std::int64_t t_h
     if (t == t_hi) break;
     c += gamma_l_;
     step_anchor = detail::checked_add(step_anchor, step_stride);
-    if (++pos == r_) {
+    if (++pos == choice_.r) {
       ++a;
       pos = 0;
     }
@@ -436,8 +435,8 @@ void GroupLattice::walk_plane(const PlaneChainRec& ch, std::int64_t t_lo, std::i
   std::int64_t step_anchor = detail::checked_add(
       detail::checked_add(step_base_, detail::checked_mul(t_lo, step_x0_)),
       detail::checked_mul(ch.b, step_x1_));
-  std::int64_t a = floor_div(t_lo, r_);
-  std::int64_t pos = t_lo - a * r_;
+  std::int64_t a = floor_div(t_lo, choice_.r);
+  std::int64_t pos = t_lo - a * choice_.r;
   for (std::int64_t t = t_lo;; ++t) {
     if (const auto range = form_.range(t, ch.b)) {
       const WalkLine line{GroupKey{a, ch.b, 0}, range->first, range->second, step_anchor};
@@ -449,13 +448,13 @@ void GroupLattice::walk_plane(const PlaneChainRec& ch, std::int64_t t_lo, std::i
           arc.k_lo = detail::checked_sub(target->first, s.kappa);
           arc.k_hi = detail::checked_sub(target->second, s.kappa);
         }
-        arc.dst = GroupKey{floor_div(tt, r_), bt, 0};
+        arc.dst = GroupKey{floor_div(tt, choice_.r), bt, 0};
         return arc;
       });
     }
     if (t == t_hi) break;
     step_anchor = detail::checked_add(step_anchor, step_x0_);
-    if (++pos == r_) {
+    if (++pos == choice_.r) {
       ++a;
       pos = 0;
     }
@@ -476,7 +475,7 @@ template <class Visit>
 void GroupLattice::for_each_line(Visit&& visit) const {
   walk([&](const WalkLine& line, const auto&) {
     visit(line.g, line.k_hi - line.k_lo + 1,
-          detail::checked_add(line.step_anchor, detail::checked_mul(line.k_lo, sigma_)));
+          detail::checked_add(line.step_anchor, detail::checked_mul(line.k_lo, step_stride())));
   });
 }
 
@@ -489,7 +488,7 @@ void GroupLattice::for_each_arc_bundle(Visit&& visit) const {
       const std::int64_t hi = std::min(line.k_hi, arc.k_hi);
       if (lo > hi) continue;
       visit(line.g, arc.dst, k, hi - lo + 1,
-            detail::checked_add(line.step_anchor, detail::checked_mul(lo, sigma_)));
+            detail::checked_add(line.step_anchor, detail::checked_mul(lo, step_stride())));
     }
   });
 }

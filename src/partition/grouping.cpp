@@ -61,42 +61,71 @@ Box bounding_box(const std::vector<IntVec>& pts, const std::vector<IntVec>& step
 
 }  // namespace
 
+GroupingChoice choose_grouping(const ProjectionFrame& frame, const GroupingOptions& opts) {
+  const std::vector<IntVec>& pdeps = frame.projected_deps_scaled();
+  GroupingChoice c;
+  c.beta = frame.projected_rank();
+
+  // ---- Step 1: group size r and grouping vector ---------------------------
+  for (std::size_t k = 0; k < pdeps.size(); ++k) c.r = std::max(c.r, frame.replication_factor(k));
+  if (opts.grouping_vector) {
+    std::size_t l = *opts.grouping_vector;
+    if (l >= pdeps.size()) throw std::invalid_argument("Grouping: grouping_vector out of range");
+    if (frame.replication_factor(l) != c.r)
+      throw std::invalid_argument(
+          "Grouping: overridden grouping vector does not attain the maximal r");
+    c.grouping = l;
+  } else {
+    for (std::size_t k = 0; k < pdeps.size(); ++k) {
+      if (!is_zero(pdeps[k]) && frame.replication_factor(k) == c.r) {
+        c.grouping = k;
+        break;
+      }
+    }
+  }
+  // Degenerate structure: every dependence is parallel to Π (or D empty).
+  if (!c.grouping || is_zero(pdeps[*c.grouping])) return GroupingChoice{};
+  const std::size_t l = *c.grouping;
+
+  // ---- Step 2: auxiliary grouping vectors ---------------------------------
+  std::vector<RatVec> span_basis{frame.projected_dep_rational(l)};
+  if (opts.auxiliary_vectors) {
+    for (std::size_t k : *opts.auxiliary_vectors) {
+      if (k >= pdeps.size()) throw std::invalid_argument("Grouping: auxiliary index out of range");
+      if (k == l || is_zero(pdeps[k]))
+        throw std::invalid_argument("Grouping: auxiliary vector equals grouping vector or zero");
+      RatVec cand = frame.projected_dep_rational(k);
+      if (in_span(span_basis, cand))
+        throw std::invalid_argument(
+            "Grouping: overridden auxiliary vectors are not linearly independent");
+      span_basis.push_back(std::move(cand));
+      c.aux.push_back(k);
+    }
+    if (c.aux.size() + 1 != c.beta)
+      throw std::invalid_argument("Grouping: need exactly beta-1 auxiliary vectors");
+  } else {
+    // Greedily pick β-1 projected dependences that extend the span of d_l^p.
+    for (std::size_t k = 0; k < pdeps.size() && c.aux.size() + 1 < c.beta; ++k) {
+      if (k == l || is_zero(pdeps[k])) continue;
+      RatVec cand = frame.projected_dep_rational(k);
+      if (in_span(span_basis, cand)) continue;
+      span_basis.push_back(std::move(cand));
+      c.aux.push_back(k);
+    }
+  }
+  return c;
+}
+
 Grouping Grouping::compute(const ProjectedStructure& ps, const GroupingOptions& opts) {
   Grouping g;
   g.ps_ = &ps;
   const std::vector<IntVec>& pdeps = ps.projected_deps_scaled();
   const std::size_t npts = ps.point_count();
   g.point_group_.assign(npts, SIZE_MAX);
-  g.beta_ = ps.projected_rank();
+  g.choice_ = choose_grouping(ps.frame(), opts);
 
-  // ---- Step 1: group size r and grouping vector ---------------------------
-  std::int64_t r = 1;
-  for (std::size_t k = 0; k < pdeps.size(); ++k)
-    r = std::max(r, ps.replication_factor(k));
-  g.r_ = r;
-
-  if (opts.grouping_vector) {
-    std::size_t l = *opts.grouping_vector;
-    if (l >= pdeps.size()) throw std::invalid_argument("Grouping: grouping_vector out of range");
-    if (ps.replication_factor(l) != r)
-      throw std::invalid_argument(
-          "Grouping: overridden grouping vector does not attain the maximal r");
-    g.grouping_ = l;
-  } else {
-    for (std::size_t k = 0; k < pdeps.size(); ++k) {
-      if (is_zero(pdeps[k])) continue;
-      if (ps.replication_factor(k) == r) {
-        g.grouping_ = k;
-        break;
-      }
-    }
-  }
-
-  // Degenerate structure: every dependence is parallel to Π (or D empty).
-  // Every projected point forms its own group.
-  if (!g.grouping_ || is_zero(pdeps[*g.grouping_])) {
-    g.grouping_ = std::nullopt;
-    g.r_ = 1;
+  // Every projected point forms its own group when Step 1 finds no vector.
+  if (!g.choice_.grouping) {
     for (std::size_t p = 0; p < npts; ++p) {
       Group grp;
       grp.base = ps.points()[p];
@@ -106,47 +135,19 @@ Grouping Grouping::compute(const ProjectedStructure& ps, const GroupingOptions& 
       g.point_group_[p] = g.groups_.size();
       g.groups_.push_back(std::move(grp));
     }
-    g.beta_ = 0;
     return g;
   }
-
-  const std::size_t l = *g.grouping_;
-
-  // ---- Step 2: auxiliary grouping vectors ---------------------------------
-  std::vector<RatVec> span_basis{ps.projected_dep_rational(l)};
-  if (opts.auxiliary_vectors) {
-    for (std::size_t k : *opts.auxiliary_vectors) {
-      if (k >= pdeps.size()) throw std::invalid_argument("Grouping: auxiliary index out of range");
-      if (k == l || is_zero(pdeps[k]))
-        throw std::invalid_argument("Grouping: auxiliary vector equals grouping vector or zero");
-      RatVec cand = ps.projected_dep_rational(k);
-      if (in_span(span_basis, cand))
-        throw std::invalid_argument(
-            "Grouping: overridden auxiliary vectors are not linearly independent");
-      span_basis.push_back(std::move(cand));
-      g.aux_.push_back(k);
-    }
-    if (g.aux_.size() + 1 != g.beta_)
-      throw std::invalid_argument("Grouping: need exactly beta-1 auxiliary vectors");
-  } else {
-    // Greedily pick β-1 projected dependences that extend the span of d_l^p.
-    for (std::size_t k = 0; k < pdeps.size() && g.aux_.size() + 1 < g.beta_; ++k) {
-      if (k == l || is_zero(pdeps[k])) continue;
-      RatVec cand = ps.projected_dep_rational(k);
-      if (in_span(span_basis, cand)) continue;
-      span_basis.push_back(std::move(cand));
-      g.aux_.push_back(k);
-    }
-  }
+  const std::size_t l = *g.choice_.grouping;
+  const std::int64_t r = g.choice_.r;
 
   // ---- Steps 3-5: region growing over the group-base lattice --------------
   const IntVec& slot_step = pdeps[l];          // spacing between slots (scaled)
   const IntVec group_step = scale(slot_step, r);  // spacing between neighbor groups
   std::vector<IntVec> all_steps{group_step};
-  for (std::size_t k : g.aux_) all_steps.push_back(pdeps[k]);
+  for (std::size_t k : g.choice_.aux) all_steps.push_back(pdeps[k]);
   Box box = bounding_box(ps.points(), all_steps, r);
 
-  const std::size_t lattice_dim = 1 + g.aux_.size();
+  const std::size_t lattice_dim = 1 + g.choice_.aux.size();
   std::unordered_set<IntVec, IntVecHash> visited;
   std::size_t ungrouped = npts;
   std::size_t explicit_cursor = 0;
@@ -231,10 +232,10 @@ Grouping Grouping::compute(const ProjectedStructure& ps, const GroupingOptions& 
 
 std::vector<IntVec> Grouping::lattice_directions() const {
   std::vector<IntVec> dirs;
-  if (!grouping_) return dirs;
+  if (!choice_.grouping) return dirs;
   const std::vector<IntVec>& pdeps = ps_->projected_deps_scaled();
-  dirs.push_back(scale(pdeps[*grouping_], r_));
-  for (std::size_t k : aux_) dirs.push_back(pdeps[k]);
+  dirs.push_back(scale(pdeps[*choice_.grouping], choice_.r));
+  for (std::size_t k : choice_.aux) dirs.push_back(pdeps[k]);
   return dirs;
 }
 

@@ -47,6 +47,25 @@ struct GroupingOptions {
   std::optional<std::vector<std::size_t>> auxiliary_vectors;
 };
 
+/// Algorithm 1 Steps 1-2: the group size r, the grouping vector d_l^p (the
+/// first projected dependence attaining the largest replication factor,
+/// unless overridden) and the auxiliary vectors Ψ (the first β-1 projected
+/// dependences extending its span, unless overridden).  They depend on D
+/// and Π only, so every grouping — dense, line-based, lattice — takes them
+/// from choose_grouping.
+struct GroupingChoice {
+  std::int64_t r = 1;
+  /// Index of d_l^p; nullopt when every projected dependence is zero or
+  /// the override picks a zero one (degenerate: r = 1, β = 0, each
+  /// projected point its own group).
+  std::optional<std::size_t> grouping;
+  std::vector<std::size_t> aux;  ///< indices of Ψ
+  std::size_t beta = 0;          ///< rank(mat(D^p))
+};
+
+/// Throws std::invalid_argument on an invalid grouping or auxiliary override.
+GroupingChoice choose_grouping(const ProjectionFrame& frame, const GroupingOptions& opts);
+
 /// One group G_i: up to r projected points ordered along the grouping
 /// vector from the base vertex (slot k = base + k*d_l^p).  Boundary groups
 /// have unpopulated slots (the paper's G_4 in Fig. 3(b)).
@@ -72,19 +91,15 @@ class Grouping {
   /// Group id of a projected point.
   [[nodiscard]] std::size_t group_of_point(std::size_t point_id) const;
 
-  /// The group size r of Algorithm 1 Step 1.
-  [[nodiscard]] std::int64_t group_size_r() const { return r_; }
-
-  /// Index (into projected_deps) of the grouping vector; nullopt when the
-  /// projected dependence set is empty/all-zero (degenerate: r = 1, each
-  /// projected point is its own group).
-  [[nodiscard]] std::optional<std::size_t> grouping_vector_index() const { return grouping_; }
-
-  /// Indices (into projected_deps) of the auxiliary grouping vectors Ψ.
-  [[nodiscard]] const std::vector<std::size_t>& auxiliary_vector_indices() const { return aux_; }
-
-  /// β = rank(mat(D^p)).
-  [[nodiscard]] std::size_t beta() const { return beta_; }
+  /// Steps 1-2 (see GroupingChoice).
+  [[nodiscard]] std::int64_t group_size_r() const { return choice_.r; }
+  [[nodiscard]] std::optional<std::size_t> grouping_vector_index() const {
+    return choice_.grouping;
+  }
+  [[nodiscard]] const std::vector<std::size_t>& auxiliary_vector_indices() const {
+    return choice_.aux;
+  }
+  [[nodiscard]] std::size_t beta() const { return choice_.beta; }
 
   /// Scaled direction vectors of the group-base lattice, one per lattice
   /// coordinate: r*d_l^p first, then each auxiliary d_j^p.  These are the
@@ -100,10 +115,7 @@ class Grouping {
   const ProjectedStructure* ps_ = nullptr;
   std::vector<Group> groups_;
   std::vector<std::size_t> point_group_;  // point id -> group id
-  std::int64_t r_ = 1;
-  std::optional<std::size_t> grouping_;
-  std::vector<std::size_t> aux_;
-  std::size_t beta_ = 0;
+  GroupingChoice choice_;
 };
 
 }  // namespace hypart

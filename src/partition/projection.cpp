@@ -6,36 +6,55 @@
 
 namespace hypart {
 
-IntVec project_scaled(const IntVec& j, const TimeFunction& tf) {
-  const std::int64_t s = tf.norm2();
-  const std::int64_t t = tf.step_of(j);
-  IntVec p = sub(scale(j, s), scale(tf.pi, t));
-  return p;
+ProjectionFrame::ProjectionFrame(std::vector<IntVec> deps, const TimeFunction& tf)
+    : tf_(tf), scale_(tf.norm2()), deps_(std::move(deps)) {
+  const std::int64_t g = content(tf.pi);
+  line_dir_.resize(tf.pi.size());
+  for (std::size_t i = 0; i < line_dir_.size(); ++i) line_dir_[i] = tf.pi[i] / g;
+  stride_ = scale_ / g;
+  proj_deps_.reserve(deps_.size());
+  for (const IntVec& d : deps_) proj_deps_.push_back(project(d));
+}
+
+IntVec ProjectionFrame::project(const IntVec& x) const {
+  return sub(hypart::scale(x, scale_), hypart::scale(tf_.pi, tf_.step_of(x)));
+}
+
+RatVec ProjectionFrame::projected_dep_rational(std::size_t k) const {
+  const IntVec& d = proj_deps_.at(k);
+  RatVec r(d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) r[i] = Rational(d[i], scale_);
+  return r;
+}
+
+std::int64_t ProjectionFrame::replication_factor(std::size_t k) const {
+  // r = s / gcd(s, content(scaled dep)): the smallest r with r*d^p integral.
+  return scale_ / gcd64(scale_, content(proj_deps_.at(k)));
+}
+
+std::size_t ProjectionFrame::projected_rank() const {
+  std::vector<RatVec> cols;
+  cols.reserve(proj_deps_.size());
+  for (std::size_t k = 0; k < proj_deps_.size(); ++k) cols.push_back(projected_dep_rational(k));
+  return rank_of(cols);
 }
 
 namespace {
 
-/// Minimal integer step of the projection lines: Π / content(Π), preserving
-/// Π's sign so the line runs toward increasing steps.
-IntVec minimal_line_direction(const TimeFunction& tf) {
-  std::int64_t g = content(tf.pi);
-  IntVec u(tf.pi.size());
-  for (std::size_t i = 0; i < u.size(); ++i) u[i] = tf.pi[i] / g;
-  return u;
+/// The checks both ProjectedStructure constructors run before the frame.
+std::vector<IntVec> checked_deps(const std::vector<IntVec>& deps, std::size_t dim,
+                                 const TimeFunction& tf) {
+  if (tf.dimension() != dim)
+    throw std::invalid_argument("ProjectedStructure: time function dimension mismatch");
+  if (!is_valid_time_function(tf, deps))
+    throw std::invalid_argument("ProjectedStructure: invalid time function for dependences");
+  return deps;
 }
 
 }  // namespace
 
 ProjectedStructure::ProjectedStructure(const ComputationStructure& q, const TimeFunction& tf)
-    : tf_(tf), dim_(q.dimension()), deps_(q.dependences()) {
-  if (tf.dimension() != q.dimension())
-    throw std::invalid_argument("ProjectedStructure: time function dimension mismatch");
-  if (!is_valid_time_function(tf, q.dependences()))
-    throw std::invalid_argument("ProjectedStructure: invalid time function for dependences");
-  scale_ = tf.norm2();
-  line_dir_ = minimal_line_direction(tf);
-  stride_ = scale_ / content(tf.pi);
-
+    : frame_(checked_deps(q.dependences(), q.dimension(), tf), tf), dim_(q.dimension()) {
   // Project every vertex, count line populations and keep the earliest
   // (smallest-step) vertex of each line as its representative; dedup via
   // ordered map so points() comes out lexicographically sorted and
@@ -46,35 +65,17 @@ ProjectedStructure::ProjectedStructure(const ComputationStructure& q, const Time
   };
   std::map<IntVec, LineAccum> population;
   for (const IntVec& v : q.vertices()) {
-    LineAccum& acc = population[project_scaled(v, tf)];
+    LineAccum& acc = population[frame_.project(v)];
     if (acc.count == 0 || tf.step_of(v) < tf.step_of(acc.rep)) acc.rep = v;
     ++acc.count;
   }
-  points_.reserve(population.size());
-  line_pop_.reserve(population.size());
-  line_reps_.reserve(population.size());
-  for (auto& [pt, acc] : population) {
-    index_.emplace(pt, points_.size());
-    points_.push_back(pt);
-    line_pop_.push_back(acc.count);
-    line_reps_.push_back(std::move(acc.rep));
-  }
-
-  proj_deps_.reserve(deps_.size());
-  for (const IntVec& d : deps_) proj_deps_.push_back(project_scaled(d, tf));
+  for (auto& [pt, acc] : population) add_line(pt, std::move(acc.rep), acc.count);
 }
 
 ProjectedStructure::ProjectedStructure(const IterSpace& space, const TimeFunction& tf)
-    : tf_(tf), dim_(space.dimension()), deps_(space.dependences()) {
-  if (tf.dimension() != space.dimension())
-    throw std::invalid_argument("ProjectedStructure: time function dimension mismatch");
-  if (!is_valid_time_function(tf, space.dependences()))
-    throw std::invalid_argument("ProjectedStructure: invalid time function for dependences");
+    : frame_(checked_deps(space.dependences(), space.dimension(), tf), tf),
+      dim_(space.dimension()) {
   if (space.empty()) throw std::invalid_argument("ProjectedStructure: empty iteration space");
-  scale_ = tf.norm2();
-  line_dir_ = minimal_line_direction(tf);
-  stride_ = scale_ / content(tf.pi);
-
   // One visit per projection line: the entry point is exactly the
   // smallest-step point of the line (the dense representative) and the
   // population comes in closed form.  The ordered map reproduces the dense
@@ -84,50 +85,25 @@ ProjectedStructure::ProjectedStructure(const IterSpace& space, const TimeFunctio
     std::int64_t count = 0;
   };
   std::map<IntVec, LineAccum> lines;
-  space.for_each_line(line_dir_, [&](const IntVec& rep, std::int64_t pop) {
-    lines.emplace(project_scaled(rep, tf), LineAccum{rep, pop});
+  space.for_each_line(line_direction(), [&](const IntVec& rep, std::int64_t pop) {
+    lines.emplace(frame_.project(rep), LineAccum{rep, pop});
   });
-  points_.reserve(lines.size());
-  line_pop_.reserve(lines.size());
-  line_reps_.reserve(lines.size());
-  for (auto& [pt, acc] : lines) {
-    index_.emplace(pt, points_.size());
-    points_.push_back(pt);
-    line_pop_.push_back(static_cast<std::size_t>(acc.count));
-    line_reps_.push_back(std::move(acc.rep));
-  }
+  for (auto& [pt, acc] : lines)
+    add_line(pt, std::move(acc.rep), static_cast<std::size_t>(acc.count));
+}
 
-  proj_deps_.reserve(deps_.size());
-  for (const IntVec& d : deps_) proj_deps_.push_back(project_scaled(d, tf));
+void ProjectedStructure::add_line(const IntVec& point, IntVec rep, std::size_t pop) {
+  index_.emplace(point, points_.size());
+  points_.push_back(point);
+  line_pop_.push_back(pop);
+  line_reps_.push_back(std::move(rep));
 }
 
 RatVec ProjectedStructure::point_rational(std::size_t id) const {
   const IntVec& p = points_.at(id);
   RatVec r(p.size());
-  for (std::size_t i = 0; i < p.size(); ++i) r[i] = Rational(p[i], scale_);
+  for (std::size_t i = 0; i < p.size(); ++i) r[i] = Rational(p[i], scale());
   return r;
-}
-
-RatVec ProjectedStructure::projected_dep_rational(std::size_t k) const {
-  const IntVec& d = proj_deps_.at(k);
-  RatVec r(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) r[i] = Rational(d[i], scale_);
-  return r;
-}
-
-std::int64_t ProjectedStructure::replication_factor(std::size_t k) const {
-  // r = s / gcd(s, content(scaled dep)): the smallest r with r*d^p integral.
-  const IntVec& e = proj_deps_.at(k);
-  std::int64_t g = gcd64(scale_, content(e));
-  return scale_ / g;
-}
-
-std::size_t ProjectedStructure::projected_rank() const {
-  std::vector<RatVec> cols;
-  cols.reserve(proj_deps_.size());
-  for (std::size_t k = 0; k < proj_deps_.size(); ++k)
-    cols.push_back(projected_dep_rational(k));
-  return rank_of(cols);
 }
 
 std::optional<std::size_t> ProjectedStructure::find_point(const IntVec& scaled) const {
@@ -137,7 +113,7 @@ std::optional<std::size_t> ProjectedStructure::find_point(const IntVec& scaled) 
 }
 
 std::size_t ProjectedStructure::point_of(const IntVec& j) const {
-  std::optional<std::size_t> id = find_point(project_scaled(j, tf_));
+  std::optional<std::size_t> id = find_point(frame_.project(j));
   if (!id) throw std::out_of_range("ProjectedStructure::point_of: point projects outside V^p");
   return *id;
 }
@@ -145,7 +121,7 @@ std::size_t ProjectedStructure::point_of(const IntVec& j) const {
 Digraph ProjectedStructure::to_digraph() const {
   Digraph g(points_.size());
   for (std::size_t i = 0; i < points_.size(); ++i) {
-    for (const IntVec& dp : proj_deps_) {
+    for (const IntVec& dp : projected_deps_scaled()) {
       if (is_zero(dp)) continue;
       std::optional<std::size_t> j = find_point(add(points_[i], dp));
       if (j) g.add_edge(i, *j);

@@ -18,8 +18,50 @@
 
 namespace hypart {
 
-/// Scaled projection of a point: s*j - (Π·j)*Π with s = Π·Π.
-IntVec project_scaled(const IntVec& j, const TimeFunction& tf);
+/// The geometry Algorithm 1 fixes from D and Π alone, before it touches a
+/// point: s = Π·Π, the line direction u, the step stride σ, and every
+/// dependence's scaled projection with its replication factor (Defs. 3-5
+/// and Step 1).  The dense and line-based ProjectedStructure and the
+/// GroupLattice each hold one, so all three groupings share one derivation.
+class ProjectionFrame {
+ public:
+  /// Π must be nonzero; its validity for `deps` is the caller's to check.
+  ProjectionFrame(std::vector<IntVec> deps, const TimeFunction& tf);
+
+  [[nodiscard]] const TimeFunction& time_function() const { return tf_; }
+  /// The scaling constant s = Π·Π.
+  [[nodiscard]] std::int64_t scale() const { return scale_; }
+  /// Minimal integer direction of the projection lines: Π / content(Π),
+  /// keeping Π's sign so that Π·line_direction() > 0.
+  [[nodiscard]] const IntVec& line_direction() const { return line_dir_; }
+  /// Step increment between consecutive line points:
+  /// Π·line_direction() = Π·Π / content(Π) > 0.
+  [[nodiscard]] std::int64_t step_stride() const { return stride_; }
+
+  /// Scaled projection of a point: s·x - (Π·x)·Π.
+  [[nodiscard]] IntVec project(const IntVec& x) const;
+
+  /// The original dependence vectors (same order as projected_deps_scaled).
+  [[nodiscard]] const std::vector<IntVec>& original_deps() const { return deps_; }
+  /// Scaled projected dependence vectors, one per original dependence
+  /// (duplicates and zeros preserved so indices line up with the original D).
+  [[nodiscard]] const std::vector<IntVec>& projected_deps_scaled() const { return proj_deps_; }
+  /// Rational coordinates of projected dependence `k`.
+  [[nodiscard]] RatVec projected_dep_rational(std::size_t k) const;
+  /// r_k of Algorithm 1 Step 1: the smallest positive integer such that
+  /// r_k * d_k^p is integral (1 for dependences parallel to Π).
+  [[nodiscard]] std::int64_t replication_factor(std::size_t k) const;
+  /// rank(mat(D^p)) — the paper's β.
+  [[nodiscard]] std::size_t projected_rank() const;
+
+ private:
+  TimeFunction tf_;
+  std::int64_t scale_ = 1;
+  IntVec line_dir_;
+  std::int64_t stride_ = 1;
+  std::vector<IntVec> deps_;
+  std::vector<IntVec> proj_deps_;
+};
 
 /// The projected structure Q^p = (V^p, D^p) of Def. 5, in scaled-integer
 /// coordinates.  Every projected point represents one projection line of
@@ -36,9 +78,11 @@ class ProjectedStructure {
   /// to the dense constructor, in O(lines) instead of O(points).
   ProjectedStructure(const IterSpace& space, const TimeFunction& tf);
 
-  [[nodiscard]] const TimeFunction& time_function() const { return tf_; }
+  /// The frame every projected quantity below derives from.
+  [[nodiscard]] const ProjectionFrame& frame() const { return frame_; }
+  [[nodiscard]] const TimeFunction& time_function() const { return frame_.time_function(); }
   /// The scaling constant s = Π·Π.
-  [[nodiscard]] std::int64_t scale() const { return scale_; }
+  [[nodiscard]] std::int64_t scale() const { return frame_.scale(); }
   [[nodiscard]] std::size_t dimension() const { return dim_; }
 
   /// Distinct projected points, lexicographically sorted (scaled coords).
@@ -48,21 +92,18 @@ class ProjectedStructure {
   /// Rational (true) coordinates of projected point `id`.
   [[nodiscard]] RatVec point_rational(std::size_t id) const;
 
-  /// Scaled projected dependence vectors, one per original dependence
-  /// (duplicates and zeros preserved so indices line up with the original D).
-  [[nodiscard]] const std::vector<IntVec>& projected_deps_scaled() const { return proj_deps_; }
-  /// Rational coordinates of projected dependence `k`.
-  [[nodiscard]] RatVec projected_dep_rational(std::size_t k) const;
-
-  /// The original dependence vectors (same order as projected_deps_scaled).
-  [[nodiscard]] const std::vector<IntVec>& original_deps() const { return deps_; }
-
-  /// r_k of Algorithm 1 Step 1: the smallest positive integer such that
-  /// r_k * d_k^p is integral (1 for dependences parallel to Π).
-  [[nodiscard]] std::int64_t replication_factor(std::size_t k) const;
-
-  /// rank(mat(D^p)) — the paper's β.
-  [[nodiscard]] std::size_t projected_rank() const;
+  /// The frame's dependence quantities (see ProjectionFrame).
+  [[nodiscard]] const std::vector<IntVec>& projected_deps_scaled() const {
+    return frame_.projected_deps_scaled();
+  }
+  [[nodiscard]] RatVec projected_dep_rational(std::size_t k) const {
+    return frame_.projected_dep_rational(k);
+  }
+  [[nodiscard]] const std::vector<IntVec>& original_deps() const { return frame_.original_deps(); }
+  [[nodiscard]] std::int64_t replication_factor(std::size_t k) const {
+    return frame_.replication_factor(k);
+  }
+  [[nodiscard]] std::size_t projected_rank() const { return frame_.projected_rank(); }
 
   /// Id of the projected point for scaled coordinates; nullopt if absent.
   [[nodiscard]] std::optional<std::size_t> find_point(const IntVec& scaled) const;
@@ -81,29 +122,23 @@ class ProjectedStructure {
     return line_reps_.at(id);
   }
 
-  /// Minimal integer direction of the projection lines: Π / content(Π),
-  /// keeping Π's sign so that Π·line_direction() > 0.
-  [[nodiscard]] const IntVec& line_direction() const { return line_dir_; }
-
-  /// Step increment between consecutive line points:
-  /// Π·line_direction() = Π·Π / content(Π) > 0.
-  [[nodiscard]] std::int64_t step_stride() const { return stride_; }
+  [[nodiscard]] const IntVec& line_direction() const { return frame_.line_direction(); }
+  [[nodiscard]] std::int64_t step_stride() const { return frame_.step_stride(); }
 
   /// Projected-structure arcs: (from point id, to point id, dep index) for
   /// every pair v_j^p = v_i^p + d_k^p with both ends in V^p and d_k^p != 0.
   [[nodiscard]] Digraph to_digraph() const;
 
  private:
-  TimeFunction tf_;
-  std::int64_t scale_ = 1;
+  /// Adds one projection line (its scaled point, representative and
+  /// population); lines must arrive in lexicographic point order.
+  void add_line(const IntVec& point, IntVec rep, std::size_t pop);
+
+  ProjectionFrame frame_;
   std::size_t dim_ = 0;
   std::vector<IntVec> points_;
   std::vector<std::size_t> line_pop_;
   std::vector<IntVec> line_reps_;
-  IntVec line_dir_;
-  std::int64_t stride_ = 1;
-  std::vector<IntVec> proj_deps_;
-  std::vector<IntVec> deps_;
   PointIndexMap index_;
 };
 

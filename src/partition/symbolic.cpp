@@ -49,7 +49,7 @@ std::vector<std::int64_t> symbolic_block_sizes(const Grouping& grouping) {
   std::vector<std::int64_t> sizes(grouping.group_count(), 0);
   for (std::size_t b = 0; b < grouping.group_count(); ++b)
     for (std::size_t pid : grouping.groups()[b].members())
-      sizes[b] += static_cast<std::int64_t>(ps.line_population(pid));
+      sizes[b] = detail::checked_add(sizes[b], static_cast<std::int64_t>(ps.line_population(pid)));
   return sizes;
 }
 

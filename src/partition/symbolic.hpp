@@ -36,8 +36,8 @@ void for_each_line_dep(const IterSpace& space, const ProjectedStructure& ps,
                        const std::function<void(const LineDepArcs&)>& visit);
 
 /// Per-block iteration counts (block id == group id): the sum of the line
-/// populations of the group's members.  Matches the dense
-/// Partition::blocks()[b].iterations.size().
+/// populations of the group's members, checked (ArithmeticError past
+/// int64).  Matches the dense Partition::blocks()[b].iterations.size().
 std::vector<std::int64_t> symbolic_block_sizes(const Grouping& grouping);
 
 /// Closed-form PartitionStats — identical to compute_partition_stats on the

@@ -183,4 +183,16 @@ CanonicalForm canonicalize_nest(const LoopNest& nest) {
   return canonicalize_nest(nest, analyze_dependences(nest));
 }
 
+void write_canonical(JsonWriter& w, const CanonicalForm& cf, const std::string* params) {
+  w.begin_object();
+  w.field("exact", cf.exact_hex());
+  if (params != nullptr) {
+    w.field("exact_key", cf.exact_key);
+    w.key("params").raw_value(*params);
+  }
+  w.field("structure", cf.structure_hex());
+  if (params != nullptr) w.field("structure_key", cf.structure_key);
+  w.end_object();
+}
+
 }  // namespace hypart::serve

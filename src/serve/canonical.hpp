@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "core/json_writer.hpp"
 #include "loop/dependence.hpp"
 #include "loop/loop_nest.hpp"
 #include "numeric/int_linalg.hpp"
@@ -63,5 +64,12 @@ CanonicalForm canonicalize_nest(const LoopNest& nest, const DependenceInfo& deps
 /// Convenience overload that runs analyze_dependences(nest) itself.
 /// Throws NonUniformDependenceError for genuinely non-uniform nests.
 CanonicalForm canonicalize_nest(const LoopNest& nest);
+
+/// Write the `canonical` object of a plan reply or `hypart json` document
+/// as the next value of `w`: the display hashes `exact` and `structure`
+/// and, when `params` (a params fingerprint, raw JSON) is given, the full
+/// keys and the params too.  Keys come out sorted, as JsonValue::to_json
+/// writes them.
+void write_canonical(JsonWriter& w, const CanonicalForm& cf, const std::string* params = nullptr);
 
 }  // namespace hypart::serve

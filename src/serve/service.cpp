@@ -146,16 +146,8 @@ std::string render_plan_reply(const std::string& disposition, const CanonicalFor
   JsonWriter w;
   w.begin_object();
   w.field("cache", disposition);
-  w.key("canonical").begin_object();
-  w.field("exact", cf.exact_hex());
-  if (op == "explain") {
-    // Full keys are auditable only where the full document already flows.
-    w.field("exact_key", cf.exact_key);
-    w.key("params").raw_value(fingerprint);
-  }
-  w.field("structure", cf.structure_hex());
-  if (op == "explain") w.field("structure_key", cf.structure_key);
-  w.end_object();
+  // Full keys are auditable only where the full document already flows.
+  write_canonical(w.key("canonical"), cf, op == "explain" ? &fingerprint : nullptr);
   w.key("id");
   id.write(w);
   w.field("ok", true);

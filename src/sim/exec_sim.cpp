@@ -6,7 +6,6 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "core/error.hpp"
@@ -282,146 +281,204 @@ class LinkIndex {
 /// How a message on one channel travels in one fault epoch: its hop count
 /// (prices charge_hops and sim.msg_hops), whether it detours, and the ids
 /// of the links it occupies — its route's hops, or the logical channel
-/// itself when there is no route (off a hypercube).
+/// itself when there is no route (off a hypercube); none until resolved.
 struct ChannelRoute {
-  bool resolved = false;
   bool rerouted = false;
   std::int64_t hops = 0;
   std::vector<std::size_t> links;
 };
 
-/// Per-step telemetry read from the core's sweep: busy and idle steps per
-/// processor, the sim.msg_* histograms, the busiest-link series, the
-/// sim.max_link_words gauge and the Chrome trace on the simulated clock (pid
-/// obs::kSimPid: one tid per processor, one per directed link — the logical
-/// channel off a hypercube).  Every step of a segment repeats its events on
-/// its own clock.  `channels` maps each (src, dst) pair to its channel c,
-/// whose words sit at sweep row nslots + c; messages are reported in
-/// (src, dst) order.  `route(c, step)` is channel c's ChannelRoute at an
-/// absolute step.  Only the dense feed asks for it; its σ = 1 makes the
-/// sweep's order the time order the clock needs.
-template <class RouteOf>
-void emit_step_telemetry(StepSweep& sweep,
-                         const std::map<std::pair<ProcId, ProcId>, std::size_t>& channels,
-                         const RouteOf& route, LinkIndex& links, std::int64_t lo,
-                         const MachineParams& machine, const SimOptions& opts,
-                         std::int64_t nsteps) {
-  obs::TraceSink* sink = opts.obs.trace;
-  obs::MetricsRegistry* reg = opts.obs.metrics;
-  const std::size_t nslots = sweep.slots();
-  auto compute_time = [&](std::int64_t iters) {
-    return static_cast<double>(detail::checked_mul(iters, opts.flops_per_iteration)) *
-           machine.t_calc;
-  };
+/// The core's one channel table: channel c is the c-th directed (src, dst)
+/// processor pair to carry a word (its words sit at sweep row nslots + c),
+/// with one ChannelRoute per (channel, fault epoch), resolved on first use:
+/// the e-cube path when fault free, else the detour at that epoch, so the
+/// detour BFS runs once per (channel, epoch) and not once per step.
+class ChannelTable {
+ public:
+  ChannelTable(const Topology& topo, const SymFaultState& fstate) : topo_(topo), fstate_(fstate) {}
 
-  // Link tracks in (from, to) order, so tids and names are stable.
-  std::vector<std::uint64_t> link_tid;
-  if (sink != nullptr) {
+  std::size_t id_of(ProcId src, ProcId dst) {
+    auto [it, inserted] = index_.try_emplace({src, dst}, ends_.size());
+    if (inserted) ends_.push_back({src, dst});
+    return it->second;
+  }
+  [[nodiscard]] std::size_t size() const { return ends_.size(); }
+  [[nodiscard]] std::pair<ProcId, ProcId> ends(std::size_t c) const { return ends_[c]; }
+  /// (src, dst) -> channel, in ascending (src, dst) order.
+  [[nodiscard]] const std::map<std::pair<ProcId, ProcId>, std::size_t>& in_order() const {
+    return index_;
+  }
+  LinkIndex& links() { return links_; }
+
+  /// Channel c's route at an absolute step.
+  const ChannelRoute& route(std::size_t c, std::int64_t step) {
+    const std::vector<std::int64_t>& breaks = fstate_.breaks;
+    const std::size_t nepochs = breaks.size() + 1;
+    const auto epoch = static_cast<std::size_t>(
+        std::upper_bound(breaks.begin(), breaks.end(), step) - breaks.begin());
+    routes_.resize(ends_.size() * nepochs);
+    ChannelRoute& cr = routes_[c * nepochs + epoch];
+    if (!cr.links.empty()) return cr;
+    const auto [src, dst] = ends_[c];
+    const auto* cube = dynamic_cast<const Hypercube*>(&topo_);  // non-null under faults
+    std::optional<fault::Route> rt;
+    if (fstate_.active) rt = fault::route_with_faults(*cube, src, dst, fstate_.set, step);
+    else if (cube != nullptr) rt = fault::Route{cube->ecube_route(src, dst), false};
+    cr.rerouted = rt && rt->rerouted;
+    cr.hops = rt ? static_cast<std::int64_t>(rt->hops.size())
+                 : static_cast<std::int64_t>(topo_.distance(src, dst));
+    if (!rt) {
+      cr.links.push_back(links_.id_of({src, dst}));
+    } else {
+      ProcId at = src;
+      for (ProcId hop : rt->hops) cr.links.push_back(links_.id_of({std::exchange(at, hop), hop}));
+    }
+    return cr;
+  }
+
+ private:
+  const Topology& topo_;
+  const SymFaultState& fstate_;
+  std::map<std::pair<ProcId, ProcId>, std::size_t> index_;
+  std::vector<std::pair<ProcId, ProcId>> ends_;
+  std::vector<ChannelRoute> routes_;  ///< channel-major, one per fault epoch
+  LinkIndex links_;
+};
+
+/// Per-step telemetry read from the core's pricing walk: busy and idle
+/// steps per processor, the sim.msg_* histograms, the busiest-link series,
+/// the sim.max_link_words gauge and the Chrome trace on the simulated clock
+/// (pid obs::kSimPid: one tid per processor, one per directed link — the
+/// logical channel off a hypercube).  Every step of a segment repeats its
+/// events on its own clock; messages are reported in (src, dst) order.
+/// Only the dense feed asks for it; its σ = 1 makes the sweep's order the
+/// time order the clock needs.
+class StepTelemetry {
+ public:
+  /// With a trace sink, first walks the sweep once to resolve every route
+  /// that carries a message, so the link tracks get their tids in (from,
+  /// to) order before the first event.
+  StepTelemetry(StepSweep& sweep, ChannelTable& channels, std::int64_t lo,
+                const MachineParams& machine, const SimOptions& opts)
+      : sweep_(sweep),
+        channels_(channels),
+        lo_(lo),
+        machine_(machine),
+        opts_(opts),
+        sink_(opts.obs.trace),
+        reg_(opts.obs.metrics),
+        busy_(sweep.slots(), 0) {
+    if (sink_ == nullptr) return;
+    const std::size_t nslots = sweep.slots();
     sweep.walk([&](std::int64_t t, std::int64_t) {
       for (std::size_t c = 0; c < channels.size(); ++c)
-        if (sweep.level(nslots + c) != 0) route(c, t + lo);
+        if (sweep.level(nslots + c) != 0) channels.route(c, t + lo);
     });
-    link_tid.resize(links.size());
+    LinkIndex& links = channels.links();
+    link_tid_.resize(links.size());
     std::uint64_t next_tid = obs::kLinkTidBase;
-    for (std::size_t l : links.in_order()) link_tid[l] = next_tid++;
+    for (std::size_t l : links.in_order()) link_tid_[l] = next_tid++;
 
-    obs::emit_process_name(sink, obs::kSimPid, "hypart simulator (simulated time)");
+    obs::emit_process_name(sink_, obs::kSimPid, "hypart simulator (simulated time)");
     for (std::size_t p = 0; p < nslots; ++p)
-      obs::emit_thread_name(sink, obs::kSimPid, p, "proc " + std::to_string(p));
+      obs::emit_thread_name(sink_, obs::kSimPid, p, "proc " + std::to_string(p));
     for (std::size_t l : links.in_order())
-      obs::emit_thread_name(sink, obs::kSimPid, link_tid[l],
+      obs::emit_thread_name(sink_, obs::kSimPid, link_tid_[l],
                             "link " + std::to_string(links.key(l).first) + "->" +
                                 std::to_string(links.key(l).second));
   }
 
-  static const std::vector<std::int64_t> kWordBounds{1, 2, 4, 8, 16, 32, 64, 128, 256};
-  static const std::vector<std::int64_t> kHopBounds{0, 1, 2, 3, 4, 6, 8};
-  std::vector<std::int64_t> busy(nslots, 0);
-  std::vector<Cost> load;                 // {0, msgs, words} per link, one step
-  std::vector<std::int64_t> link_words;   // per link, whole run
-  std::vector<std::size_t> loaded;        // links loaded this segment, (from, to) order
-  double clock = 0.0;
-  sweep.walk([&](std::int64_t t, std::int64_t len) {
-    if (sweep.idle()) return;
+  /// One busy segment of rebased steps t, t+σ, …, t+(len−1)σ, whose links
+  /// `loaded` (in (from, to) order) carry load[l] = {0, msgs, words} at
+  /// each of its steps.
+  void segment(std::int64_t t, std::int64_t len, const std::vector<std::size_t>& loaded,
+               const std::vector<Cost>& load) {
+    static const std::vector<std::int64_t> kWordBounds{1, 2, 4, 8, 16, 32, 64, 128, 256};
+    static const std::vector<std::int64_t> kHopBounds{0, 1, 2, 3, 4, 6, 8};
+    const std::size_t nslots = sweep_.slots();
     double max_compute = 0.0;
     for (std::size_t p = 0; p < nslots; ++p) {
-      if (sweep.level(p) == 0) continue;
-      busy[p] += len;
-      max_compute = std::max(max_compute, compute_time(sweep.level(p)));
+      if (sweep_.level(p) == 0) continue;
+      busy_[p] += len;
+      max_compute = std::max(max_compute, compute_time(sweep_.level(p)));
     }
-    // Messages are serialized per link after the compute phase; every step
-    // of the segment carries the same loads.
-    for (std::size_t c = 0; c < channels.size(); ++c) {
-      const std::int64_t w = sweep.level(nslots + c);
-      if (w == 0) continue;
-      const ChannelRoute& rt = route(c, t + lo);
-      load.resize(links.size());
-      link_words.resize(links.size());
-      for (std::size_t l : rt.links) {
-        load[l] = checked_sum(load[l], Cost{0, 1, w});
-        add_scaled(link_words[l], w, len);
-      }
-    }
+    // Messages are serialized per link after the compute phase.
     double comm = 0.0;
     std::int64_t busiest_words = 0;
-    loaded.clear();
-    for (std::size_t l : links.in_order()) {
-      if (l >= load.size() || load[l].start == 0) continue;
-      loaded.push_back(l);
-      comm = std::max(comm, load[l].value(machine));
+    for (std::size_t l : loaded) {
+      comm = std::max(comm, load[l].value(machine_));
       busiest_words = std::max(busiest_words, load[l].comm);
     }
 
     for (std::int64_t k = 0; k < len; ++k) {
-      const std::int64_t step = lo + t + k * sweep.sigma();
-      if (sink != nullptr)
+      const std::int64_t step = lo_ + t + k * sweep_.sigma();
+      if (sink_ != nullptr)
         for (std::size_t p = 0; p < nslots; ++p)
-          if (const std::int64_t iters = sweep.level(p); iters != 0)
-            obs::emit_complete(sink, "compute", "sim", clock, compute_time(iters), obs::kSimPid,
+          if (const std::int64_t iters = sweep_.level(p); iters != 0)
+            obs::emit_complete(sink_, "compute", "sim", clock_, compute_time(iters), obs::kSimPid,
                                p, {{"step", step}, {"iterations", iters}});
-      for (const auto& [key, c] : channels) {
-        const std::int64_t words = sweep.level(nslots + c);
+      for (const auto& [key, c] : channels_.in_order()) {
+        const std::int64_t words = sweep_.level(nslots + c);
         if (words == 0) continue;
         const auto [src, dst] = key;
-        const std::int64_t hops = route(c, step).hops;
-        if (reg != nullptr) {
-          reg->observe("sim.msg_words", words, kWordBounds);
-          reg->observe("sim.msg_hops", hops, kHopBounds);
+        const std::int64_t hops = channels_.route(c, step).hops;
+        if (reg_ != nullptr) {
+          reg_->observe("sim.msg_words", words, kWordBounds);
+          reg_->observe("sim.msg_hops", hops, kHopBounds);
         }
-        if (sink != nullptr)
-          obs::emit_instant(sink, "msg", "sim", clock + compute_time(sweep.level(src)),
+        if (sink_ != nullptr)
+          obs::emit_instant(sink_, "msg", "sim", clock_ + compute_time(sweep_.level(src)),
                             obs::kSimPid, src,
                             {{"src", static_cast<std::int64_t>(src)},
                              {"dst", static_cast<std::int64_t>(dst)},
                              {"words", words}, {"hops", hops}, {"step", step}});
       }
-      if (sink != nullptr)
+      if (sink_ != nullptr)
         for (std::size_t l : loaded)
-          obs::emit_complete(sink, "xfer", "sim", clock + max_compute, load[l].value(machine),
-                             obs::kSimPid, link_tid[l],
+          obs::emit_complete(sink_, "xfer", "sim", clock_ + max_compute, load[l].value(machine_),
+                             obs::kSimPid, link_tid_[l],
                              {{"step", step}, {"msgs", load[l].start}, {"words", load[l].comm}});
       if (!loaded.empty()) {
-        if (reg != nullptr)
-          reg->append("sim.link.busiest_words", step, static_cast<double>(busiest_words));
-        obs::emit_counter(sink, "busiest_link_words", clock + max_compute, obs::kSimPid,
+        if (reg_ != nullptr)
+          reg_->append("sim.link.busiest_words", step, static_cast<double>(busiest_words));
+        obs::emit_counter(sink_, "busiest_link_words", clock_ + max_compute, obs::kSimPid,
                           static_cast<double>(busiest_words));
       }
-      clock += max_compute + comm;
+      clock_ += max_compute + comm;
     }
-    for (std::size_t l : loaded) load[l] = Cost{};
-  });
+  }
 
-  if (reg != nullptr) {
-    for (std::size_t p = 0; p < nslots; ++p) {
+  /// The per-run series: busy and idle steps per processor and the
+  /// busiest link's words over the whole run.
+  void finish(std::int64_t nsteps, const std::vector<std::int64_t>& link_words) {
+    if (reg_ == nullptr) return;
+    for (std::size_t p = 0; p < busy_.size(); ++p) {
       const auto x = static_cast<std::int64_t>(p);
-      reg->append("sim.proc.busy_steps", x, static_cast<double>(busy[p]));
-      reg->append("sim.proc.idle_steps", x, static_cast<double>(nsteps - busy[p]));
+      reg_->append("sim.proc.busy_steps", x, static_cast<double>(busy_[p]));
+      reg_->append("sim.proc.idle_steps", x, static_cast<double>(nsteps - busy_[p]));
     }
     std::int64_t max_words = 0;
     for (std::int64_t w : link_words) max_words = std::max(max_words, w);
-    reg->set_gauge("sim.max_link_words", static_cast<double>(max_words));
+    reg_->set_gauge("sim.max_link_words", static_cast<double>(max_words));
   }
-}
+
+ private:
+  [[nodiscard]] double compute_time(std::int64_t iters) const {
+    return static_cast<double>(detail::checked_mul(iters, opts_.flops_per_iteration)) *
+           machine_.t_calc;
+  }
+
+  StepSweep& sweep_;
+  ChannelTable& channels_;
+  std::int64_t lo_;
+  const MachineParams& machine_;
+  const SimOptions& opts_;
+  obs::TraceSink* sink_;
+  obs::MetricsRegistry* reg_;
+  std::vector<std::int64_t> busy_;
+  std::vector<std::uint64_t> link_tid_;
+  double clock_ = 0.0;
+};
 
 /// The one metrics emitter of every simulation: aggregate counters, fault
 /// counters whenever a fault plan is active, and per-processor loads as a
@@ -467,8 +524,9 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
   // Spare nodes may sit outside the mapping's processor range but inside
   // the cube, so degraded runs account over the whole topology.
   const std::size_t nslots = fstate.active ? std::max(in.nprocs, topo.size()) : in.nprocs;
-  const auto* cube = dynamic_cast<const Hypercube*>(&topo);  // non-null under faults
-  if (opts.accounting == CommAccounting::LinkContention && cube == nullptr)
+  const bool paper = opts.accounting == CommAccounting::PaperMaxChannel;
+  const bool contention = opts.accounting == CommAccounting::LinkContention;
+  if (contention && dynamic_cast<const Hypercube*>(&topo) == nullptr)
     throw std::invalid_argument(
         "simulate_execution: LinkContention accounting requires a Hypercube topology");
   SimResult res;
@@ -530,6 +588,7 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
     cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
     return shift_cuts.emplace(shift, std::move(cuts)).first->second;
   };
+
   // Owned runs (proc, first step, count) of every line: a line's run splits
   // at the fault steps, each segment owned by whoever holds its block then.
   auto for_each_line_run = [&](const auto& visit) {
@@ -552,27 +611,11 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
                        });
     });
   };
-  // Fault epoch of a step: the number of breaks at or before it.
-  auto epoch_of = [&](std::int64_t step) {
-    return static_cast<std::size_t>(
-        std::upper_bound(fstate.breaks.begin(), fstate.breaks.end(), step) -
-        fstate.breaks.begin());
-  };
-  // Degraded route of a channel, cached per fault epoch: the detour BFS
-  // runs once per (channel, epoch), not once per step.
-  std::map<std::tuple<ProcId, ProcId, std::size_t>, fault::Route> route_cache;
-  auto routed = [&](ProcId ps, ProcId pd, std::int64_t step) -> const fault::Route& {
-    auto [it, inserted] = route_cache.try_emplace({ps, pd, epoch_of(step)});
-    if (inserted) it->second = fault::route_with_faults(*cube, ps, pd, fstate.set, step);
-    return it->second;
-  };
 
   // The per-step accountings and the per-step telemetry read the line and
   // channel runs through a StepSweep; the paper convention needs neither.
-  const bool per_step =
-      opts.accounting != CommAccounting::PaperMaxChannel || in.per_step_telemetry;
   std::optional<StepSweep> step_state;
-  if (per_step) step_state.emplace(nslots, res.steps, sigma);
+  if (!paper || in.per_step_telemetry) step_state.emplace(nslots, res.steps, sigma);
   for_each_line_run([&](ProcId p, std::int64_t first, std::int64_t n) {
     res.per_proc_iterations[p] = detail::checked_add(res.per_proc_iterations[p], n);
     if (step_state) step_state->add(p, first - lo, n);
@@ -581,153 +624,122 @@ SimResult simulate_symbolic_core(const SymbolicFeed& in, const Topology& topo,
   for (std::int64_t c : res.per_proc_iterations) max_iters = std::max(max_iters, c);
   res.compute_bottleneck = Cost{detail::checked_mul(max_iters, flops), 0, 0};
 
-  if (opts.accounting == CommAccounting::PaperMaxChannel) {
-    // Channel volumes need no step resolution beyond the fault segments: one
-    // bundle segment contributes its whole arc count to the unordered
-    // processor pair, with the degraded route priced at its first step.
-    std::map<std::pair<ProcId, ProcId>, std::int64_t> channel;
-    for_each_bundle_run([&](ProcId ps, ProcId pd, std::int64_t step, std::int64_t count) {
-      if (ps == pd) return;
-      std::int64_t units = 1;
-      if (fstate.active) {
-        const fault::Route& rt = routed(ps, pd, step);
-        if (rt.rerouted) res.rerouted_messages = detail::checked_add(res.rerouted_messages, count);
-        if (opts.charge_hops) units = static_cast<std::int64_t>(rt.hops.size());
-      } else if (opts.charge_hops) {
-        units = static_cast<std::int64_t>(topo.distance(ps, pd));
-      }
-      add_scaled(channel[std::minmax(ps, pd)], units, count);
-      res.messages = detail::checked_add(res.messages, count);
-      res.words = detail::checked_add(res.words, count);
-    });
+  // The one bundle pass: every channel run lands on its directed channel's
+  // sweep row and, for the paper convention, in the channel's message
+  // units (one per word, or its hop count with charge_hops).  A run's first
+  // step fixes the route of all its messages.
+  ChannelTable channels(topo, fstate);
+  std::vector<std::int64_t> units;
+  for_each_bundle_run([&](ProcId src, ProcId dst, std::int64_t first, std::int64_t count) {
+    if (src == dst) return;
+    const std::size_t c = channels.id_of(src, dst);
+    res.words = detail::checked_add(res.words, count);
+    if (step_state) step_state->add(nslots + c, first - lo, count);
+    if (!paper) return;
+    units.resize(channels.size());
+    std::int64_t unit = 1;
+    if (fstate.active || opts.charge_hops) {
+      const ChannelRoute& rt = channels.route(c, first);
+      if (rt.rerouted) res.rerouted_messages = detail::checked_add(res.rerouted_messages, count);
+      if (opts.charge_hops) unit = rt.hops;
+    }
+    add_scaled(units[c], unit, count);
+    res.messages = detail::checked_add(res.messages, count);
+  });
+
+  if (paper) {
+    // The busiest unordered processor pair: a channel plus its reverse.
     std::int64_t worst = 0;
-    for (const auto& [pair, units] : channel) worst = std::max(worst, units);
+    const auto& index = channels.in_order();
+    for (const auto& [key, c] : index) {
+      const auto back = index.find({key.second, key.first});
+      if (back == index.end()) worst = std::max(worst, units[c]);
+      else if (key.first < key.second)
+        worst = std::max(worst, detail::checked_add(units[c], units[back->second]));
+    }
     res.comm_bottleneck = Cost{0, worst, worst};
     res.total = checked_sum(res.compute_bottleneck, res.comm_bottleneck);
     if (!in.per_step_telemetry) return finish();
   }
-
-  // Channel runs: channel c is the c-th directed (src, dst) processor pair
-  // to carry a word, at row nslots + c.
   StepSweep& sweep = *step_state;
-  std::map<std::pair<ProcId, ProcId>, std::size_t> channel_index;
-  std::vector<std::pair<ProcId, ProcId>> chans;
-  std::int64_t words = 0;
-  for_each_bundle_run([&](ProcId src, ProcId dst, std::int64_t first, std::int64_t count) {
-    if (src == dst) return;
-    auto [it, inserted] = channel_index.try_emplace({src, dst}, chans.size());
-    if (inserted) chans.push_back({src, dst});
-    words = detail::checked_add(words, count);
-    sweep.add(nslots + it->second, first - lo, count);
-  });
-  res.words = words;
-  sweep.seal(nslots + chans.size());
+  sweep.seal(nslots + channels.size());
 
-  // Routes resolve on first use per (channel, epoch): fault-free channels
-  // keep their e-cube route, degraded ones go through the epoch cache.  A
-  // segment's first step fixes the route of every message in it: bundle
-  // runs split at every fault break, so no segment that carries a message
+  // The one pricing walk.  Per busy segment: every channel's messages and
+  // their routes, the per-link loads (LinkContention and the telemetry),
+  // the per-processor sends (PerStepBarrier), then the segment's cost,
+  // times its length.  A segment's first step fixes its routes: bundle runs
+  // split at every fault break, so no segment that carries a message
   // straddles one.
-  LinkIndex links;
-  const std::size_t nepochs = fstate.breaks.size() + 1;
-  std::vector<ChannelRoute> croutes(chans.size() * nepochs);
-  auto route = [&](std::size_t c, std::int64_t step) -> const ChannelRoute& {
-    ChannelRoute& cr = croutes[c * nepochs + epoch_of(step)];
-    if (cr.resolved) return cr;
-    const auto [src, dst] = chans[c];
-    fault::Route ecube;
-    const fault::Route* rt = nullptr;
-    if (fstate.active) {
-      rt = &routed(src, dst, step);
-    } else if (cube != nullptr) {
-      ecube.hops = cube->ecube_route(src, dst);
-      rt = &ecube;
+  std::optional<StepTelemetry> telemetry;
+  if (in.per_step_telemetry) telemetry.emplace(sweep, channels, lo, machine, opts);
+  LinkIndex& links = channels.links();
+  std::vector<Cost> load;                // {0, msgs, words} per link, one step
+  std::vector<std::int64_t> link_words;  // per link, whole run
+  std::vector<std::size_t> loaded;       // links loaded this segment, (from, to) order
+  std::vector<Cost> proc_cost(nslots);   // PerStepBarrier: compute plus sends, one step
+  const bool barrier = opts.accounting == CommAccounting::PerStepBarrier;
+  const bool link_loads = contention || in.per_step_telemetry;
+  sweep.walk([&](std::int64_t t, std::int64_t len) {
+    if (sweep.idle()) return;  // messages only originate from computing procs
+    if (barrier)
+      for (std::size_t p = 0; p < nslots; ++p)
+        proc_cost[p] = Cost{detail::checked_mul(sweep.level(p), flops), 0, 0};
+    std::int64_t msgs = 0, rerouted = 0;
+    for (std::size_t c = 0; c < channels.size(); ++c) {
+      const std::int64_t w = sweep.level(nslots + c);
+      if (w == 0) continue;
+      ++msgs;
+      const ChannelRoute& rt = channels.route(c, t + lo);
+      if (rt.rerouted) ++rerouted;
+      if (barrier) {
+        const std::int64_t mult = opts.charge_hops ? rt.hops : 1;
+        Cost& pc = proc_cost[channels.ends(c).first];
+        pc = checked_sum(pc, Cost{0, mult, detail::checked_mul(mult, w)});
+      }
+      if (!link_loads) continue;
+      load.resize(links.size());
+      link_words.resize(links.size());
+      for (std::size_t l : rt.links) {
+        load[l] = checked_sum(load[l], Cost{0, 1, w});
+        add_scaled(link_words[l], w, len);
+      }
     }
-    cr.resolved = true;
-    cr.rerouted = rt != nullptr && rt->rerouted;
-    cr.hops = rt != nullptr ? static_cast<std::int64_t>(rt->hops.size())
-                            : static_cast<std::int64_t>(topo.distance(src, dst));
-    if (rt == nullptr) {
-      cr.links.push_back(links.id_of({src, dst}));
-    } else {
-      ProcId at = src;
-      for (ProcId hop : rt->hops) cr.links.push_back(links.id_of({std::exchange(at, hop), hop}));
-    }
-    return cr;
-  };
+    loaded.clear();
+    if (link_loads)
+      for (std::size_t l : links.in_order())
+        if (l < load.size() && load[l].start != 0) loaded.push_back(l);
 
-  if (opts.accounting == CommAccounting::LinkContention) {
-    // Per step: the busiest processor's compute plus the busiest directed
-    // link's serialized traffic.
-    std::vector<Cost> load;                // {0, msgs, words} per link, one step
-    std::vector<std::int64_t> link_words;  // per link, whole run
-    sweep.walk([&](std::int64_t t, std::int64_t len) {
-      if (sweep.idle()) return;  // messages only originate from computing procs
+    if (contention) {
+      // The busiest processor's compute plus the busiest directed link's
+      // serialized traffic.
       std::int64_t step_iters = 0;
       for (std::size_t p = 0; p < nslots; ++p) step_iters = std::max(step_iters, sweep.level(p));
-      std::int64_t msgs = 0, rerouted = 0;
-      for (std::size_t c = 0; c < chans.size(); ++c) {
-        const std::int64_t w = sweep.level(nslots + c);
-        if (w == 0) continue;
-        ++msgs;
-        const ChannelRoute& rt = route(c, t + lo);
-        if (rt.rerouted) ++rerouted;
-        load.resize(links.size());
-        link_words.resize(links.size());
-        for (std::size_t l : rt.links) {
-          load[l] = checked_sum(load[l], Cost{0, 1, w});
-          add_scaled(link_words[l], w, len);
-        }
-      }
       Costliest busiest;
-      for (std::size_t l : links.in_order()) {
-        if (load[l].start == 0) continue;
-        busiest.offer(load[l], machine);
-        load[l] = Cost{};
-      }
+      for (std::size_t l : loaded) busiest.offer(load[l], machine);
       const Cost step_cost =
           checked_sum(Cost{detail::checked_mul(step_iters, flops), 0, 0}, busiest.worst);
       res.total = checked_sum(res.total, checked_scale(step_cost, len));
       res.comm_bottleneck = checked_sum(res.comm_bottleneck, checked_scale(busiest.worst, len));
-      add_scaled(res.messages, msgs, len);
-      add_scaled(res.rerouted_messages, rerouted, len);
-    });
-    for (std::int64_t w : link_words) res.max_link_words = std::max(res.max_link_words, w);
-  } else if (opts.accounting == CommAccounting::PerStepBarrier) {
-    // Each processor's step time is its compute plus its aggregated sends;
-    // the step ends when the slowest processor finishes (barrier).
-    std::vector<Cost> proc_cost(nslots);
-    sweep.walk([&](std::int64_t t, std::int64_t len) {
-      if (sweep.idle()) return;
-      for (std::size_t p = 0; p < nslots; ++p)
-        proc_cost[p] = Cost{detail::checked_mul(sweep.level(p), flops), 0, 0};
-      std::int64_t msgs = 0, rerouted = 0;
-      for (std::size_t c = 0; c < chans.size(); ++c) {
-        const std::int64_t w = sweep.level(nslots + c);
-        if (w == 0) continue;
-        ++msgs;
-        std::int64_t mult = 1;
-        if (fstate.active || opts.charge_hops) {
-          const ChannelRoute& rt = route(c, t + lo);
-          if (rt.rerouted) ++rerouted;
-          if (opts.charge_hops) mult = rt.hops;
-        }
-        Cost& pc = proc_cost[chans[c].first];
-        pc = checked_sum(pc, Cost{0, mult, detail::checked_mul(mult, w)});
-      }
+    } else if (barrier) {
+      // Each processor's compute plus its aggregated sends; the step ends
+      // when the slowest processor finishes (barrier).
       Costliest slowest;
       for (std::size_t p = 0; p < nslots; ++p)
         if (sweep.level(p) > 0) slowest.offer(proc_cost[p], machine);  // idle procs send nothing
       res.total = checked_sum(res.total, checked_scale(slowest.worst, len));
       const Cost comm{0, slowest.worst.start, slowest.worst.comm};
       res.comm_bottleneck = checked_sum(res.comm_bottleneck, checked_scale(comm, len));
+    }
+    if (!paper) {
       add_scaled(res.messages, msgs, len);
       add_scaled(res.rerouted_messages, rerouted, len);
-    });
-  }
-
-  if (in.per_step_telemetry)
-    emit_step_telemetry(sweep, channel_index, route, links, lo, machine, opts, res.steps);
+    }
+    if (telemetry) telemetry->segment(t, len, loaded, load);
+    for (std::size_t l : loaded) load[l] = Cost{};
+  });
+  if (contention)
+    for (std::int64_t w : link_words) res.max_link_words = std::max(res.max_link_words, w);
+  if (telemetry) telemetry->finish(res.steps, link_words);
   return finish();
 }
 

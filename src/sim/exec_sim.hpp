@@ -98,14 +98,14 @@ struct SimResult {
 // for it: a frame (processors, schedule span, step stride σ) plus two
 // visitations — every projection line (processor, block, population, first
 // step) and every dependence arc bundle (source/target processor and block,
-// Π·d, arc count, first step).  The core resolves fault plans once (detour
-// routes cached per fault epoch; node failures remap over per-block
-// iteration counts in the feed's block order) and splits line and bundle
-// runs at the failure steps.  PaperMaxChannel prices the runs directly.
-// The per-step accountings sweep them in run-length form: each run is a
-// rising and a falling edge, counting-sorted by step (residue-major under
-// the stride σ), and one walk prices each segment of steps between edges
-// once, times its length.  That costs O(lines·deps) for the runs,
+// Π·d, arc count, first step).  The core resolves fault plans once (one
+// route per directed channel and fault epoch; node failures remap over
+// per-block iteration counts in the feed's block order) and splits line
+// and bundle runs at the failure steps.  PaperMaxChannel prices the runs
+// directly.  The per-step accountings sweep them in run-length form: each
+// run is a rising and a falling edge, counting-sorted by step
+// (residue-major under the stride σ), and one walk prices each segment of
+// steps between edges once, times its length.  That costs O(lines·deps) for the runs,
 // O(runs + steps) time and memory for the sort, and
 // O(segments·(processors + channels)) for the pricing; no table grows with
 // steps × channels.  The sweep keeps 32-bit fields, so a per-step
@@ -118,12 +118,12 @@ struct SimResult {
 // that leaves int64 throws ArithmeticError.
 //
 // Per-step telemetry — the sim.msg_* histograms, busy/idle steps, the
-// busiest-link series and the simulated-clock trace — expands the same
-// segments step by step, and only the dense feed asks for it (whenever
-// SimOptions::obs is enabled).  Its output grows with the step count, and
-// the closed-form feeds plan schedules of 10⁷ steps and more (the sor2d
-// sweep of bench_symbolic_scaling has about 1.7·10⁷), so they report
-// aggregate metrics only.
+// busiest-link series and the simulated-clock trace — reads the same
+// pricing walk and expands its segments step by step; only the dense feed
+// asks for it (whenever SimOptions::obs is enabled).  Its output grows
+// with the step count, and the closed-form feeds plan schedules of 10⁷
+// steps and more (the sor2d sweep of bench_symbolic_scaling has about
+// 1.7·10⁷), so they report aggregate metrics only.
 
 /// Dense feed: every vertex is a one-point line of its block, every arc a
 /// one-arc bundle, σ = 1.  Block ids follow the partition's creation order.

@@ -494,6 +494,40 @@ TEST(ExecSim, DenseTelemetryPinnedOnHandSizedPlan) {
   }
 }
 
+TEST(ExecSim, TelemetryNeverPerturbsPricing) {
+  // The per-step telemetry reads the walk the accountings price from and
+  // the link loads LinkContention prices; attaching a trace sink and a
+  // registry must leave every priced field of the dense feed unchanged.
+  PartitionFixture s = make(workloads::matrix_multiplication(4), {1, 1, 1});
+  const HypercubeMappingResult hm = map_to_hypercube(s.tig, 3);
+  const MachineParams mp{1.0, 10.0, 2.0};
+  for (CommAccounting acc : {CommAccounting::PaperMaxChannel, CommAccounting::PerStepBarrier,
+                             CommAccounting::LinkContention}) {
+    for (const char* faults : {"", "link:0-1@3", "node:2@5"}) {
+      for (bool hops : {false, true}) {
+        SCOPED_TRACE("accounting " + std::to_string(static_cast<int>(acc)) + " faults '" +
+                     faults + "'" + (hops ? " charge_hops" : ""));
+        SimOptions opts;
+        opts.accounting = acc;
+        opts.charge_hops = hops;
+        if (*faults != '\0') opts.faults = fault::FaultPlan::parse(faults);
+        const SimResult plain =
+            simulate_execution(*s.q, s.tf, s.partition, hm.mapping, Hypercube(3), mp, opts);
+        obs::ChromeTraceSink sink;
+        obs::MetricsRegistry reg;
+        opts.obs.trace = &sink;
+        opts.obs.metrics = &reg;
+        const SimResult observed =
+            simulate_execution(*s.q, s.tf, s.partition, hm.mapping, Hypercube(3), mp, opts);
+        EXPECT_EQ(first_difference(plain, observed), "");
+        EXPECT_GT(sink.event_count(), 0u);
+        ASSERT_TRUE(observed.metrics.has_value());
+        EXPECT_TRUE(observed.metrics->series.contains("sim.link.busiest_words"));
+      }
+    }
+  }
+}
+
 TEST(ExecSim, FromLabelsPartitionSimulates) {
   // Partition::from_labels wraps arbitrary partitionings (e.g. the GCD
   // baseline's residue classes) for the simulator.

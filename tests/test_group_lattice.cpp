@@ -324,6 +324,33 @@ TEST(GroupLattice, GroupingVectorOverrideMatchesDense) {
   }
 }
 
+TEST(GroupLattice, RejectedOrParallelGroupingOverrideFallsBack) {
+  // The lattice takes Steps 1-2 from choose_grouping, as the dense grouping
+  // does.  An override it rejects (k = 7) or one projecting to zero (k = 0:
+  // d ∥ Π, which makes the dense grouping degenerate) falls back with one
+  // slug, so the line-based path raises its error or builds its grouping.
+  const TimeFunction tf{IntVec{1, 0}};
+  const IterSpace space({{0, 5}, {0, 4}}, {{1, 0}, {1, 1}});
+  for (std::size_t k : {std::size_t{0}, std::size_t{7}}) {
+    SCOPED_TRACE("override dep " + std::to_string(k));
+    GroupingOptions opts;
+    opts.grouping_vector = k;
+    std::string why;
+    EXPECT_FALSE(GroupLattice::build(space, tf, opts, &why).has_value());
+    EXPECT_EQ(why, "invalid-grouping-override");
+  }
+  const ProjectedStructure ps(space, tf);
+  GroupingOptions parallel;
+  parallel.grouping_vector = 0;
+  EXPECT_FALSE(Grouping::compute(ps, parallel).grouping_vector_index().has_value());
+  GroupingOptions out_of_range;
+  out_of_range.grouping_vector = 7;
+  EXPECT_THROW(Grouping::compute(ps, out_of_range), std::invalid_argument);
+  GroupingOptions valid;
+  valid.grouping_vector = 1;
+  EXPECT_TRUE(GroupLattice::build(space, tf, valid).has_value());
+}
+
 TEST(GroupLattice, GateRefusesOutOfClassNests) {
   TimeFunction tf2{IntVec{1, 1}};
 

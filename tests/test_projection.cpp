@@ -14,19 +14,31 @@ ComputationStructure mm(std::int64_t n = 3) {
   return ComputationStructure::from_loop(workloads::matrix_multiplication(n));
 }
 
-TEST(ProjectScaled, MatchesDefinition3) {
+TEST(ProjectionFrame, ProjectMatchesDefinition3) {
   // j^p = j - (j·Π / Π·Π) Π, scaled by s = Π·Π.
-  TimeFunction tf{{1, 1}};
+  const ProjectionFrame frame({}, TimeFunction{{1, 1}});
   // j = (3,0): j·Π = 3, j^p = (3,0) - 3/2(1,1) = (3/2, -3/2); scaled: (3,-3).
-  EXPECT_EQ(project_scaled({3, 0}, tf), (IntVec{3, -3}));
+  EXPECT_EQ(frame.project({3, 0}), (IntVec{3, -3}));
   // j = (2,2) on the line of the origin: j^p = 0.
-  EXPECT_EQ(project_scaled({2, 2}, tf), (IntVec{0, 0}));
+  EXPECT_EQ(frame.project({2, 2}), (IntVec{0, 0}));
 }
 
-TEST(ProjectScaled, OrthogonalToPi) {
+TEST(ProjectionFrame, ProjectIsOrthogonalToPi) {
   TimeFunction tf{{1, 2, 3}};
-  IntVec p = project_scaled({4, -1, 7}, tf);
+  IntVec p = ProjectionFrame({}, tf).project({4, -1, 7});
   EXPECT_EQ(dot(p, tf.pi), 0);
+}
+
+TEST(ProjectionFrame, LineDirectionStrideAndReplication) {
+  // Π = (2, -4): s = 20, u = Π/2 keeps Π's sign, σ = Π·u = 10.
+  const ProjectionFrame frame({{1, 0}, {0, -1}}, TimeFunction{{2, -4}});
+  EXPECT_EQ(frame.scale(), 20);
+  EXPECT_EQ(frame.line_direction(), (IntVec{1, -2}));
+  EXPECT_EQ(frame.step_stride(), 10);
+  // d = (1,0): ĵ = 20·(1,0) - 2·(2,-4) = (16, 8), r = 20/gcd(20, 8) = 5.
+  EXPECT_EQ(frame.projected_deps_scaled()[0], (IntVec{16, 8}));
+  EXPECT_EQ(frame.replication_factor(0), 5);
+  EXPECT_EQ(frame.projected_rank(), 1u);
 }
 
 TEST(ProjectedStructure, L1SevenPoints) {
@@ -129,7 +141,7 @@ TEST(ProjectedStructure, PointOfRoundTrips) {
   ProjectedStructure ps(q, TimeFunction{{1, 1}});
   for (const IntVec& v : q.vertices()) {
     std::size_t id = ps.point_of(v);
-    EXPECT_EQ(ps.points()[id], project_scaled(v, TimeFunction{{1, 1}}));
+    EXPECT_EQ(ps.points()[id], ps.frame().project(v));
   }
 }
 

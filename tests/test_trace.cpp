@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/json_writer.hpp"
+#include "obs/span.hpp"
 
 namespace {
 
@@ -63,22 +64,22 @@ TEST(NullSinkTest, DropsEventsAndFlushIsNoop) {
 }
 
 TEST(NullSinkTest, HelpersAreNullSafe) {
-  // All emit helpers and ScopedSpan accept a null sink without touching it.
+  // All emit helpers and Span accept a null sink without touching it.
   emit_complete(nullptr, "a", "b", 0, 1, kPipelinePid, 0);
   emit_instant(nullptr, "a", "b", 0, kPipelinePid, 0);
   emit_counter(nullptr, "a", 0, kPipelinePid, 1.0);
   emit_process_name(nullptr, kPipelinePid, "p");
   emit_thread_name(nullptr, kPipelinePid, 0, "t");
-  ScopedSpan span(nullptr, "span", "cat");
+  Span span(nullptr, "span", "cat");
   span.arg("k", std::int64_t{1});
 }
 
-TEST(ScopedSpanTest, NestedSpansEmitInnerBeforeOuter) {
+TEST(SpanTest, NestedSpansEmitInnerBeforeOuter) {
   ChromeTraceSink sink;
   {
-    ScopedSpan outer(&sink, "outer", "test");
+    Span outer(&sink, "outer", "test");
     {
-      ScopedSpan inner(&sink, "inner", "test");
+      Span inner(&sink, "inner", "test");
     }
   }
   EXPECT_EQ(sink.event_count(), 2u);
@@ -91,12 +92,12 @@ TEST(ScopedSpanTest, NestedSpansEmitInnerBeforeOuter) {
   EXPECT_TRUE(structurally_valid_json(json));
 }
 
-TEST(ScopedSpanTest, OuterSpanContainsInnerSpan) {
+TEST(SpanTest, OuterSpanContainsInnerSpan) {
   JsonlSink sink;
   {
-    ScopedSpan outer(&sink, "outer", "test");
+    Span outer(&sink, "outer", "test");
     {
-      ScopedSpan inner(&sink, "inner", "test");
+      Span inner(&sink, "inner", "test");
     }
   }
   // Line 0 is the inner span, line 1 the outer; pull ts/dur out of each.

@@ -575,12 +575,9 @@ int main(int argc, char** argv) {
 
   // explain drives its own pipeline + runtime runs (repeated, measured), so
   // it branches off before the generic single pipeline run below.
+  // The ledger always plans densely: its runtime interprets the
+  // materialized index set, whatever --space says (as run/codegen below).
   if (o.command == "explain") {
-    if (o.config.space_mode != SpaceMode::Dense) {
-      std::fprintf(stderr, "hypart: explain requires --space dense (the threaded runtime "
-                           "interprets the materialized index set)\n");
-      return 78;
-    }
     int rc = 0;
     try {
       rc = cmd_explain(nest, o);
@@ -640,13 +637,10 @@ int main(int argc, char** argv) {
     // instance) without speaking the wire protocol.
     JsonValue doc = parse_json(pipeline_result_to_json(nest, r));
     serve::CanonicalForm cf = serve::canonicalize_nest(nest, r.dependence);
-    JsonValue canonical;
-    canonical.set("exact", JsonValue::make_string(cf.exact_hex()));
-    canonical.set("exact_key", JsonValue::make_string(cf.exact_key));
-    canonical.set("params", parse_json(params_fingerprint(o.config)));
-    canonical.set("structure", JsonValue::make_string(cf.structure_hex()));
-    canonical.set("structure_key", JsonValue::make_string(cf.structure_key));
-    doc.set("canonical", std::move(canonical));
+    const std::string params = params_fingerprint(o.config);
+    JsonWriter canonical;
+    serve::write_canonical(canonical, cf, &params);
+    doc.set("canonical", parse_json(canonical.str()));
     std::printf("%s\n", doc.to_json().c_str());
   } else if (o.command == "trace") {
     if (o.trace_path.empty()) std::printf("%s", trace_sink.str().c_str());
