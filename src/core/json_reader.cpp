@@ -314,6 +314,10 @@ class Parser {
       char c = text_[pos_++];
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        append_utf8_sequence(static_cast<unsigned char>(c), out);
+        continue;
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -332,6 +336,34 @@ class Parser {
         case 'u': out += parse_unicode_escape(); break;
         default: fail("invalid escape character");
       }
+    }
+  }
+
+  /// Appends the UTF-8 sequence that starts with `lead` (already consumed)
+  /// after checking it is well formed (RFC 3629: no overlong forms, no
+  /// surrogates, nothing past U+10FFFF).
+  void append_utf8_sequence(unsigned char lead, std::string& out) {
+    std::size_t more = 0;
+    unsigned char lo = 0x80, hi = 0xBF;  // range of the first continuation byte
+    if (lead >= 0xC2 && lead <= 0xDF) {
+      more = 1;
+    } else if (lead >= 0xE0 && lead <= 0xEF) {
+      more = 2;
+      if (lead == 0xE0) lo = 0xA0;
+      if (lead == 0xED) hi = 0x9F;
+    } else if (lead >= 0xF0 && lead <= 0xF4) {
+      more = 3;
+      if (lead == 0xF0) lo = 0x90;
+      if (lead == 0xF4) hi = 0x8F;
+    } else {
+      fail("invalid UTF-8 in string");
+    }
+    out += static_cast<char>(lead);
+    for (std::size_t i = 0; i < more; ++i) {
+      if (pos_ >= text_.size()) fail("invalid UTF-8 in string");
+      const auto b = static_cast<unsigned char>(text_[pos_++]);
+      if (b < (i == 0 ? lo : 0x80) || b > (i == 0 ? hi : 0xBF)) fail("invalid UTF-8 in string");
+      out += static_cast<char>(b);
     }
   }
 

@@ -116,6 +116,7 @@ DistributedResult run_distributed(const LoopNest& nest, const ComputationStructu
   if (mapping.block_to_proc.size() != part.block_count())
     throw std::invalid_argument("run_distributed: mapping/partition size mismatch");
   const std::size_t nprocs = mapping.processor_count;
+  const std::vector<std::size_t> arc_cols = q.arc_columns(deps);
 
   DistributedResult result;
   result.stats.per_proc_iterations.assign(nprocs, 0);
@@ -162,11 +163,11 @@ DistributedResult run_distributed(const LoopNest& nest, const ComputationStructu
       // Forward values along every analyzed dependence whose sink iteration
       // lives on another processor (this is exactly the communication the
       // partitioning counts as interblock).
-      for (const Dependence& dep : deps.dependences) {
-        IntVec sink = add(iter, dep.distance);
-        auto sink_it = q.vertex_index().find(sink);
-        if (sink_it == q.vertex_index().end()) continue;
-        ProcId pq = vproc[sink_it->second];
+      for (std::size_t e = 0; e < deps.dependences.size(); ++e) {
+        const Dependence& dep = deps.dependences[e];
+        std::optional<std::size_t> sink = q.arc_sink(vid, arc_cols[e]);
+        if (!sink) continue;
+        ProcId pq = vproc[*sink];
         if (pq == p) continue;
         IntVec element = eval_subscripts(dep.source_subscripts, iter);
         std::optional<double> value = local[p].load(dep.array, element);

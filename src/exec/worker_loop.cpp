@@ -27,6 +27,7 @@ NodeProgram::NodeProgram(const char* runtime, const LoopNest& nest,
       throw std::invalid_argument(std::string(runtime) + ": statement '" + s.label +
                                   "' has no executable right-hand side");
   require_serializable_updates(nest);
+  arc_cols_ = q.arc_columns(deps);
   remap(mapping);
 }
 
@@ -51,13 +52,14 @@ void NodeProgram::remap(const Mapping& mapping) {
       if (sa != sb) return sa < sb;
       return verts[a] < verts[b];
     });
+  // A vertex awaits one message per Dependence entry whose arc into it
+  // crosses processors; entries sharing a distance share an arc column.
+  std::vector<std::uint32_t> entries_per_col(q_.dependences().size(), 0);
+  for (std::size_t col : arc_cols_) ++entries_per_col[col];
   s.expected.assign(verts.size(), 0);
-  for (std::size_t vid = 0; vid < verts.size(); ++vid) {
-    for (const Dependence& d : deps_.dependences) {
-      auto it = q_.vertex_index().find(sub(verts[vid], d.distance));
-      if (it != q_.vertex_index().end() && s.vproc[it->second] != s.vproc[vid]) ++s.expected[vid];
-    }
-  }
+  q_.for_each_arc_id([&](std::size_t src, std::size_t dst, std::size_t k) {
+    if (s.vproc[src] != s.vproc[dst]) s.expected[dst] += entries_per_col[k];
+  });
 }
 
 bool NodeProgram::run(ProcId me, WorkerTransport& transport, WorkerOutcome& out) const {
@@ -116,10 +118,11 @@ bool NodeProgram::run(ProcId me, WorkerTransport& transport, WorkerOutcome& out)
     }
 
     // Forward produced/consumed values along every crossing dependence.
-    for (const Dependence& d : deps_.dependences) {
-      auto it = q_.vertex_index().find(add(iter, d.distance));
-      if (it == q_.vertex_index().end()) continue;
-      ProcId target = sched_.vproc[it->second];
+    for (std::size_t e = 0; e < deps_.dependences.size(); ++e) {
+      const Dependence& d = deps_.dependences[e];
+      std::optional<std::size_t> sink = q_.arc_sink(vid, arc_cols_[e]);
+      if (!sink) continue;
+      ProcId target = sched_.vproc[*sink];
       if (target == me) continue;
       IntVec element = eval_subscripts(d.source_subscripts, iter);
       std::optional<double> value = local.load(d.array, element);
@@ -127,7 +130,7 @@ bool NodeProgram::run(ProcId me, WorkerTransport& transport, WorkerOutcome& out)
         value = init_(d.array, element);
         ++out.halo_loads;
       }
-      ValueMessage msg{it->second, d.array, std::move(element), *value};
+      ValueMessage msg{*sink, d.array, std::move(element), *value};
       if (!transport.send(me, target, msg)) return false;
       ++out.messages_sent;
     }

@@ -101,6 +101,7 @@ class NodeProgram {
   const DependenceInfo& deps_;
   const InitFn& init_;
   bool measure_;
+  std::vector<std::size_t> arc_cols_;  ///< arc-table column per Dependence entry
   Schedule sched_;
 };
 

@@ -9,10 +9,6 @@
 
 namespace hypart {
 
-namespace {
-
-/// Three-way lexicographic comparison of p against q + d.  Exact where
-/// q + d leaves the int64 range: such a coordinate lies beyond every point.
 int compare_shifted(const IntVec& p, const IntVec& q, const IntVec& d) {
   for (std::size_t c = 0; c < p.size(); ++c) {
     std::int64_t t = 0;
@@ -21,8 +17,6 @@ int compare_shifted(const IntVec& p, const IntVec& q, const IntVec& d) {
   }
   return 0;
 }
-
-}  // namespace
 
 ComputationStructure ComputationStructure::from_loop(const LoopNest& nest,
                                                      const DependenceOptions& opts) {
@@ -47,52 +41,63 @@ ComputationStructure::ComputationStructure(std::vector<IntVec> vertices,
   if (vertices_.size() > kNoArc)
     throw Error(ErrorKind::Config, "ComputationStructure: " + std::to_string(vertices_.size()) +
                                        " vertices exceed the 32-bit vertex-id limit");
-  index_.reserve(vertices_.size());
-  for (std::size_t i = 0; i < vertices_.size(); ++i) {
-    if (!index_.emplace(vertices_[i], i).second)
-      throw std::invalid_argument("ComputationStructure: duplicate vertex");
-  }
+  build_order();
   build_arc_table();
 }
 
-void ComputationStructure::build_arc_table() {
+void ComputationStructure::build_order() {
   const std::size_t nv = vertices_.size();
-  const std::size_t nd = dependences_.size();
-  // Lexicographic rank -> vertex id; the identity when V arrives sorted.
-  const bool sorted = std::is_sorted(vertices_.begin(), vertices_.end());
-  std::vector<std::uint32_t> order;
-  if (!sorted) {
-    order.resize(nv);
-    std::iota(order.begin(), order.end(), std::uint32_t{0});
-    std::sort(order.begin(), order.end(),
+  if (!std::is_sorted(vertices_.begin(), vertices_.end())) {
+    order_.resize(nv);
+    std::iota(order_.begin(), order_.end(), std::uint32_t{0});
+    std::sort(order_.begin(), order_.end(),
               [&](std::uint32_t a, std::uint32_t b) { return vertices_[a] < vertices_[b]; });
   }
-  auto id_at = [&](std::size_t rank) -> std::size_t { return sorted ? rank : order[rank]; };
+  for (std::size_t rank = 1; rank < nv; ++rank)
+    if (vertices_[id_at(rank - 1)] == vertices_[id_at(rank)])
+      throw std::invalid_argument("ComputationStructure: duplicate vertex");
+}
 
-  // Sources in lexicographic order have sinks in lexicographic order, so
-  // the sink cursor only moves forward.
-  arc_sink_.assign(nv * nd, kNoArc);
-  for (std::size_t k = 0; k < nd; ++k) {
-    const IntVec& d = dependences_[k];
-    std::size_t sink = 0;
-    for (std::size_t rank = 0; rank < nv && sink < nv; ++rank) {
-      const std::size_t src = id_at(rank);
-      int cmp = -1;
-      while (sink < nv && (cmp = compare_shifted(vertices_[id_at(sink)], vertices_[src], d)) < 0)
-        ++sink;
-      if (sink < nv && cmp == 0) {
-        arc_sink_[src * nd + k] = static_cast<std::uint32_t>(id_at(sink));
-        ++arc_count_;
-      }
-    }
+void ComputationStructure::build_arc_table() {
+  const std::size_t nd = dependences_.size();
+  arc_sink_.assign(vertices_.size() * nd, kNoArc);
+  auto at = [&](std::size_t rank) -> const IntVec& { return vertices_[id_at(rank)]; };
+  for (std::size_t k = 0; k < nd; ++k)
+    for_each_shift_match(vertices_.size(), at, dependences_[k],
+                         [&](std::size_t src, std::size_t sink) {
+                           arc_sink_[id_at(src) * nd + k] = static_cast<std::uint32_t>(id_at(sink));
+                           ++arc_count_;
+                         });
+}
+
+std::optional<std::size_t> ComputationStructure::find_id(const IntVec& p) const {
+  std::size_t lo = 0, hi = vertices_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (vertices_[id_at(mid)] < p) lo = mid + 1;
+    else hi = mid;
   }
+  if (lo < vertices_.size() && vertices_[id_at(lo)] == p) return id_at(lo);
+  return std::nullopt;
 }
 
 std::size_t ComputationStructure::id_of(const IntVec& p) const {
-  auto it = index_.find(p);
-  if (it == index_.end())
-    throw std::out_of_range("ComputationStructure::id_of: point not in V");
-  return it->second;
+  std::optional<std::size_t> id = find_id(p);
+  if (!id) throw std::out_of_range("ComputationStructure::id_of: point not in V");
+  return *id;
+}
+
+std::vector<std::size_t> ComputationStructure::arc_columns(const DependenceInfo& info) const {
+  std::vector<std::size_t> cols;
+  cols.reserve(info.dependences.size());
+  for (const Dependence& d : info.dependences) {
+    auto it = std::find(dependences_.begin(), dependences_.end(), d.distance);
+    if (it == dependences_.end())
+      throw std::invalid_argument("ComputationStructure: dependence " + to_string(d.distance) +
+                                  " is not in D");
+    cols.push_back(static_cast<std::size_t>(it - dependences_.begin()));
+  }
+  return cols;
 }
 
 void ComputationStructure::for_each_arc(

@@ -9,15 +9,17 @@
 // by d_k preserves lexicographic order, so one linear merge of the sorted
 // vertex order against itself shifted by d_k finds every sink.  Vertices
 // already in lexicographic order (IndexSet::points()) are merged as given;
-// otherwise an id permutation is sorted first.  Ids are 32-bit and kNoArc
-// is the largest, so a vertex set of more than 2^32 - 1 points is refused
-// with Error(ErrorKind::Config), never truncated.
-// Partition statistics, the TIG and the dense simulator all read the table.
+// otherwise an id permutation is sorted first.  The same order rejects
+// duplicate vertices and answers id_of/contains by binary search.  Ids are
+// 32-bit and kNoArc is the largest, so a vertex set of more than 2^32 - 1
+// points is refused with Error(ErrorKind::Config), never truncated.
+// Partition statistics, the TIG, the dense simulator, the interpreter, the
+// threaded workers and the SPMD code generator all read the table.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -28,7 +30,8 @@
 
 namespace hypart {
 
-/// Hash for integer index points so structures can key on them.  Each
+/// Hash for integer index points (the interpreters' value stores key on
+/// them).  Each
 /// coordinate is passed through a full splitmix64 finalizer before mixing:
 /// the previous xor-shift combiner left small-stride grid points clustered
 /// in a few buckets (identical low bits), degrading the dense point maps to
@@ -47,7 +50,26 @@ struct IntVecHash {
   }
 };
 
-using PointIndexMap = std::unordered_map<IntVec, std::size_t, IntVecHash>;
+/// Three-way lexicographic comparison of p against q + d.  Exact where
+/// q + d leaves the int64 range: such a coordinate lies beyond every point.
+int compare_shifted(const IntVec& p, const IntVec& q, const IntVec& d);
+
+/// The lexicographic shift merge behind every arc table: for n points in
+/// lexicographic order (`at(rank)` is the rank-th point) and a vector d,
+/// call emit(src_rank, sink_rank) for every source whose translate by d is
+/// itself one of the points, sources in increasing rank.  Translation
+/// preserves lexicographic order, so the sink cursor only moves forward:
+/// O(n) comparisons, no hashing.
+template <class At, class Emit>
+void for_each_shift_match(std::size_t n, At&& at, const IntVec& d, Emit&& emit) {
+  std::size_t sink = 0;
+  for (std::size_t rank = 0; rank < n && sink < n; ++rank) {
+    const IntVec& src = at(rank);
+    int cmp = -1;
+    while (sink < n && (cmp = compare_shifted(at(sink), src, d)) < 0) ++sink;
+    if (sink < n && cmp == 0) emit(rank, sink);
+  }
+}
 
 class ComputationStructure {
  public:
@@ -60,14 +82,31 @@ class ComputationStructure {
   [[nodiscard]] std::size_t dimension() const { return dim_; }
   [[nodiscard]] const std::vector<IntVec>& vertices() const { return vertices_; }
   [[nodiscard]] const std::vector<IntVec>& dependences() const { return dependences_; }
-  [[nodiscard]] const PointIndexMap& vertex_index() const { return index_; }
 
-  [[nodiscard]] bool contains(const IntVec& p) const { return index_.contains(p); }
+  /// Vertex id of point p, by binary search over the lexicographic order;
+  /// nullopt if p is not in V.
+  [[nodiscard]] std::optional<std::size_t> find_id(const IntVec& p) const;
+  [[nodiscard]] bool contains(const IntVec& p) const { return find_id(p).has_value(); }
   /// Vertex id of point p; throws if absent.
   [[nodiscard]] std::size_t id_of(const IntVec& p) const;
 
+  /// The arc-table column of every analyzed dependence, duplicates
+  /// included: entry e is the index in dependences() of
+  /// info.dependences[e].distance, so a reader walking Dependence entries
+  /// makes one arc_sink read per (vertex, entry).  Throws
+  /// std::invalid_argument when a distance is not in dependences().
+  [[nodiscard]] std::vector<std::size_t> arc_columns(const DependenceInfo& info) const;
+
   /// Arc-table entry of a (vertex, dependence) pair whose sink is not in V.
   static constexpr std::uint32_t kNoArc = UINT32_MAX;
+
+  /// Id of vertex vid + dependences()[k], or nullopt when it is not in V.
+  /// One arc-table read.
+  [[nodiscard]] std::optional<std::size_t> arc_sink(std::size_t vid, std::size_t k) const {
+    const std::uint32_t e = arc_sink_[vid * dependences_.size() + k];
+    if (e == kNoArc) return std::nullopt;
+    return e;
+  }
 
   /// Total number of dependence arcs (pairs (j, j+d) with both ends in V).
   /// For L1 on a 4x4 domain this is the paper's count of 33.
@@ -100,10 +139,16 @@ class ComputationStructure {
   std::size_t dim_ = 0;
   std::vector<IntVec> vertices_;
   std::vector<IntVec> dependences_;
-  PointIndexMap index_;
+  /// Lexicographic rank -> vertex id; empty when V arrived sorted (the
+  /// identity).
+  std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> arc_sink_;  ///< the arc table, |V|·|D| entries
   std::size_t arc_count_ = 0;
 
+  [[nodiscard]] std::size_t id_at(std::size_t rank) const {
+    return order_.empty() ? rank : order_[rank];
+  }
+  void build_order();
   void build_arc_table();
 };
 

@@ -7,18 +7,21 @@
 namespace hypart {
 
 Partition Partition::build(const ComputationStructure& q, const Grouping& grouping) {
-  const ProjectedStructure& ps = grouping.projected();
+  const std::vector<std::uint32_t>& vertex_point = grouping.projected().vertex_points();
+  if (vertex_point.size() != q.vertices().size())
+    throw std::invalid_argument("Partition::build: grouping was not projected from this structure");
   auto t = std::make_shared<Table>();
   t->blocks.resize(grouping.group_count());
   for (std::size_t b = 0; b < t->blocks.size(); ++b) t->blocks[b].group_id = b;
   t->vertex_block.assign(q.vertices().size(), SIZE_MAX);
 
-  for (std::size_t vid = 0; vid < q.vertices().size(); ++vid) {
-    std::size_t pid = ps.point_of(q.vertices()[vid]);
-    std::size_t gid = grouping.group_of_point(pid);
-    t->vertex_block[vid] = gid;
-    t->blocks[gid].iterations.push_back(vid);
-  }
+  for (std::size_t vid = 0; vid < q.vertices().size(); ++vid)
+    t->vertex_block[vid] = grouping.group_of_point(vertex_point[vid]);
+  std::vector<std::size_t> sizes(t->blocks.size(), 0);
+  for (std::size_t gid : t->vertex_block) ++sizes[gid];
+  for (std::size_t b = 0; b < t->blocks.size(); ++b) t->blocks[b].iterations.reserve(sizes[b]);
+  for (std::size_t vid = 0; vid < q.vertices().size(); ++vid)
+    t->blocks[t->vertex_block[vid]].iterations.push_back(vid);
   Partition part;
   part.table_ = std::move(t);
   return part;

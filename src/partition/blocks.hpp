@@ -25,6 +25,9 @@ struct PartitionBlock {
 /// Immutable once built; copies share one block table (O(1)).
 class Partition {
  public:
+  /// `grouping` must group the dense projection of q (ProjectedStructure(q,
+  /// tf)): its vertex -> point table assigns each vertex without
+  /// re-projecting it.
   static Partition build(const ComputationStructure& q, const Grouping& grouping);
 
   /// Build from an arbitrary block label per vertex (labels need not be

@@ -1,7 +1,6 @@
 #include "partition/checkers.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <unordered_set>
 
@@ -21,13 +20,13 @@ bool check_exact_cover(const ComputationStructure& q, const Partition& p) {
 }
 
 bool check_theorem1(const ComputationStructure& q, const TimeFunction& tf, const Partition& p) {
+  std::vector<std::int64_t> steps;  // one buffer, reused by every block
   for (const PartitionBlock& b : p.blocks()) {
-    std::unordered_set<std::int64_t> steps;
-    steps.reserve(b.iterations.size());
-    for (std::size_t vid : b.iterations) {
-      std::int64_t s = tf.step_of(q.vertices()[vid]);
-      if (!steps.insert(s).second) return false;  // two iterations share a hyperplane
-    }
+    steps.clear();
+    for (std::size_t vid : b.iterations) steps.push_back(tf.step_of(q.vertices()[vid]));
+    std::sort(steps.begin(), steps.end());
+    // Two iterations sharing a hyperplane violate the schedule.
+    if (std::adjacent_find(steps.begin(), steps.end()) != steps.end()) return false;
   }
   return true;
 }
@@ -110,17 +109,21 @@ LemmaReport check_lemmas(const Grouping& grouping) {
     return false;
   };
 
+  std::vector<std::size_t> succ;  // distinct successor groups, one buffer
   for (std::size_t gid = 0; gid < grouping.group_count(); ++gid) {
     const Group& grp = grouping.groups()[gid];
     for (std::size_t k = 0; k < pdeps.size(); ++k) {
       if (is_zero(pdeps[k])) continue;
-      std::set<std::size_t> succ;
-      for (std::size_t pid : grp.members()) {
-        std::optional<std::size_t> q = ps.find_point(add(ps.points()[pid], pdeps[k]));
+      succ.clear();
+      for (const std::optional<std::size_t>& slot : grp.slots) {
+        if (!slot) continue;
+        std::optional<std::size_t> q = ps.arc_target(*slot, k);
         if (!q) continue;
         std::size_t gq = grouping.group_of_point(*q);
-        if (gq != gid) succ.insert(gq);
+        if (gq != gid) succ.push_back(gq);
       }
+      std::sort(succ.begin(), succ.end());
+      succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
       if (is_special_direction(k)) {
         rep.worst_lemma2_fanout = std::max(rep.worst_lemma2_fanout, succ.size());
         if (succ.size() > 1) rep.lemma2_holds = false;

@@ -1,10 +1,9 @@
 #include "partition/grouping.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+
+#include "core/error.hpp"
 
 namespace hypart {
 
@@ -28,8 +27,7 @@ std::size_t Grouping::group_of_point(std::size_t point_id) const {
 
 namespace {
 
-/// Bounding box of the scaled projected points, expanded by `margin` per
-/// coordinate; used to bound the region-growing lattice walk.
+/// A per-coordinate box of scaled points.
 struct Box {
   IntVec lo, hi;
   [[nodiscard]] bool contains(const IntVec& p) const {
@@ -39,14 +37,20 @@ struct Box {
   }
 };
 
-Box bounding_box(const std::vector<IntVec>& pts, const std::vector<IntVec>& steps,
-                 std::int64_t r) {
+/// Bounding box of the scaled projected points.
+Box bounding_box(const std::vector<IntVec>& pts) {
   Box b{pts.front(), pts.front()};
   for (const IntVec& p : pts)
     for (std::size_t i = 0; i < p.size(); ++i) {
       b.lo[i] = std::min(b.lo[i], p[i]);
       b.hi[i] = std::max(b.hi[i], p[i]);
     }
+  return b;
+}
+
+/// `b` expanded by a margin of max(1, (r+1)·|step_i|) per coordinate; it
+/// bounds the region-growing lattice walk.
+Box widened(Box b, const std::vector<IntVec>& steps, std::int64_t r) {
   for (std::size_t i = 0; i < b.lo.size(); ++i) {
     std::int64_t margin = 1;
     for (const IntVec& s : steps) {
@@ -58,6 +62,72 @@ Box bounding_box(const std::vector<IntVec>& pts, const std::vector<IntVec>& step
   }
   return b;
 }
+
+/// Rows of `dim` coordinates stored flat by id (insertion order), with an
+/// open-addressing table of ids hashed on the row in place as the index.
+/// Each table entry carries 32 bits of its row's hash, so a probe reads a
+/// row only on a likely match.
+class RowSet {
+ public:
+  explicit RowSet(std::size_t dim) : dim_(dim), table_(64) {}
+
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] const std::int64_t* row(std::size_t id) const { return rows_.data() + id * dim_; }
+
+  [[nodiscard]] std::optional<std::size_t> find(const std::int64_t* p) const {
+    const Entry& e = table_[probe(p, hash(p))];
+    if (e.id == kEmpty) return std::nullopt;
+    return e.id;
+  }
+
+  /// Appends p unless it is present; returns whether it did.
+  bool insert(const std::int64_t* p) {
+    if (2 * (count_ + 1) > table_.size()) grow();
+    const std::uint64_t h = hash(p);
+    Entry& e = table_[probe(p, h)];
+    if (e.id != kEmpty) return false;
+    if (count_ >= kEmpty)
+      throw Error(ErrorKind::Config, "Grouping: more than 2^32 - 1 lattice nodes");
+    e = {static_cast<std::uint32_t>(count_++), static_cast<std::uint32_t>(h >> 32)};
+    rows_.insert(rows_.end(), p, p + dim_);
+    return true;
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+  struct Entry {
+    std::uint32_t id = kEmpty;
+    std::uint32_t tag = 0;  ///< high half of the row's hash
+  };
+
+  [[nodiscard]] std::uint64_t hash(const std::int64_t* p) const {
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < dim_; ++i)
+      h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(p[i]);
+    return IntVecHash::mix(h);
+  }
+  /// The table slot holding row p (hash h), or the empty slot where it
+  /// belongs.
+  [[nodiscard]] std::size_t probe(const std::int64_t* p, std::uint64_t h) const {
+    const std::size_t mask = table_.size() - 1;
+    const auto tag = static_cast<std::uint32_t>(h >> 32);
+    for (std::size_t at = h & mask;; at = (at + 1) & mask) {
+      const Entry& e = table_[at];
+      if (e.id == kEmpty || (e.tag == tag && std::equal(p, p + dim_, row(e.id)))) return at;
+    }
+  }
+  void grow() {
+    std::vector<Entry> old(2 * table_.size());
+    old.swap(table_);
+    for (const Entry& e : old)
+      if (e.id != kEmpty) table_[probe(row(e.id), hash(row(e.id)))] = e;
+  }
+
+  std::size_t dim_;
+  std::size_t count_ = 0;
+  std::vector<std::int64_t> rows_;
+  std::vector<Entry> table_;
+};
 
 }  // namespace
 
@@ -145,12 +215,24 @@ Grouping Grouping::compute(const ProjectedStructure& ps, const GroupingOptions& 
   const IntVec group_step = scale(slot_step, r);  // spacing between neighbor groups
   std::vector<IntVec> all_steps{group_step};
   for (std::size_t k : g.choice_.aux) all_steps.push_back(pdeps[k]);
-  Box box = bounding_box(ps.points(), all_steps, r);
+  const Box tight = bounding_box(ps.points());
+  const Box box = widened(tight, all_steps, r);
 
+  const std::size_t dim = ps.dimension();
   const std::size_t lattice_dim = 1 + g.choice_.aux.size();
-  std::unordered_set<IntVec, IntVecHash> visited;
+  // The walk's lattice nodes, by id in discovery order: `nodes` holds their
+  // bases (and is the visited set), `lattices` their lattice coordinates.
+  // Breadth-first search dequeues nodes in the order it discovers them, so
+  // the node ids are also the BFS queue.  `points` indexes V^p the same way
+  // for the slot lookups, ids equal to point ids.
+  RowSet nodes(dim);
+  std::vector<std::int64_t> lattices;
+  std::vector<std::size_t> parent_move;  // 2·dir + (sign < 0) that reached it
+  RowSet points(dim);
+  for (const IntVec& p : ps.points()) points.insert(p.data());
   std::size_t ungrouped = npts;
   std::size_t explicit_cursor = 0;
+  std::size_t lex_cursor = 0;  // no point before it is ungrouped
   std::size_t component = 0;
 
   auto next_seed = [&]() -> std::optional<std::size_t> {
@@ -162,63 +244,73 @@ Grouping Grouping::compute(const ProjectedStructure& ps, const GroupingOptions& 
       }
     }
     // Lexicographic fallback: points() is sorted, so scan in order.
-    for (std::size_t p = 0; p < npts; ++p)
-      if (g.point_group_[p] == SIZE_MAX) return p;
+    while (lex_cursor < npts && g.point_group_[lex_cursor] != SIZE_MAX) ++lex_cursor;
+    if (lex_cursor < npts) return lex_cursor;
     return std::nullopt;
   };
+  auto visit = [&](const IntVec& base, const IntVec& lattice, std::size_t move) {
+    if (!nodes.insert(base.data())) return false;
+    lattices.insert(lattices.end(), lattice.begin(), lattice.end());
+    parent_move.push_back(move);
+    return true;
+  };
+  constexpr std::size_t kSeed = SIZE_MAX;
 
+  // Scratch rows: the node buffers may grow while a node is expanded.
+  IntVec base(dim), lattice(lattice_dim), slot(dim), nb(dim), nl(lattice_dim);
+  std::vector<std::optional<std::size_t>> slots(static_cast<std::size_t>(r));
   while (ungrouped > 0) {
     std::optional<std::size_t> seed = next_seed();
     if (!seed) break;
-    IntVec seed_base = ps.points()[*seed];
+    // An ungrouped point was never a visited base: slot 0 would hold it.
+    if (!visit(ps.points()[*seed], IntVec(lattice_dim, 0), kSeed))
+      throw std::logic_error("Grouping: region growing revisited a seed");
 
-    struct Pending {
-      IntVec base;
-      IntVec lattice;
-    };
-    std::deque<Pending> frontier;
-    frontier.push_back({seed_base, IntVec(lattice_dim, 0)});
-    visited.insert(seed_base);
+    for (std::size_t cur = nodes.size() - 1; cur < nodes.size(); ++cur) {
+      std::copy_n(nodes.row(cur), dim, base.begin());
+      std::copy_n(lattices.begin() + static_cast<std::ptrdiff_t>(cur * lattice_dim), lattice_dim,
+                  lattice.begin());
 
-    while (!frontier.empty()) {
-      Pending cur = std::move(frontier.front());
-      frontier.pop_front();
-
-      // Materialize the group at this base: slot k = base + k*d_l^p.
-      Group grp;
-      grp.base = cur.base;
-      grp.lattice = cur.lattice;
-      grp.component = component;
-      grp.slots.assign(static_cast<std::size_t>(r), std::nullopt);
+      // Claim the ungrouped points of the group at this base: slot k =
+      // base + k*d_l^p.
+      std::fill(slots.begin(), slots.end(), std::nullopt);
       std::size_t populated = 0;
-      IntVec slot = cur.base;
+      slot = base;
       for (std::int64_t k = 0; k < r; ++k) {
-        std::optional<std::size_t> id = ps.find_point(slot);
+        std::optional<std::size_t> id =
+            tight.contains(slot) ? points.find(slot.data()) : std::nullopt;
         if (id && g.point_group_[*id] == SIZE_MAX) {
-          grp.slots[static_cast<std::size_t>(k)] = *id;
+          slots[static_cast<std::size_t>(k)] = *id;
           ++populated;
         }
-        if (k + 1 < r) slot = add(slot, slot_step);
+        if (k + 1 < r)
+          for (std::size_t i = 0; i < dim; ++i)
+            slot[i] = detail::checked_add(slot[i], slot_step[i]);
       }
       if (populated > 0) {
         std::size_t gid = g.groups_.size();
-        for (const std::optional<std::size_t>& s : grp.slots)
+        for (const std::optional<std::size_t>& s : slots)
           if (s) g.point_group_[*s] = gid;
         ungrouped -= populated;
-        g.groups_.push_back(std::move(grp));
+        g.groups_.push_back(Group{base, slots, lattice, component});
       }
 
-      // Expand to forward/backward neighbors along every lattice direction.
+      // Expand to forward/backward neighbors along every lattice direction;
+      // the move back to the parent would only find it visited (a seed has
+      // no parent, and kSeed ^ 1 matches no move).
+      const std::size_t back = parent_move[cur] ^ 1;
       for (std::size_t dir = 0; dir < lattice_dim; ++dir) {
         const IntVec& step = all_steps[dir];
         for (int sign : {+1, -1}) {
-          IntVec nb = sign > 0 ? add(cur.base, step) : sub(cur.base, step);
+          const std::size_t move = 2 * dir + (sign < 0 ? 1 : 0);
+          if (move == back) continue;
+          for (std::size_t i = 0; i < dim; ++i)
+            nb[i] = sign > 0 ? detail::checked_add(base[i], step[i])
+                             : detail::checked_sub(base[i], step[i]);
           if (!box.contains(nb)) continue;
-          if (visited.contains(nb)) continue;
-          visited.insert(nb);
-          IntVec nl = cur.lattice;
+          nl = lattice;
           nl[dir] += sign;
-          frontier.push_back({std::move(nb), std::move(nl)});
+          visit(nb, nl, move);
         }
       }
     }
@@ -243,9 +335,9 @@ Digraph Grouping::group_digraph() const {
   Digraph dg(groups_.size());
   const std::vector<IntVec>& pdeps = ps_->projected_deps_scaled();
   for (std::size_t p = 0; p < ps_->point_count(); ++p) {
-    for (const IntVec& dp : pdeps) {
-      if (is_zero(dp)) continue;
-      std::optional<std::size_t> q = ps_->find_point(add(ps_->points()[p], dp));
+    for (std::size_t k = 0; k < pdeps.size(); ++k) {
+      if (is_zero(pdeps[k])) continue;
+      std::optional<std::size_t> q = ps_->arc_target(p, k);
       if (!q) continue;
       std::size_t gp = point_group_[p];
       std::size_t gq = point_group_[*q];

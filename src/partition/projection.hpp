@@ -40,6 +40,8 @@ class ProjectionFrame {
 
   /// Scaled projection of a point: s·x - (Π·x)·Π.
   [[nodiscard]] IntVec project(const IntVec& x) const;
+  /// project(x) written to out[0..n), without allocating; returns Π·x.
+  std::int64_t project_into(const IntVec& x, std::int64_t* out) const;
 
   /// The original dependence vectors (same order as projected_deps_scaled).
   [[nodiscard]] const std::vector<IntVec>& original_deps() const { return deps_; }
@@ -66,8 +68,18 @@ class ProjectionFrame {
 /// The projected structure Q^p = (V^p, D^p) of Def. 5, in scaled-integer
 /// coordinates.  Every projected point represents one projection line of
 /// the original structure.
+///
+/// Both constructors project into one flat key buffer, sort it and group
+/// equal keys into lines; nothing is hashed.  Point ids are lexicographic
+/// ranks, so find_point is a binary search over points().  The projected
+/// arc table (point, k) -> id of point + d_k^p is built once, by the same
+/// lexicographic shift merge as the ComputationStructure's arc table; the
+/// group graph, the lemma checks, the projected digraph and the line
+/// bundles read it.  The dense constructor also keeps the vertex -> point
+/// id table that Partition::build reads.
 class ProjectedStructure {
  public:
+  /// Each vertex of q is projected exactly once.
   ProjectedStructure(const ComputationStructure& q, const TimeFunction& tf);
 
   /// Build Q^p directly from a symbolic iteration space (rectangular or
@@ -112,6 +124,20 @@ class ProjectedStructure {
   /// V^p; throws otherwise).
   [[nodiscard]] std::size_t point_of(const IntVec& j) const;
 
+  /// Projected-point id of every vertex of the structure this was built
+  /// from, by vertex id (empty when built from an IterSpace).
+  [[nodiscard]] const std::vector<std::uint32_t>& vertex_points() const { return vertex_point_; }
+
+  /// Projected arc table entry with no target in V^p.
+  static constexpr std::uint32_t kNoArc = ComputationStructure::kNoArc;
+  /// Id of points()[id] + projected_deps_scaled()[k], or nullopt when that
+  /// point is not in V^p (id itself when d_k^p = 0).  One table read.
+  [[nodiscard]] std::optional<std::size_t> arc_target(std::size_t id, std::size_t k) const {
+    const std::uint32_t e = arc_target_[id * projected_deps_scaled().size() + k];
+    if (e == kNoArc) return std::nullopt;
+    return e;
+  }
+
   /// Number of original index points on the projection line of point `id`.
   [[nodiscard]] std::size_t line_population(std::size_t id) const { return line_pop_[id]; }
 
@@ -132,14 +158,17 @@ class ProjectedStructure {
  private:
   /// Adds one projection line (its scaled point, representative and
   /// population); lines must arrive in lexicographic point order.
-  void add_line(const IntVec& point, IntVec rep, std::size_t pop);
+  void add_line(const std::int64_t* point, IntVec rep, std::size_t pop);
+  /// Fills arc_target_ from the sorted points (the shift merge).
+  void build_arc_table();
 
   ProjectionFrame frame_;
   std::size_t dim_ = 0;
   std::vector<IntVec> points_;
   std::vector<std::size_t> line_pop_;
   std::vector<IntVec> line_reps_;
-  PointIndexMap index_;
+  std::vector<std::uint32_t> vertex_point_;  ///< dense only: vertex id -> point id
+  std::vector<std::uint32_t> arc_target_;    ///< |V^p|·|D| entries
 };
 
 }  // namespace hypart

@@ -11,7 +11,6 @@ void for_each_line_dep(const IterSpace& space, const ProjectedStructure& ps,
   const IntVec& u = ps.line_direction();
   const std::int64_t sigma = ps.step_stride();
   const std::vector<IntVec>& deps = ps.original_deps();
-  const std::vector<IntVec>& pdeps = ps.projected_deps_scaled();
 
   for (std::size_t pid = 0; pid < ps.point_count(); ++pid) {
     const IntVec& rep = ps.line_representative(pid);
@@ -34,7 +33,7 @@ void for_each_line_dep(const IterSpace& space, const ProjectedStructure& ps,
       bundle.first_step = rep_step + a0 * sigma;
       // Projection is linear, so every arc of the bundle lands on the same
       // target line: proj(j + d) = proj(j) + proj(d).
-      std::optional<std::size_t> target = ps.find_point(add(ps.points()[pid], pdeps[k]));
+      std::optional<std::size_t> target = ps.arc_target(pid, k);
       if (!target)
         throw std::logic_error(
             "for_each_line_dep: in-space dependence target projects outside V^p");

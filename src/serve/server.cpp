@@ -209,11 +209,16 @@ void Server::handle_connection(int fd) {
       }
     }
     buffer.erase(0, start);
-    if (buffer.size() > opts_.max_line_bytes) {
+    if (overlong) {
+      // Still inside a discarded line: no terminator yet.
+      buffer.clear();
+    } else if (buffer.size() > opts_.max_line_bytes) {
       // Reply once, then discard bytes until the next newline.
       static const char kTooLong[] =
           "{\"error\":{\"code\":78,\"kind\":\"config\",\"message\":"
           "\"request line exceeds maximum length\"},\"id\":null,\"ok\":false}\n";
+      if (obs::MetricsRegistry* metrics = service_.options().obs.metrics)
+        metrics->add("serve.errors");
       (void)write_full(fd, kTooLong, sizeof(kTooLong) - 1);
       buffer.clear();
       overlong = true;

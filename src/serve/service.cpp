@@ -34,6 +34,15 @@ JsonValue make_error_reply(const JsonValue& id, const std::string& kind, int cod
 
 Error config_error(const std::string& message) { return Error(ErrorKind::Config, message); }
 
+/// The request's "op" member, "" when it is absent; any other kind is a
+/// Config error rather than a missing op.
+std::string op_of(const JsonValue& request) {
+  if (!request.has("op")) return "";
+  const JsonValue& op = request.get("op");
+  if (!op.is_string()) throw config_error("\"op\" must be a string");
+  return op.as_string();
+}
+
 /// The error reply for the exception in flight; call from a catch block.
 JsonValue error_reply(const JsonValue& id) {
   try {
@@ -183,11 +192,10 @@ std::string PlanService::handle_line(const std::string& line) {
   }
 
   const JsonValue id = request.is_object() ? request.get("id") : JsonValue::make_null();
-  const std::string op = request.is_object() ? request.string_or("op", "") : "";
-  if (!op.empty()) span.arg("op", op);
-
   try {
     if (!request.is_object()) throw config_error("request must be a JSON object");
+    const std::string op = op_of(request);
+    if (!op.empty()) span.arg("op", op);
     if (op == "ping" || op == "stats" || op == "shutdown") {
       if (metrics != nullptr) metrics->add("serve.requests." + op);
       JsonValue reply;
@@ -305,7 +313,7 @@ std::string PlanService::handle_batch(const JsonValue& request, const JsonValue&
     item.id = sub.is_object() ? sub.get("id") : JsonValue::make_null();
     try {
       if (!sub.is_object()) throw config_error("batch request must be a JSON object");
-      item.op = sub.string_or("op", "");
+      item.op = op_of(sub);
       if (!is_plan_op(item.op))
         throw config_error(item.op.empty()
                                ? "missing \"op\" member"

@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 
+#include "dense_index_oracle.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hypart {
@@ -190,6 +191,58 @@ TEST(ArcTable, MatchesHashOracleOnWorkloads) {
     ComputationStructure q = ComputationStructure::from_loop(nest);
     EXPECT_EQ(table_arcs(q), oracle_arcs(q.vertices(), q.dependences())) << nest.name();
   }
+}
+
+TEST(VertexIndex, MatchesHashOracleOnRandomPointSets) {
+  // id_of, contains and arc_sink against a hash index of V: 200 random sets
+  // with holes, negative coordinates, unsorted ids and a repeated
+  // dependence; a duplicated vertex must still be refused.
+  std::mt19937_64 rng(20261018);
+  std::uniform_int_distribution<std::int64_t> probe(-4, 4);
+  for (int trial = 0; trial < 200; ++trial) {
+    const oracle::RandomStructure rs = oracle::random_structure(rng, trial, 3);
+    const ComputationStructure q(rs.verts, rs.deps);
+    const auto index = oracle::vertex_index(rs.verts);
+    for (std::size_t v = 0; v < rs.verts.size(); ++v) {
+      ASSERT_EQ(q.id_of(rs.verts[v]), v) << "trial " << trial;
+      EXPECT_TRUE(q.contains(rs.verts[v]));
+      for (std::size_t k = 0; k < rs.deps.size(); ++k) {
+        auto it = index.find(add(rs.verts[v], rs.deps[k]));
+        std::optional<std::size_t> expected;
+        if (it != index.end()) expected = it->second;
+        ASSERT_EQ(q.arc_sink(v, k), expected) << "trial " << trial << " v " << v << " k " << k;
+      }
+    }
+    // Points of a wider box, most of them absent.
+    for (int i = 0; i < 50; ++i) {
+      IntVec x(q.dimension());
+      for (std::int64_t& c : x) c = probe(rng);
+      auto it = index.find(x);
+      EXPECT_EQ(q.contains(x), it != index.end());
+      if (it != index.end()) EXPECT_EQ(q.id_of(x), it->second);
+      else EXPECT_THROW((void)q.id_of(x), std::out_of_range);
+    }
+    std::vector<IntVec> dup = rs.verts;
+    dup.push_back(rs.verts[static_cast<std::size_t>(trial) % rs.verts.size()]);
+    if (trial % 2 == 0) std::shuffle(dup.begin(), dup.end(), rng);
+    EXPECT_THROW((void)oracle::vertex_index(dup), std::invalid_argument);
+    EXPECT_THROW(ComputationStructure(dup, rs.deps), std::invalid_argument) << "trial " << trial;
+  }
+}
+
+TEST(VertexIndex, ArcColumnsFollowDependenceEntries) {
+  // One column per analyzed Dependence entry, duplicates included; a
+  // distance outside D is refused.
+  const LoopNest nest = workloads::example_l1(4);
+  const DependenceInfo info = analyze_dependences(nest);
+  const ComputationStructure q = ComputationStructure::from_loop(nest);
+  const std::vector<std::size_t> cols = q.arc_columns(info);
+  ASSERT_EQ(cols.size(), info.dependences.size());
+  for (std::size_t e = 0; e < cols.size(); ++e)
+    EXPECT_EQ(q.dependences()[cols[e]], info.dependences[e].distance);
+  DependenceInfo foreign = info;
+  foreign.dependences.front().distance = {5, 5};
+  EXPECT_THROW((void)q.arc_columns(foreign), std::invalid_argument);
 }
 
 TEST(IntVecHashTest, SmallStrideGridSpreadsAcrossBuckets) {

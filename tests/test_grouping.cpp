@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <random>
 #include <set>
 
+#include "dense_index_oracle.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hypart {
@@ -281,6 +283,45 @@ TEST(GroupingTest, LexicographicComponentNumberingIsPinned) {
     EXPECT_EQ(g2.groups()[i].lattice, g.groups()[i].lattice);
     EXPECT_EQ(g2.groups()[i].component, g.groups()[i].component);
     EXPECT_EQ(g2.groups()[i].slots, g.groups()[i].slots);
+  }
+}
+
+/// Group-for-group equality: base, lattice, component and slots, in order.
+void expect_same_groups(const std::vector<Group>& got, const std::vector<Group>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].base, want[i].base) << what << " group " << i;
+    EXPECT_EQ(got[i].lattice, want[i].lattice) << what << " group " << i;
+    EXPECT_EQ(got[i].component, want[i].component) << what << " group " << i;
+    EXPECT_EQ(got[i].slots, want[i].slots) << what << " group " << i;
+  }
+}
+
+TEST(GroupingTest, RegionGrowingMatchesIntVecOracleOnRandomPointSets) {
+  // Grouping::compute against IntVec region growing under both seed
+  // policies; the explicit bases mix points of V^p with points outside it.
+  std::mt19937_64 rng(20261020);
+  std::uniform_int_distribution<std::int64_t> wobble(-1, 1);
+  for (int trial = 0; trial < 200; ++trial) {
+    const oracle::RandomStructure rs = oracle::random_structure(rng, trial, 3);
+    const ComputationStructure q(rs.verts, rs.deps);
+    const ProjectedStructure ps(q, rs.tf);
+    const std::string what = "trial " + std::to_string(trial);
+
+    GroupingOptions lex;
+    expect_same_groups(Grouping::compute(ps, lex).groups(), oracle::region_growing(ps, lex),
+                       what + " lexicographic");
+
+    GroupingOptions bases;
+    bases.seed_policy = SeedPolicy::ExplicitBases;
+    for (int i = 0; i < 4; ++i) {
+      IntVec b = ps.points()[rng() % ps.point_count()];
+      if (i % 2 == 1) b.front() += wobble(rng);
+      bases.explicit_bases.push_back(b);
+    }
+    expect_same_groups(Grouping::compute(ps, bases).groups(), oracle::region_growing(ps, bases),
+                       what + " explicit bases");
   }
 }
 

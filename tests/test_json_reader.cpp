@@ -76,6 +76,23 @@ TEST(JsonReaderTest, RejectsMalformedInput) {
   }
 }
 
+TEST(JsonReaderTest, RawUtf8MustBeWellFormed) {
+  // Well-formed multi-byte sequences pass through unchanged.
+  for (const char* ok : {"\"\xc3\xa9\"", "\"\xe2\x82\xac\"", "\"\xf0\x9f\x98\x80\"",
+                         "\"\xed\x9f\xbf\"", "\"\xf4\x8f\xbf\xbf\""}) {
+    const std::string text(ok);
+    EXPECT_EQ(parse_json(text).as_string(), text.substr(1, text.size() - 2)) << text;
+  }
+  // Stray continuation bytes, invalid leads, truncated, overlong and
+  // surrogate forms, and code points past U+10FFFF are parse errors.
+  for (const char* bad : {"\"\xff\xfe\"", "\"\x80\"", "\"\xc3\"", "\"\xc0\xaf\"",
+                          "\"\xe0\x80\xaf\"", "\"\xed\xa0\x80\"", "\"\xf0\x8f\xbf\xbf\"",
+                          "\"\xf4\x90\x80\x80\"", "\"\xe2\x82\"", "\"\xc3\x28\"",
+                          "{\"id\":\"\xff\xfe\"}"}) {
+    EXPECT_THROW((void)parse_json(bad), JsonParseError) << bad;
+  }
+}
+
 TEST(JsonReaderTest, ParseErrorCarriesOffset) {
   try {
     (void)parse_json("[1, x]");

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 
+#include "dense_index_oracle.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hypart {
@@ -167,6 +169,65 @@ TEST(ProjectedStructure, MatvecOneDimensional) {
   ComputationStructure q = ComputationStructure::from_loop(workloads::matrix_vector(m));
   ProjectedStructure ps(q, TimeFunction{{1, 1}});
   EXPECT_EQ(ps.point_count(), static_cast<std::size_t>(2 * m - 1));
+}
+
+TEST(ProjectedStructure, MatchesMapOracleOnRandomPointSets) {
+  // Points, populations, representatives and vertex -> point ids against
+  // the ordered-map projection; find_point against the oracle's points;
+  // the projected arc table against brute-force find_point(add(...)).
+  std::mt19937_64 rng(20261019);
+  for (int trial = 0; trial < 200; ++trial) {
+    const oracle::RandomStructure rs = oracle::random_structure(rng, trial, 4);
+    const ComputationStructure q(rs.verts, rs.deps);
+    const ProjectedStructure ps(q, rs.tf);
+    const oracle::Projection want = oracle::project(q, rs.tf);
+    ASSERT_EQ(ps.points(), want.points) << "trial " << trial;
+    for (std::size_t i = 0; i < ps.point_count(); ++i) {
+      EXPECT_EQ(ps.line_population(i), want.populations[i]);
+      EXPECT_EQ(ps.line_representative(i), want.representatives[i]);
+      EXPECT_EQ(ps.find_point(want.points[i]), std::optional<std::size_t>(i));
+    }
+    ASSERT_EQ(ps.vertex_points().size(), want.vertex_points.size());
+    for (std::size_t v = 0; v < want.vertex_points.size(); ++v) {
+      EXPECT_EQ(ps.vertex_points()[v], want.vertex_points[v]) << "trial " << trial;
+      EXPECT_EQ(ps.point_of(q.vertices()[v]), want.vertex_points[v]);
+    }
+    const std::set<IntVec> present(want.points.begin(), want.points.end());
+    for (std::size_t i = 0; i < ps.point_count(); ++i)
+      for (std::size_t k = 0; k < ps.projected_deps_scaled().size(); ++k) {
+        const IntVec target = add(ps.points()[i], ps.projected_deps_scaled()[k]);
+        ASSERT_EQ(ps.arc_target(i, k), ps.find_point(target)) << "trial " << trial;
+        EXPECT_EQ(ps.arc_target(i, k).has_value(), present.contains(target));
+      }
+    // Misses: points shifted off V^p.
+    for (const IntVec& p : want.points) {
+      IntVec off = p;
+      off.front() += 1;
+      EXPECT_EQ(ps.find_point(off).has_value(), present.contains(off));
+    }
+  }
+}
+
+TEST(ProjectedStructure, KeysTooSpreadToPackStillSortAndGroup) {
+  // Coordinates near ±2^40 in 3-D: the projected keys' box has more than
+  // 2^64 cells, so the lines are sorted by comparing keys in place.
+  constexpr std::int64_t kFar = std::int64_t{1} << 40;
+  std::vector<IntVec> verts;
+  for (std::int64_t a : {-kFar, std::int64_t{0}, kFar})
+    for (std::int64_t b : {-kFar, std::int64_t{3}, kFar})
+      for (std::int64_t c = 0; c < 3; ++c) verts.push_back({a + c, b + c, -a + c});
+  const ComputationStructure q(verts, {{1, 1, 1}, {1, 0, 0}});
+  const TimeFunction tf{{1, 1, 1}};
+  const ProjectedStructure ps(q, tf);
+  const oracle::Projection want = oracle::project(q, tf);
+  ASSERT_EQ(ps.points(), want.points);
+  EXPECT_EQ(ps.point_count(), 9u);
+  for (std::size_t i = 0; i < ps.point_count(); ++i) {
+    EXPECT_EQ(ps.line_population(i), want.populations[i]);
+    EXPECT_EQ(ps.line_representative(i), want.representatives[i]);
+  }
+  for (std::size_t v = 0; v < verts.size(); ++v)
+    EXPECT_EQ(ps.vertex_points()[v], want.vertex_points[v]);
 }
 
 class ProjectionProperty : public ::testing::TestWithParam<std::int64_t> {};

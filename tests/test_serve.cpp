@@ -425,6 +425,50 @@ TEST(PlanService, ErrorMappingMatchesTypedHierarchy) {
   EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), 6);
 }
 
+TEST(PlanService, NonStringOpIsATypedConfigError) {
+  obs::MetricsRegistry metrics;
+  ServiceOptions opts;
+  opts.obs.metrics = &metrics;
+  PlanService service(opts);
+
+  // A single request: not a missing op, a wrongly typed one.
+  JsonValue r = parse_json(service.handle_line("{\"id\":1,\"op\":7}"));
+  EXPECT_FALSE(r.get("ok").as_bool());
+  EXPECT_EQ(r.get("error").get("kind").as_string(), "config");
+  EXPECT_EQ(r.get("error").get("code").as_int64(), 78);
+  EXPECT_EQ(r.get("error").get("message").as_string(), "\"op\" must be a string");
+  EXPECT_EQ(r.get("id").as_int64(), 1);
+
+  // A batch item the same way, while its sibling still plans.
+  r = parse_json(service.handle_line(
+      "{\"id\":\"b\",\"op\":\"batch\",\"requests\":[{\"id\":2,\"op\":[\"map\"]}," +
+      plan_request("partition", sor_like("X", "8"), "3") + "]}"));
+  ASSERT_TRUE(r.get("ok").as_bool()) << r.to_json();
+  const auto& replies = r.get("replies").as_array();
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].get("error").get("code").as_int64(), 78);
+  EXPECT_EQ(replies[0].get("error").get("message").as_string(), "\"op\" must be a string");
+  EXPECT_EQ(replies[0].get("id").as_int64(), 2);
+  EXPECT_TRUE(replies[1].get("ok").as_bool());
+
+  // An absent op is still reported as missing.
+  r = parse_json(service.handle_line("{\"id\":4}"));
+  EXPECT_EQ(r.get("error").get("message").as_string(), "missing \"op\" member");
+  EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), 3);
+}
+
+TEST(PlanService, InvalidUtf8IsAParseErrorWithAValidJsonReply) {
+  // The id is unreadable, so it is not echoed: the reply stays valid JSON.
+  PlanService service;
+  const std::string reply = service.handle_line("{\"id\":\"\xff\xfe\",\"op\":\"ping\"}");
+  JsonValue r = parse_json(reply);
+  EXPECT_FALSE(r.get("ok").as_bool());
+  EXPECT_EQ(r.get("error").get("kind").as_string(), "parse");
+  EXPECT_EQ(r.get("error").get("code").as_int64(), 65);
+  EXPECT_TRUE(r.get("id").is_null());
+  EXPECT_EQ(reply.find('\xff'), std::string::npos);
+}
+
 TEST(PlanService, EveryParamsMemberRejectsEveryWrongJsonKind) {
   // The eight members of docs/serve.md's params table, each with the JSON
   // kinds it accepts; every other kind is config/78 with the shared
@@ -834,6 +878,47 @@ TEST(Server, MalformedLinesGetErrorRepliesAndConnectionSurvives) {
   ::close(fd);
   server.request_stop();
   server.stop();
+}
+
+TEST(Server, OverlongLineGetsOneReplyThenFramingResumes) {
+  obs::MetricsRegistry metrics;
+  ServiceOptions vopts;
+  vopts.obs.metrics = &metrics;
+  PlanService service(vopts);
+  ServerOptions sopts;
+  sopts.unix_path = test_socket_path("long");
+  Server server(service, sopts);  // max_line_bytes = 1 MiB
+  server.start();
+
+  int fd = connect_unix(sopts.unix_path);
+  ASSERT_GE(fd, 0);
+  // A 3 MiB line, then a ping on the same connection.
+  std::string payload(3u << 20, 'x');
+  payload += "\n{\"op\":\"ping\"}\n";
+  std::thread writer([&] { (void)write_full(fd, payload.data(), payload.size()); });
+  std::vector<std::string> lines;
+  std::string buffer;
+  char chunk[4096];
+  while (lines.size() < 2) {
+    ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) break;
+    buffer.append(chunk, static_cast<std::size_t>(n));
+    for (std::size_t nl; (nl = buffer.find('\n')) != std::string::npos; buffer.erase(0, nl + 1))
+      lines.push_back(buffer.substr(0, nl));
+  }
+  writer.join();
+  ASSERT_EQ(lines.size(), 2u);
+  JsonValue error = parse_json(lines[0]);
+  EXPECT_FALSE(error.get("ok").as_bool());
+  EXPECT_EQ(error.get("error").get("code").as_int64(), 78);
+  EXPECT_EQ(error.get("error").get("message").as_string(), "request line exceeds maximum length");
+  JsonValue pong = parse_json(lines[1]);
+  EXPECT_TRUE(pong.get("ok").as_bool()) << lines[1];
+  EXPECT_EQ(pong.get("op").as_string(), "ping");
+  ::close(fd);
+  server.request_stop();
+  server.stop();
+  EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), 1);
 }
 
 TEST(Server, ShutdownOpStopsTheServer) {

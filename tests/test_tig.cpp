@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/error.hpp"
+#include "dense_index_oracle.hpp"
 #include "schedule/hyperplane.hpp"
 #include "workloads/workloads.hpp"
 
@@ -61,15 +62,16 @@ TEST(TigTest, FromPartitionMatchesStats) {
   EXPECT_TRUE(tig.has_coordinates());
 }
 
-/// Per-arc oracle: probe v + d for every vertex and dependence through the
+/// Per-arc oracle: probe v + d for every vertex and dependence through a
 /// hash index and add one unit per interblock arc to a std::map edge.
 std::map<std::pair<std::size_t, std::size_t>, std::int64_t> oracle_edges(
     const ComputationStructure& q, const Partition& p) {
+  const auto index = oracle::vertex_index(q.vertices());
   std::map<std::pair<std::size_t, std::size_t>, std::int64_t> edges;
   for (std::size_t v = 0; v < q.vertices().size(); ++v)
     for (const IntVec& d : q.dependences()) {
-      auto it = q.vertex_index().find(add(q.vertices()[v], d));
-      if (it == q.vertex_index().end()) continue;
+      auto it = index.find(add(q.vertices()[v], d));
+      if (it == index.end()) continue;
       std::size_t bs = p.block_of(v), bd = p.block_of(it->second);
       if (bs != bd) ++edges[std::minmax(bs, bd)];
     }
