@@ -64,7 +64,7 @@ SimOptions sim_options(const LoopNest& nest, const PipelineConfig& config) {
 /// Algorithm 1 on the materialized structure (dense) or on the space
 /// (symbolic).  The only place that chooses between the lattice and the
 /// line-based plan: the lattice runs whenever GroupLattice's gate admits
-/// the space and Algorithm 2 has a closed form on it.
+/// the space.
 std::unique_ptr<PlanView> make_plan(const ComputationStructure* structure, const IterSpace* space,
                                     const TimeFunction& tf, const PipelineConfig& config) {
   obs::TraceSink* sink = config.obs.trace;
@@ -74,13 +74,6 @@ std::unique_ptr<PlanView> make_plan(const ComputationStructure* structure, const
     {
       obs::Span span(sink, "lattice_build", "pipeline");
       lattice = GroupLattice::build(*space, tf, config.grouping, &reason);
-      // Weighted plane mapping is not closed-form (hypercube_map.hpp); route
-      // the whole run through the line-based plan rather than mixing
-      // lattice grouping with a dense mapper.
-      if (lattice && !closed_form_mapping(*lattice, config.mapping)) {
-        lattice.reset();
-        reason = "weighted-plane-mapping";
-      }
       span.arg("admitted", static_cast<std::int64_t>(lattice.has_value() ? 1 : 0));
       if (!lattice) span.arg("fallback_reason", reason);
     }

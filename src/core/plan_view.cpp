@@ -144,76 +144,60 @@ class LatticePlan final : public PlanView {
 
   void write_partition_json(JsonWriter& w) const override {
     w.field("grouping_backend", "lattice");
-    w.field("layout", lattice_.layout() == LatticeLayout::Plane ? "plane" : "chain");
     w.field("components", lattice_.component_count());
     w.field("min_block", blocks.min_block);
     w.field("max_block", blocks.max_block);
   }
   void write_mapping_json(JsonWriter& w) const override {
-    // The per-block processor array is never materialized: chains emit the
-    // sorted-index cluster boundaries, planes the per-aux-chain fragment runs.
-    if (mapping_.frag_b.empty()) {
-      w.begin_array("cluster_boundaries");
-      for (std::uint64_t b : mapping_.boundaries) w.value(b);
-      w.end_array();
-      return;
-    }
+    // The per-block processor array is never materialized: one entry per
+    // fragment, a run's groups from a_from on.
     w.begin_array("fragment_runs");
-    for (std::size_t i = 0; i < mapping_.frag_b.size(); ++i)
-      for (std::size_t k = mapping_.frag_off[i]; k < mapping_.frag_off[i + 1]; ++k) {
-        w.begin_object();
-        w.field("b", mapping_.frag_b[i]);
-        w.field("a_from", mapping_.frag_runs[k].first);
-        w.field("proc", static_cast<std::uint64_t>(mapping_.frag_runs[k].second));
-        w.end_object();
-      }
+    for_each_fragment([&](const GroupLattice::Run& run, std::int64_t a_from, ProcId proc) {
+      w.begin_object();
+      w.field("comp", run.comp);
+      w.field("b", run.b);
+      w.field("a_from", a_from);
+      w.field("proc", static_cast<std::uint64_t>(proc));
+      w.end_object();
+    });
     w.end_array();
   }
   [[nodiscard]] std::string partition_table() const override {
-    // No per-block vectors exist: the block-size summary, then one box per
-    // slab (chain: group range and line interval) or per aux chain (plane:
-    // group range along a at fixed b).
-    const bool plane = lattice_.layout() == LatticeLayout::Plane;
-    TextTable t({"box", "groups", plane ? "aux chain b" : "lines"});
-    std::vector<GroupLattice::GroupBox> boxes = lattice_.enumerate_boxes();
-    for (std::size_t i = 0; i < boxes.size(); ++i) {
-      const GroupLattice::GroupBox& b = boxes[i];
-      std::string lines = plane ? std::to_string(b.c_lo)
-                                : "[" + std::to_string(b.c_lo) + ", " + std::to_string(b.c_hi) + "]";
-      t.row(i, "[" + std::to_string(b.a_lo) + ", " + std::to_string(b.a_hi) + "]", lines);
-    }
+    // No per-block vectors exist: the block-size summary, then the run
+    // table, one row per (coset, aux b) slot run and its group range.
+    TextTable t({"run", "coset", "aux b", "slots", "groups"});
+    const std::vector<GroupLattice::Run>& runs = lattice_.runs();
+    auto interval = [](std::int64_t lo, std::int64_t hi) {
+      return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    };
+    for (std::size_t i = 0; i < runs.size(); ++i)
+      t.row(i, runs[i].comp, runs[i].b, interval(runs[i].t_lo, runs[i].t_hi),
+            interval(runs[i].a_lo, runs[i].a_hi));
     return "block sizes: min " + std::to_string(blocks.min_block) + ", max " +
            std::to_string(blocks.max_block) + ", total " +
            std::to_string(blocks.total_iterations) + "\n" + t.to_string();
   }
   [[nodiscard]] std::string mapping_report(const Hypercube&) const override {
-    std::string head = ", method=" + mapping_.method +
-                       ", directions=" + std::to_string(mapping_.directions_used) + "\n";
-    if (!mapping_.frag_b.empty()) {
-      // Plane layout: clusters are unions of per-aux-chain (a-run, proc)
-      // fragments, one row per fragment.
-      TextTable t({"aux chain b", "a from", "processor"});
-      for (std::size_t i = 0; i < mapping_.frag_b.size(); ++i)
-        for (std::size_t k = mapping_.frag_off[i]; k < mapping_.frag_off[i + 1]; ++k)
-          t.row(mapping_.frag_b[i], mapping_.frag_runs[k].first,
-                static_cast<std::uint64_t>(mapping_.frag_runs[k].second));
-      return head + t.to_string();
-    }
-    // Chain layout: contiguous sorted-index intervals per processor.
-    TextTable t({"cluster", "processor", "sorted groups"});
-    for (std::uint64_t rank = 0; rank < mapping_.cluster_processor.size(); ++rank) {
-      auto [first, last] = mapping_.cluster_range(rank);
-      std::string range = first == last ? std::string("(empty)")
-                                        : "[" + std::to_string(first) + ", " +
-                                              std::to_string(last - 1) + "]";
-      t.row(rank, static_cast<std::uint64_t>(mapping_.cluster_processor[rank]), range);
-    }
-    return head + t.to_string();
+    TextTable t({"coset", "aux b", "a from", "processor"});
+    for_each_fragment([&](const GroupLattice::Run& run, std::int64_t a_from, ProcId proc) {
+      t.row(run.comp, run.b, a_from, static_cast<std::uint64_t>(proc));
+    });
+    return ", method=" + mapping_.method + ", directions=" +
+           std::to_string(mapping_.directions_used) + "\n" + t.to_string();
   }
   void fill_result(PipelineResult& r) const override { r.lattice_stats = blocks; }
 
  private:
   GroupLattice lattice_;
+  /// visit(run, a_from, proc) for every fragment of the mapping, in run
+  /// order, a ascending.
+  template <class Visit>
+  void for_each_fragment(Visit&& visit) const {
+    for (std::size_t i = 0; i + 1 < mapping_.frag_off.size(); ++i)
+      for (std::size_t k = mapping_.frag_off[i]; k < mapping_.frag_off[i + 1]; ++k)
+        visit(lattice_.runs()[i], mapping_.frag_runs[k].first, mapping_.frag_runs[k].second);
+  }
+
   LatticeSweepResult sweep_;
   LatticeHypercubeMapping mapping_;
 };
@@ -281,12 +265,9 @@ void verify_against_symbolic(const PipelineResult& r, const PipelineConfig& conf
 
   // Closed-form group-lattice cross-checks: every lattice-derived quantity
   // (grouping, statistics, arc classes, cube assignment, simulation, theorem
-  // verdicts) must equal the dense stages exactly.  Where Algorithm 2 has
-  // no closed form (symbolic mode maps those runs on the line-based plan)
-  // the lattice is checked up to its mapping.
+  // verdicts) must equal the dense stages exactly.
   std::optional<GroupLattice> gl = GroupLattice::build(*r.space, r.time_function, config.grouping);
   if (!gl) return;
-  const bool mapped = closed_form_mapping(*gl, config.mapping);
   LatticePlan lattice(std::move(*gl), config.validate);
   const GroupLattice& lat = lattice.lattice();
   if (lattice.line_count != dense.line_count) fail("lattice line count");
@@ -294,13 +275,13 @@ void verify_against_symbolic(const PipelineResult& r, const PipelineConfig& conf
   if (lattice.group_size_r != dense.group_size_r) fail("lattice group size r");
   if (lattice.beta != dense.beta) fail("lattice beta");
   // Dense group id -> lattice GroupKey, built from the dense Group's own
-  // lattice coordinates and component id (sorted order when degenerate —
-  // dense creation order is the lex seed order there).
+  // lattice coordinates and component id (a degenerate group is its own
+  // component, numbered in lex order like its slot).
   auto key_of = [&](std::size_t gid) -> GroupLattice::GroupKey {
-    if (lat.degenerate()) return lat.group_at_sorted_index(gid);
     const Group& g = grouping.groups()[gid];
-    if (lat.layout() == LatticeLayout::Plane) return {g.lattice.at(0), g.lattice.at(1), 0};
-    return {g.lattice.at(0), 0, static_cast<std::int64_t>(g.component)};
+    const auto comp = static_cast<std::int64_t>(g.component);
+    if (g.lattice.empty()) return {comp, 0, comp};
+    return {g.lattice[0], g.lattice.size() > 1 ? g.lattice[1] : 0, comp};
   };
   auto index_of = [&](std::size_t gid) { return lat.sorted_index_of_group(key_of(gid)); };
   for (std::size_t gid = 0; gid < grouping.group_count(); ++gid) {
@@ -325,22 +306,20 @@ void verify_against_symbolic(const PipelineResult& r, const PipelineConfig& conf
   });
   if (dense_offsets != lattice.sweep().offset_weights) fail("lattice offset weights");
 
-  if (mapped) {
-    lattice.map(config.cube_dim, config.mapping);
-    if (lattice.processors != dense.processors) fail("lattice processor count");
-    for (std::size_t gid = 0; gid < grouping.group_count(); ++gid)
-      if (lattice.owner(index_of(gid)) != dense.owner(gid)) fail("lattice processor assignment");
-    // The lattice simulator indexes blocks in sorted order, the dense one
-    // in creation order; node-failure remaps break ties on block id, so
-    // the cross-check covers fault sets without node failures (link-only
-    // plans never consult block ids).
-    const bool node_faults = !config.sim.faults.machine_empty() &&
-                             config.sim.faults.resolve(cube).failed_node_count() > 0;
-    if (!node_faults) {
-      if (std::string f = first_difference(lattice.simulate(cube, config.machine, sim_opts), r.sim);
-          !f.empty())
-        fail("lattice simulation results (" + f + ")");
-    }
+  lattice.map(config.cube_dim, config.mapping);
+  if (lattice.processors != dense.processors) fail("lattice processor count");
+  for (std::size_t gid = 0; gid < grouping.group_count(); ++gid)
+    if (lattice.owner(index_of(gid)) != dense.owner(gid)) fail("lattice processor assignment");
+  // The lattice simulator indexes blocks in sorted order, the dense one in
+  // creation order; node-failure remaps break ties on block id, so the
+  // cross-check covers fault sets without node failures (link-only plans
+  // never consult block ids).
+  const bool node_faults = !config.sim.faults.machine_empty() &&
+                           config.sim.faults.resolve(cube).failed_node_count() > 0;
+  if (!node_faults) {
+    if (std::string f = first_difference(lattice.simulate(cube, config.machine, sim_opts), r.sim);
+        !f.empty())
+      fail("lattice simulation results (" + f + ")");
   }
 
   if (config.validate) {

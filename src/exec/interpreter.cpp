@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/error.hpp"
 #include "loop/index_set.hpp"
 #include "numeric/rat_matrix.hpp"
 
@@ -43,9 +44,9 @@ namespace {
 void require_executable(const LoopNest& nest) {
   for (const Statement& s : nest.statements())
     if (!s.is_executable())
-      throw std::invalid_argument("interpreter: statement '" + s.label +
-                                  "' has no executable right-hand side (use "
-                                  "LoopNestBuilder::assign)");
+      throw Error(ErrorKind::Config, "interpreter: statement '" + s.label +
+                                         "' has no executable right-hand side (use "
+                                         "LoopNestBuilder::assign)");
 }
 
 }  // namespace
@@ -62,7 +63,8 @@ void require_serializable_updates(const LoopNest& nest) {
     if (w.kind != AccessKind::Write) continue;
     RatMat f = RatMat::from_int(w.access_matrix(nest.depth()));
     if (f.nullspace().size() >= 2)
-      throw std::invalid_argument(
+      throw Error(
+          ErrorKind::Config,
           "interpreter: statement '" + s.label + "' updates array '" + w.array +
           "' along a reduction lattice of dimension >= 2; the hyperplane schedule "
           "cannot serialize those updates (restructure the reduction into a chain)");

@@ -67,6 +67,7 @@ struct DistributedResult {
 /// ordered chains (write-access nullspace of dimension >= 2): the
 /// hyperplane schedule cannot serialize such reductions, so distributed
 /// execution would lose updates.  Called by both distributed executors.
+/// Throws Error(Config).
 void require_serializable_updates(const LoopNest& nest);
 
 /// Execute the partitioned, mapped nest under message-passing semantics.

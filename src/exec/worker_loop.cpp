@@ -4,6 +4,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "core/error.hpp"
+
 namespace hypart::exec {
 
 namespace {
@@ -24,8 +26,8 @@ NodeProgram::NodeProgram(const char* runtime, const LoopNest& nest,
       measure_(measure_phases) {
   for (const Statement& s : nest.statements())
     if (!s.is_executable())
-      throw std::invalid_argument(std::string(runtime) + ": statement '" + s.label +
-                                  "' has no executable right-hand side");
+      throw Error(ErrorKind::Config, std::string(runtime) + ": statement '" + s.label +
+                                         "' has no executable right-hand side");
   require_serializable_updates(nest);
   arc_cols_ = q.arc_columns(deps);
   remap(mapping);

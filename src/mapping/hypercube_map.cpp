@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 #include "mapping/gray.hpp"
 
@@ -115,144 +116,172 @@ HypercubeMappingResult map_to_hypercube(const TaskInteractionGraph& tig, unsigne
   return result;
 }
 
-ProcId LatticeHypercubeMapping::proc_of_sorted_index(std::uint64_t k) const {
-  // boundaries is ascending with duplicates at empty clusters; the owning
-  // cluster is the last one whose start is <= k.
-  auto it = std::upper_bound(boundaries.begin(), boundaries.end(), k);
-  std::size_t rank = static_cast<std::size_t>(it - boundaries.begin()) - 1;
-  return cluster_processor[std::min(rank, cluster_processor.size() - 1)];
-}
-
 ProcId LatticeHypercubeMapping::proc_of_group(const GroupLattice& lattice,
                                               const GroupLattice::GroupKey& g) const {
-  if (frag_b.empty()) return proc_of_sorted_index(lattice.sorted_index_of_group(g));
-  auto cit = std::lower_bound(frag_b.begin(), frag_b.end(), g.b);
-  if (cit == frag_b.end() || *cit != g.b) return 0;  // unpopulated chain
-  const std::size_t i = static_cast<std::size_t>(cit - frag_b.begin());
-  auto first = frag_runs.begin() + static_cast<std::ptrdiff_t>(frag_off[i]);
-  auto last = frag_runs.begin() + static_cast<std::ptrdiff_t>(frag_off[i + 1]);
-  // Last run with a_lo <= g.a.
-  auto rit = std::upper_bound(first, last, g.a,
-                              [](std::int64_t a, const std::pair<std::int64_t, ProcId>& run) {
-                                return a < run.first;
-                              });
-  if (rit == first) return 0;
-  return (rit - 1)->second;
+  const std::size_t run = lattice.run_of(g);
+  if (run + 1 >= frag_off.size()) return 0;  // no such group
+  auto first = frag_runs.begin() + static_cast<std::ptrdiff_t>(frag_off[run]);
+  auto last = frag_runs.begin() + static_cast<std::ptrdiff_t>(frag_off[run + 1]);
+  // Last fragment with a_from <= g.a.
+  auto it = std::upper_bound(first, last, g.a,
+                             [](std::int64_t a, const std::pair<std::int64_t, ProcId>& frag) {
+                               return a < frag.first;
+                             });
+  return it == first ? ProcId{0} : (it - 1)->second;
 }
 
 namespace {
 
-/// One per-aux-chain a-interval of a plane cluster.
+/// One per-run a-interval of a cluster.
 struct Frag {
-  std::int64_t b = 0;
+  std::size_t run = 0;
   std::int64_t a_lo = 0, a_hi = 0;
 };
 
-struct PlaneCluster {
-  std::vector<Frag> frags;  ///< ascending b, at most one per b
+struct FragCluster {
+  std::vector<Frag> frags;  ///< run-table order, at most one per run
   std::uint64_t ranks[2] = {0, 0};
   std::uint64_t size = 0;  ///< group count
 };
 
-/// Closed-form dense bisection of a plane cluster along direction 0 (the
-/// grouping-chain coordinate a): the dense level sort is (a, b), so the low
-/// half is every group with a < a*, plus the first q groups at a == a* in
-/// ascending b — a* and q chosen so the low half has exactly `h` groups.
-void split_plane_a(const PlaneCluster& c, std::uint64_t h, PlaneCluster& low,
-                   PlaneCluster& high) {
-  if (c.frags.empty() || h == 0) {
-    (h == 0 ? high : low).frags = c.frags;
+/// What a bisection balances: the group count of a fragment's prefix, or,
+/// with population prefix sums, its population.
+struct Measure {
+  const std::vector<GroupLattice::Run>* runs = nullptr;
+  std::vector<std::int64_t> pre;  ///< GroupLattice::population_prefix(); empty: count
+
+  /// Measure of f's groups with a' <= a.
+  [[nodiscard]] std::int64_t upto(const Frag& f, std::int64_t a) const {
+    const std::int64_t hi = std::min(a, f.a_hi);
+    if (hi < f.a_lo) return 0;
+    if (pre.empty()) return hi - f.a_lo + 1;
+    const GroupLattice::Run& run = (*runs)[f.run];
+    return pre[run.first + static_cast<std::uint64_t>(hi - run.a_lo) + 1] -
+           pre[run.first + static_cast<std::uint64_t>(f.a_lo - run.a_lo)];
+  }
+};
+
+/// Append to low the shortest prefix of `fs`'s groups in (a, run) order
+/// whose measure satisfies `reach`, and the rest to high.  `fs` shares one
+/// b, or is a whole cluster bisected along a.
+template <class Reach>
+void split_a(const Frag* fs, std::size_t count, const Measure& m, const Reach& reach,
+             FragCluster& low, FragCluster& high) {
+  if (count == 0) return;
+  if (reach(0)) {
+    high.frags.insert(high.frags.end(), fs, fs + count);
     return;
   }
-  std::int64_t amin = c.frags.front().a_lo, amax = c.frags.front().a_hi;
-  for (const Frag& f : c.frags) {
-    amin = std::min(amin, f.a_lo);
-    amax = std::max(amax, f.a_hi);
-  }
-  auto cnt_le = [&](std::int64_t a) {
-    std::uint64_t n = 0;
-    for (const Frag& f : c.frags) {
-      const std::int64_t hi = std::min(a, f.a_hi);
-      if (hi >= f.a_lo) n += static_cast<std::uint64_t>(hi - f.a_lo + 1);
-    }
-    return n;
+  auto measure_upto = [&](std::int64_t a) {
+    std::int64_t total = 0;
+    for (std::size_t i = 0; i < count; ++i) total = detail::checked_add(total, m.upto(fs[i], a));
+    return total;
   };
-  std::int64_t lo = amin, hi = amax;
-  while (lo < hi) {  // smallest a with cnt_le(a) >= h
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (cnt_le(mid) >= h) hi = mid;
+  std::int64_t lo = fs[0].a_lo, hi = fs[0].a_hi;
+  for (std::size_t i = 1; i < count; ++i) {
+    lo = std::min(lo, fs[i].a_lo);
+    hi = std::max(hi, fs[i].a_hi);
+  }
+  while (lo < hi) {  // smallest a* whose groups a <= a* reach
+    const std::int64_t mid = lo + floor_div(hi - lo, 2);
+    if (reach(measure_upto(mid))) hi = mid;
     else lo = mid + 1;
   }
-  const std::int64_t astar = lo;
-  std::uint64_t q = h - cnt_le(astar - 1);  // groups at a == a* taken low, in b order
-  for (const Frag& f : c.frags) {
-    if (f.a_hi < astar) {
-      low.frags.push_back(f);
-      continue;
+  // Every group below a* goes low, then the groups at a*, in run order,
+  // until the prefix reaches.
+  std::int64_t acc = measure_upto(lo - 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Frag& f = fs[i];
+    std::int64_t cut = std::min(f.a_hi, lo - 1);  // low gets [a_lo, cut]
+    if (f.a_lo <= lo && lo <= f.a_hi && !reach(acc)) {
+      acc = detail::checked_add(acc, m.upto(f, lo) - m.upto(f, lo - 1));
+      cut = lo;
     }
-    if (f.a_lo > astar) {
-      high.frags.push_back(f);
-      continue;
-    }
-    std::int64_t cut = astar - 1;  // low gets [a_lo, cut]
-    if (q > 0) {
-      cut = astar;
-      --q;
-    }
-    if (cut >= f.a_lo) low.frags.push_back(Frag{f.b, f.a_lo, cut});
-    if (cut + 1 <= f.a_hi) high.frags.push_back(Frag{f.b, cut + 1, f.a_hi});
+    if (cut >= f.a_lo) low.frags.push_back(Frag{f.run, f.a_lo, cut});
+    if (cut < f.a_hi) high.frags.push_back(Frag{f.run, std::max(cut + 1, f.a_lo), f.a_hi});
   }
 }
 
-/// Bisection along direction 1 (the aux coordinate b): the dense level sort
-/// is (b, a), so the low half is whole chains in ascending b plus the
-/// lowest-a prefix of the straddling chain.
-void split_plane_b(const PlaneCluster& c, std::uint64_t h, PlaneCluster& low,
-                   PlaneCluster& high) {
-  std::uint64_t cum = 0;
-  for (const Frag& f : c.frags) {
-    const std::uint64_t sz = static_cast<std::uint64_t>(f.a_hi - f.a_lo + 1);
-    if (cum + sz <= h) {
-      low.frags.push_back(f);
-    } else if (cum >= h) {
-      high.frags.push_back(f);
+/// Bisect `c` along `dir`: the shortest prefix reaching goes low.  Along b
+/// (dir 1) whole b-values go low in ascending order; the b-value where the
+/// prefix reaches is split in (a, comp) order.
+template <class Reach>
+void split(const FragCluster& c, std::size_t dir, const Measure& m, const Reach& reach,
+           const std::vector<GroupLattice::Run>& runs, FragCluster& low, FragCluster& high) {
+  if (dir == 0) return split_a(c.frags.data(), c.frags.size(), m, reach, low, high);
+  std::int64_t acc = 0;
+  for (std::size_t i = 0; i < c.frags.size();) {
+    std::size_t j = i;
+    std::int64_t tot = 0;
+    for (; j < c.frags.size() && runs[c.frags[j].run].b == runs[c.frags[i].run].b; ++j)
+      tot = detail::checked_add(tot, m.upto(c.frags[j], c.frags[j].a_hi));
+    if (!reach(detail::checked_add(acc, tot))) {
+      low.frags.insert(low.frags.end(), c.frags.begin() + static_cast<std::ptrdiff_t>(i),
+                       c.frags.begin() + static_cast<std::ptrdiff_t>(j));
     } else {
-      const std::int64_t take = static_cast<std::int64_t>(h - cum);
-      low.frags.push_back(Frag{f.b, f.a_lo, f.a_lo + take - 1});
-      high.frags.push_back(Frag{f.b, f.a_lo + take, f.a_hi});
+      const std::int64_t base = acc;
+      split_a(c.frags.data() + i, j - i, m,
+              [&](std::int64_t x) { return reach(detail::checked_add(base, x)); }, low, high);
+      high.frags.insert(high.frags.end(), c.frags.begin() + static_cast<std::ptrdiff_t>(j),
+                        c.frags.end());
+      return;
     }
-    cum += sz;
+    acc = detail::checked_add(acc, tot);
+    i = j;
   }
 }
 
-LatticeHypercubeMapping map_plane_to_hypercube(const GroupLattice& lattice, unsigned cube_dim,
-                                               const HypercubeMapOptions& options) {
-  if (options.weighted)
-    throw std::invalid_argument(
-        "map_to_hypercube: weighted mapping of a plane lattice is not closed-form");
-  std::vector<PlaneCluster> clusters(1);
-  for (const GroupLattice::GroupBox& box : lattice.enumerate_boxes())
-    clusters[0].frags.push_back(Frag{box.c_lo, box.a_lo, box.a_hi});
-  std::vector<unsigned> bits(2, 0);
-  for (PlaneCluster& c : clusters)
-    for (const Frag& f : c.frags) c.size += static_cast<std::uint64_t>(f.a_hi - f.a_lo + 1);
+std::uint64_t group_total(const FragCluster& c) {
+  std::uint64_t n = 0;
+  for (const Frag& f : c.frags) n += static_cast<std::uint64_t>(f.a_hi - f.a_lo + 1);
+  return n;
+}
+
+}  // namespace
+
+LatticeHypercubeMapping map_to_hypercube(const GroupLattice& lattice, unsigned cube_dim,
+                                         const HypercubeMapOptions& options) {
+  const std::vector<GroupLattice::Run>& runs = lattice.runs();
+  obs::TraceSink* sink = options.obs.trace;
+  if (sink != nullptr)
+    obs::emit_thread_name(sink, obs::kPipelinePid, obs::kMappingTid, "mapping search");
+  obs::Span map_span(sink, "map_to_hypercube", "mapping", obs::kPipelinePid,
+                     obs::kMappingTid,
+                     {{"blocks", static_cast<std::int64_t>(lattice.group_count())},
+                      {"cube_dim", static_cast<std::int64_t>(cube_dim)}});
+
+  const Measure count{&runs, {}};
+  const Measure weight{&runs, options.weighted ? lattice.population_prefix()
+                                               : std::vector<std::int64_t>{}};
+  const std::size_t ndirs = lattice.auxiliary_vector_index() ? 2 : 1;
+  std::vector<FragCluster> clusters(1);
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    clusters[0].frags.push_back(Frag{i, runs[i].a_lo, runs[i].a_hi});
+  clusters[0].size = lattice.group_count();
+  std::vector<unsigned> bits(ndirs, 0);
 
   for (unsigned j = 0; j < cube_dim; ++j) {
-    const std::size_t dir = j % 2;
+    const std::size_t dir = j % ndirs;
     ++bits[dir];
-    std::vector<PlaneCluster> next;
+    std::vector<FragCluster> next;
     next.reserve(clusters.size() * 2);
-    for (PlaneCluster& c : clusters) {
-      const std::uint64_t h = c.size / 2 + c.size % 2;  // dense ceil-half
-      PlaneCluster low, high;
-      if (dir == 0) split_plane_a(c, h, low, high);
-      else split_plane_b(c, h, low, high);
+    for (const FragCluster& c : clusters) {
+      std::uint64_t h = c.size / 2 + c.size % 2;  // dense ceil-half
+      if (options.weighted && c.size >= 2) {
+        // The smallest prefix whose population reaches half the cluster's,
+        // clamped as the dense mapper does.
+        std::int64_t total = 0;
+        for (const Frag& f : c.frags) total = detail::checked_add(total, weight.upto(f, f.a_hi));
+        FragCluster prefix, rest;
+        split(c, dir, weight, [&](std::int64_t x) { return x >= total - x; }, runs, prefix, rest);
+        h = std::clamp<std::uint64_t>(group_total(prefix), 1, c.size - 1);
+      }
+      FragCluster low, high;
+      const auto want = static_cast<std::int64_t>(h);
+      split(c, dir, count, [&](std::int64_t x) { return x >= want; }, runs, low, high);
       low.size = h;
       high.size = c.size - h;
-      for (std::size_t d = 0; d < 2; ++d) {
-        low.ranks[d] = c.ranks[d];
-        high.ranks[d] = c.ranks[d];
-      }
+      for (std::size_t d = 0; d < 2; ++d) low.ranks[d] = high.ranks[d] = c.ranks[d];
       low.ranks[dir] = c.ranks[dir] * 2;
       high.ranks[dir] = c.ranks[dir] * 2 + 1;
       next.push_back(std::move(low));
@@ -267,137 +296,40 @@ LatticeHypercubeMapping map_plane_to_hypercube(const GroupLattice& lattice, unsi
   result.bits_per_direction = bits;
   result.directions_used = static_cast<std::size_t>(
       std::count_if(bits.begin(), bits.end(), [](unsigned b) { return b > 0; }));
-  result.cluster_processor.reserve(clusters.size());
 
-  // Phase II Gray allocation + flatten fragments into the CSR (b -> runs)
-  // index.  Runs from all clusters are merged per chain, sorted by a_lo.
-  std::vector<Frag> all;
-  std::vector<ProcId> frag_proc;
+  // Phase II: Gray allocation, then the fragments of all clusters merged
+  // into the per-run CSR index, ascending a.
+  std::vector<std::pair<Frag, ProcId>> all;
   std::vector<std::uint64_t> ranks_used;
   std::vector<unsigned> bits_used;
-  for (const PlaneCluster& c : clusters) {
+  for (const FragCluster& c : clusters) {
     ranks_used.clear();
     bits_used.clear();
-    for (std::size_t d = 0; d < 2; ++d) {
+    for (std::size_t d = 0; d < ndirs; ++d) {
       if (bits[d] == 0) continue;
       ranks_used.push_back(c.ranks[d]);
       bits_used.push_back(bits[d]);
     }
     const ProcId proc = cube_dim > 0 ? concat_gray(ranks_used, bits_used) : ProcId{0};
-    result.cluster_processor.push_back(proc);
-    for (const Frag& f : c.frags) {
-      all.push_back(f);
-      frag_proc.push_back(proc);
-    }
+    for (const Frag& f : c.frags) all.emplace_back(f, proc);
   }
-  std::vector<std::size_t> order(all.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    if (all[x].b != all[y].b) return all[x].b < all[y].b;
-    return all[x].a_lo < all[y].a_lo;
+  std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+    return std::tie(x.first.run, x.first.a_lo) < std::tie(y.first.run, y.first.a_lo);
   });
-  for (std::size_t i : order) {
-    if (result.frag_b.empty() || result.frag_b.back() != all[i].b) {
-      result.frag_b.push_back(all[i].b);
-      result.frag_off.push_back(result.frag_runs.size());
-    }
-    result.frag_runs.emplace_back(all[i].a_lo, frag_proc[i]);
+  result.frag_off.assign(runs.size() + 1, 0);
+  for (const auto& [f, proc] : all) {
+    ++result.frag_off[f.run + 1];
+    result.frag_runs.emplace_back(f.a_lo, proc);
   }
-  result.frag_off.push_back(result.frag_runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) result.frag_off[i + 1] += result.frag_off[i];
 
   if (options.obs.metrics != nullptr) {
-    options.obs.metrics->add("map.clusters",
-                             static_cast<std::int64_t>(result.cluster_processor.size()));
+    options.obs.metrics->add("map.clusters", static_cast<std::int64_t>(clusters.size()));
     options.obs.metrics->add("map.bisection_levels", static_cast<std::int64_t>(cube_dim));
     options.obs.metrics->add("map.directions_used",
                              static_cast<std::int64_t>(result.directions_used));
   }
   return result;
-}
-
-}  // namespace
-
-LatticeHypercubeMapping map_to_hypercube(const GroupLattice& lattice, unsigned cube_dim,
-                                         const HypercubeMapOptions& options) {
-  const std::uint64_t ngroups = lattice.group_count();
-
-  obs::TraceSink* sink = options.obs.trace;
-  if (sink != nullptr)
-    obs::emit_thread_name(sink, obs::kPipelinePid, obs::kMappingTid, "mapping search");
-  obs::Span map_span(sink, "map_to_hypercube", "mapping", obs::kPipelinePid,
-                     obs::kMappingTid,
-                     {{"blocks", static_cast<std::int64_t>(ngroups)},
-                      {"cube_dim", static_cast<std::int64_t>(cube_dim)}});
-
-  if (lattice.layout() == LatticeLayout::Plane)
-    return map_plane_to_hypercube(lattice, cube_dim, options);
-
-  // Weighted splitting needs per-group populations; one O(groups) prefix-sum
-  // array is the only N-dependent allocation, and only in this opt-in mode.
-  std::vector<std::int64_t> prefix;
-  if (options.weighted) {
-    prefix.assign(static_cast<std::size_t>(ngroups) + 1, 0);
-    for (std::uint64_t k = 0; k < ngroups; ++k)
-      prefix[static_cast<std::size_t>(k) + 1] =
-          prefix[static_cast<std::size_t>(k)] +
-          lattice.group_population(lattice.group_at_sorted_index(k));
-  }
-
-  // Phase I: the dense mapper's recursive ceil-halving, on interval lengths.
-  // Rank bits accumulate low-half-first, so final clusters in rank order
-  // cover ascending sorted-index intervals.
-  std::vector<std::uint64_t> starts{0};
-  std::vector<std::uint64_t> sizes{ngroups};
-  for (unsigned j = 0; j < cube_dim; ++j) {
-    std::vector<std::uint64_t> next_starts, next_sizes;
-    next_starts.reserve(sizes.size() * 2);
-    next_sizes.reserve(sizes.size() * 2);
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      std::uint64_t size = sizes[i];
-      std::uint64_t half = size / 2 + size % 2;
-      if (options.weighted && size >= 2) {
-        std::size_t b = static_cast<std::size_t>(starts[i]);
-        std::int64_t total = prefix[b + static_cast<std::size_t>(size)] - prefix[b];
-        std::uint64_t cut = 0;
-        while (cut < size && 2 * (prefix[b + static_cast<std::size_t>(cut)] - prefix[b]) < total)
-          ++cut;
-        half = std::clamp<std::uint64_t>(cut, 1, size - 1);
-      }
-      next_starts.push_back(starts[i]);
-      next_sizes.push_back(half);
-      next_starts.push_back(starts[i] + half);
-      next_sizes.push_back(size - half);
-    }
-    starts = std::move(next_starts);
-    sizes = std::move(next_sizes);
-  }
-
-  // Phase II: cluster rank -> Gray-coded processor.
-  LatticeHypercubeMapping result;
-  result.cube_dim = cube_dim;
-  result.processor_count = std::size_t{1} << cube_dim;
-  result.directions_used = cube_dim > 0 ? 1 : 0;
-  if (cube_dim > 0) result.bits_per_direction.assign(1, cube_dim);
-  result.boundaries.reserve(starts.size() + 1);
-  result.boundaries = starts;
-  result.boundaries.push_back(ngroups);
-  result.cluster_processor.reserve(sizes.size());
-  for (std::uint64_t rank = 0; rank < sizes.size(); ++rank)
-    result.cluster_processor.push_back(
-        cube_dim > 0 ? concat_gray({rank}, {cube_dim}) : ProcId{0});
-
-  if (options.obs.metrics != nullptr) {
-    options.obs.metrics->add("map.clusters",
-                             static_cast<std::int64_t>(result.cluster_processor.size()));
-    options.obs.metrics->add("map.bisection_levels", static_cast<std::int64_t>(cube_dim));
-    options.obs.metrics->add("map.directions_used",
-                             static_cast<std::int64_t>(result.directions_used));
-  }
-  return result;
-}
-
-bool closed_form_mapping(const GroupLattice& lattice, const HypercubeMapOptions& options) {
-  return !(options.weighted && lattice.layout() == LatticeLayout::Plane);
 }
 
 }  // namespace hypart

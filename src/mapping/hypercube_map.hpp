@@ -53,60 +53,34 @@ struct HypercubeMapOptions {
 HypercubeMappingResult map_to_hypercube(const TaskInteractionGraph& tig, unsigned cube_dim,
                                         const HypercubeMapOptions& options = {});
 
-/// Closed-form Algorithm 2 on a GroupLattice.
-///
-/// Chain layouts: the lattice's groups are already in the dense mapper's
-/// deterministic sort order (ascending (a, component); lexicographic point
-/// order when degenerate — the single bisection direction makes the dense
-/// per-level sort a static total order), so Phase I's recursive ceil-halving
-/// reduces to 2^cube_dim interval boundaries over the sorted index space and
-/// Phase II to one Gray encode per cluster.  O(2^cube_dim) time and memory
-/// (O(groups) extra in `weighted` mode, which needs population prefix sums).
-///
-/// Plane layouts (β = 2): the dense mapper alternates bisection directions
-/// (a at even levels, b at odd), so clusters are not sorted-index intervals;
-/// they are unions of per-aux-chain a-intervals ("fragments", at most one
-/// per b per cluster — both split kinds preserve this).  Phase I bisects the
-/// fragment lists directly and the result is a CSR fragment index mapping
-/// (a, b) -> processor in O(log) — `frag_*` below, empty for chains.
-/// `weighted` plane mapping is not closed-form (the dense order re-sorts per
-/// level); the builder throws std::invalid_argument, callers fall back.
+/// Closed-form Algorithm 2 on a GroupLattice.  The dense mapper sorts each
+/// cluster along the level's direction, ties broken by the full coordinate
+/// vector and then creation order: (a, b, comp) at a-levels, (b, a, comp)
+/// at b-levels (the aux direction, n = 3 only).  In either order a cluster
+/// stays a union of per-run a-intervals ("fragments", at most one per run),
+/// so Phase I bisects fragment lists: the low half is the shortest prefix
+/// in that order reaching half the groups (or, `weighted`, half the
+/// population, from per-run population prefix sums).  Phase II Gray-codes
+/// each cluster.  The result maps (run, a) -> processor in O(log);
+/// O(runs + 2^cube_dim) memory, plus O(groups) for `weighted`.
 struct LatticeHypercubeMapping {
-  /// Chain layouts: 2^cube_dim + 1 ascending cuts — cluster of rank q holds
-  /// the sorted group indices [boundaries[q], boundaries[q+1]); empty
-  /// clusters persist, as in the dense mapper.  Empty for plane layouts.
-  std::vector<std::uint64_t> boundaries;
-  std::vector<ProcId> cluster_processor;  ///< rank -> Gray-coded hypercube node
   unsigned cube_dim = 0;
   std::size_t processor_count = 0;
   std::size_t directions_used = 0;  ///< the paper's m
   std::vector<unsigned> bits_per_direction;  ///< the paper's p_i, sum = cube_dim
   std::string method = "gray-bisection";
 
-  /// Plane layouts: per-aux-chain (a_lo, processor) runs in CSR form.  Chain
-  /// b = frag_b[i] owns runs [frag_off[i], frag_off[i+1]); a group (a, b)
-  /// belongs to the last run of its chain with a_lo <= a.
-  std::vector<std::int64_t> frag_b;                        ///< ascending, unique
-  std::vector<std::size_t> frag_off;                       ///< size frag_b.size() + 1
-  std::vector<std::pair<std::int64_t, ProcId>> frag_runs;  ///< ascending a_lo per chain
+  /// Per-run (a_from, processor) fragments in CSR form: run i of the
+  /// lattice's run table owns frag_runs[frag_off[i] .. frag_off[i+1]),
+  /// ascending a_from; a group belongs to the last one with a_from <= a.
+  std::vector<std::size_t> frag_off;
+  std::vector<std::pair<std::int64_t, ProcId>> frag_runs;
 
-  /// Processor of the group at sorted index k (chain layouts only);
-  /// O(log processor_count).
-  [[nodiscard]] ProcId proc_of_sorted_index(std::uint64_t k) const;
-  /// Processor of a group in either layout; O(log) — the simulator's and
-  /// remapper's per-line query.
+  /// Processor of a group; O(log) — the simulator's and remapper's
+  /// per-line query.
   [[nodiscard]] ProcId proc_of_group(const GroupLattice& lattice,
                                      const GroupLattice::GroupKey& g) const;
-  /// Sorted-index interval [first, last) of cluster `rank` (chain layouts).
-  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> cluster_range(std::uint64_t rank) const {
-    return {boundaries[rank], boundaries[rank + 1]};
-  }
 };
-
-/// Whether Algorithm 2 has a closed form on `lattice`: every layout except
-/// a plane under weighted splitting.
-[[nodiscard]] bool closed_form_mapping(const GroupLattice& lattice,
-                                       const HypercubeMapOptions& options);
 
 LatticeHypercubeMapping map_to_hypercube(const GroupLattice& lattice, unsigned cube_dim,
                                          const HypercubeMapOptions& options = {});

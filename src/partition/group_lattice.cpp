@@ -25,7 +25,7 @@ std::int64_t pos_mod(std::int64_t a, std::int64_t m) {
 
 std::int64_t iabs(std::int64_t x) { return x < 0 ? -x : x; }
 
-/// Line-index image [min w·j, max w·j] of a slab box.
+/// Range [min w·j, max w·j] of the functional w over a slab box.
 std::pair<std::int64_t, std::int64_t> line_interval(const IntVec& w,
                                                     const std::vector<DimBounds>& box) {
   std::int64_t lo = 0, hi = 0;
@@ -100,13 +100,55 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   const std::vector<IntVec>& deps = space.dependences();
   const std::size_t nd = deps.size();
 
-  if (n == 2) {
-    // ---- chain layout -----------------------------------------------------
-    gl.layout_ = LatticeLayout::Chain;
-    gl.w_ = IntVec{u[1], -u[0]};
-    gl.shifts_.resize(nd);
-    for (std::size_t k = 0; k < nd; ++k) gl.shifts_[k].dx0 = dot(gl.w_, deps[k]);
+  // The layout-independent tail.  `locate(y)` names the coset and (t, b) of
+  // the line through y, nullopt when that coset holds no line; it fills the
+  // cosets × deps shift table from each coset's origin.
+  struct Loc {
+    std::int64_t comp, t, b;
+  };
+  auto finish = [&](const auto& locate) -> std::optional<GroupLattice> {
+    gl.shifts_.resize(gl.cosets_.size() * nd);
+    std::int64_t max_same_run = 0;
+    for (std::size_t m = 0; m < gl.cosets_.size(); ++m) {
+      for (std::size_t k = 0; k < nd; ++k) {
+        const IntVec y = add(gl.cosets_[m].origin, deps[k]);
+        const std::optional<Loc> at = locate(y);
+        if (!at) continue;
+        Shift& s = gl.shifts_[m * nd + k];
+        s = Shift{at->comp, at->t, at->b,
+                  line_multiple(sub(y, gl.line_anchor(at->comp, at->t, at->b)), u)};
+        if (s.comp == static_cast<std::int64_t>(m) && s.db == 0)
+          max_same_run = std::max(max_same_run, iabs(s.dt));
+      }
+    }
+    gl.ring_size_ = std::bit_ceil(static_cast<std::uint64_t>(2 * max_same_run + 1));
+    for (Coset& c : gl.cosets_) {
+      c.form = space.line_form(c.origin, gl.gens_, u);
+      c.step_base = dot(pi, c.origin);
+    }
+    gl.step_t_ = dot(pi, gl.gens_[0]);
+    if (gl.gens_.size() == 2) gl.step_b_ = dot(pi, gl.gens_[1]);
+    gl.a_min_ = std::numeric_limits<std::int64_t>::max();
+    gl.a_max_ = std::numeric_limits<std::int64_t>::min();
+    std::int64_t lines = 0, groups = 0;
+    for (Run& run : gl.runs_) {
+      run.a_lo = floor_div(run.t_lo, gl.choice_.r);
+      run.a_hi = floor_div(run.t_hi, gl.choice_.r);
+      gl.a_min_ = std::min(gl.a_min_, run.a_lo);
+      gl.a_max_ = std::max(gl.a_max_, run.a_hi);
+      run.first = static_cast<std::uint64_t>(groups);
+      const std::int64_t span = detail::checked_sub(run.t_hi, run.t_lo);
+      lines = detail::checked_add(lines, detail::checked_add(span, 1));
+      groups = detail::checked_add(groups, detail::checked_add(run.a_hi - run.a_lo, 1));
+    }
+    gl.line_count_ = static_cast<std::uint64_t>(lines);
+    gl.group_count_ = static_cast<std::uint64_t>(groups);
+    return std::move(gl);
+  };
 
+  if (n == 2) {
+    // ---- n = 2: residue cosets of the line index ---------------------------
+    const IntVec w{u[1], -u[0]};
     // Anchor axis: any axis where w has a unit entry (δ = that signed unit
     // vector, w·δ = 1).  Admission additionally needs every slab's
     // line-index image {w·j : j in box} to be a contiguous interval: with
@@ -117,14 +159,14 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     bool have_unit = false;
     std::size_t unit_axis = 2;
     for (std::size_t i = 0; i < 2; ++i) {
-      if (gl.w_[i] != 1 && gl.w_[i] != -1) continue;
+      if (w[i] != 1 && w[i] != -1) continue;
       have_unit = true;
       const std::size_t j = 1 - i;
       bool ok = true;
       space.for_each_slab_box([&](const std::vector<DimBounds>& box) {
         std::int64_t ei = box[i].second - box[i].first + 1;
         std::int64_t ej = box[j].second - box[j].first + 1;
-        if (iabs(gl.w_[j]) > ei && ej > 1) ok = false;
+        if (iabs(w[j]) > ei && ej > 1) ok = false;
       });
       if (ok) {
         unit_axis = i;
@@ -134,14 +176,14 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     if (!have_unit) return fail("no-unit-w-entry");
     if (unit_axis == 2) return fail("slab-interval-hole");
     IntVec delta{0, 0};
-    delta[unit_axis] = gl.w_[unit_axis];
+    delta[unit_axis] = w[unit_axis];
 
     // Line-index interval: each slab box contributes its (contiguous) image;
     // the union over slabs must be one contiguous interval (a hole would
     // split the dense BFS chain and the closed forms would mislabel groups).
     std::vector<std::pair<std::int64_t, std::int64_t>> ivs;
     space.for_each_slab_box([&](const std::vector<DimBounds>& box) {
-      ivs.push_back(line_interval(gl.w_, box));
+      ivs.push_back(line_interval(w, box));
     });
     std::sort(ivs.begin(), ivs.end());
     std::int64_t c_lo = ivs.front().first;
@@ -150,348 +192,222 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
       if (ivs[i].first > c_hi + 1) return fail("line-interval-hole");
       c_hi = std::max(c_hi, ivs[i].second);
     }
-    gl.c_lo_ = c_lo;
-    gl.c_hi_ = c_hi;
     const std::int64_t len = detail::checked_add(detail::checked_sub(c_hi, c_lo), 1);
-    gl.line_count_ = static_cast<std::uint64_t>(len);
 
-    // Orientation and the seed line.  The dense lexicographic seed is the
-    // lex-min scaled projected point; ĵ(c) = c·v with v = proj(δ), so it
-    // sits at c_lo when v is lex-positive, else at c_hi.
-    const bool lexpos = lex_positive(gl.frame_.project(delta));
-    gl.lexdir_ = lexpos ? 1 : -1;
-    gl.c_seed_ = lexpos ? c_lo : c_hi;
-
-    // Anchors p(c) = c·δ.  d_k moves line c to line c + γ_k, and
-    // d_k - γ_k·δ lies on the line through 0 (w·(d_k - γ_k·δ) = 0), so it is
-    // κ_k·u with u primitive.
-    gl.anchor_origin_ = IntVec{0, 0};
-    gl.anchor_gens_ = {delta};
-    std::int64_t max_shift = 0;
-    for (std::size_t k = 0; k < nd; ++k) {
-      DepShift& sh = gl.shifts_[k];
-      sh.kappa = line_multiple(sub(deps[k], scale(delta, sh.dx0)), u);
-      max_shift = std::max(max_shift, iabs(sh.dx0));
+    // The dense lexicographic seed is the lex-min scaled projected point;
+    // ĵ(c) = c·v with v = proj(δ), so it sits at c_lo when v is
+    // lex-positive, else at c_hi, and lines grow lexicographically in the
+    // direction lexdir.  One slot step along d_l^p shifts c by γ_l = w·d_l
+    // (lexdir when degenerate, every line its own group).  With
+    // |γ_l| = g > 1 the dense region growing seeds residue class m at the
+    // m-th line in lex order, c_seed + m·lexdir, so coset m's lines are
+    // c = c_seed + m·lexdir + t·γ_l, anchored at c·δ.
+    const std::int64_t lexdir = lex_positive(gl.frame_.project(delta)) ? 1 : -1;
+    const std::int64_t c_seed = lexdir > 0 ? c_lo : c_hi;
+    const std::int64_t gamma = l ? dot(w, deps[*l]) : lexdir;
+    const std::int64_t g = iabs(gamma);
+    const std::int64_t ncomp = std::min(g, len);
+    gl.gens_ = {scale(delta, gamma)};
+    for (std::int64_t m = 0; m < ncomp; ++m) {
+      const std::int64_t cs = c_seed + m * lexdir;
+      gl.cosets_.push_back(Coset{scale(delta, cs), {}, 0});
+      const std::int64_t lo = detail::checked_sub(gamma > 0 ? c_lo : c_hi, cs);
+      const std::int64_t hi = detail::checked_sub(gamma > 0 ? c_hi : c_lo, cs);
+      gl.runs_.push_back(Run{m, 0, ceil_div(lo, gamma), floor_div(hi, gamma)});
     }
-    gl.ring_size_ = std::bit_ceil(static_cast<std::uint64_t>(2 * max_shift + 1));
-
-    if (l) {
-      // One slot step along d_l^p shifts the line index by γ_l = w·d_l.
-      // With |γ_l| = g > 1 the lines split into g residue classes mod g;
-      // the dense region growing seeds class m at the m-th line in lex
-      // order (c_seed + m·lexdir), so component m's slot grid is
-      // c = c_seed + m·lexdir + t·γ_l with group a = floor(t/r).
-      gl.gamma_l_ = gl.shifts_[*l].dx0;
-      const std::int64_t g = iabs(gl.gamma_l_);
-      const std::int64_t ncomp = std::min(g, len);
-      gl.comp_t_.reserve(static_cast<std::size_t>(ncomp));
-      gl.a_min_ = std::numeric_limits<std::int64_t>::max();
-      gl.a_max_ = std::numeric_limits<std::int64_t>::min();
-      std::int64_t groups = 0;
-      for (std::int64_t m = 0; m < ncomp; ++m) {
-        const std::int64_t cs = gl.c_seed_ + m * gl.lexdir_;
-        std::int64_t tmin, tmax;
-        if (gl.gamma_l_ > 0) {
-          tmin = ceil_div(detail::checked_sub(c_lo, cs), gl.gamma_l_);
-          tmax = floor_div(detail::checked_sub(c_hi, cs), gl.gamma_l_);
-        } else {
-          tmin = ceil_div(detail::checked_sub(c_hi, cs), gl.gamma_l_);
-          tmax = floor_div(detail::checked_sub(c_lo, cs), gl.gamma_l_);
-        }
-        gl.comp_t_.emplace_back(tmin, tmax);
-        const std::int64_t a1 = floor_div(tmin, gl.choice_.r);
-        const std::int64_t a2 = floor_div(tmax, gl.choice_.r);
-        gl.a_min_ = std::min(gl.a_min_, a1);
-        gl.a_max_ = std::max(gl.a_max_, a2);
-        groups = detail::checked_add(groups, detail::checked_add(detail::checked_sub(a2, a1), 1));
-      }
-      gl.group_count_ = static_cast<std::uint64_t>(groups);
-      // Target residue component and slot of line c + γ_k from component m:
-      // m' = (m + γ_k·lexdir) mod g and t' = t + (γ_k + (m - m')·lexdir)/γ_l.
-      // m + dcomp overshoots g at most once, which moves t' by g·lexdir/γ_l.
-      gl.wrap_slot_ = gl.gamma_l_ > 0 ? gl.lexdir_ : -gl.lexdir_;
-      for (DepShift& sh : gl.shifts_) {
-        sh.dcomp = pos_mod(sh.dx0 * gl.lexdir_, g);
-        sh.dslot = (sh.dx0 - sh.dcomp * gl.lexdir_) / gl.gamma_l_;
-      }
-    } else {
-      // Degenerate: every line is its own group and its own dense
-      // region-growing component; dense group/component ids follow the
-      // lexicographic point order, i.e. ascending slot t = lexdir·(c - c*).
-      gl.gamma_l_ = gl.lexdir_;
-      gl.comp_t_.emplace_back(0, len - 1);
-      gl.a_min_ = 0;
-      gl.a_max_ = len - 1;
-      gl.group_count_ = static_cast<std::uint64_t>(len);
-    }
-    gl.form_ = space.line_form(gl.anchor_origin_, gl.anchor_gens_, u);
-    gl.step_x0_ = dot(pi, delta);
-    return gl;
+    return finish([&](const IntVec& y) -> std::optional<Loc> {
+      const std::int64_t c = dot(w, y);
+      const std::int64_t dc = detail::checked_sub(c, c_seed);
+      const std::int64_t m = pos_mod(dc * lexdir, g);
+      if (m >= ncomp) return std::nullopt;
+      return Loc{m, (dc - m * lexdir) / gamma, 0};
+    });
   }
 
-  // ---- plane layout (n = 3, β = 2, single coset) --------------------------
-  gl.layout_ = LatticeLayout::Plane;
+  // ---- n = 3, β = 2: cosets of the (d_l, d_a) lattice ----------------------
   if (!l) return fail("3d-degenerate");
   const std::optional<std::size_t> ax = gl.auxiliary_vector_index();
   if (!ax) return fail("3d-beta-not-2");
-
-  // Dual functionals: A(x) = x·(d_a^p × Π) and B(x) = x·(Π × d_l^p) with
-  // shared divisor D = det(d_l^p, d_a^p, Π) satisfy A(d_l^p) = B(d_a^p) = D
-  // and A(d_a^p) = B(d_l^p) = 0, so (t, b) = ((A(ĵ)-A(ĵ*))/D, (B(ĵ)-B(ĵ*))/D)
-  // are the integer lattice coordinates of a projected point relative to the
-  // dense seed ĵ* — provided every projected unit vector stays on the seed
-  // coset (D divides both functionals on proj(e_i)).
   const IntVec& dlp = gl.projected_dep_scaled(*l);
   const IntVec& dap = gl.projected_dep_scaled(*ax);
-  gl.avec_ = cross3(dap, pi);
-  gl.bvec_ = cross3(pi, dlp);
-  gl.ddet_ = dot(gl.avec_, dlp);
-  if (gl.ddet_ == 0) return fail("3d-beta-not-2");
-  if (gl.ddet_ < 0) {
-    gl.ddet_ = -gl.ddet_;
-    gl.avec_ = scale(gl.avec_, -1);
-    gl.bvec_ = scale(gl.bvec_, -1);
+  IntVec avec = cross3(dap, pi);
+  IntVec bvec = cross3(pi, dlp);
+  std::int64_t ddet = dot(avec, dlp);
+  if (ddet == 0) return fail("3d-beta-not-2");
+  if (ddet < 0) {
+    ddet = -ddet;
+    avec = scale(avec, -1);
+    bvec = scale(bvec, -1);
   }
-  for (std::size_t i = 0; i < 3; ++i) {
-    IntVec e(3);
-    e[i] = 1;
-    IntVec pe = gl.frame_.project(e);
-    if (dot(gl.avec_, pe) % gl.ddet_ != 0 || dot(gl.bvec_, pe) % gl.ddet_ != 0)
-      return fail("plane-multi-coset");
-  }
-  gl.shifts_.resize(nd);
-  for (std::size_t k = 0; k < nd; ++k) {
-    gl.shifts_[k].dx0 = dot(gl.avec_, gl.projected_dep_scaled(k)) / gl.ddet_;
-    gl.shifts_[k].dx1 = dot(gl.bvec_, gl.projected_dep_scaled(k)) / gl.ddet_;
-  }
+  // A and B are cross products with Π, so A·Π = B·Π = 0 and the folded
+  // functionals QA(x) = project(A)·x = s·A(x) are constant along a line and
+  // need only its entry point: QA(d_l) = A(d_l^p) = D, QA(d_a) = 0, and
+  // likewise QB(d_a) = D, QB(d_l) = 0.
+  const IntVec afold = gl.frame_.project(avec);
+  const IntVec bfold = gl.frame_.project(bvec);
 
-  // One O(lines) enumeration: per aux chain (fixed raw B) track the slot
-  // extremes and the line count, and find the dense lexicographic seed.
-  // A and B are cross products with Π, so A·Π = B·Π = 0 and
-  // A(proj x) = (s·A - (A·Π)·Π)·x = s·A(x): each line's lattice coordinates
-  // come straight from its entry point, and the projected point is needed
-  // only componentwise for the lex comparison — nothing is allocated per line.
-  const IntVec afold = gl.frame_.project(gl.avec_);
-  const IntVec bfold = gl.frame_.project(gl.bvec_);
-  struct Acc {
-    std::int64_t t_lo, t_hi;
-    std::uint64_t count;
+  // One O(lines) enumeration.  Per coset (keyed by the QA, QB residues mod
+  // D, in discovery order) track the dense lexicographic seed and, per raw
+  // b = (QB - rb)/D, the slot extremes and line count in a flat array
+  // sized from QB's range over the slab boxes.
+  std::int64_t qb_min = std::numeric_limits<std::int64_t>::max();
+  std::int64_t qb_max = std::numeric_limits<std::int64_t>::min();
+  space.for_each_slab_box([&](const std::vector<DimBounds>& box) {
+    const auto [lo, hi] = line_interval(bfold, box);
+    qb_min = std::min(qb_min, lo);
+    qb_max = std::max(qb_max, hi);
+  });
+  struct RunAcc {
+    std::int64_t t_lo = 0, t_hi = 0;
+    std::uint64_t count = 0;
   };
-  std::map<std::int64_t, Acc> table;
-  bool have_seed = false;
-  std::array<std::int64_t, 3> jseed{};
-  IntVec seed_entry(3);
-  std::int64_t qa_seed = 0, qb_seed = 0;
-  std::uint64_t nlines = 0;
+  struct CosetAcc {
+    std::int64_t ra = 0, rb = 0;  ///< QA, QB residues mod D
+    std::int64_t b_base = 0;      ///< raw b of runs[0]
+    std::vector<RunAcc> runs;
+    std::array<std::int64_t, 3> seed{};  ///< lex-min scaled projected point
+    IntVec entry;                        ///< its line's entry point
+    std::int64_t qa = 0, qb = 0;         ///< QA, QB of the seed line
+  };
+  std::vector<CosetAcc> found;
+  std::size_t cur = 0;
   const std::int64_t s = gl.frame_.scale();
   space.for_each_line(u, [&](const IntVec& entry, std::int64_t) {
-    const std::int64_t qa = dot(afold, entry) / gl.ddet_;
-    const std::int64_t qb = dot(bfold, entry) / gl.ddet_;
-    ++nlines;
-    auto [it, fresh] = table.try_emplace(qb, Acc{qa, qa, 1});
-    if (!fresh) {
-      it->second.t_lo = std::min(it->second.t_lo, qa);
-      it->second.t_hi = std::max(it->second.t_hi, qa);
-      ++it->second.count;
+    const std::int64_t qa = dot(afold, entry), qb = dot(bfold, entry);
+    const std::int64_t ra = pos_mod(qa, ddet), rb = pos_mod(qb, ddet);
+    if (cur >= found.size() || found[cur].ra != ra || found[cur].rb != rb) {
+      cur = 0;
+      while (cur < found.size() && (found[cur].ra != ra || found[cur].rb != rb)) ++cur;
+      if (cur == found.size()) {
+        CosetAcc c;
+        c.ra = ra;
+        c.rb = rb;
+        c.b_base = ceil_div(detail::checked_sub(qb_min, rb), ddet);
+        c.runs.resize(static_cast<std::size_t>(
+            floor_div(detail::checked_sub(qb_max, rb), ddet) - c.b_base + 1));
+        found.push_back(std::move(c));
+      }
+    }
+    CosetAcc& c = found[cur];
+    const std::int64_t t = detail::checked_sub(qa, ra) / ddet;
+    const std::int64_t b = detail::checked_sub(qb, rb) / ddet;
+    RunAcc& acc = c.runs[static_cast<std::size_t>(b - c.b_base)];
+    if (acc.count++ == 0) {
+      acc.t_lo = acc.t_hi = t;
+    } else {
+      acc.t_lo = std::min(acc.t_lo, t);
+      acc.t_hi = std::max(acc.t_hi, t);
     }
     const std::int64_t pe = dot(pi, entry);
     std::array<std::int64_t, 3> jp{};
     for (std::size_t i = 0; i < 3; ++i)
       jp[i] = detail::checked_sub(detail::checked_mul(s, entry[i]),
                                   detail::checked_mul(pe, pi[i]));
-    if (!have_seed || jp < jseed) {
-      have_seed = true;
-      jseed = jp;
-      std::copy(entry.begin(), entry.end(), seed_entry.begin());
-      qa_seed = qa;
-      qb_seed = qb;
+    if (c.entry.empty() || jp < c.seed) {
+      c.seed = jp;
+      c.entry = entry;
+      c.qa = qa;
+      c.qb = qb;
     }
   });
-  if (!have_seed) return fail("empty-space");
-  gl.chains_.reserve(table.size());
-  gl.a_min_ = std::numeric_limits<std::int64_t>::max();
-  gl.a_max_ = std::numeric_limits<std::int64_t>::min();
-  std::int64_t groups = 0;
-  for (const auto& [qb, acc] : table) {
-    // Each aux chain must meet the domain in one contiguous slot run, else
-    // per-chain interval queries would miscount groups.
-    const std::int64_t run =
-        detail::checked_add(detail::checked_sub(acc.t_hi, acc.t_lo), 1);
-    if (acc.count != static_cast<std::uint64_t>(run)) return fail("chain-noncontiguous");
-    PlaneChainRec rec;
-    rec.b = detail::checked_sub(qb, qb_seed);
-    rec.t_lo = detail::checked_sub(acc.t_lo, qa_seed);
-    rec.t_hi = detail::checked_sub(acc.t_hi, qa_seed);
-    gl.chains_.push_back(rec);
-    const std::int64_t a1 = floor_div(rec.t_lo, gl.choice_.r);
-    const std::int64_t a2 = floor_div(rec.t_hi, gl.choice_.r);
-    gl.a_min_ = std::min(gl.a_min_, a1);
-    gl.a_max_ = std::max(gl.a_max_, a2);
-    groups = detail::checked_add(groups, detail::checked_add(detail::checked_sub(a2, a1), 1));
-  }
-  gl.group_count_ = static_cast<std::uint64_t>(groups);
-  gl.line_count_ = nlines;
-  gl.comp_t_.emplace_back(0, 0);  // single region-growing component
-  gl.c_lo_ = 0;
-  gl.c_hi_ = -1;  // chain line-index queries are inert for planes
+  if (found.empty()) return fail("empty-space");
 
-  // Anchors p(t, b) = seed_entry + t·d_l + b·d_a.  d_k moves line (t, b) to
-  // (t + Δt_k, b + Δb_k); d_k - Δt_k·d_l - Δb_k·d_a projects to
-  // pdep_k - Δt_k·d_l^p - Δb_k·d_a^p = 0, so it is κ_k·u.
-  const IntVec& dl = deps[*l];
-  const IntVec& da = deps[*ax];
-  gl.anchor_origin_ = std::move(seed_entry);
-  gl.anchor_gens_ = {dl, da};
-  for (std::size_t k = 0; k < nd; ++k) {
-    DepShift& sh = gl.shifts_[k];
-    sh.kappa = line_multiple(sub(sub(deps[k], scale(dl, sh.dx0)), scale(da, sh.dx1)), u);
+  // Cosets in ascending seed order are the dense components.  Each run must
+  // be one contiguous slot interval, else per-run interval queries would
+  // miscount groups.
+  std::sort(found.begin(), found.end(),
+            [](const CosetAcc& x, const CosetAcc& y) { return x.seed < y.seed; });
+  for (std::size_t m = 0; m < found.size(); ++m) {
+    const CosetAcc& c = found[m];
+    const std::int64_t t0 = detail::checked_sub(c.qa, c.ra) / ddet;
+    const std::int64_t b0 = detail::checked_sub(c.qb, c.rb) / ddet;
+    for (std::size_t i = 0; i < c.runs.size(); ++i) {
+      const RunAcc& acc = c.runs[i];
+      if (acc.count == 0) continue;
+      if (acc.count != static_cast<std::uint64_t>(detail::checked_sub(acc.t_hi, acc.t_lo)) + 1)
+        return fail("chain-noncontiguous");
+      gl.runs_.push_back(Run{static_cast<std::int64_t>(m),
+                             c.b_base + static_cast<std::int64_t>(i) - b0, acc.t_lo - t0,
+                             acc.t_hi - t0});
+    }
+    gl.cosets_.push_back(Coset{c.entry, {}, 0});
   }
-  gl.form_ = space.line_form(gl.anchor_origin_, gl.anchor_gens_, u);
-  gl.step_base_ = dot(pi, gl.anchor_origin_);
-  gl.step_x0_ = dot(pi, dl);
-  gl.step_x1_ = dot(pi, da);
-  return gl;
+  std::sort(gl.runs_.begin(), gl.runs_.end(), [](const Run& x, const Run& y) {
+    return std::tie(x.b, x.comp) < std::tie(y.b, y.comp);
+  });
+  gl.gens_ = {deps[*l], deps[*ax]};
+  return finish([&](const IntVec& y) -> std::optional<Loc> {
+    const std::int64_t qa = dot(afold, y), qb = dot(bfold, y);
+    const std::int64_t ra = pos_mod(qa, ddet), rb = pos_mod(qb, ddet);
+    for (std::size_t m = 0; m < found.size(); ++m)
+      if (found[m].ra == ra && found[m].rb == rb)
+        return Loc{static_cast<std::int64_t>(m), detail::checked_sub(qa, found[m].qa) / ddet,
+                   detail::checked_sub(qb, found[m].qb) / ddet};
+    return std::nullopt;
+  });
 }
 
-IntVec GroupLattice::line_anchor(std::int64_t x0, std::int64_t x1) const {
-  IntVec p = add(anchor_origin_, scale(anchor_gens_[0], x0));
-  if (anchor_gens_.size() == 2) p = add(p, scale(anchor_gens_[1], x1));
+IntVec GroupLattice::line_anchor(std::int64_t comp, std::int64_t t, std::int64_t b) const {
+  IntVec p = add(cosets_[static_cast<std::size_t>(comp)].origin, scale(gens_[0], t));
+  if (gens_.size() == 2) p = add(p, scale(gens_[1], b));
   return p;
 }
 
-const GroupLattice::PlaneChainRec* GroupLattice::plane_chain(std::int64_t b) const {
-  auto it = std::lower_bound(
-      chains_.begin(), chains_.end(), b,
-      [](const PlaneChainRec& rec, std::int64_t key) { return rec.b < key; });
-  if (it == chains_.end() || it->b != b) return nullptr;
-  return &*it;
-}
-
-std::int64_t GroupLattice::component_of_line(std::int64_t c) const {
-  if (layout_ == LatticeLayout::Plane || degenerate()) return 0;
-  const std::int64_t g = iabs(gamma_l_);
-  if (g <= 1) return 0;
-  return pos_mod((c - c_seed_) * lexdir_, g);
-}
-
-std::int64_t GroupLattice::slot_of_line(std::int64_t c) const {
-  if (layout_ == LatticeLayout::Plane) return 0;
-  const std::int64_t cs = c_seed_ + component_of_line(c) * lexdir_;
-  return (c - cs) / gamma_l_;
-}
-
-std::int64_t GroupLattice::line_population(std::int64_t c) const {
-  if (c < c_lo_ || c > c_hi_) return 0;
-  const auto range = form_.range(c);
-  if (!range) return 0;
-  return range->second - range->first + 1;
-}
-
-std::uint64_t GroupLattice::sum_line_populations(std::int64_t c1, std::int64_t c2) const {
-  std::int64_t lo = std::max(c1, c_lo_);
-  std::int64_t hi = std::min(c2, c_hi_);
-  std::uint64_t total = 0;
-  for (std::int64_t c = lo; c <= hi; ++c)
-    total += static_cast<std::uint64_t>(line_population(c));
-  return total;
-}
-
-GroupLattice::GroupKey GroupLattice::group_of_line(std::int64_t c) const {
-  const std::int64_t t = slot_of_line(c);
-  if (degenerate()) return GroupKey{t, 0, t};
-  return GroupKey{floor_div(t, choice_.r), 0, component_of_line(c)};
+std::size_t GroupLattice::run_of(const GroupKey& g) const {
+  if (degenerate()) return g.a >= runs_[0].a_lo && g.a <= runs_[0].a_hi ? 0 : runs_.size();
+  auto it = std::lower_bound(runs_.begin(), runs_.end(), g,
+                             [](const Run& run, const GroupKey& key) {
+                               return std::tie(run.b, run.comp) < std::tie(key.b, key.comp);
+                             });
+  if (it == runs_.end() || it->b != g.b || it->comp != g.comp || g.a < it->a_lo || g.a > it->a_hi)
+    return runs_.size();
+  return static_cast<std::size_t>(it - runs_.begin());
 }
 
 IntVec GroupLattice::group_lattice_coord(const GroupKey& g) const {
   if (degenerate()) return IntVec{};
-  if (layout_ == LatticeLayout::Chain) return IntVec{g.a};
+  if (gens_.size() == 1) return IntVec{g.a};
   return IntVec{g.a, g.b};
 }
 
 DimBounds GroupLattice::group_line_range(const GroupKey& g) const {
-  if (layout_ == LatticeLayout::Plane) {
-    const PlaneChainRec* ch = plane_chain(g.b);
-    if (!ch) return {0, -1};
-    return {std::max(g.a * choice_.r, ch->t_lo), std::min(g.a * choice_.r + choice_.r - 1, ch->t_hi)};
-  }
-  if (degenerate()) {
-    const std::int64_t c = c_seed_ + g.a * lexdir_;
-    return {c, c};
-  }
-  const auto& [tmin, tmax] = comp_t_[static_cast<std::size_t>(g.comp)];
-  const std::int64_t t_lo = std::max(g.a * choice_.r, tmin);
-  const std::int64_t t_hi = std::min(g.a * choice_.r + choice_.r - 1, tmax);
-  const std::int64_t cs = c_seed_ + g.comp * lexdir_;
-  const std::int64_t c1 = cs + t_lo * gamma_l_;
-  const std::int64_t c2 = cs + t_hi * gamma_l_;
-  return {std::min(c1, c2), std::max(c1, c2)};
+  const std::size_t i = run_of(g);
+  if (i == runs_.size()) return {0, -1};
+  const std::int64_t first = degenerate() ? g.a : g.a * choice_.r;
+  return {std::max(first, runs_[i].t_lo), std::min(first + choice_.r - 1, runs_[i].t_hi)};
 }
 
 std::int64_t GroupLattice::group_population(const GroupKey& g) const {
+  const std::size_t i = run_of(g);
+  if (i == runs_.size()) return 0;
+  const auto [t_lo, t_hi] = group_line_range(g);
   std::int64_t total = 0;
-  auto add = [&](const WalkLine& line, const auto&) {
+  walk_run(runs_[i], t_lo, t_hi, [&](const WalkLine& line, const auto&) {
     total = detail::checked_add(total, line.k_hi - line.k_lo + 1);
-  };
-  if (layout_ == LatticeLayout::Plane) {
-    const PlaneChainRec* ch = plane_chain(g.b);
-    if (!ch) return 0;
-    walk_plane(*ch, std::max(g.a * choice_.r, ch->t_lo), std::min(g.a * choice_.r + choice_.r - 1, ch->t_hi), add);
-    return total;
-  }
-  if (degenerate()) return line_population(c_seed_ + g.a * lexdir_);
-  const auto& [tmin, tmax] = comp_t_[static_cast<std::size_t>(g.comp)];
-  walk_chain(static_cast<std::size_t>(g.comp), std::max(g.a * choice_.r, tmin),
-             std::min(g.a * choice_.r + choice_.r - 1, tmax), add);
+  });
   return total;
 }
 
 std::uint64_t GroupLattice::sorted_index_of_group(const GroupKey& g) const {
-  if (layout_ == LatticeLayout::Chain && degenerate())
-    return static_cast<std::uint64_t>(g.a);
+  const std::size_t at = run_of(g);
   std::uint64_t idx = 0;
-  if (layout_ == LatticeLayout::Chain) {
-    for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-      const std::int64_t a1 = floor_div(comp_t_[m].first, choice_.r);
-      const std::int64_t a2 = floor_div(comp_t_[m].second, choice_.r);
-      const std::int64_t hi = std::min(a2, g.a - 1);
-      if (hi >= a1) idx += static_cast<std::uint64_t>(hi - a1 + 1);
-      if (static_cast<std::int64_t>(m) < g.comp && a1 <= g.a && g.a <= a2) ++idx;
-    }
-  } else {
-    for (const PlaneChainRec& ch : chains_) {
-      const std::int64_t a1 = floor_div(ch.t_lo, choice_.r);
-      const std::int64_t a2 = floor_div(ch.t_hi, choice_.r);
-      const std::int64_t hi = std::min(a2, g.a - 1);
-      if (hi >= a1) idx += static_cast<std::uint64_t>(hi - a1 + 1);
-      if (ch.b < g.b && a1 <= g.a && g.a <= a2) ++idx;
-    }
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    const Run& run = runs_[i];
+    const std::int64_t hi = std::min(run.a_hi, g.a - 1);
+    if (hi >= run.a_lo) idx += static_cast<std::uint64_t>(hi - run.a_lo + 1);
+    if (i < at && run.a_lo <= g.a && g.a <= run.a_hi) ++idx;
   }
   return idx;
 }
 
 GroupLattice::GroupKey GroupLattice::group_at_sorted_index(std::uint64_t k) const {
   if (k >= group_count_) throw std::out_of_range("group_at_sorted_index: no such group");
-  if (layout_ == LatticeLayout::Chain && degenerate()) {
-    const std::int64_t t = static_cast<std::int64_t>(k);
-    return GroupKey{t, 0, t};
-  }
-  // #groups with coordinate strictly below a, O(components|chains) per probe.
+  // #groups with coordinate strictly below a, O(runs) per probe.
   auto below = [&](std::int64_t a) {
     std::uint64_t cnt = 0;
-    if (layout_ == LatticeLayout::Chain) {
-      for (const auto& [tmin, tmax] : comp_t_) {
-        const std::int64_t a1 = floor_div(tmin, choice_.r);
-        const std::int64_t a2 = floor_div(tmax, choice_.r);
-        const std::int64_t hi = std::min(a2, a - 1);
-        if (hi >= a1) cnt += static_cast<std::uint64_t>(hi - a1 + 1);
-      }
-    } else {
-      for (const PlaneChainRec& ch : chains_) {
-        const std::int64_t a1 = floor_div(ch.t_lo, choice_.r);
-        const std::int64_t a2 = floor_div(ch.t_hi, choice_.r);
-        const std::int64_t hi = std::min(a2, a - 1);
-        if (hi >= a1) cnt += static_cast<std::uint64_t>(hi - a1 + 1);
-      }
+    for (const Run& run : runs_) {
+      const std::int64_t hi = std::min(run.a_hi, a - 1);
+      if (hi >= run.a_lo) cnt += static_cast<std::uint64_t>(hi - run.a_lo + 1);
     }
     return cnt;
   };
@@ -501,96 +417,42 @@ GroupLattice::GroupKey GroupLattice::group_at_sorted_index(std::uint64_t k) cons
     if (below(mid + 1) > k) hi = mid;
     else lo = mid + 1;
   }
-  const std::int64_t a = lo;
-  std::uint64_t j = k - below(a);
-  if (layout_ == LatticeLayout::Chain) {
-    for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-      const std::int64_t a1 = floor_div(comp_t_[m].first, choice_.r);
-      const std::int64_t a2 = floor_div(comp_t_[m].second, choice_.r);
-      if (a1 <= a && a <= a2) {
-        if (j == 0) return GroupKey{a, 0, static_cast<std::int64_t>(m)};
-        --j;
-      }
-    }
-  } else {
-    for (const PlaneChainRec& ch : chains_) {
-      const std::int64_t a1 = floor_div(ch.t_lo, choice_.r);
-      const std::int64_t a2 = floor_div(ch.t_hi, choice_.r);
-      if (a1 <= a && a <= a2) {
-        if (j == 0) return GroupKey{a, ch.b, 0};
-        --j;
-      }
-    }
+  std::uint64_t j = k - below(lo);
+  for (const Run& run : runs_) {
+    if (run.a_lo > lo || lo > run.a_hi) continue;
+    if (j-- == 0) return key_at(run.comp, run.b, degenerate() ? lo : lo * choice_.r);
   }
   throw std::out_of_range("group_at_sorted_index: inconsistent lattice");
 }
 
-void GroupLattice::for_each_group(
-    const std::function<void(const GroupKey&, std::int64_t)>& visit) const {
-  if (layout_ == LatticeLayout::Chain && degenerate()) {
-    // Every line is its own group, in slot order.
-    walk([&](const WalkLine& line, const auto&) { visit(line.g, line.k_hi - line.k_lo + 1); });
-    return;
+std::vector<std::int64_t> GroupLattice::population_prefix() const {
+  std::vector<std::int64_t> pre(static_cast<std::size_t>(group_count_) + 1, 0);
+  for (const Run& run : runs_) {
+    walk_run(run, run.t_lo, run.t_hi, [&](const WalkLine& line, const auto&) {
+      std::int64_t& slot = pre[run.first + static_cast<std::uint64_t>(line.g.a - run.a_lo) + 1];
+      slot = detail::checked_add(slot, line.k_hi - line.k_lo + 1);
+    });
   }
-  for (std::int64_t a = a_min_; a <= a_max_; ++a) {
-    if (layout_ == LatticeLayout::Chain) {
-      for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-        const std::int64_t a1 = floor_div(comp_t_[m].first, choice_.r);
-        const std::int64_t a2 = floor_div(comp_t_[m].second, choice_.r);
-        if (a1 <= a && a <= a2) {
-          const GroupKey g{a, 0, static_cast<std::int64_t>(m)};
-          visit(g, group_population(g));
-        }
-      }
-    } else {
-      for (const PlaneChainRec& ch : chains_) {
-        const std::int64_t a1 = floor_div(ch.t_lo, choice_.r);
-        const std::int64_t a2 = floor_div(ch.t_hi, choice_.r);
-        if (a1 <= a && a <= a2) {
-          const GroupKey g{a, ch.b, 0};
-          visit(g, group_population(g));
-        }
-      }
-    }
-  }
+  for (std::size_t i = 1; i < pre.size(); ++i) pre[i] = detail::checked_add(pre[i], pre[i - 1]);
+  return pre;
 }
 
-std::vector<GroupLattice::GroupBox> GroupLattice::enumerate_boxes() const {
-  std::vector<GroupBox> boxes;
-  if (layout_ == LatticeLayout::Plane) {
-    boxes.reserve(chains_.size());
-    for (const PlaneChainRec& ch : chains_)
-      boxes.push_back(GroupBox{floor_div(ch.t_lo, choice_.r), floor_div(ch.t_hi, choice_.r), ch.b, ch.b});
-    return boxes;
-  }
-  const std::int64_t gabs = std::max<std::int64_t>(1, iabs(gamma_l_));
-  space_->for_each_slab_box([&](const std::vector<DimBounds>& box) {
-    const auto [lo, hi] = line_interval(w_, box);
-    // Extreme grouping-chain coordinates over every residue component whose
-    // lines meet this slab's interval (a is monotone in c per component).
-    std::int64_t a_lo = std::numeric_limits<std::int64_t>::max();
-    std::int64_t a_hi = std::numeric_limits<std::int64_t>::min();
-    for (std::size_t m = 0; m < comp_t_.size(); ++m) {
-      const std::int64_t cs =
-          c_seed_ + (degenerate() ? 0 : static_cast<std::int64_t>(m)) * lexdir_;
-      const std::int64_t cm_lo = lo + pos_mod(cs - lo, gabs);
-      if (cm_lo > hi) continue;
-      const std::int64_t cm_hi = hi - pos_mod(hi - cs, gabs);
-      const std::int64_t a1 = group_of_line(cm_lo).a;
-      const std::int64_t a2 = group_of_line(cm_hi).a;
-      a_lo = std::min(a_lo, std::min(a1, a2));
-      a_hi = std::max(a_hi, std::max(a1, a2));
+void GroupLattice::for_each_group(
+    const std::function<void(const GroupKey&, std::int64_t)>& visit) const {
+  const std::vector<std::int64_t> pre = population_prefix();
+  for (std::int64_t a = a_min_; a <= a_max_; ++a) {
+    for (const Run& run : runs_) {
+      if (a < run.a_lo || a > run.a_hi) continue;
+      const std::uint64_t at = run.first + static_cast<std::uint64_t>(a - run.a_lo);
+      visit(key_at(run.comp, run.b, degenerate() ? a : a * choice_.r), pre[at + 1] - pre[at]);
     }
-    if (a_lo > a_hi) a_lo = a_hi = 0;
-    boxes.push_back(GroupBox{a_lo, a_hi, lo, hi});
-  });
-  return boxes;
+  }
 }
 
 LatticeSweepResult GroupLattice::sweep(bool validate) const {
   LatticeSweepResult out;
   using GroupOffset = LatticeSweepResult::GroupOffset;
-  const std::size_t nd = shifts_.size();
+  const std::size_t nd = original_deps().size();
 
   // A dependence moves between lines iff its projection is nonzero; it is
   // "special" (Lemma 2) if its projected vector equals the grouping or an

@@ -138,8 +138,8 @@ SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
                              const Mapping& mapping, const Topology& topo,
                              const MachineParams& machine, const SimOptions& opts = {});
 
-/// Lattice feed: GroupLattice line/bundle sweeps and the closed-form
-/// cluster boundaries — no per-line processor array, no Group objects.
+/// Lattice feed: GroupLattice line/bundle sweeps and the per-run fragment
+/// owners — no per-line processor array, no Group objects.
 /// With PaperMaxChannel, memory is O(processors²), independent of the
 /// iteration count.  Link-only fault plans stay independent of the group
 /// count; node failures materialize one O(groups) block index (sizes and

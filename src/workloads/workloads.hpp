@@ -107,8 +107,8 @@ LoopNest floyd_warshall_band(std::int64_t n, std::int64_t band);
 LoopNest pyramid_stencil(std::int64_t n);
 
 /// 3-D strided recurrence D = {(s,0,0), (0,s,0), (0,0,s)}: the 3-D analog
-/// of strided_recurrence — the group lattice's plane layout with strided
-/// shifts (and the dense region growing's multi-seed coverage).
+/// of strided_recurrence — the projection lines split into s² cosets of
+/// the group lattice (the dense region growing's multi-seed coverage).
 LoopNest strided_recurrence3d(std::int64_t n, std::int64_t stride);
 
 /// Discrete Fourier transform in Horner form (the paper's Section I lists

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Golden plan outputs: the stdout of `hypart analyze|partition|map|simulate|json
 # --dim 2` and the `simulate --metrics` snapshot, compared byte for byte with
-# the files under tests/golden/.  Five plans cover every grouping path:
+# the files under tests/golden/.  Six plans cover every grouping path:
 #   sor_dense          dense grouping plan
-#   sor_symbolic       group lattice, chain layout
-#   matmul_symbolic    group lattice, plane layout
-#   strided3d_symbolic line-based fallback (plane-multi-coset)
-#   matmul_weighted    line-based fallback (weighted-plane-mapping)
+#   sor_symbolic       group lattice, n = 2 (one coset)
+#   matmul_symbolic    group lattice, n = 3 (one coset)
+#   strided3d_symbolic group lattice, n = 3 (four cosets)
+#   matmul_weighted    group lattice, n = 3, weighted bisection
+#   wave4d_symbolic    line-based grouping (dimension-unsupported)
 #
 #   usage: cli_plan_golden.sh <hypart-binary> <source-dir> <workdir> [update]
 # With `update` the expected files are rewritten instead of compared.
@@ -25,6 +26,7 @@ plans=(
   "matmul_symbolic matmul.loop --space symbolic"
   "strided3d_symbolic strided3d.loop --space symbolic"
   "matmul_weighted matmul.loop --space symbolic --weighted"
+  "wave4d_symbolic wave4d.loop --space symbolic"
 )
 
 fail=0

@@ -1,10 +1,10 @@
 // Per-line reference walk of a GroupLattice: every line's k-range and every
 // dependence-shifted range come from one IterSpace::line_range query each,
 // at the line's anchor and at the anchor moved by the dependence — the
-// direct definition the compiled walkers (LineForm rows plus the κ_k shift
-// identity) must reproduce value for value and in the same order.  The
-// lattice frame (components, aux chains, group keys) is read back through
-// GroupLattice's public queries only.
+// direct definition the compiled walker (per-coset LineForm rows plus the
+// cosets × deps shift table) must reproduce value for value and in the same
+// order.  The lattice frame is read back through the run table and the line
+// anchors only; a target line's group is found by its projected point.
 #pragma once
 
 #include <algorithm>
@@ -22,38 +22,16 @@ using GroupKey = GroupLattice::GroupKey;
 using GroupOffset = LatticeSweepResult::GroupOffset;
 using KRange = std::optional<std::pair<std::int64_t, std::int64_t>>;
 
-/// One run of lattice lines in walk order: chain component m (lines
-/// c = cs + t·γ_l) or aux chain b (lines (t, b)), slots [t_lo, t_hi].
-struct LineRun {
-  std::int64_t m_or_b = 0;
-  std::int64_t cs = 0;
-  std::int64_t t_lo = 0, t_hi = 0;
-};
-
-inline std::vector<LineRun> line_runs(const GroupLattice& gl) {
-  std::vector<LineRun> runs;
-  if (gl.layout() == LatticeLayout::Plane) {
-    for (const GroupLattice::GroupBox& box : gl.enumerate_boxes()) {
-      const std::int64_t b = box.c_lo;
-      runs.push_back({b, 0, gl.group_line_range({box.a_lo, b, 0}).first,
-                      gl.group_line_range({box.a_hi, b, 0}).second});
-    }
-    return runs;
-  }
-  const std::int64_t gamma = gl.slot_stride();
-  for (std::int64_t m = 0; m < gl.component_count(); ++m) {
-    const std::int64_t cs = gl.seed_line() + (gl.degenerate() ? 0 : m) * gl.lex_direction();
-    const std::int64_t lo = gamma > 0 ? gl.c_min() : gl.c_max();
-    const std::int64_t hi = gamma > 0 ? gl.c_max() : gl.c_min();
-    runs.push_back({m, cs, ceil_div(lo - cs, gamma), floor_div(hi - cs, gamma)});
-  }
-  return runs;
+/// Scaled projection s·x - (Π·x)·Π of a point: one key per line.
+inline IntVec project_line(const GroupLattice& gl, const IntVec& x) {
+  const IntVec& pi = gl.time_function().pi;
+  return sub(scale(x, dot(pi, pi)), scale(pi, dot(pi, x)));
 }
 
-/// visit(src, src_range, step_anchor, dep_range(k), dep_target(k)) for every
-/// populated line, in walk order.  dep_target is nullopt when d_k ∥ Π or
-/// the target line lies outside the lattice; dep_group(k) is the target
-/// line's group regardless.
+/// visit(src, src_range, step_anchor, dep_range(k), dep_group(k),
+/// dep_target(k)) for every populated line, in walk order.  dep_target is
+/// nullopt when d_k ∥ Π or the target line is unpopulated; dep_group(k) is
+/// the target line's group when it is populated.
 template <class Visit>
 void walk_lines(const GroupLattice& gl, Visit&& visit) {
   const IterSpace& space = gl.space();
@@ -61,41 +39,29 @@ void walk_lines(const GroupLattice& gl, Visit&& visit) {
   const IntVec& pi = gl.time_function().pi;
   const std::vector<IntVec>& deps = gl.original_deps();
   const std::int64_t r = gl.group_size_r();
-  const bool plane = gl.layout() == LatticeLayout::Plane;
-  const std::vector<LineRun> runs = line_runs(gl);
-  auto run_of_b = [&](std::int64_t b) -> const LineRun* {
-    for (const LineRun& run : runs)
-      if (run.m_or_b == b) return &run;
-    return nullptr;
+  auto key = [&](const GroupLattice::Run& run, std::int64_t t) {
+    return gl.degenerate() ? GroupKey{t, 0, t} : GroupKey{floor_div(t, r), run.b, run.comp};
   };
-  for (const LineRun& run : runs) {
+  std::map<IntVec, GroupKey> group_of_line;
+  for (const GroupLattice::Run& run : gl.runs())
+    for (std::int64_t t = run.t_lo; t <= run.t_hi; ++t)
+      group_of_line[project_line(gl, gl.line_anchor(run.comp, t, run.b))] = key(run, t);
+  for (const GroupLattice::Run& run : gl.runs()) {
     for (std::int64_t t = run.t_lo; t <= run.t_hi; ++t) {
-      const std::int64_t c = run.cs + t * gl.slot_stride();
-      const IntVec p = plane ? gl.line_anchor(t, run.m_or_b) : gl.line_anchor(c);
+      const IntVec p = gl.line_anchor(run.comp, t, run.b);
       const KRange range = space.line_range(p, u);
       if (!range) continue;
-      GroupKey g{floor_div(t, r), plane ? run.m_or_b : 0, plane ? 0 : run.m_or_b};
-      if (!plane && gl.degenerate()) g = GroupKey{t, 0, t};
       auto dep_range = [&](std::size_t k) { return space.line_range(add(p, deps[k]), u); };
-      auto dep_group = [&](std::size_t k) -> GroupKey {
-        if (!plane) return gl.group_of_line(c + gl.line_shift(k));
-        const auto [dt, db] = gl.plane_shift(k);
-        return GroupKey{floor_div(t + dt, r), run.m_or_b + db, 0};
+      auto dep_group = [&](std::size_t k) -> std::optional<GroupKey> {
+        auto it = group_of_line.find(project_line(gl, add(p, deps[k])));
+        if (it == group_of_line.end()) return std::nullopt;
+        return it->second;
       };
       auto dep_target = [&](std::size_t k) -> std::optional<GroupKey> {
         if (is_zero(gl.projected_dep_scaled(k))) return std::nullopt;
-        if (!plane) {
-          const std::int64_t ct = c + gl.line_shift(k);
-          if (ct < gl.c_min() || ct > gl.c_max()) return std::nullopt;
-          return gl.group_of_line(ct);
-        }
-        const auto [dt, db] = gl.plane_shift(k);
-        const LineRun* target = run_of_b(run.m_or_b + db);
-        if (target == nullptr || t + dt < target->t_lo || t + dt > target->t_hi)
-          return std::nullopt;
         return dep_group(k);
       };
-      visit(g, *range, dot(pi, p), dep_range, dep_group, dep_target);
+      visit(key(run, t), *range, dot(pi, p), dep_range, dep_group, dep_target);
     }
   }
 }
@@ -122,7 +88,7 @@ void for_each_arc_bundle(const GroupLattice& gl, Visit&& visit) {
       const std::int64_t lo = std::max(range.first, mrange->first);
       const std::int64_t hi = std::min(range.second, mrange->second);
       if (lo > hi) continue;
-      visit(g, dep_group(k), k, hi - lo + 1, step_anchor + lo * gl.step_stride());
+      visit(g, dep_group(k).value(), k, hi - lo + 1, step_anchor + lo * gl.step_stride());
     }
   });
 }

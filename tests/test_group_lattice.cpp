@@ -71,19 +71,21 @@ void expect_lattice_matches_dense(const LoopNest& nest, const IntVec& pi_or_empt
   EXPECT_EQ(gl->group_count(), grouping.group_count());
   EXPECT_EQ(gl->group_size_r(), grouping.group_size_r());
   EXPECT_EQ(gl->beta(), grouping.beta());
-  if (gl->layout() == LatticeLayout::Chain)
-    EXPECT_EQ(gl->sum_line_populations(gl->c_min(), gl->c_max()), space.size());
 
   // Dense group id of each lattice key.  Non-degenerate groups carry their
-  // lattice coordinates plus (chain layout) the region-growing component;
+  // lattice coordinates plus the region-growing component (the coset);
   // degenerate group ids follow the lex point order, which is exactly the
   // lattice's sorted index.
   const std::uint64_t ngroups = gl->group_count();
   auto dense_key = [&](std::size_t i) -> GroupKey {
     const IntVec& lat = grouping.groups()[i].lattice;
-    if (gl->layout() == LatticeLayout::Plane) return {lat.at(0), lat.at(1), 0};
-    return {lat.at(0), 0, static_cast<std::int64_t>(grouping.groups()[i].component)};
+    return {lat.at(0), lat.size() > 1 ? lat[1] : 0,
+            static_cast<std::int64_t>(grouping.groups()[i].component)};
   };
+  if (!gl->degenerate()) {
+    EXPECT_EQ(static_cast<std::size_t>(gl->component_count()),
+              grouping.groups().back().component + 1);
+  }
   std::vector<std::size_t> gid(ngroups);
   if (gl->degenerate()) {
     std::iota(gid.begin(), gid.end(), std::size_t{0});
@@ -146,57 +148,57 @@ void expect_lattice_matches_dense(const LoopNest& nest, const IntVec& pi_or_empt
   EXPECT_EQ(sym_off, dense_off);
   EXPECT_EQ(sym_intra, static_cast<std::int64_t>(stats.intrablock_arcs));
 
-  // Algorithm 2: identical processor per group.  Weighted plane mapping is
-  // not closed-form; the builder must refuse loudly, not silently diverge.
-  if (weighted && gl->layout() == LatticeLayout::Plane) {
-    EXPECT_THROW((void)map_to_hypercube(*gl, cube_dim, mopts), std::invalid_argument);
-  } else {
-    LatticeHypercubeMapping lm = map_to_hypercube(*gl, cube_dim, mopts);
-    EXPECT_EQ(lm.processor_count, dense_map.mapping.processor_count);
-    EXPECT_EQ(lm.cube_dim, cube_dim);
-    for (std::uint64_t k = 0; k < ngroups; ++k) {
-      EXPECT_EQ(lm.proc_of_group(*gl, gl->group_at_sorted_index(k)),
-                dense_map.mapping.block_to_proc[gid[k]])
-          << "sorted index " << k;
-      if (gl->layout() == LatticeLayout::Chain)
-        EXPECT_EQ(lm.proc_of_sorted_index(k), dense_map.mapping.block_to_proc[gid[k]]);
-    }
+  // Algorithm 2: identical processor per group, count or weighted splits.
+  LatticeHypercubeMapping lm = map_to_hypercube(*gl, cube_dim, mopts);
+  EXPECT_EQ(lm.processor_count, dense_map.mapping.processor_count);
+  EXPECT_EQ(lm.cube_dim, cube_dim);
+  EXPECT_EQ(lm.directions_used, dense_map.directions_used);
+  for (std::uint64_t k = 0; k < ngroups; ++k)
+    EXPECT_EQ(lm.proc_of_group(*gl, gl->group_at_sorted_index(k)),
+              dense_map.mapping.block_to_proc[gid[k]])
+        << "sorted index " << k;
 
-    // The dense and lattice simulations against the brute-force oracle,
-    // under all three accountings (hop charging follows `weighted`, so
-    // both settings are covered).
-    Hypercube cube(cube_dim);
-    const MachineParams machine{1.0, 50.0, 5.0};
-    for (CommAccounting acc : {CommAccounting::PaperMaxChannel, CommAccounting::PerStepBarrier,
-                               CommAccounting::LinkContention}) {
-      SCOPED_TRACE("accounting " + std::to_string(static_cast<int>(acc)));
-      SimOptions opts;
-      opts.accounting = acc;
-      opts.charge_hops = weighted;
-      const SimResult want =
-          oracle::simulate(q, tf, partition, dense_map.mapping, cube, machine, opts);
-      oracle::expect_matches(
-          simulate_execution(q, tf, partition, dense_map.mapping, cube, machine, opts), want);
-      oracle::expect_matches(simulate_execution(*gl, lm, cube, machine, opts), want);
-    }
+  // The dense and lattice simulations against the brute-force oracle,
+  // under all three accountings (hop charging follows `weighted`, so both
+  // settings are covered).
+  Hypercube cube(cube_dim);
+  const MachineParams machine{1.0, 50.0, 5.0};
+  for (CommAccounting acc : {CommAccounting::PaperMaxChannel, CommAccounting::PerStepBarrier,
+                             CommAccounting::LinkContention}) {
+    SCOPED_TRACE("accounting " + std::to_string(static_cast<int>(acc)));
+    SimOptions opts;
+    opts.accounting = acc;
+    opts.charge_hops = weighted;
+    const SimResult want =
+        oracle::simulate(q, tf, partition, dense_map.mapping, cube, machine, opts);
+    oracle::expect_matches(
+        simulate_execution(q, tf, partition, dense_map.mapping, cube, machine, opts), want);
+    oracle::expect_matches(simulate_execution(*gl, lm, cube, machine, opts), want);
   }
 
-  // Boxes tile [a_min, a_max].
-  std::vector<GroupLattice::GroupBox> boxes = gl->enumerate_boxes();
-  ASSERT_FALSE(boxes.empty());
-  std::int64_t lo = boxes.front().a_lo, hi = boxes.front().a_hi;
-  for (const GroupLattice::GroupBox& b : boxes) {
-    EXPECT_LE(b.a_lo, b.a_hi);
-    EXPECT_LE(b.c_lo, b.c_hi);
-    lo = std::min(lo, b.a_lo);
-    hi = std::max(hi, b.a_hi);
-    if (gl->layout() == LatticeLayout::Chain && gl->component_count() == 1) {
-      std::int64_t a0 = gl->group_of_line(b.c_lo).a;
-      EXPECT_TRUE(a0 == b.a_lo || a0 == b.a_hi);
+  // The run table: ascending (b, comp), contiguous slot runs whose group
+  // ranges tile [a_min, a_max] and sum to the group and line counts.
+  const std::vector<GroupLattice::Run>& runs = gl->runs();
+  ASSERT_FALSE(runs.empty());
+  std::int64_t lo = runs.front().a_lo, hi = runs.front().a_hi;
+  std::uint64_t groups = 0, lines = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const GroupLattice::Run& run = runs[i];
+    EXPECT_LE(run.t_lo, run.t_hi);
+    EXPECT_EQ(run.a_lo, floor_div(run.t_lo, gl->group_size_r()));
+    EXPECT_EQ(run.a_hi, floor_div(run.t_hi, gl->group_size_r()));
+    if (i > 0) {
+      EXPECT_LT(std::tie(runs[i - 1].b, runs[i - 1].comp), std::tie(run.b, run.comp));
     }
+    lo = std::min(lo, run.a_lo);
+    hi = std::max(hi, run.a_hi);
+    groups += static_cast<std::uint64_t>(run.a_hi - run.a_lo + 1);
+    lines += static_cast<std::uint64_t>(run.t_hi - run.t_lo + 1);
   }
   EXPECT_EQ(lo, gl->a_min());
   EXPECT_EQ(hi, gl->a_max());
+  EXPECT_EQ(groups, ngroups);
+  EXPECT_EQ(lines, gl->line_count());
 }
 
 TEST(GroupLattice, PaperWorkloadsMatchDense) {
@@ -210,7 +212,7 @@ TEST(GroupLattice, PaperWorkloadsMatchDense) {
 }
 
 TEST(GroupLattice, ThreeDPlaneWorkloadsMatchDense) {
-  // n = 3, β = 2: the plane layout's (a, b) lattice, fragment CSR mapping
+  // n = 3, β = 2: the (a, b) lattice, the fragment CSR mapping
   // and dual-functional coordinates against the dense pipeline.
   expect_lattice_matches_dense(workloads::matrix_multiplication(4), {1, 1, 1}, 2, false);
   expect_lattice_matches_dense(workloads::matrix_multiplication_rewritten(4), {1, 1, 1}, 3,
@@ -219,6 +221,40 @@ TEST(GroupLattice, ThreeDPlaneWorkloadsMatchDense) {
   expect_lattice_matches_dense(workloads::transitive_closure(4), {1, 1, 1}, 2, false);
   // Triangular-prism domain (affine bounds): per-aux-chain contiguity holds.
   expect_lattice_matches_dense(workloads::lu_decomposition(8), {1, 1, 1}, 3, false);
+  // Weighted splits read per-run population prefix sums.
+  expect_lattice_matches_dense(workloads::matrix_multiplication(4), {1, 1, 1}, 3, true);
+  expect_lattice_matches_dense(workloads::lu_decomposition(8), {1, 1, 1}, 3, true);
+  expect_lattice_matches_dense(workloads::wavefront3d(6), {1, 1, 1}, 2, true);
+}
+
+TEST(GroupLattice, MultiCosetPlanesMatchDense) {
+  // Stride s: the projected dependences span an index-s² sublattice of the
+  // projected points, so the lines split into s² cosets, each grown from
+  // its own lexicographic seed.
+  expect_lattice_matches_dense(workloads::strided_recurrence3d(7, 2), {1, 1, 1}, 2, false);
+  expect_lattice_matches_dense(workloads::strided_recurrence3d(8, 2), {1, 1, 1}, 3, true);
+  expect_lattice_matches_dense(workloads::strided_recurrence3d(8, 3), {1, 1, 1}, 3, false);
+  expect_lattice_matches_dense(workloads::strided_recurrence3d(9, 3), {1, 1, 1}, 2, true);
+  // Unit dependences under Π = (1, 1, c): proj(e_3) = -(proj(e_1) +
+  // proj(e_2))/c, so c cosets, and targets of d_3 change coset.
+  for (bool weighted : {false, true}) {
+    expect_lattice_matches_dense(workloads::wavefront3d(5), {1, 1, 2}, 3, weighted);
+    expect_lattice_matches_dense(workloads::wavefront3d(5), {1, 1, 3}, 2, weighted);
+  }
+  struct Case {
+    LoopNest nest;
+    IntVec pi;
+    std::int64_t cosets;
+  };
+  for (const Case& c : {Case{workloads::strided_recurrence3d(7, 2), {1, 1, 1}, 4},
+                        Case{workloads::strided_recurrence3d(8, 3), {1, 1, 1}, 9},
+                        Case{workloads::wavefront3d(5), {1, 1, 2}, 2},
+                        Case{workloads::wavefront3d(4), {1, 1, 3}, 3}}) {
+    IterSpace space(c.nest, analyze_dependences(c.nest).distance_vectors());
+    std::optional<GroupLattice> gl = GroupLattice::build(space, TimeFunction{c.pi});
+    ASSERT_TRUE(gl.has_value()) << c.nest.name();
+    EXPECT_EQ(gl->component_count(), c.cosets) << c.nest.name();
+  }
 }
 
 TEST(GroupLattice, StridedChainsMatchDense) {
@@ -250,11 +286,11 @@ TEST(GroupLattice, RandomizedNests) {
   auto pick = [&](std::int64_t lo, std::int64_t hi) {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
   };
-  for (int trial = 0; trial < 72; ++trial) {
+  for (int trial = 0; trial < 88; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     unsigned cube_dim = static_cast<unsigned>(pick(0, 3));
     bool weighted = pick(0, 1) == 1;
-    switch (trial % 9) {
+    switch (trial % 11) {
       case 0:
         expect_lattice_matches_dense(workloads::sor2d(pick(2, 14), pick(2, 14)), {1, 1},
                                      cube_dim, weighted);
@@ -287,6 +323,15 @@ TEST(GroupLattice, RandomizedNests) {
         expect_lattice_matches_dense(
             workloads::floyd_warshall_band(pick(8, 16), pick(2, 5)), {1, 1}, cube_dim,
             weighted);
+        break;
+      case 8:
+        expect_lattice_matches_dense(workloads::strided_recurrence3d(pick(4, 9), pick(2, 3)),
+                                     {1, 1, 1}, cube_dim, weighted);
+        break;
+      case 9:
+        expect_lattice_matches_dense(workloads::wavefront3d(pick(2, 6)),
+                                     pick(0, 1) == 1 ? IntVec{1, 1, 2} : IntVec{1, 1, 3},
+                                     cube_dim, weighted);
         break;
       default: {
         std::int64_t n = pick(5, 12);
@@ -354,17 +399,6 @@ TEST(GroupLattice, RejectedOrParallelGroupingOverrideFallsBack) {
 TEST(GroupLattice, GateRefusesOutOfClassNests) {
   TimeFunction tf2{IntVec{1, 1}};
 
-  // 3-D strided nest: the projected dependences generate a proper
-  // sublattice, so units leave the seed coset — plane-multi-coset fallback.
-  {
-    LoopNest nest = workloads::strided_recurrence3d(8, 2);
-    DependenceInfo dep = analyze_dependences(nest);
-    IterSpace space(nest, dep.distance_vectors());
-    std::string why;
-    EXPECT_FALSE(
-        GroupLattice::build(space, TimeFunction{IntVec{1, 1, 1}}, {}, &why).has_value());
-    EXPECT_EQ(why, "plane-multi-coset");
-  }
   // Non-default seed policy: the closed form reproduces Lexicographic only.
   {
     DependenceInfo dep = analyze_dependences(workloads::sor2d(6, 6));
@@ -413,7 +447,7 @@ TEST(GroupLattice, SymbolicPipelineUsesLatticeAndVerifyAgrees) {
 
 TEST(GroupLattice, Fig6MatmulVerifyRun) {
   // Paper Fig. 6: matrix multiplication under Pi = (1,1,1).  A 3-D nest —
-  // now inside the plane-layout lattice class, so the symbolic path must be
+  // inside the lattice class (n = 3, β = 2), so the symbolic path must be
   // fully closed-form; verify mode asserts dense/symbolic equality
   // throughout (including the lattice cross-checks).
   PipelineConfig cfg;
@@ -463,7 +497,7 @@ TEST(GroupLattice, LineFeedMatchesPopulationQueries) {
 }
 
 TEST(GroupLattice, PlaneLineFeedMatchesPopulationQueries) {
-  // Same invariants on a plane layout: the feed walks aux-chain-major and
+  // Same invariants for n = 3: the feed walks the runs in (b, comp) order and
   // its per-group accumulation must equal the closed-form populations.
   LoopNest nest = workloads::wavefront3d(5);
   DependenceInfo dep = analyze_dependences(nest);
@@ -471,7 +505,7 @@ TEST(GroupLattice, PlaneLineFeedMatchesPopulationQueries) {
   TimeFunction tf{IntVec{1, 1, 1}};
   std::optional<GroupLattice> gl = GroupLattice::build(space, tf);
   ASSERT_TRUE(gl.has_value());
-  ASSERT_EQ(gl->layout(), LatticeLayout::Plane);
+  ASSERT_TRUE(gl->auxiliary_vector_index().has_value());
   std::uint64_t total = 0;
   std::map<GroupKey, std::int64_t> pop_by_group;
   gl->for_each_line([&](const GroupKey& g, std::int64_t pop, std::int64_t first_step) {
@@ -495,11 +529,11 @@ TEST(GroupLattice, SymbolicFaultInjectionMatchesDense) {
     IntVec pi;
   };
   const std::vector<Case> cases = {
-      {workloads::sor2d(12, 9), {1, 1}},                  // chain layout
+      {workloads::sor2d(12, 9), {1, 1}},                  // n = 2, one coset
       {workloads::strided_recurrence(10, 2), {1, 1}},     // strided residue chains
       {workloads::pyramid_stencil(14), {1, 1}},           // disjunctive bounds
-      {workloads::wavefront3d(5), {1, 1, 1}},             // plane layout
-      {workloads::strided_recurrence3d(6, 2), {1, 1, 1}}  // line-based fallback
+      {workloads::wavefront3d(5), {1, 1, 1}},             // n = 3, one coset
+      {workloads::strided_recurrence3d(6, 2), {1, 1, 1}}  // multi-coset plane
   };
   const std::vector<std::string> specs = {"link:0-1@3", "node:2@5",
                                           "link:0-2,node:1@4,link:4-5@6"};
@@ -690,6 +724,10 @@ TEST(GroupLattice, WalkMatchesLineRangeOracle) {
   expect_walk_matches_oracle(workloads::lu_decomposition(9), {1, 1, 1});
   expect_walk_matches_oracle(workloads::matrix_multiplication(5), {1, 1, 1});
   expect_walk_matches_oracle(workloads::transitive_closure(5), {1, 1, 1});
+  // Multi-coset planes: targets land on other cosets' runs.
+  expect_walk_matches_oracle(workloads::strided_recurrence3d(8, 2), {1, 1, 1});
+  expect_walk_matches_oracle(workloads::strided_recurrence3d(9, 3), {1, 1, 1});
+  expect_walk_matches_oracle(workloads::wavefront3d(6), {1, 1, 2});
   // Degenerate lattices: every dependence parallel to Π, each line its own
   // group, in either lexicographic orientation.
   expect_walk_matches_oracle(IterSpace({{0, 5}, {-2, 6}}, {IntVec{0, 1}, IntVec{0, 2}}),
@@ -702,8 +740,9 @@ TEST(GroupLattice, WalkMatchesLineRangeOracle) {
 
 TEST(GroupLattice, HugeBoundsThrowArithmeticError) {
   // Closed forms whose values leave int64 must fail typed, not wrap: sor at
-  // N = 4e18 (its Π search spans and line interval overflow) and a 4 x 4e18
-  // nest (its step span overflows).
+  // N = 4e18 (its Π search spans and line interval overflow), a 4 x 4e18
+  // nest (its step span overflows) and a multi-coset plane, count or
+  // weighted, past 2^63 iterations.
   PipelineConfig cfg;
   cfg.space_mode = SpaceMode::Symbolic;
   const std::string huge = "4000000000000000000";
@@ -722,6 +761,40 @@ TEST(GroupLattice, HugeBoundsThrowArithmeticError) {
   ASSERT_EQ(r.plan->groups_materialized, 0u);  // the lattice plan ran
   EXPECT_EQ(r.sim.steps, n60);
   EXPECT_EQ(r.lattice_stats->total_iterations, std::uint64_t{4} << 60);
+
+  // Four lines along k under Π = (0, 0, 1), one per coset of the stride-2
+  // (i, j) lattice, each n + 1 points long.  Up to n = 2^61 - 2 the plan is
+  // exact, count or weighted: the weighted splits read population prefix
+  // sums up to 2^63 - 4.  Past that the iteration count leaves int64 and
+  // must fail typed.
+  auto cosets = [](const std::string& n) {
+    return parse_loop_nest(
+        "loop cosets {\n  for i = 0 to 1\n  for j = 0 to 1\n  for k = 0 to " + n +
+        "\n  A[i, j, k] = A[i-2, j, k-1] + A[i, j-2, k-1] + A[i, j, k-1];\n}\n");
+  };
+  cfg.time_function = IntVec{0, 0, 1};
+  cfg.cube_dim = 2;
+  for (bool weighted : {false, true}) {
+    cfg.mapping.weighted = weighted;
+    for (const std::int64_t n : {n60, (std::int64_t{1} << 61) - 2}) {
+      SCOPED_TRACE((weighted ? "weighted n = " : "count n = ") + std::to_string(n));
+      r = run_pipeline(cosets(std::to_string(n)), cfg);
+      ASSERT_EQ(r.plan->groups_materialized, 0u);  // the lattice plan ran
+      ASSERT_EQ(r.plan->line_count, 4u);
+      ASSERT_TRUE(r.lattice_stats.has_value());
+      EXPECT_EQ(r.lattice_stats->group_count, 4u);
+      EXPECT_EQ(r.lattice_stats->total_iterations, 4 * (static_cast<std::uint64_t>(n) + 1));
+      EXPECT_EQ(r.sim.steps, n + 1);
+      for (std::uint64_t g = 0; g < 4; ++g) EXPECT_EQ(r.plan->population(g), n + 1);
+      // Four equal blocks on four processors, whichever split balances.
+      std::vector<ProcId> owners;
+      for (std::uint64_t g = 0; g < 4; ++g) owners.push_back(r.plan->owner(g));
+      std::sort(owners.begin(), owners.end());
+      EXPECT_EQ(owners, (std::vector<ProcId>{0, 1, 2, 3}));
+    }
+    EXPECT_THROW((void)run_pipeline(cosets(std::to_string(std::int64_t{1} << 61)), cfg),
+                 ArithmeticError);
+  }
 }
 
 }  // namespace

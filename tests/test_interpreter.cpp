@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "core/error.hpp"
 #include "mapping/baseline_map.hpp"
 #include "mapping/hypercube_map.hpp"
 #include "workloads/workloads.hpp"
@@ -57,7 +58,7 @@ TEST(Sequential, NonExecutableNestThrows) {
                       .write("A", {idx(0)})
                       .read("A", {idx(0) - 1})
                       .build();
-  EXPECT_THROW(run_sequential(nest), std::invalid_argument);
+  EXPECT_THROW(run_sequential(nest), Error);
 }
 
 TEST(ArrayStoreTest, Basics) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/error.hpp"
 #include "exec_fixture.hpp"
 
 namespace hypart {
@@ -60,7 +61,7 @@ TEST(ParallelRuntime, NonExecutableThrows) {
   Mapping map;
   map.processor_count = 1;
   map.block_to_proc.assign(part.block_count(), 0);
-  EXPECT_THROW(run_parallel(plain, q, tf, part, map, deps), std::invalid_argument);
+  EXPECT_THROW(run_parallel(plain, q, tf, part, map, deps), Error);
 }
 
 TEST(ParallelRuntime, RepeatedRunsDeterministicUnderScheduling) {

@@ -921,6 +921,135 @@ TEST(Server, OverlongLineGetsOneReplyThenFramingResumes) {
   EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), 1);
 }
 
+/// Whether every error object in a reply (batch sub-replies included) has
+/// a typed, non-internal kind and a sysexits code.
+bool typed_errors_only(const JsonValue& v) {
+  if (v.is_object()) {
+    for (const auto& [key, member] : v.as_object()) {
+      if (key == "error") {
+        if (!member.is_object() || !member.get("kind").is_string() ||
+            member.get("kind").as_string() == "internal" || !member.get("code").is_number())
+          return false;
+        const std::int64_t code = member.get("code").as_int64();
+        if (code < 64 || code > 79) return false;
+      } else if (!typed_errors_only(member)) {
+        return false;
+      }
+    }
+  } else if (v.is_array()) {
+    for (const JsonValue& item : v.as_array())
+      if (!typed_errors_only(item)) return false;
+  }
+  return true;
+}
+
+TEST(Server, FuzzedNdjsonLinesEachGetOneTypedReply) {
+  // A seeded corpus built from valid requests: every prefix of each, byte
+  // flips, and hand-written hostile lines (deep nesting, huge exponents,
+  // invalid UTF-8, wrong member types, malformed batch items).  Each line
+  // must get exactly one reply, valid JSON whose errors are typed; a ping
+  // with a fresh id after every line proves the framing held, and the
+  // daemon still answers at the end.
+  PlanService service;
+  ServerOptions sopts;
+  sopts.unix_path = test_socket_path("fuzz");
+  Server server(service, sopts);
+  server.start();
+  int fd = connect_unix(sopts.unix_path);
+  ASSERT_GE(fd, 0);
+  timeval timeout{30, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+
+  std::string buffer;
+  auto read_line = [&](std::string& line) {
+    char chunk[4096];
+    for (std::size_t nl; (nl = buffer.find('\n')) == std::string::npos;) {
+      ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n <= 0) return false;
+      buffer.append(chunk, static_cast<std::size_t>(n));
+    }
+    const std::size_t nl = buffer.find('\n');
+    line = buffer.substr(0, nl);
+    buffer.erase(0, nl + 1);
+    return true;
+  };
+  std::size_t sent = 0;
+  auto expect_one_reply = [&](const std::string& request) {
+    ++sent;
+    const std::string sync = "{\"id\":\"sync-" + std::to_string(sent) + "\",\"op\":\"ping\"}";
+    const std::string wire = request + "\n" + sync + "\n";
+    ASSERT_TRUE(write_full(fd, wire.data(), wire.size()));
+    std::vector<std::string> replies;
+    for (std::string line;;) {
+      ASSERT_TRUE(read_line(line)) << "no reply to: " << request.substr(0, 200);
+      JsonValue v = parse_json(line);  // throws on an invalid reply
+      if (v.get("id").is_string() && v.get("id").as_string() == "sync-" + std::to_string(sent))
+        break;
+      EXPECT_TRUE(typed_errors_only(v)) << line.substr(0, 300);
+      replies.push_back(line);
+    }
+    EXPECT_EQ(replies.size(), 1u) << "request: " << request.substr(0, 200);
+  };
+
+  const std::vector<std::string> valid = {
+      "{\"id\":1,\"op\":\"ping\"}",
+      plan_request("partition", sor_like("F", "6")),
+      plan_request("simulate", sor_like("G", "5"), "\"s\""),
+      "{\"id\":2,\"op\":\"map\",\"program\":" + JsonWriter::escape(sor_like("H", "4")) +
+          ",\"params\":{\"dim\":1,\"space\":\"symbolic\",\"weighted\":true}}",
+      batch_request({plan_request("partition", sor_like("I", "4"), "3"),
+                     "{\"id\":4,\"op\":\"ping\"}"}),
+  };
+  std::mt19937 rng(7919);
+  for (const std::string& request : valid) {
+    for (std::size_t cut = 1; cut < request.size(); ++cut)  // an empty line is no request
+      expect_one_reply(request.substr(0, cut));
+    for (int flip = 0; flip < 40; ++flip) {
+      std::string mutated = request;
+      const std::size_t at = rng() % mutated.size();
+      char byte = static_cast<char>(rng() % 256);
+      if (byte == '\n') byte = ' ';  // one line stays one line
+      mutated[at] = byte;
+      expect_one_reply(mutated);
+    }
+  }
+  const std::string sor = JsonWriter::escape(sor_like("J", "4"));
+  const std::vector<std::string> hostile = {
+      std::string(200000, '[') + std::string(200000, ']'),
+      "{\"op\":\"ping\",\"id\":1e999999}",
+      "{\"op\":\"partition\",\"program\":" + sor + ",\"params\":{\"dim\":1e999999}}",
+      "{\"op\":\"partition\",\"program\":" + sor + ",\"params\":{\"dim\":-1e-999999}}",
+      "{\"op\":\"ping\",\"id\":\"\xc3\x28\"}",
+      "{\"op\":\"\xed\xa0\x80\"}",
+      "{\"op\":\"partition\",\"program\":\"loop \xff { }\"}",
+      "{\"op\":\"partition\",\"program\":7}",
+      "{\"op\":\"partition\",\"program\":" + sor + ",\"params\":[]}",
+      "{\"op\":\"partition\",\"program\":" + sor + ",\"params\":{\"pi\":\"1,1\"}}",
+      "{\"op\":\"partition\",\"program\":" + sor + ",\"params\":{\"space\":true}}",
+      "{\"op\":\"batch\",\"requests\":{}}",
+      "{\"op\":\"batch\",\"requests\":[1,\"x\",null,[],{}]}",
+      "{\"op\":\"batch\",\"requests\":[{\"op\":\"batch\",\"requests\":[]}]}",
+      "{\"op\":\"batch\",\"requests\":[{\"op\":\"partition\",\"program\":[]}]}",
+      "[]",
+      "\"ping\"",
+      "null",
+      "{}",
+      "{\"op\":null}",
+      "{\"id\":{\"nested\":[1,2]},\"op\":\"ping\"}",
+      std::string("{\"op\":\"ping\"\0}", 15),
+  };
+  for (const std::string& request : hostile) expect_one_reply(request);
+
+  const std::string ping = "{\"op\":\"ping\"}\n";
+  ASSERT_TRUE(write_full(fd, ping.data(), ping.size()));
+  std::string pong;
+  ASSERT_TRUE(read_line(pong));
+  EXPECT_TRUE(parse_json(pong).get("ok").as_bool()) << pong;
+  ::close(fd);
+  server.request_stop();
+  server.stop();
+}
+
 TEST(Server, ShutdownOpStopsTheServer) {
   PlanService service;
   ServerOptions sopts;

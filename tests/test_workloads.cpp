@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "core/error.hpp"
 #include "exec/interpreter.hpp"
 #include "graph/comp_structure.hpp"
 #include "mapping/hypercube_map.hpp"
@@ -166,8 +167,7 @@ TEST(Workloads, Convolution2dDistributedExecutionRefused) {
   ArrayStore seq = run_sequential(nest);
   EXPECT_GT(seq.total_elements(), 0u);
   // ...but distributed execution is refused up front.
-  EXPECT_THROW(static_cast<void>(run_distributed(nest, q, tf, part, map, deps)),
-               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(run_distributed(nest, q, tf, part, map, deps)), Error);
 }
 
 TEST(Workloads, TransitiveClosureDeps) {

@@ -615,21 +615,24 @@ int main(int argc, char** argv) {
   else if (o.command == "partition") rc = cmd_partition(r);
   else if (o.command == "map") rc = cmd_map(r, o.config.cube_dim);
   else if (o.command == "simulate") rc = cmd_simulate(r);
-  else if (o.command == "run") {
+  else if (o.command == "run" || o.command == "codegen" || o.command == "wavefront") {
+    // A program the runtime refuses is Config (78); StallError /
+    // WorkerDeathError / FaultError carry their own exit codes (75 / 76 /
+    // 77), diagnostics riding along in what().
     try {
-      rc = cmd_run(nest, r, o);
-    } catch (const Error& e) {
-      // StallError / WorkerDeathError / FaultError carry their own exit codes
-      // (75 / 76 / 77); diagnostics ride along in what().
+      if (o.command == "run") {
+        rc = cmd_run(nest, r, o);
+      } else if (o.command == "codegen") {
+        std::printf("%s", generate_spmd_program(nest, *r.structure, r.time_function, r.partition,
+                                                r.mapping.mapping, r.dependence)
+                              .c_str());
+      } else {
+        WavefrontTransform wt = make_wavefront_transform(r.time_function);
+        std::printf("%s", wavefront_loop_to_string(wt, *r.structure, nest.index_names()).c_str());
+      }
+    } catch (const std::exception& e) {
       return report_failure(e);
     }
-  } else if (o.command == "codegen") {
-    std::printf("%s", generate_spmd_program(nest, *r.structure, r.time_function, r.partition,
-                                            r.mapping.mapping, r.dependence)
-                          .c_str());
-  } else if (o.command == "wavefront") {
-    WavefrontTransform wt = make_wavefront_transform(r.time_function);
-    std::printf("%s", wavefront_loop_to_string(wt, *r.structure, nest.index_names()).c_str());
   } else if (o.command == "json") {
     // The pipeline document plus the daemon's whole document key: the
     // canonical nest keys and the resolved params, so offline tooling can
