@@ -82,7 +82,7 @@ std::unique_ptr<PlanView> make_plan(const ComputationStructure* structure, const
   }
   obs::Span span(sink, "partition", "pipeline");
   std::unique_ptr<PlanView> plan;
-  if (lattice) plan = make_lattice_plan(std::move(*lattice), config.validate);
+  if (lattice) plan = make_lattice_plan(std::move(*lattice), config.validate, sink);
   else if (structure) plan = make_grouping_plan(*structure, tf, config.grouping);
   else plan = make_grouping_plan(*space, tf, config.grouping);
   span.arg("blocks", static_cast<std::int64_t>(plan->blocks.group_count));
@@ -111,14 +111,19 @@ PipelineResult run_pipeline(const LoopNest& nest, const PipelineConfig& config) 
     {
       obs::Span span(sink, "dependence_analysis", "pipeline");
       r.dependence = analyze_dependences(nest, config.dependence);
-      if (config.space_mode == SpaceMode::Symbolic)
+      span.arg("dependences", static_cast<std::int64_t>(r.dependence.dependences.size()));
+    }
+    {
+      // The iteration space: closed-form slabs, or every index point.
+      const bool symbolic = config.space_mode == SpaceMode::Symbolic;
+      obs::Span span(sink, symbolic ? "iter_space" : "index_points", "pipeline");
+      if (symbolic)
         r.space = std::make_unique<IterSpace>(build_iter_space(nest, r.dependence, config.space_mode));
       else
         r.structure = std::make_unique<ComputationStructure>(IndexSet(nest).points(),
                                                              r.dependence.distance_vectors());
       iterations = detail::checked_cast(r.iteration_count());
       span.arg("iterations", iterations);
-      span.arg("dependences", static_cast<std::int64_t>(r.dependence.dependences.size()));
     }
     if (reg != nullptr) {
       reg->add("pipeline.iterations", iterations);

@@ -108,10 +108,16 @@ class GroupingPlan final : public PlanView {
   HypercubeMappingResult mapping_;
 };
 
+LatticeSweepResult traced_sweep(const GroupLattice& lattice, bool validate,
+                                obs::TraceSink* sink) {
+  obs::Span span(sink, "lattice_sweep", "pipeline");
+  return lattice.sweep(validate);
+}
+
 class LatticePlan final : public PlanView {
  public:
-  LatticePlan(GroupLattice lattice, bool validate)
-      : lattice_(std::move(lattice)), sweep_(lattice_.sweep(validate)) {
+  LatticePlan(GroupLattice lattice, bool validate, obs::TraceSink* sink = nullptr)
+      : lattice_(std::move(lattice)), sweep_(traced_sweep(lattice_, validate, sink)) {
     line_count = lattice_.line_count();
     group_size_r = lattice_.group_size_r();
     beta = lattice_.beta();
@@ -214,8 +220,9 @@ std::unique_ptr<PlanView> make_grouping_plan(const IterSpace& space, const TimeF
   return std::make_unique<GroupingPlan>(nullptr, &space, tf, opts);
 }
 
-std::unique_ptr<PlanView> make_lattice_plan(GroupLattice lattice, bool validate) {
-  return std::make_unique<LatticePlan>(std::move(lattice), validate);
+std::unique_ptr<PlanView> make_lattice_plan(GroupLattice lattice, bool validate,
+                                            obs::TraceSink* sink) {
+  return std::make_unique<LatticePlan>(std::move(lattice), validate, sink);
 }
 
 void verify_against_symbolic(const PipelineResult& r, const PipelineConfig& config,

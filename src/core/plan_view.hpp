@@ -78,8 +78,9 @@ std::unique_ptr<PlanView> make_grouping_plan(const ComputationStructure& q,
 std::unique_ptr<PlanView> make_grouping_plan(const IterSpace& space, const TimeFunction& tf,
                                              const GroupingOptions& opts);
 /// The lattice plan; runs the lattice's one sweep (with the theorem checks
-/// when `validate`).
-std::unique_ptr<PlanView> make_lattice_plan(GroupLattice lattice, bool validate);
+/// when `validate`), traced as a `lattice_sweep` span on `sink`.
+std::unique_ptr<PlanView> make_lattice_plan(GroupLattice lattice, bool validate,
+                                            obs::TraceSink* sink = nullptr);
 
 /// Verify mode: check a dense result `r` stage by stage against the
 /// closed forms over `r.space` — the line-based statistics, TIG and

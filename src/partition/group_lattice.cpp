@@ -437,16 +437,14 @@ std::vector<std::int64_t> GroupLattice::population_prefix() const {
   return pre;
 }
 
-void GroupLattice::for_each_group(
-    const std::function<void(const GroupKey&, std::int64_t)>& visit) const {
-  const std::vector<std::int64_t> pre = population_prefix();
-  for (std::int64_t a = a_min_; a <= a_max_; ++a) {
-    for (const Run& run : runs_) {
-      if (a < run.a_lo || a > run.a_hi) continue;
-      const std::uint64_t at = run.first + static_cast<std::uint64_t>(a - run.a_lo);
-      visit(key_at(run.comp, run.b, degenerate() ? a : a * choice_.r), pre[at + 1] - pre[at]);
-    }
-  }
+std::vector<std::uint64_t> GroupLattice::sorted_order() const {
+  std::vector<std::uint64_t> order(static_cast<std::size_t>(group_count_));
+  std::uint64_t k = 0;
+  for (std::int64_t a = a_min_; a <= a_max_; ++a)
+    for (const Run& run : runs_)
+      if (run.a_lo <= a && a <= run.a_hi)
+        order[run.first + static_cast<std::uint64_t>(a - run.a_lo)] = k++;
+  return order;
 }
 
 LatticeSweepResult GroupLattice::sweep(bool validate) const {

@@ -95,27 +95,33 @@ struct SimResult {
 [[nodiscard]] std::string first_difference(const SimResult& a, const SimResult& b);
 
 // One accounting core prices every plan.  Each overload below is a *feed*
-// for it: a frame (processors, schedule span, step stride σ) plus two
-// visitations — every projection line (processor, block, population, first
-// step) and every dependence arc bundle (source/target processor and block,
-// Π·d, arc count, first step).  The core resolves fault plans once (one
-// route per directed channel and fault epoch; node failures remap over
-// per-block iteration counts in the feed's block order) and splits line
-// and bundle runs at the failure steps.  PaperMaxChannel prices the runs
-// directly.  The per-step accountings sweep them in run-length form: each
-// run is a rising and a falling edge, counting-sorted by step
-// (residue-major under the stride σ), and one walk prices each segment of
-// steps between edges once, times its length.  That costs O(lines·deps) for the runs,
-// O(runs + steps) time and memory for the sort, and
-// O(segments·(processors + channels)) for the pricing; no table grows with
-// steps × channels.  The sweep keeps 32-bit fields, so a per-step
-// accounting past about 2^32 steps (or 2^31 processors + channels) throws
-// Error(Config).  All three overloads return identical
-// SimResults (totals, steps, messages, words, per-processor loads,
-// bottlenecks, degraded counts) for the same plan; under node failures the
-// remap also depends on the block order, which the lattice feed takes from
-// its sorted group order.  Every Cost product and sum is checked: a total
-// that leaves int64 throws ArithmeticError.
+// for it: a frame (processors, schedule span, step stride σ, Π·d per
+// dependence) plus one visitation that hands the core every projection
+// line (processor, block, population, first step) and every dependence arc
+// bundle (source/target processor and block, dependence, arc count, first
+// step), inline; the lattice feed walks its run table once, each line
+// followed by its bundles.  The core resolves fault plans once (one route
+// per directed channel and fault epoch, in flat arrays; node failures
+// remap over per-block iteration counts in the feed's block order) and
+// splits line and bundle runs at the failure steps.  PaperMaxChannel
+// prices the runs directly.  The per-step accountings sweep them in
+// run-length form: each run is a rising and a falling edge, counting-sorted
+// by step (residue-major under the stride σ).  One edge-driven walk
+// follows the level changes and keeps, per fault epoch, what each segment
+// reads: the messages in flight and their detours, each processor's
+// aggregated sends, each link's load and whole-run words.  Each segment
+// of steps between edges then scans the processors and the loaded links
+// and is priced once, times its length.  That costs O(lines·deps) for the
+// runs, O(runs + steps) time and memory for the sort, O(edges · route
+// length) for the aggregates and O(segments·(processors + loaded links))
+// for the pricing; no table grows with steps × channels.  The sweep keeps
+// 32-bit fields, so a per-step accounting past about 2^32 steps (or 2^31
+// processors + channels) throws Error(Config).  All three overloads return
+// identical SimResults (totals, steps, messages, words, per-processor
+// loads, bottlenecks, degraded counts) for the same plan; under node
+// failures the remap also depends on the block order, which the lattice
+// feed takes from its sorted group order.  Every Cost product and sum is
+// checked: a total that leaves int64 throws ArithmeticError.
 //
 // Per-step telemetry — the sim.msg_* histograms, busy/idle steps, the
 // busiest-link series and the simulated-clock trace — reads the same
@@ -138,12 +144,13 @@ SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
                              const Mapping& mapping, const Topology& topo,
                              const MachineParams& machine, const SimOptions& opts = {});
 
-/// Lattice feed: GroupLattice line/bundle sweeps and the per-run fragment
-/// owners — no per-line processor array, no Group objects.
-/// With PaperMaxChannel, memory is O(processors²), independent of the
-/// iteration count.  Link-only fault plans stay independent of the group
-/// count; node failures materialize one O(groups) block index (sizes and
-/// owners in lattice sorted order) for the remap.
+/// Lattice feed: one GroupLattice walk of lines and bundles, owners read
+/// from the mapping's fragments by cursor — no per-line processor array,
+/// no Group objects.  With PaperMaxChannel, memory is O(processors²),
+/// independent of the iteration count.  Link-only fault plans stay
+/// independent of the group count; node failures materialize one O(groups)
+/// block index (the run-order → sorted-order permutation, sizes and owners
+/// in lattice sorted order) for the remap.
 SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercubeMapping& mapping,
                              const Topology& topo, const MachineParams& machine,
                              const SimOptions& opts = {});
