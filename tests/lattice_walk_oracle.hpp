@@ -66,7 +66,8 @@ void walk_lines(const GroupLattice& gl, Visit&& visit) {
   }
 }
 
-/// Reference for GroupLattice::for_each_line: visit(group, pop, first_step).
+/// Reference for the lines of GroupLattice::for_each_line_and_bundle:
+/// visit(group, pop, first_step).
 template <class Visit>
 void for_each_line(const GroupLattice& gl, Visit&& visit) {
   walk_lines(gl, [&](const GroupKey& g, std::pair<std::int64_t, std::int64_t> range,
@@ -75,7 +76,8 @@ void for_each_line(const GroupLattice& gl, Visit&& visit) {
   });
 }
 
-/// Reference for GroupLattice::for_each_arc_bundle.
+/// Reference for the bundles of GroupLattice::for_each_line_and_bundle:
+/// visit(src, dst, dep, count, first_step).
 template <class Visit>
 void for_each_arc_bundle(const GroupLattice& gl, Visit&& visit) {
   const std::size_t nd = gl.original_deps().size();
