@@ -64,7 +64,7 @@ SimOptions sim_options(const LoopNest& nest, const PipelineConfig& config) {
 /// Algorithm 1 on the materialized structure (dense) or on the space
 /// (symbolic).  The only place that chooses between the lattice and the
 /// line-based plan: the lattice runs whenever GroupLattice's gate admits
-/// the space.
+/// the space.  A lattice plan learns its blocks and arcs in simulate().
 std::unique_ptr<PlanView> make_plan(const ComputationStructure* structure, const IterSpace* space,
                                     const TimeFunction& tf, const PipelineConfig& config) {
   obs::TraceSink* sink = config.obs.trace;
@@ -81,13 +81,9 @@ std::unique_ptr<PlanView> make_plan(const ComputationStructure* structure, const
       config.obs.metrics->add("pipeline.lattice_fallback." + reason);
   }
   obs::Span span(sink, "partition", "pipeline");
-  std::unique_ptr<PlanView> plan;
-  if (lattice) plan = make_lattice_plan(std::move(*lattice), config.validate, sink);
-  else if (structure) plan = make_grouping_plan(*structure, tf, config.grouping);
-  else plan = make_grouping_plan(*space, tf, config.grouping);
-  span.arg("blocks", static_cast<std::int64_t>(plan->blocks.group_count));
-  span.arg("interblock_arcs", static_cast<std::int64_t>(plan->stats.interblock_arcs));
-  return plan;
+  if (lattice) return make_lattice_plan(std::move(*lattice), config.validate);
+  if (structure) return make_grouping_plan(*structure, tf, config.grouping);
+  return make_grouping_plan(*space, tf, config.grouping);
 }
 
 }  // namespace
@@ -139,27 +135,31 @@ PipelineResult run_pipeline(const LoopNest& nest, const PipelineConfig& config) 
     }
 
     r.plan = make_plan(r.structure.get(), r.space.get(), r.time_function, config);
-    const PlanView& plan = *r.plan;
+    PlanView& plan = *r.plan;
+
+    {
+      obs::Span span(sink, "mapping", "pipeline");
+      HypercubeMapOptions map_opts = config.mapping;
+      map_opts.obs = config.obs;
+      plan.map(config.cube_dim, map_opts);
+      span.arg("processors", static_cast<std::int64_t>(plan.processors));
+    }
+
+    {
+      // The plan's blocks and arcs are final only after this walk (a
+      // lattice plan counts them in it), so they are read below it.
+      obs::Span span(sink, "simulate", "pipeline");
+      r.sim = plan.simulate(Hypercube(config.cube_dim), config.machine, sim_options(nest, config));
+      span.arg("blocks", static_cast<std::int64_t>(plan.blocks.group_count));
+      span.arg("interblock_arcs", static_cast<std::int64_t>(plan.stats.interblock_arcs));
+    }
+    plan.fill_result(r);
     if (reg != nullptr) {
       reg->add("pipeline.projected_points", static_cast<std::int64_t>(plan.line_count));
       reg->add("pipeline.blocks", static_cast<std::int64_t>(plan.blocks.group_count));
       reg->add("pipeline.groups_materialized", static_cast<std::int64_t>(plan.groups_materialized));
       reg->add("pipeline.interblock_arcs", static_cast<std::int64_t>(plan.stats.interblock_arcs));
       reg->add("pipeline.total_arcs", static_cast<std::int64_t>(plan.stats.total_arcs));
-    }
-
-    {
-      obs::Span span(sink, "mapping", "pipeline");
-      HypercubeMapOptions map_opts = config.mapping;
-      map_opts.obs = config.obs;
-      r.plan->map(config.cube_dim, map_opts);
-      span.arg("processors", static_cast<std::int64_t>(plan.processors));
-    }
-    plan.fill_result(r);
-
-    {
-      obs::Span span(sink, "simulate", "pipeline");
-      r.sim = plan.simulate(Hypercube(config.cube_dim), config.machine, sim_options(nest, config));
     }
 
     if (config.validate) {

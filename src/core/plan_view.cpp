@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
+#include <stdexcept>
 
 #include "core/error.hpp"
 #include "core/json_writer.hpp"
@@ -60,7 +62,7 @@ class GroupingPlan final : public PlanView {
     return mapping_.mapping.block_to_proc[group];
   }
   [[nodiscard]] SimResult simulate(const Topology& topo, const MachineParams& machine,
-                                   const SimOptions& opts) const override {
+                                   const SimOptions& opts) override {
     if (q_) return simulate_execution(*q_, tf_, partition_, mapping_.mapping, topo, machine, opts);
     return simulate_execution(*space_, grouping_, mapping_.mapping, topo, machine, opts);
   }
@@ -108,26 +110,23 @@ class GroupingPlan final : public PlanView {
   HypercubeMappingResult mapping_;
 };
 
-LatticeSweepResult traced_sweep(const GroupLattice& lattice, bool validate,
-                                obs::TraceSink* sink) {
-  obs::Span span(sink, "lattice_sweep", "pipeline");
-  return lattice.sweep(validate);
-}
-
 class LatticePlan final : public PlanView {
  public:
-  LatticePlan(GroupLattice lattice, bool validate, obs::TraceSink* sink = nullptr)
-      : lattice_(std::move(lattice)), sweep_(traced_sweep(lattice_, validate, sink)) {
+  LatticePlan(GroupLattice lattice, bool validate)
+      : lattice_(std::move(lattice)), validate_(validate) {
     line_count = lattice_.line_count();
     group_size_r = lattice_.group_size_r();
     beta = lattice_.beta();
-    blocks = sweep_.stats;
-    stats = sweep_.partition;
     partition_tag = " (lattice)";
   }
 
   [[nodiscard]] const GroupLattice& lattice() const { return lattice_; }
-  [[nodiscard]] const LatticeSweepResult& sweep() const { return sweep_; }
+  /// The sweep: the simulate() walk's, or, asked before any simulate, a
+  /// sweep-only walk's (which then also fills `blocks` and `stats`).
+  const LatticeSweepResult& sweep() {
+    if (!sweep_) settle(lattice_.sweep(validate_));
+    return *sweep_;
+  }
 
   void map(unsigned cube_dim, const HypercubeMapOptions& opts) override {
     mapping_ = map_to_hypercube(lattice_, cube_dim, opts);
@@ -141,11 +140,16 @@ class LatticePlan final : public PlanView {
     return mapping_.proc_of_group(lattice_, lattice_.group_at_sorted_index(group));
   }
   [[nodiscard]] SimResult simulate(const Topology& topo, const MachineParams& machine,
-                                   const SimOptions& opts) const override {
-    return simulate_execution(lattice_, mapping_, topo, machine, opts);
+                                   const SimOptions& opts) override {
+    if (sweep_) return simulate_execution(lattice_, mapping_, topo, machine, opts);
+    GroupLattice::Sweep walk(lattice_, validate_);
+    SimResult res = simulate_execution(lattice_, mapping_, topo, machine, opts, &walk);
+    settle(walk.finish());
+    return res;
   }
   [[nodiscard]] PlanChecks check() const override {
-    return {sweep_.exact_cover, sweep_.theorem1, sweep_.theorem2, sweep_.lemmas};
+    if (!sweep_) throw std::logic_error("LatticePlan::check: the lattice has not been walked");
+    return {sweep_->exact_cover, sweep_->theorem1, sweep_->theorem2, sweep_->lemmas};
   }
 
   void write_partition_json(JsonWriter& w) const override {
@@ -204,7 +208,14 @@ class LatticePlan final : public PlanView {
         visit(lattice_.runs()[i], mapping_.frag_runs[k].first, mapping_.frag_runs[k].second);
   }
 
-  LatticeSweepResult sweep_;
+  void settle(LatticeSweepResult sweep) {
+    sweep_ = std::move(sweep);
+    blocks = sweep_->stats;
+    stats = sweep_->partition;
+  }
+
+  bool validate_;
+  std::optional<LatticeSweepResult> sweep_;  ///< set by the first walk
   LatticeHypercubeMapping mapping_;
 };
 
@@ -220,9 +231,8 @@ std::unique_ptr<PlanView> make_grouping_plan(const IterSpace& space, const TimeF
   return std::make_unique<GroupingPlan>(nullptr, &space, tf, opts);
 }
 
-std::unique_ptr<PlanView> make_lattice_plan(GroupLattice lattice, bool validate,
-                                            obs::TraceSink* sink) {
-  return std::make_unique<LatticePlan>(std::move(lattice), validate, sink);
+std::unique_ptr<PlanView> make_lattice_plan(GroupLattice lattice, bool validate) {
+  return std::make_unique<LatticePlan>(std::move(lattice), validate);
 }
 
 void verify_against_symbolic(const PipelineResult& r, const PipelineConfig& config,
@@ -277,6 +287,9 @@ void verify_against_symbolic(const PipelineResult& r, const PipelineConfig& conf
   if (!gl) return;
   LatticePlan lattice(std::move(*gl), config.validate);
   const GroupLattice& lat = lattice.lattice();
+  // Simulation is skipped under node faults below, so the statistics and
+  // verdicts come from a sweep-only walk.
+  const LatticeSweepResult& sweep = lattice.sweep();
   if (lattice.line_count != dense.line_count) fail("lattice line count");
   if (lattice.blocks.group_count != dense.blocks.group_count) fail("lattice group count");
   if (lattice.group_size_r != dense.group_size_r) fail("lattice group size r");
@@ -311,7 +324,7 @@ void verify_against_symbolic(const PipelineResult& r, const PipelineConfig& conf
     GroupLattice::GroupKey kt = key_of(grouping.group_of_point(b.target));
     dense_offsets[{b.dep, {kt.a - ks.a, kt.b - ks.b, kt.comp - ks.comp}}] += b.count;
   });
-  if (dense_offsets != lattice.sweep().offset_weights) fail("lattice offset weights");
+  if (dense_offsets != sweep.offset_weights) fail("lattice offset weights");
 
   lattice.map(config.cube_dim, config.mapping);
   if (lattice.processors != dense.processors) fail("lattice processor count");

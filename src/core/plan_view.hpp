@@ -4,11 +4,13 @@
 // assigns each block to a processor.  Two implementations build it — the
 // grouping plan (ProjectedStructure + Grouping + TIG + Algorithm 2, over a
 // materialized structure or, line-based, over an IterSpace) and the lattice
-// plan (GroupLattice + its one sweep + the closed-form mapping, no
-// per-group state) — and readers see only this view.  Its numbers are
-// plain fields filled once; only the path-specific parts are virtual.  A
-// plan points at the structure or space it was built on (heap objects the
-// PipelineResult owns), never into the result itself.
+// plan (GroupLattice + the closed-form mapping + one walk, no per-group
+// state) — and readers see only this view.  Its numbers are plain fields
+// filled once; only the path-specific parts are virtual.  The lattice plan
+// fills `blocks`, `stats` and check() from the walk its first simulate()
+// drives, so run_pipeline reads them after simulating.  A plan points at
+// the structure or space it was built on (heap objects the PipelineResult
+// owns), never into the result itself.
 #pragma once
 
 #include <memory>
@@ -40,8 +42,12 @@ class PlanView {
   std::uint64_t line_count = 0;           ///< projection lines (projected points |V^p|)
   std::int64_t group_size_r = 0;          ///< r of Algorithm 1 Step 1
   std::size_t beta = 0;                   ///< rank of the projected dependences
-  LatticeBlockStats blocks;               ///< group (= block) count, iterations, min/max block
-  PartitionStats stats;                   ///< arc counts; block_comm empty on the lattice plan
+  /// Group (= block) count, iterations, min/max block; on the lattice plan
+  /// set by the first simulate().
+  LatticeBlockStats blocks;
+  /// Arc counts; on the lattice plan set by the first simulate(), with
+  /// block_comm empty.
+  PartitionStats stats;
   std::uint64_t groups_materialized = 0;  ///< Group objects built (0 on the lattice plan)
   std::string partition_tag;              ///< printed after the block count by `hypart partition`
   std::size_t processors = 0;             ///< set by map()
@@ -53,9 +59,11 @@ class PlanView {
   /// (creation order on the grouping plan, sorted order on the lattice).
   [[nodiscard]] virtual std::int64_t population(std::uint64_t group) const = 0;
   [[nodiscard]] virtual ProcId owner(std::uint64_t group) const = 0;
-  /// The plan's simulator feed.
+  /// The plan's simulator feed.  Not const: the lattice plan's first
+  /// simulate() also fills `blocks`, `stats` and check() from its walk.
   [[nodiscard]] virtual SimResult simulate(const Topology& topo, const MachineParams& machine,
-                                           const SimOptions& opts) const = 0;
+                                           const SimOptions& opts) = 0;
+  /// The verdicts; on the lattice plan, only after simulate().
   [[nodiscard]] virtual PlanChecks check() const = 0;
 
   /// The path-specific members of the `partition` and `mapping` objects.
@@ -77,10 +85,11 @@ std::unique_ptr<PlanView> make_grouping_plan(const ComputationStructure& q,
                                              const TimeFunction& tf, const GroupingOptions& opts);
 std::unique_ptr<PlanView> make_grouping_plan(const IterSpace& space, const TimeFunction& tf,
                                              const GroupingOptions& opts);
-/// The lattice plan; runs the lattice's one sweep (with the theorem checks
-/// when `validate`), traced as a `lattice_sweep` span on `sink`.
-std::unique_ptr<PlanView> make_lattice_plan(GroupLattice lattice, bool validate,
-                                            obs::TraceSink* sink = nullptr);
+/// The lattice plan.  It does not walk the lattice here: its first
+/// simulate() feeds the simulator and the lattice sweep (with the theorem
+/// checks when `validate`) from one walk, inside the caller's `simulate`
+/// span, and fills `blocks`, `stats` and check() from it.
+std::unique_ptr<PlanView> make_lattice_plan(GroupLattice lattice, bool validate);
 
 /// Verify mode: check a dense result `r` stage by stage against the
 /// closed forms over `r.space` — the line-based statistics, TIG and

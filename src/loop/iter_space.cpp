@@ -26,30 +26,29 @@ std::int64_t bound_slope(const AffineExpr& e, const IntVec& u) {
   return s;
 }
 
-/// Append disjoint boxes covering box \ (other + u); other == nullptr means
-/// the subtrahend is empty.  Per dimension, carve off the parts of the
-/// remainder strictly below / above the shifted range, then restrict the
-/// remainder to the overlap — at most two pieces per dimension, all disjoint.
-void box_difference(const std::vector<DimBounds>& box, const std::vector<DimBounds>* other,
-                    const IntVec& u, std::vector<std::vector<DimBounds>>& out) {
+/// Append disjoint boxes covering box \ (other + u) to `out`, u.size()
+/// bounds per box; other == nullptr means the subtrahend is empty.  Per
+/// dimension, carve off the parts of the remainder `cur` strictly below /
+/// above the shifted range, then restrict the remainder to the overlap — at
+/// most two pieces per dimension, all disjoint.
+void box_difference(const DimBounds* box, const DimBounds* other, const IntVec& u,
+                    std::vector<DimBounds>& cur, std::vector<DimBounds>& out) {
+  const std::size_t n = u.size();
   if (other == nullptr) {
-    out.push_back(box);
+    out.insert(out.end(), box, box + n);
     return;
   }
-  std::vector<DimBounds> cur = box;
-  for (std::size_t j = 0; j < box.size(); ++j) {
-    const std::int64_t slo = (*other)[j].first + u[j];
-    const std::int64_t shi = (*other)[j].second + u[j];
-    if (cur[j].first < slo) {
-      std::vector<DimBounds> piece = cur;
-      piece[j] = {cur[j].first, std::min(cur[j].second, slo - 1)};
-      out.push_back(std::move(piece));
-    }
-    if (cur[j].second > shi) {
-      std::vector<DimBounds> piece = cur;
-      piece[j] = {std::max(cur[j].first, shi + 1), cur[j].second};
-      out.push_back(std::move(piece));
-    }
+  cur.assign(box, box + n);
+  auto carve = [&](std::size_t j, DimBounds piece) {
+    const std::size_t at = out.size();
+    out.insert(out.end(), cur.begin(), cur.end());
+    out[at + j] = piece;
+  };
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::int64_t slo = other[j].first + u[j];
+    const std::int64_t shi = other[j].second + u[j];
+    if (cur[j].first < slo) carve(j, {cur[j].first, std::min(cur[j].second, slo - 1)});
+    if (cur[j].second > shi) carve(j, {std::max(cur[j].first, shi + 1), cur[j].second});
     cur[j] = {std::max(cur[j].first, slo), std::min(cur[j].second, shi)};
     if (cur[j].first > cur[j].second) return;  // remainder fully carved off
   }
@@ -113,8 +112,11 @@ void IterSpace::init() {
 
   // Enumerate the slabs: fix the sliced coordinates (ascending, so every
   // bound's referenced dimensions are already pinned), evaluate the
-  // remaining bounds, keep the non-empty boxes.
+  // remaining bounds, keep the non-empty boxes.  Each sliced coordinate
+  // counts up in its own loop, outermost first, so the keys come out in
+  // ascending lexicographic order and slab_at can binary-search them.
   IntVec vals(n, 0);
+  std::vector<DimBounds> box(n);
   std::size_t visited = 0;
   std::function<void(std::size_t)> enumerate = [&](std::size_t si) {
     if (si == sliced_.size()) {
@@ -122,24 +124,21 @@ void IterSpace::init() {
         throw std::length_error(
             "IterSpace: slab decomposition exceeds the symbolic cap (too many sliced "
             "subdomains)");
-      Slab s;
-      s.key.reserve(sliced_.size());
-      for (std::size_t d : sliced_) s.key.push_back(vals[d]);
-      s.box.resize(n);
       std::int64_t points = 1;
       for (std::size_t j = 0; j < n; ++j) {
         if (referenced[j]) {
-          s.box[j] = {vals[j], vals[j]};
+          box[j] = {vals[j], vals[j]};
         } else {
-          s.box[j] = {dims_[j].lower.evaluate_lower(vals), dims_[j].upper.evaluate_upper(vals)};
-          if (s.box[j].first > s.box[j].second) return;  // empty slab
+          box[j] = {dims_[j].lower.evaluate_lower(vals), dims_[j].upper.evaluate_upper(vals)};
+          if (box[j].first > box[j].second) return;  // empty slab
         }
-        points = detail::checked_mul(points, box_extent(s.box[j].first, s.box[j].second));
+        points = detail::checked_mul(points, box_extent(box[j].first, box[j].second));
       }
       size_ = static_cast<std::uint64_t>(
           detail::checked_add(static_cast<std::int64_t>(size_), points));
-      slab_index_.emplace(s.key, slabs_.size());
-      slabs_.push_back(std::move(s));
+      for (std::size_t d : sliced_) slab_keys_.push_back(vals[d]);
+      slab_boxes_.insert(slab_boxes_.end(), box.begin(), box.end());
+      ++slab_count_;
       return;
     }
     const std::size_t d = sliced_[si];
@@ -161,14 +160,24 @@ void IterSpace::init() {
   }
 }
 
-const IterSpace::Slab* IterSpace::slab_at(const IntVec& key) const {
-  auto it = slab_index_.find(key);
-  return it == slab_index_.end() ? nullptr : &slabs_[it->second];
+std::size_t IterSpace::slab_at(const std::int64_t* key) const {
+  const std::size_t m = sliced_.size();
+  std::size_t lo = 0, hi = slab_count_;
+  while (lo < hi) {  // the first slab whose key is not below `key`
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (std::lexicographical_compare(slab_key(mid), slab_key(mid) + m, key, key + m)) lo = mid + 1;
+    else hi = mid;
+  }
+  return lo < slab_count_ && std::equal(key, key + m, slab_key(lo)) ? lo : slab_count_;
 }
 
 void IterSpace::for_each_slab_box(
     const std::function<void(const std::vector<DimBounds>&)>& visit) const {
-  for (const Slab& s : slabs_) visit(s.box);
+  std::vector<DimBounds> box(dims_.size());
+  for (std::size_t s = 0; s < slab_count_; ++s) {
+    std::copy_n(slab_box(s), box.size(), box.begin());
+    visit(box);
+  }
 }
 
 const std::vector<DimBounds>& IterSpace::bounds() const {
@@ -196,17 +205,18 @@ std::uint64_t IterSpace::arc_count(const IntVec& d) const {
   if (d.size() != dims_.size())
     throw std::invalid_argument("IterSpace::arc_count: dimension mismatch");
   std::int64_t total = 0;
-  IntVec target_key(sliced_.size());
-  for (const Slab& s : slabs_) {
-    for (std::size_t i = 0; i < sliced_.size(); ++i) target_key[i] = s.key[i] + d[sliced_[i]];
-    const Slab* t = slab_at(target_key);
-    if (t == nullptr) continue;
+  std::vector<std::int64_t> target_key(sliced_.size());
+  for (std::size_t s = 0; s < slab_count_; ++s) {
+    const std::int64_t* key = slab_key(s);
+    for (std::size_t i = 0; i < sliced_.size(); ++i) target_key[i] = key[i] + d[sliced_[i]];
+    const std::size_t t = slab_at(target_key.data());
+    if (t == slab_count_) continue;
+    const DimBounds* from = slab_box(s);
+    const DimBounds* to = slab_box(t);
     std::int64_t prod = 1;
     for (std::size_t j = 0; j < dims_.size(); ++j) {
-      const std::int64_t lo =
-          std::max(s.box[j].first, detail::checked_sub(t->box[j].first, d[j]));
-      const std::int64_t hi =
-          std::min(s.box[j].second, detail::checked_sub(t->box[j].second, d[j]));
+      const std::int64_t lo = std::max(from[j].first, detail::checked_sub(to[j].first, d[j]));
+      const std::int64_t hi = std::min(from[j].second, detail::checked_sub(to[j].second, d[j]));
       if (hi < lo) {
         prod = 0;
         break;
@@ -229,11 +239,13 @@ std::int64_t IterSpace::min_step(const IntVec& pi) const {
     throw std::invalid_argument("IterSpace::min_step: dimension mismatch");
   if (empty()) throw std::logic_error("IterSpace::min_step: empty space");
   std::int64_t best = INT64_MAX;
-  for (const Slab& slab : slabs_) {
+  for (std::size_t k = 0; k < slab_count_; ++k) {
+    const DimBounds* box = slab_box(k);
     std::int64_t s = 0;
-    for (std::size_t i = 0; i < dims_.size(); ++i)
-      s = detail::checked_add(
-          s, detail::checked_mul(pi[i], pi[i] >= 0 ? slab.box[i].first : slab.box[i].second));
+    for (std::size_t i = 0; i < dims_.size(); ++i) {
+      const std::int64_t corner = pi[i] >= 0 ? box[i].first : box[i].second;
+      s = detail::checked_add(s, detail::checked_mul(pi[i], corner));
+    }
     best = std::min(best, s);
   }
   return best;
@@ -244,11 +256,13 @@ std::int64_t IterSpace::max_step(const IntVec& pi) const {
     throw std::invalid_argument("IterSpace::max_step: dimension mismatch");
   if (empty()) throw std::logic_error("IterSpace::max_step: empty space");
   std::int64_t best = INT64_MIN;
-  for (const Slab& slab : slabs_) {
+  for (std::size_t k = 0; k < slab_count_; ++k) {
+    const DimBounds* box = slab_box(k);
     std::int64_t s = 0;
-    for (std::size_t i = 0; i < dims_.size(); ++i)
-      s = detail::checked_add(
-          s, detail::checked_mul(pi[i], pi[i] >= 0 ? slab.box[i].second : slab.box[i].first));
+    for (std::size_t i = 0; i < dims_.size(); ++i) {
+      const std::int64_t corner = pi[i] >= 0 ? box[i].second : box[i].first;
+      s = detail::checked_add(s, detail::checked_mul(pi[i], corner));
+    }
     best = std::max(best, s);
   }
   return best;
@@ -325,8 +339,8 @@ LineForm IterSpace::line_form(const IntVec& origin, const std::vector<IntVec>& g
   return form;
 }
 
-void IterSpace::for_each_line(
-    const IntVec& u, const std::function<void(const IntVec&, std::int64_t)>& visit) const {
+void IterSpace::for_each_line(const IntVec& u,
+                              const std::function<void(const IntVec&)>& visit) const {
   const std::size_t n = dims_.size();
   if (u.size() != n) throw std::invalid_argument("IterSpace::for_each_line: dimension mismatch");
   if (is_zero(u)) throw std::invalid_argument("IterSpace::for_each_line: zero direction");
@@ -337,22 +351,23 @@ void IterSpace::for_each_line(
   // only slab that could hold it (slab keys translate with u).  For a
   // rectangular space this degenerates to the classic B \ (B + u) boundary
   // faces.
-  IntVec pred_key(sliced_.size());
-  std::vector<std::vector<DimBounds>> pieces;
-  for (const Slab& s : slabs_) {
-    for (std::size_t i = 0; i < sliced_.size(); ++i) pred_key[i] = s.key[i] - u[sliced_[i]];
-    const Slab* pred = slab_at(pred_key);
+  std::vector<std::int64_t> pred_key(sliced_.size());
+  std::vector<DimBounds> pieces, rest;  // pieces: n bounds per box
+  IntVec p(n);
+  for (std::size_t s = 0; s < slab_count_; ++s) {
+    const std::int64_t* key = slab_key(s);
+    for (std::size_t i = 0; i < sliced_.size(); ++i) pred_key[i] = key[i] - u[sliced_[i]];
+    const std::size_t pred = slab_at(pred_key.data());
     pieces.clear();
-    box_difference(s.box, pred == nullptr ? nullptr : &pred->box, u, pieces);
+    box_difference(slab_box(s), pred == slab_count_ ? nullptr : slab_box(pred), u, rest,
+                   pieces);
 
-    for (const std::vector<DimBounds>& region : pieces) {
-      // Odometer walk of the piece; the population is the closed-form run
-      // length from the entry (line_range's k starts at 0 on an entry).
-      IntVec p(n);
+    for (std::size_t at = 0; at < pieces.size(); at += n) {
+      // Odometer walk of the piece.
+      const DimBounds* region = &pieces[at];
       for (std::size_t d = 0; d < n; ++d) p[d] = region[d].first;
       while (true) {
-        auto range = line_range(p, u);
-        visit(p, range->second + 1);
+        visit(p);
         std::size_t d = n;
         while (d > 0 && p[d - 1] == region[d - 1].second) {
           p[d - 1] = region[d - 1].first;

@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -158,7 +157,7 @@ class IterSpace {
   [[nodiscard]] const std::vector<std::size_t>& sliced_dims() const { return sliced_; }
   /// Number of non-empty boxes in the slab decomposition (1 for a non-empty
   /// rectangular space).
-  [[nodiscard]] std::size_t slab_count() const { return slabs_.size(); }
+  [[nodiscard]] std::size_t slab_count() const { return slab_count_; }
 
   /// Constant per-dimension bounds; throws std::logic_error unless
   /// is_rectangular().
@@ -217,32 +216,39 @@ class IterSpace {
   void for_each_slab_box(const std::function<void(const std::vector<DimBounds>&)>& visit) const;
 
   /// Enumerate every line of direction u meeting J exactly once, visiting
-  /// (entry point, population).  The entry point is the unique line point
-  /// with entry - u outside J (the smallest point along +u); the population
-  /// is the closed-form run length.  Entries inside slab v are
-  /// B_v \ (B_{v-u_S} + u), decomposed into <= 2n disjoint boxes per slab;
-  /// cost O(lines + slabs * n) versus the O(points) dense projection.
-  void for_each_line(const IntVec& u,
-                     const std::function<void(const IntVec&, std::int64_t)>& visit) const;
+  /// its entry point: the unique line point with entry - u outside J (the
+  /// smallest point along +u).  A caller that needs the line's population
+  /// reads it as line_range(entry, u)->second + 1.  Entries inside slab v
+  /// are B_v \ (B_{v-u_S} + u), decomposed into <= 2n disjoint boxes per
+  /// slab; cost O(lines + slabs * n) versus the O(points) dense projection.
+  void for_each_line(const IntVec& u, const std::function<void(const IntVec&)>& visit) const;
 
  private:
   IterSpace() = default;  // for the named factories
 
-  /// One box of the decomposition: the S-coordinates pinned to `key` (in
-  /// sliced_dims() order) and the per-dimension constant bounds.
-  struct Slab {
-    IntVec key;
-    std::vector<DimBounds> box;
-  };
-
   void init();
-  [[nodiscard]] const Slab* slab_at(const IntVec& key) const;
+  /// Slab s of the decomposition: its S-coordinates (its key, in
+  /// sliced_dims() order) and its per-dimension constant bounds.
+  [[nodiscard]] const std::int64_t* slab_key(std::size_t s) const {
+    return slab_keys_.data() + s * sliced_.size();
+  }
+  [[nodiscard]] const DimBounds* slab_box(std::size_t s) const {
+    return slab_boxes_.data() + s * dims_.size();
+  }
+  /// The slab keyed `key` (sliced_dims().size() values), slab_count() when
+  /// that slab is empty; binary search, since init() enumerates the keys in
+  /// ascending order.
+  [[nodiscard]] std::size_t slab_at(const std::int64_t* key) const;
 
   std::vector<AffineDim> dims_;
   std::vector<IntVec> deps_;
   std::vector<std::size_t> sliced_;
-  std::vector<Slab> slabs_;                ///< non-empty boxes only
-  std::map<IntVec, std::size_t> slab_index_;  ///< key -> index into slabs_
+  /// The non-empty slabs in ascending key order, flat: slab_count_ keys of
+  /// sliced_.size() values and boxes of dimension() bounds, so the
+  /// decomposition allocates nothing per slab.
+  std::vector<std::int64_t> slab_keys_;
+  std::vector<DimBounds> slab_boxes_;
+  std::size_t slab_count_ = 0;
   std::vector<DimBounds> rect_bounds_;     ///< populated iff is_rectangular()
   std::uint64_t size_ = 0;
 };

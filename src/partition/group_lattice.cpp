@@ -47,22 +47,6 @@ std::int64_t line_multiple(const IntVec& v, const IntVec& u) {
   return kappa;
 }
 
-/// Tiny set of group offsets: per group and dependence at most a handful of
-/// distinct offsets occur (a slot window of width < r lands in at most two
-/// groups per lattice direction), so a linear-scan vector beats a node-based
-/// std::set in the hot sweep.
-struct OffsetSet {
-  std::vector<LatticeSweepResult::GroupOffset> v;
-  void insert(const LatticeSweepResult::GroupOffset& x) {
-    if (std::find(v.begin(), v.end(), x) == v.end()) v.push_back(x);
-  }
-  void merge_into(OffsetSet& o) const {
-    for (const auto& x : v) o.insert(x);
-  }
-  [[nodiscard]] std::size_t size() const { return v.size(); }
-  void clear() { v.clear(); }
-};
-
 }  // namespace
 
 std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const TimeFunction& tf,
@@ -272,7 +256,7 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
   std::vector<CosetAcc> found;
   std::size_t cur = 0;
   const std::int64_t s = gl.frame_.scale();
-  space.for_each_line(u, [&](const IntVec& entry, std::int64_t) {
+  space.for_each_line(u, [&](const IntVec& entry) {
     const std::int64_t qa = dot(afold, entry), qb = dot(bfold, entry);
     const std::int64_t ra = pos_mod(qa, ddet), rb = pos_mod(qb, ddet);
     if (cur >= found.size() || found[cur].ra != ra || found[cur].rb != rb) {
@@ -447,141 +431,83 @@ std::vector<std::uint64_t> GroupLattice::sorted_order() const {
   return order;
 }
 
-LatticeSweepResult GroupLattice::sweep(bool validate) const {
-  LatticeSweepResult out;
-  using GroupOffset = LatticeSweepResult::GroupOffset;
-  const std::size_t nd = original_deps().size();
-
-  // A dependence moves between lines iff its projection is nonzero; it is
-  // "special" (Lemma 2) if its projected vector equals the grouping or an
-  // auxiliary vector — the dense checker's is_special_direction.
-  std::vector<char> moving(nd), special(nd);
-  std::vector<std::size_t> lemma2_dirs = choice_.aux;
-  if (choice_.grouping) lemma2_dirs.insert(lemma2_dirs.begin(), *choice_.grouping);
+GroupLattice::Sweep::Sweep(const GroupLattice& lattice, bool validate)
+    : lattice_(&lattice), validate_(validate) {
+  const std::size_t nd = lattice.original_deps().size();
+  std::vector<std::size_t> lemma2_dirs = lattice.choice_.aux;
+  if (lattice.choice_.grouping) lemma2_dirs.insert(lemma2_dirs.begin(), *lattice.choice_.grouping);
+  moving_.resize(nd);
+  special_.resize(nd);
   for (std::size_t k = 0; k < nd; ++k) {
-    const IntVec& pk = projected_dep_scaled(k);
-    moving[k] = !is_zero(pk);
-    special[k] = std::any_of(lemma2_dirs.begin(), lemma2_dirs.end(), [&](std::size_t j) {
-      return k == j || pk == projected_dep_scaled(j);
+    const IntVec& pk = lattice.projected_dep_scaled(k);
+    moving_[k] = !is_zero(pk);
+    special_[k] = std::any_of(lemma2_dirs.begin(), lemma2_dirs.end(), [&](std::size_t j) {
+      return k == j || pk == lattice.projected_dep_scaled(j);
     });
   }
+  window_.reserve(static_cast<std::size_t>(lattice.group_size_r()));
+  dep_offs_.resize(nd);
+  weights_.resize(nd);
+  out_.theorem1 = true;
+  out_.lemmas.lemma2_holds = true;
+  out_.lemmas.lemma3_holds = true;
+  out_.stats.min_block = std::numeric_limits<std::int64_t>::max();
+}
 
-  // Per-group rolling state (O(r + deps), reset at each group boundary).
-  struct LineRec {
-    std::int64_t first_step;
-    std::int64_t pop;
-  };
-  std::vector<LineRec> window;
-  window.reserve(static_cast<std::size_t>(choice_.r));
-  std::vector<OffsetSet> dep_offs(nd);  // per-dep distinct group offsets
-  OffsetSet succ;                       // union over deps (out-degree)
-  std::int64_t acc = 0;                 // current group's iteration count
-  bool group_open = false;
-  GroupKey cur{};
-  // Arc weight per (dep, offset): a handful of offsets per dependence, so a
-  // flat table per dependence, folded into the result's map at the end.
-  std::vector<std::vector<std::pair<GroupOffset, std::int64_t>>> weights(nd);
-
-  out.theorem1 = true;
-  out.lemmas.lemma2_holds = true;
-  out.lemmas.lemma3_holds = true;
-  out.stats.min_block = std::numeric_limits<std::int64_t>::max();
-  std::uint64_t covered = 0;
-  std::size_t arc_total = 0, arc_inter = 0;
-
-  auto close_group = [&]() {
-    if (!group_open) return;
-    ++out.stats.group_count;
-    out.stats.min_block = std::min(out.stats.min_block, acc);
-    out.stats.max_block = std::max(out.stats.max_block, acc);
-    if (validate) {
-      succ.clear();
-      for (std::size_t k = 0; k < nd; ++k) {
-        if (!moving[k]) continue;
-        const std::size_t fan = dep_offs[k].size();
-        if (special[k]) {
-          out.lemmas.worst_lemma2_fanout = std::max(out.lemmas.worst_lemma2_fanout, fan);
-          if (fan > 1) out.lemmas.lemma2_holds = false;
-        } else {
-          out.lemmas.worst_lemma3_fanout = std::max(out.lemmas.worst_lemma3_fanout, fan);
-          if (fan > 2) out.lemmas.lemma3_holds = false;
-        }
-        dep_offs[k].merge_into(succ);
-        dep_offs[k].clear();
+void GroupLattice::Sweep::close_group() {
+  if (!group_open_) return;
+  ++out_.stats.group_count;
+  out_.stats.min_block = std::min(out_.stats.min_block, acc_);
+  out_.stats.max_block = std::max(out_.stats.max_block, acc_);
+  if (validate_) {
+    succ_.v.clear();
+    for (std::size_t k = 0; k < dep_offs_.size(); ++k) {
+      if (!moving_[k]) continue;
+      const std::size_t fan = dep_offs_[k].v.size();
+      if (special_[k]) {
+        out_.lemmas.worst_lemma2_fanout = std::max(out_.lemmas.worst_lemma2_fanout, fan);
+        if (fan > 1) out_.lemmas.lemma2_holds = false;
+      } else {
+        out_.lemmas.worst_lemma3_fanout = std::max(out_.lemmas.worst_lemma3_fanout, fan);
+        if (fan > 2) out_.lemmas.lemma3_holds = false;
       }
-      out.theorem2.max_out_degree = std::max(out.theorem2.max_out_degree, succ.size());
+      for (const GroupOffset& off : dep_offs_[k].v) succ_.insert(off);
+      dep_offs_[k].v.clear();
     }
-    window.clear();
-    acc = 0;
-  };
+    out_.theorem2.max_out_degree = std::max(out_.theorem2.max_out_degree, succ_.v.size());
+  }
+  window_.clear();
+  acc_ = 0;
+}
 
-  // One populated line of group g: Theorem 1 window, arc bundles, offsets.
-  walk([&](const WalkLine& line, const auto& arc_of) {
-    const GroupKey& g = line.g;
-    if (!group_open || !(g == cur)) {
-      close_group();
-      group_open = true;
-      cur = g;
-    }
-    const std::int64_t pop = line.k_hi - line.k_lo + 1;
-    const std::int64_t first_step =
-        detail::checked_add(line.step_anchor, detail::checked_mul(line.k_lo, step_stride()));
-    covered += static_cast<std::uint64_t>(pop);
-    acc = detail::checked_add(acc, pop);
-
-    if (validate) {
-      // Theorem 1 within the group: lines collide iff their step APs
-      // (first + k·σ, k in [0, pop)) intersect — same test as the dense
-      // checker, against every earlier line of this group.
-      for (const LineRec& o : window) {
-        const std::int64_t diff = first_step - o.first_step;
-        if (diff % step_stride() != 0) continue;
-        const std::int64_t msh = diff / step_stride();
-        if (msh >= -(pop - 1) && msh <= o.pop - 1) out.theorem1 = false;
-      }
-      window.push_back(LineRec{first_step, pop});
-    }
-
-    for (std::size_t k = 0; k < nd; ++k) {
-      // Group-digraph edges use projected-point existence (the dense
-      // checker's find_point semantics), not arc counts: an edge exists
-      // whenever the shifted line is populated.
-      const WalkArc arc = arc_of(k);
-      const bool has_dst = moving[k] && arc.populated();
-      GroupOffset off{};
-      if (has_dst) off = GroupOffset{arc.dst.a - g.a, arc.dst.b - g.b, arc.dst.comp - g.comp};
-      const std::int64_t lo2 = std::max(line.k_lo, arc.k_lo);
-      const std::int64_t hi2 = std::min(line.k_hi, arc.k_hi);
-      if (lo2 <= hi2) {
-        const std::int64_t count = hi2 - lo2 + 1;
-        arc_total += static_cast<std::size_t>(count);
-        if (!(off == GroupOffset{})) arc_inter += static_cast<std::size_t>(count);
-        auto& table = weights[k];
-        auto it = std::find_if(table.begin(), table.end(),
-                               [&](const auto& entry) { return entry.first == off; });
-        if (it == table.end()) table.emplace_back(off, count);
-        else it->second = detail::checked_add(it->second, count);
-      }
-      if (validate && has_dst && !(off == GroupOffset{})) dep_offs[k].insert(off);
-    }
-  });
+LatticeSweepResult GroupLattice::Sweep::finish() {
   close_group();
-
+  LatticeSweepResult out = std::move(out_);
+  const std::size_t nd = weights_.size();
   for (std::size_t k = 0; k < nd; ++k)
-    for (const auto& [off, weight] : weights[k]) out.offset_weights[{k, off}] = weight;
-  out.stats.total_iterations = covered;
+    for (const auto& [off, weight] : weights_[k]) out.offset_weights[{k, off}] = weight;
+  out.stats.total_iterations = covered_;
   if (out.stats.group_count == 0) out.stats.min_block = 0;
-  out.partition.total_arcs = arc_total;
-  out.partition.interblock_arcs = arc_inter;
-  out.partition.intrablock_arcs = arc_total - arc_inter;
-  out.exact_cover = covered == space_->size();
-  if (validate) {
+  out.partition.total_arcs = arc_total_;
+  out.partition.interblock_arcs = arc_inter_;
+  out.partition.intrablock_arcs = arc_total_ - arc_inter_;
+  out.exact_cover = covered_ == lattice_->space().size();
+  if (validate_) {
     out.theorem2.m = nd;
-    out.theorem2.beta = beta();
-    out.theorem2.bound = 2 * nd - beta();
+    out.theorem2.beta = lattice_->beta();
+    out.theorem2.bound = 2 * nd - lattice_->beta();
     out.theorem2.holds = out.theorem2.max_out_degree <= out.theorem2.bound;
   }
   return out;
+}
+
+LatticeSweepResult GroupLattice::sweep(bool validate) const {
+  Sweep acc(*this, validate);
+  for_each_line_and_bundle([](const GroupKey&, std::int64_t, std::int64_t) {},
+                           [](const GroupKey&, const GroupKey&, std::size_t, std::int64_t,
+                              std::int64_t) {},
+                           &acc);
+  return acc.finish();
 }
 
 }  // namespace hypart

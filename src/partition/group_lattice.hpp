@@ -41,8 +41,9 @@
 // dependence-shifted range is the target line's own range moved by a
 // constant: p_m(t, b) + d_k = p_m'(t + Δt, b + Δb) + κ·u, with (m', Δt,
 // Δb, κ) read from one cosets × deps table.  Group populations, block
-// statistics, TIG arc-class weights, the theorem/lemma checks and the
-// simulator feed all read the walk; Algorithm 2 bisects per-run a-intervals
+// statistics, TIG arc-class weights and the theorem/lemma checks (one
+// Sweep) and the simulator feed read the walk — on a lattice plan the same
+// single walk; Algorithm 2 bisects per-run a-intervals
 // (mapping/hypercube_map.hpp).
 //
 // When the closed forms do not apply, build() returns nullopt with a stable
@@ -53,6 +54,7 @@
 // form.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -212,10 +214,13 @@ class GroupLattice {
     return frame_.projected_deps_scaled()[k];
   }
 
+  class Sweep;
+
   /// The full O(lines·deps) pass: block stats, partition stats, per-offset
   /// TIG weights, and (when `validate`) exact-cover/Theorem 1/Theorem 2/
-  /// lemma verdicts.  One walk: O(lines·rows) range evaluations plus
-  /// O(lines·(deps + r)) bookkeeping; memory O(deps + r).
+  /// lemma verdicts — a Sweep fed by one walk with no feed.  O(lines·rows)
+  /// range evaluations plus O(lines·(deps + r)) bookkeeping; memory
+  /// O(deps + r).
   [[nodiscard]] LatticeSweepResult sweep(bool validate = true) const;
 
   /// Visit every populated line in walk order (runs in table order, slots
@@ -225,11 +230,12 @@ class GroupLattice {
   /// on_bundle(src, dst, dep, count, first_step): `count` arcs from the
   /// line of group `src` to the shifted line of group `dst`, the first one
   /// leaving at absolute step `first_step`.  Bundle values match
-  /// partition/symbolic.hpp's for_each_line_dep.  One walk, every range
-  /// evaluated once: O(lines·(rows + deps)), O(1) extra memory — the
-  /// simulator's feed.
+  /// partition/symbolic.hpp's for_each_line_dep.  A non-null `sweep` reads
+  /// the same walk, so the simulator's feed fills it on the way.  One walk,
+  /// every range evaluated once: O(lines·(rows + deps)), O(1) extra memory.
   template <class OnLine, class OnBundle>
-  void for_each_line_and_bundle(OnLine&& on_line, OnBundle&& on_bundle) const;
+  void for_each_line_and_bundle(OnLine&& on_line, OnBundle&& on_bundle,
+                                Sweep* sweep = nullptr) const;
 
  private:
   explicit GroupLattice(ProjectionFrame frame) : frame_(std::move(frame)) {}
@@ -297,6 +303,104 @@ class GroupLattice {
   std::uint64_t line_count_ = 0;
   std::uint64_t group_count_ = 0;
   std::int64_t a_min_ = 0, a_max_ = 0;
+};
+
+/// The sweep's per-line bookkeeping as an accumulator over the walk
+/// (GroupLattice::for_each_line_and_bundle hands it every line and every
+/// dependence out of it): group populations and block statistics, arc
+/// counts, per-(dependence, group-offset) arc weights and, when `validate`,
+/// the Theorem 1 window and the Lemma 2/3 and Theorem 2 fan-outs of each
+/// group.  State is O(r + deps), reset at each group boundary.
+class GroupLattice::Sweep {
+ public:
+  Sweep(const GroupLattice& lattice, bool validate);
+
+  /// One populated line of group g, in walk order (group-contiguous).
+  void line(const GroupKey& g, std::int64_t pop, std::int64_t first_step) {
+    if (!group_open_ || !(g == cur_)) {
+      close_group();
+      group_open_ = true;
+      cur_ = g;
+    }
+    covered_ += static_cast<std::uint64_t>(pop);
+    acc_ = detail::checked_add(acc_, pop);
+    if (!validate_) return;
+    // Theorem 1 within the group: lines collide iff their step APs
+    // (first + k·σ, k in [0, pop)) intersect — same test as the dense
+    // checker, against every earlier line of this group.
+    const std::int64_t sigma = lattice_->step_stride();
+    for (const LineRec& o : window_) {
+      const std::int64_t diff = first_step - o.first_step;
+      if (diff % sigma != 0) continue;
+      const std::int64_t msh = diff / sigma;
+      if (msh >= -(pop - 1) && msh <= o.pop - 1) out_.theorem1 = false;
+    }
+    window_.push_back(LineRec{first_step, pop});
+  }
+
+  /// Dependence k out of the current line: the group `dst` of its target
+  /// line when that line is `populated`, and the `count` arcs (0 when the
+  /// shifted line misses the current one).
+  void arc(std::size_t k, bool populated, const GroupKey& dst, std::int64_t count) {
+    // Group-digraph edges use projected-point existence (the dense
+    // checker's find_point semantics), not arc counts: an edge exists
+    // whenever the shifted line is populated.
+    const bool has_dst = moving_[k] && populated;
+    GroupOffset off{};
+    if (has_dst) off = GroupOffset{dst.a - cur_.a, dst.b - cur_.b, dst.comp - cur_.comp};
+    const bool inter = !(off == GroupOffset{});
+    if (count > 0) {
+      arc_total_ += static_cast<std::size_t>(count);
+      if (inter) arc_inter_ += static_cast<std::size_t>(count);
+      auto& table = weights_[k];
+      auto it = std::find_if(table.begin(), table.end(),
+                             [&](const auto& entry) { return entry.first == off; });
+      if (it == table.end()) table.emplace_back(off, count);
+      else it->second = detail::checked_add(it->second, count);
+    }
+    if (validate_ && inter) dep_offs_[k].insert(off);
+  }
+
+  /// Close the last group and assemble the result.
+  [[nodiscard]] LatticeSweepResult finish();
+
+ private:
+  using GroupOffset = LatticeSweepResult::GroupOffset;
+  struct LineRec {
+    std::int64_t first_step;
+    std::int64_t pop;
+  };
+  /// Tiny set of group offsets: per group and dependence at most a handful
+  /// of distinct offsets occur (a slot window of width < r lands in at most
+  /// two groups per lattice direction), so a linear-scan vector beats a
+  /// node-based std::set.
+  struct OffsetSet {
+    std::vector<GroupOffset> v;
+    void insert(const GroupOffset& x) {
+      if (std::find(v.begin(), v.end(), x) == v.end()) v.push_back(x);
+    }
+  };
+
+  void close_group();
+
+  const GroupLattice* lattice_;
+  bool validate_;
+  /// Per dependence: moves between lines (nonzero projection), and
+  /// "special" (Lemma 2: its projection equals the grouping or an
+  /// auxiliary vector — the dense checker's is_special_direction).
+  std::vector<char> moving_, special_;
+  std::vector<LineRec> window_;        ///< the current group's lines (Theorem 1)
+  std::vector<OffsetSet> dep_offs_;    ///< per dep, the current group's distinct offsets
+  OffsetSet succ_;                     ///< their union (out-degree)
+  std::int64_t acc_ = 0;               ///< the current group's iteration count
+  bool group_open_ = false;
+  GroupKey cur_{};
+  /// Arc weight per (dep, offset): a handful of offsets per dependence, so
+  /// a flat table per dependence, folded into the result's map by finish().
+  std::vector<std::vector<std::pair<GroupOffset, std::int64_t>>> weights_;
+  std::uint64_t covered_ = 0;
+  std::size_t arc_total_ = 0, arc_inter_ = 0;
+  LatticeSweepResult out_;
 };
 
 // ---- walker -----------------------------------------------------------------
@@ -376,14 +480,19 @@ void GroupLattice::walk_run(const Run& run, std::int64_t t_lo, std::int64_t t_hi
 }
 
 template <class OnLine, class OnBundle>
-void GroupLattice::for_each_line_and_bundle(OnLine&& on_line, OnBundle&& on_bundle) const {
+void GroupLattice::for_each_line_and_bundle(OnLine&& on_line, OnBundle&& on_bundle,
+                                            Sweep* sweep) const {
   walk([&](const WalkLine& line, const auto& arc_of) {
-    on_line(line.g, line.k_hi - line.k_lo + 1,
-            detail::checked_add(line.step_anchor, detail::checked_mul(line.k_lo, step_stride())));
+    const std::int64_t pop = line.k_hi - line.k_lo + 1;
+    const std::int64_t first_step =
+        detail::checked_add(line.step_anchor, detail::checked_mul(line.k_lo, step_stride()));
+    on_line(line.g, pop, first_step);
+    if (sweep) sweep->line(line.g, pop, first_step);
     for (std::size_t k = 0; k < original_deps().size(); ++k) {
       const WalkArc arc = arc_of(k);
       const std::int64_t lo = std::max(line.k_lo, arc.k_lo);
       const std::int64_t hi = std::min(line.k_hi, arc.k_hi);
+      if (sweep) sweep->arc(k, arc.populated(), arc.dst, lo <= hi ? hi - lo + 1 : 0);
       if (lo > hi) continue;
       on_bundle(line.g, arc.dst, k, hi - lo + 1,
                 detail::checked_add(line.step_anchor, detail::checked_mul(lo, step_stride())));

@@ -171,18 +171,20 @@ ProjectedStructure::ProjectedStructure(const IterSpace& space, const TimeFunctio
   if (space.empty()) throw std::invalid_argument("ProjectedStructure: empty iteration space");
   // One visit per projection line: the entry point is exactly the
   // smallest-step point of the line (the dense representative) and the
-  // population comes in closed form.  Sorting the flat keys reproduces the
-  // dense constructor's lexicographic point order; a key seen twice keeps
-  // its first visit.
+  // population is its closed-form run length (line_range's k starts at 0
+  // on an entry).  Sorting the flat keys reproduces the dense
+  // constructor's lexicographic point order; a key seen twice keeps its
+  // first visit.
   const std::size_t n = dim_;
+  const IntVec& u = line_direction();
   std::vector<std::int64_t> keys;
   std::vector<std::int64_t> reps;
   std::vector<std::int64_t> pops;
-  space.for_each_line(line_direction(), [&](const IntVec& rep, std::int64_t pop) {
+  space.for_each_line(u, [&](const IntVec& rep) {
     keys.resize(keys.size() + n);
     frame_.project_into(rep, keys.data() + keys.size() - n);
     reps.insert(reps.end(), rep.begin(), rep.end());
-    pops.push_back(pop);
+    pops.push_back(space.line_range(rep, u)->second + 1);
   });
   const std::vector<std::pair<std::uint64_t, std::size_t>> sorted =
       sort_keys(keys, pops.size(), n, key_lead(tf.pi));

@@ -1059,7 +1059,7 @@ SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
 
 SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercubeMapping& mapping,
                              const Topology& topo, const MachineParams& machine,
-                             const SimOptions& opts) {
+                             const SimOptions& opts, GroupLattice::Sweep* sweep) {
   obs::Span span(opts.obs.trace, "simulate_execution", "sim");
   using GroupKey = GroupLattice::GroupKey;
   using Fragment = LatticeHypercubeMapping::Fragment;
@@ -1115,7 +1115,8 @@ SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercube
               const Fragment& ft = to == from ? src : holding(dst[k], to);
               core.bundle({src.proc, ft.proc, block_of(src, from), block_of(ft, to), k, count,
                            first_step});
-            });
+            },
+            sweep);
       },
       topo, machine, opts, fstate);
 }

@@ -150,9 +150,10 @@ SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
 /// independent of the iteration count.  Link-only fault plans stay
 /// independent of the group count; node failures materialize one O(groups)
 /// block index (the run-order → sorted-order permutation, sizes and owners
-/// in lattice sorted order) for the remap.
+/// in lattice sorted order) for the remap.  A non-null `sweep` is fed by
+/// the same walk (the lattice plan's block statistics and checks).
 SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercubeMapping& mapping,
                              const Topology& topo, const MachineParams& machine,
-                             const SimOptions& opts = {});
+                             const SimOptions& opts = {}, GroupLattice::Sweep* sweep = nullptr);
 
 }  // namespace hypart

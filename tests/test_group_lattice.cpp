@@ -914,6 +914,22 @@ TEST(GroupLattice, NodeFaultPlansMatchRecordedResults) {
   }
 }
 
+/// Every field of two sweep results.
+void expect_same_sweep(const LatticeSweepResult& got, const LatticeSweepResult& want) {
+  EXPECT_EQ(got.stats.group_count, want.stats.group_count);
+  EXPECT_EQ(got.stats.total_iterations, want.stats.total_iterations);
+  EXPECT_EQ(got.stats.min_block, want.stats.min_block);
+  EXPECT_EQ(got.stats.max_block, want.stats.max_block);
+  EXPECT_EQ(got.partition.total_arcs, want.partition.total_arcs);
+  EXPECT_EQ(got.partition.interblock_arcs, want.partition.interblock_arcs);
+  EXPECT_EQ(got.partition.intrablock_arcs, want.partition.intrablock_arcs);
+  EXPECT_EQ(got.offset_weights, want.offset_weights);
+  EXPECT_EQ(got.exact_cover, want.exact_cover);
+  EXPECT_EQ(got.theorem1, want.theorem1);
+  EXPECT_EQ(got.theorem2, want.theorem2);
+  EXPECT_EQ(got.lemmas, want.lemmas);
+}
+
 /// The compiled walkers against the per-line line_range walk: identical
 /// line and bundle sequences (order included) and an identical sweep.
 void expect_walk_matches_oracle(const IterSpace& space, const TimeFunction& tf,
@@ -939,27 +955,7 @@ void expect_walk_matches_oracle(const IterSpace& space, const TimeFunction& tf,
 
   for (bool validate : {true, false}) {
     SCOPED_TRACE(validate ? "sweep(true)" : "sweep(false)");
-    const LatticeSweepResult want = oracle::sweep(*gl, validate);
-    const LatticeSweepResult got = gl->sweep(validate);
-    EXPECT_EQ(got.stats.group_count, want.stats.group_count);
-    EXPECT_EQ(got.stats.total_iterations, want.stats.total_iterations);
-    EXPECT_EQ(got.stats.min_block, want.stats.min_block);
-    EXPECT_EQ(got.stats.max_block, want.stats.max_block);
-    EXPECT_EQ(got.partition.total_arcs, want.partition.total_arcs);
-    EXPECT_EQ(got.partition.interblock_arcs, want.partition.interblock_arcs);
-    EXPECT_EQ(got.partition.intrablock_arcs, want.partition.intrablock_arcs);
-    EXPECT_EQ(got.offset_weights, want.offset_weights);
-    EXPECT_EQ(got.exact_cover, want.exact_cover);
-    EXPECT_EQ(got.theorem1, want.theorem1);
-    EXPECT_EQ(got.theorem2.m, want.theorem2.m);
-    EXPECT_EQ(got.theorem2.beta, want.theorem2.beta);
-    EXPECT_EQ(got.theorem2.bound, want.theorem2.bound);
-    EXPECT_EQ(got.theorem2.max_out_degree, want.theorem2.max_out_degree);
-    EXPECT_EQ(got.theorem2.holds, want.theorem2.holds);
-    EXPECT_EQ(got.lemmas.lemma2_holds, want.lemmas.lemma2_holds);
-    EXPECT_EQ(got.lemmas.lemma3_holds, want.lemmas.lemma3_holds);
-    EXPECT_EQ(got.lemmas.worst_lemma2_fanout, want.lemmas.worst_lemma2_fanout);
-    EXPECT_EQ(got.lemmas.worst_lemma3_fanout, want.lemmas.worst_lemma3_fanout);
+    expect_same_sweep(gl->sweep(validate), oracle::sweep(*gl, validate));
   }
 
   // The walk hands out the oracle's lines and bundles, each line just
@@ -1052,6 +1048,102 @@ TEST(GroupLattice, WalkMatchesLineRangeOracle) {
                              TimeFunction{IntVec{1, 1}}, "degenerate (1,1)");
   expect_walk_matches_oracle(IterSpace({{-3, 4}, {0, 5}}, {IntVec{1, -1}}),
                              TimeFunction{IntVec{1, -1}}, "degenerate (1,-1)");
+}
+
+TEST(GroupLattice, FusedWalkMatchesSweep) {
+  // A lattice plan fills its blocks, arc counts and verdicts from the walk
+  // its simulate() drives through the accounting core.  On random 2-D and
+  // 3-D lattice nests (multi-coset planes, step strides above 1, weighted
+  // mappings among them), under every accounting, fault free and under link
+  // and node faults, with the checks on and off: the walk's sweep equals
+  // the sweep-only walk field for field, and feeding it leaves the
+  // simulation unchanged.
+  std::mt19937 rng(0x5EE9);
+  auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  bool saw_stride = false, saw_cosets = false;
+  for (int trial = 0; trial < 24; ++trial) {
+    IntVec pi;
+    LoopNest nest = [&] {
+      switch (trial % 12) {
+        case 0: return workloads::sor2d(pick(3, 16), pick(3, 16));
+        case 1: return workloads::pyramid_stencil(pick(6, 20));
+        case 2: return workloads::floyd_warshall_band(pick(8, 24), pick(2, 6));
+        case 3: return workloads::strided_recurrence(pick(6, 16), pick(2, 4));
+        case 4: return workloads::triangular_matvec(pick(4, 16));
+        case 5: return workloads::wavefront3d(pick(3, 7));
+        case 6: return workloads::matrix_multiplication(pick(3, 6));
+        case 7: return workloads::strided_recurrence3d(pick(5, 9), pick(2, 3));
+        case 8: return workloads::lu_decomposition(pick(4, 9));
+        case 9:
+          pi = pick(0, 1) == 1 ? IntVec{1, 1, 2} : IntVec{1, 1, 3};
+          return workloads::wavefront3d(pick(3, 6));
+        case 10: return workloads::example_l1(pick(3, 9));
+        default: return workloads::transitive_closure(pick(3, 6));
+      }
+    }();
+    IterSpace space(nest, analyze_dependences(nest).distance_vectors());
+    TimeFunction tf{pi};
+    if (pi.empty()) {
+      std::optional<TimeFunction> searched = search_time_function(space);
+      ASSERT_TRUE(searched.has_value()) << nest.name();
+      tf = *searched;
+    }
+    std::optional<GroupLattice> gl = GroupLattice::build(space, tf);
+    ASSERT_TRUE(gl.has_value()) << nest.name();
+    saw_stride = saw_stride || gl->step_stride() > 1;
+    saw_cosets = saw_cosets || gl->component_count() > 1;
+    const unsigned dim = static_cast<unsigned>(pick(2, 3));
+    HypercubeMapOptions mopts;
+    mopts.weighted = pick(0, 1) == 1;
+    const LatticeHypercubeMapping lm = map_to_hypercube(*gl, dim, mopts);
+    const Hypercube cube(dim);
+    const std::int64_t mid = (space.min_step(tf.pi) + space.max_step(tf.pi)) / 2;
+    const std::string faults[] = {"", "link:0-1@" + std::to_string(mid),
+                                  "node:" + std::to_string(pick(1, 3)) + "@" +
+                                      std::to_string(mid)};
+    for (bool validate : {true, false}) {
+      const LatticeSweepResult want = gl->sweep(validate);
+      for (const std::string& spec : faults) {
+        for (CommAccounting acc : {CommAccounting::PaperMaxChannel,
+                                   CommAccounting::PerStepBarrier,
+                                   CommAccounting::LinkContention}) {
+          SCOPED_TRACE("trial " + std::to_string(trial) + " " + nest.name() + " pi=" +
+                       tf.to_string() + " dim=" + std::to_string(dim) + " faults=" + spec +
+                       " acc=" + std::to_string(static_cast<int>(acc)) +
+                       (validate ? " validate" : ""));
+          SimOptions opts;
+          opts.accounting = acc;
+          if (!spec.empty()) opts.faults = fault::FaultPlan::parse(spec);
+          const MachineParams machine;
+          GroupLattice::Sweep walk(*gl, validate);
+          const SimResult fed = simulate_execution(*gl, lm, cube, machine, opts, &walk);
+          EXPECT_EQ(first_difference(fed, simulate_execution(*gl, lm, cube, machine, opts)), "");
+          expect_same_sweep(walk.finish(), want);
+
+          // The plan view: blocks, arc counts and verdicts after simulate().
+          std::unique_ptr<PlanView> plan = make_lattice_plan(*gl, validate);
+          plan->map(dim, mopts);
+          EXPECT_EQ(first_difference(plan->simulate(cube, machine, opts), fed), "");
+          EXPECT_EQ(plan->blocks.group_count, want.stats.group_count);
+          EXPECT_EQ(plan->blocks.total_iterations, want.stats.total_iterations);
+          EXPECT_EQ(plan->blocks.min_block, want.stats.min_block);
+          EXPECT_EQ(plan->blocks.max_block, want.stats.max_block);
+          EXPECT_EQ(plan->stats.total_arcs, want.partition.total_arcs);
+          EXPECT_EQ(plan->stats.interblock_arcs, want.partition.interblock_arcs);
+          EXPECT_EQ(plan->stats.intrablock_arcs, want.partition.intrablock_arcs);
+          const PlanChecks c = plan->check();
+          EXPECT_EQ(c.exact_cover, want.exact_cover);
+          EXPECT_EQ(c.theorem1, want.theorem1);
+          EXPECT_EQ(c.theorem2, want.theorem2);
+          EXPECT_EQ(c.lemmas, want.lemmas);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_stride) << "no nest exercised a step stride above 1";
+  EXPECT_TRUE(saw_cosets) << "no nest exercised more than one coset";
 }
 
 TEST(GroupLattice, HugeBoundsThrowArithmeticError) {

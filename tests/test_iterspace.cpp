@@ -11,6 +11,7 @@
 #include <random>
 #include <tuple>
 
+#include "frontend/parser.hpp"
 #include "graph/comp_structure.hpp"
 #include "loop/index_set.hpp"
 #include "loop/iter_space.hpp"
@@ -117,10 +118,11 @@ TEST(IterSpace, ForEachLineCoversBoxOnce) {
   const IntVec u{1, -1};
   std::vector<std::int64_t> pops;
   std::int64_t covered = 0;
-  s.for_each_line(u, [&](const IntVec& rep, std::int64_t pop) {
+  s.for_each_line(u, [&](const IntVec& rep) {
     // rep is the entry point: on the line, inside, with rep - u outside.
     EXPECT_TRUE(s.contains(rep));
     EXPECT_FALSE(s.contains({rep[0] - u[0], rep[1] - u[1]}));
+    const std::int64_t pop = s.line_range(rep, u)->second + 1;
     pops.push_back(pop);
     covered += pop;
   });
@@ -163,10 +165,10 @@ TEST(IterSpace, TriangularMatvecDomain) {
   // Line enumeration covers the triangle exactly once.
   std::int64_t covered = 0;
   std::size_t lines = 0;
-  s.for_each_line({1, 1}, [&](const IntVec& rep, std::int64_t pop) {
+  s.for_each_line({1, 1}, [&](const IntVec& rep) {
     EXPECT_TRUE(s.contains(rep));
     EXPECT_FALSE(s.contains({rep[0] - 1, rep[1] - 1}));
-    covered += pop;
+    covered += s.line_range(rep, {1, 1})->second + 1;
     ++lines;
   });
   EXPECT_EQ(covered, 10);
@@ -189,6 +191,87 @@ TEST(IterSpace, FromNestAcceptsAffineBounds) {
   std::vector<IntVec> deps = w.dependences();
   std::sort(deps.begin(), deps.end());
   EXPECT_EQ(deps, (std::vector<IntVec>{{0, 0, 1}, {0, 1, 0}, {1, 1, 0}}));
+}
+
+TEST(IterSpace, SlabLookupsMatchBruteForceWhereKeysSkip) {
+  // slab_at binary-searches the slabs, which init() enumerates in ascending
+  // key order.  Its callers, arc_count and the line enumeration, look up
+  // keys that are absent: outer indices whose inner range is empty (2-D),
+  // and (i, j) pairs past a row's end with two sliced coordinates (3-D).
+  // Both must match brute-force point enumeration.
+  struct Case {
+    std::string source;
+    std::vector<std::size_t> sliced;
+    std::vector<IntVec> probes;  ///< arc vectors and line directions
+  };
+  const std::vector<Case> cases = {
+      // j's range is empty for i in {0, 1} and for i >= 8: keys 2..7 only.
+      {"loop skip2 {\n  for i = 0 to 9\n  for j = 1 to min(i - 1, 8 - i)\n"
+       "  A[i, j] = A[i-1, j] + A[i, j-1];\n}\n",
+       {0},
+       {{1, 0}, {0, 1}, {1, 1}, {1, -1}, {2, 1}, {-1, 2}, {3, 0}}},
+      // k's bounds read i and j, so (i, j) keys the slabs; j's range is
+      // empty for i >= 5 and shrinks with i before that.
+      {"loop skip3 {\n  for i = 0 to 6\n  for j = i - 2 to 4 - i\n"
+       "  for k = j to i + 3\n  A[i, j, k] = A[i-1, j, k] + A[i, j-1, k] + A[i, j, k-1];\n}\n",
+       {0, 1},
+       {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 1}, {1, -1, 0}, {0, 1, -1}, {2, 1, -1},
+        {-1, 2, 1}}},
+  };
+  for (const Case& c : cases) {
+    const LoopNest nest = parse_loop_nest(c.source);
+    SCOPED_TRACE(nest.name());
+    const IterSpace s(nest, analyze_dependences(nest).distance_vectors());
+    ASSERT_EQ(s.sliced_dims(), c.sliced);
+    const std::size_t n = s.dimension();
+
+    // Slab keys (a box pins its sliced coordinates) strictly ascending.
+    std::vector<IntVec> keys;
+    s.for_each_slab_box([&](const std::vector<DimBounds>& box) {
+      IntVec key;
+      for (std::size_t d : s.sliced_dims()) {
+        EXPECT_EQ(box[d].first, box[d].second);
+        key.push_back(box[d].first);
+      }
+      keys.push_back(key);
+    });
+    ASSERT_EQ(keys.size(), s.slab_count());
+    for (std::size_t i = 1; i < keys.size(); ++i) EXPECT_LT(keys[i - 1], keys[i]);
+
+    // Brute force: every point of a box around the domain.
+    std::vector<IntVec> points;
+    IntVec p(n, -4);
+    while (true) {
+      if (s.contains(p)) points.push_back(p);
+      std::size_t d = 0;
+      while (d < n && p[d] == 12) p[d++] = -4;
+      if (d == n) break;
+      ++p[d];
+    }
+    ASSERT_EQ(points.size(), s.size());
+
+    for (const IntVec& v : c.probes) {
+      SCOPED_TRACE("probe " + to_string(v));
+      std::uint64_t arcs = 0;
+      std::map<IntVec, std::int64_t> want_lines;  // entry -> population
+      for (const IntVec& q : points) {
+        if (s.contains(add(q, v))) ++arcs;
+        if (s.contains(sub(q, v))) continue;
+        std::int64_t pop = 0;
+        for (IntVec x = q; s.contains(x); x = add(x, v)) ++pop;
+        want_lines[q] = pop;
+      }
+      EXPECT_EQ(s.arc_count(v), arcs);
+      std::map<IntVec, std::int64_t> got_lines;
+      s.for_each_line(v, [&](const IntVec& entry) {
+        const auto range = s.line_range(entry, v);
+        ASSERT_TRUE(range.has_value());
+        EXPECT_EQ(range->first, 0);
+        EXPECT_TRUE(got_lines.emplace(entry, range->second + 1).second) << "entry visited twice";
+      });
+      EXPECT_EQ(got_lines, want_lines);
+    }
+  }
 }
 
 // ---- randomized properties: symbolic == dense ------------------------------
