@@ -42,7 +42,7 @@ void report() {
   for (std::int64_t j = 3; j >= 0; --j) {
     std::printf("  j=%lld |", static_cast<long long>(j));
     for (std::int64_t i = 0; i <= 3; ++i)
-      std::printf(" %lld", static_cast<long long>(tf.step_of({i, j})));
+      std::printf(" %lld", static_cast<long long>(tf.step_of(IntVec{i, j})));
     std::printf("\n");
   }
 }

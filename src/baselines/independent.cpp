@@ -5,8 +5,8 @@
 
 namespace hypart {
 
-IntVec lattice_residue(const IntVec& x, const HermiteResult& h) {
-  IntVec r = x;
+IntVec lattice_residue(PointRef x, const HermiteResult& h) {
+  IntVec r(x.begin(), x.end());
   // Walk the pivots of the column HNF: pivot k sits in column k; its row is
   // the first row where the column is nonzero below all earlier pivots.
   std::size_t row = 0;
@@ -54,7 +54,7 @@ IndependentPartition independent_partition(const ComputationStructure& q) {
 
   std::map<IntVec, std::size_t> class_ids;
   result.labels.reserve(q.vertices().size());
-  for (const IntVec& v : q.vertices()) {
+  for (PointRef v : q.vertices()) {
     IntVec res = lattice_residue(v, h);
     auto [it, inserted] = class_ids.try_emplace(res, class_ids.size());
     result.labels.push_back(it->second);

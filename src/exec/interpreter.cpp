@@ -138,10 +138,11 @@ DistributedResult run_distributed(const LoopNest& nest, const ComputationStructu
                                                      IntVecHash>>
       written;
 
+  IntVec iter;  // the current vertex, copied once for the evaluators
   for (const auto& [step, vids] : by_step) {
     ++result.stats.steps;
     for (std::size_t vid : vids) {
-      const IntVec& iter = q.vertices()[vid];
+      iter.assign(q.row(vid).begin(), q.row(vid).end());
       const ProcId p = vproc[vid];
       ++result.stats.per_proc_iterations[p];
 

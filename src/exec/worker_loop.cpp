@@ -36,23 +36,22 @@ NodeProgram::NodeProgram(const char* runtime, const LoopNest& nest,
 void NodeProgram::remap(const Mapping& mapping) {
   if (mapping.block_to_proc.size() != part_.block_count())
     throw std::invalid_argument("NodeProgram: mapping/partition size mismatch");
-  const std::vector<IntVec>& verts = q_.vertices();
+  const PointRows& verts = q_.vertices();
   Schedule& s = sched_ = Schedule{};
   s.vproc.resize(verts.size());
   s.my_order.resize(mapping.processor_count);
+  std::vector<std::int64_t> vstep(verts.size());
   for (std::size_t vid = 0; vid < verts.size(); ++vid) {
     s.vproc[vid] = mapping.block_to_proc[part_.block_of(vid)];
     s.my_order[s.vproc[vid]].push_back(vid);
-    std::int64_t step = tf_.step_of(verts[vid]);
+    const std::int64_t step = vstep[vid] = tf_.step_of(verts[vid]);
     if (vid == 0 || step < s.min_step) s.min_step = step;
     if (vid == 0 || step > s.max_step) s.max_step = step;
   }
   for (auto& order : s.my_order)
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      std::int64_t sa = tf_.step_of(verts[a]);
-      std::int64_t sb = tf_.step_of(verts[b]);
-      if (sa != sb) return sa < sb;
-      return verts[a] < verts[b];
+      if (vstep[a] != vstep[b]) return vstep[a] < vstep[b];
+      return lex_less(verts[a], verts[b]);
     });
   // A vertex awaits one message per Dependence entry whose arc into it
   // crosses processors; entries sharing a distance share an arc column.
@@ -84,9 +83,11 @@ bool NodeProgram::run(ProcId me, WorkerTransport& transport, WorkerOutcome& out)
     return h;
   };
 
+  IntVec iter;  // the current vertex, copied once for the evaluators
   for (std::size_t vid : sched_.my_order[me]) {
-    const IntVec& iter = q_.vertices()[vid];
-    const std::int64_t step = tf_.step_of(iter);
+    const PointRef row = q_.row(vid);
+    iter.assign(row.begin(), row.end());
+    const std::int64_t step = tf_.step_of(row);
     if (!transport.before_vertex(me, vid, step)) return false;
 
     // Block until every remote input of this iteration has arrived.

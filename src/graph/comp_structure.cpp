@@ -9,7 +9,7 @@
 
 namespace hypart {
 
-int compare_shifted(const IntVec& p, const IntVec& q, const IntVec& d) {
+int compare_shifted(PointRef p, PointRef q, PointRef d) {
   for (std::size_t c = 0; c < p.size(); ++c) {
     std::int64_t t = 0;
     if (__builtin_add_overflow(q[c], d[c], &t)) return d[c] > 0 ? -1 : 1;
@@ -25,14 +25,29 @@ ComputationStructure ComputationStructure::from_loop(const LoopNest& nest,
   return {is.points(), info.distance_vectors()};
 }
 
-ComputationStructure::ComputationStructure(std::vector<IntVec> vertices,
-                                           std::vector<IntVec> dependences)
-    : vertices_(std::move(vertices)), dependences_(std::move(dependences)) {
-  if (vertices_.empty()) throw std::invalid_argument("ComputationStructure: empty vertex set");
-  dim_ = vertices_.front().size();
-  for (const IntVec& v : vertices_)
-    if (v.size() != dim_)
+namespace {
+
+PointRows flatten(const std::vector<IntVec>& vertices) {
+  if (vertices.empty()) throw std::invalid_argument("ComputationStructure: empty vertex set");
+  PointRows rows(vertices.front().size());
+  rows.reserve(vertices.size());
+  for (const IntVec& v : vertices) {
+    if (v.size() != rows.dim())
       throw std::invalid_argument("ComputationStructure: mixed vertex dimensions");
+    rows.push_back(v);
+  }
+  return rows;
+}
+
+}  // namespace
+
+ComputationStructure::ComputationStructure(const std::vector<IntVec>& vertices,
+                                           std::vector<IntVec> dependences)
+    : ComputationStructure(flatten(vertices), std::move(dependences)) {}
+
+ComputationStructure::ComputationStructure(PointRows vertices, std::vector<IntVec> dependences)
+    : dim_(vertices.dim()), vertices_(std::move(vertices)), dependences_(std::move(dependences)) {
+  if (vertices_.empty()) throw std::invalid_argument("ComputationStructure: empty vertex set");
   for (const IntVec& d : dependences_) {
     if (d.size() != dim_)
       throw std::invalid_argument("ComputationStructure: dependence dimension mismatch");
@@ -46,22 +61,28 @@ ComputationStructure::ComputationStructure(std::vector<IntVec> vertices,
 }
 
 void ComputationStructure::build_order() {
+  // Strictly increasing rows are merged as given; otherwise the ids are
+  // sorted.  Either way, two equal neighbours in rank order are a
+  // duplicate vertex.
   const std::size_t nv = vertices_.size();
-  if (!std::is_sorted(vertices_.begin(), vertices_.end())) {
+  std::size_t rank = 1;
+  while (rank < nv && lex_less(vertices_[rank - 1], vertices_[rank])) ++rank;
+  if (rank < nv && !same_point(vertices_[rank - 1], vertices_[rank])) {
     order_.resize(nv);
     std::iota(order_.begin(), order_.end(), std::uint32_t{0});
-    std::sort(order_.begin(), order_.end(),
-              [&](std::uint32_t a, std::uint32_t b) { return vertices_[a] < vertices_[b]; });
+    std::sort(order_.begin(), order_.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return lex_less(vertices_[a], vertices_[b]);
+    });
+    rank = 1;
+    while (rank < nv && !same_point(vertices_[order_[rank - 1]], vertices_[order_[rank]])) ++rank;
   }
-  for (std::size_t rank = 1; rank < nv; ++rank)
-    if (vertices_[id_at(rank - 1)] == vertices_[id_at(rank)])
-      throw std::invalid_argument("ComputationStructure: duplicate vertex");
+  if (rank < nv) throw std::invalid_argument("ComputationStructure: duplicate vertex");
 }
 
 void ComputationStructure::build_arc_table() {
   const std::size_t nd = dependences_.size();
   arc_sink_.assign(vertices_.size() * nd, kNoArc);
-  auto at = [&](std::size_t rank) -> const IntVec& { return vertices_[id_at(rank)]; };
+  auto at = [&](std::size_t rank) { return vertices_[id_at(rank)]; };
   for (std::size_t k = 0; k < nd; ++k)
     for_each_shift_match(vertices_.size(), at, dependences_[k],
                          [&](std::size_t src, std::size_t sink) {
@@ -70,14 +91,14 @@ void ComputationStructure::build_arc_table() {
                          });
 }
 
-std::optional<std::size_t> ComputationStructure::find_id(const IntVec& p) const {
+std::optional<std::size_t> ComputationStructure::find_id(PointRef p) const {
   std::size_t lo = 0, hi = vertices_.size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (vertices_[id_at(mid)] < p) lo = mid + 1;
+    if (lex_less(vertices_[id_at(mid)], p)) lo = mid + 1;
     else hi = mid;
   }
-  if (lo < vertices_.size() && vertices_[id_at(lo)] == p) return id_at(lo);
+  if (lo < vertices_.size() && same_point(vertices_[id_at(lo)], p)) return id_at(lo);
   return std::nullopt;
 }
 
@@ -102,8 +123,11 @@ std::vector<std::size_t> ComputationStructure::arc_columns(const DependenceInfo&
 
 void ComputationStructure::for_each_arc(
     const std::function<void(const IntVec&, const IntVec&, std::size_t)>& visit) const {
+  IntVec a, b;
   for_each_arc_id([&](std::size_t src, std::size_t dst, std::size_t k) {
-    visit(vertices_[src], vertices_[dst], k);
+    a.assign(vertices_[src].begin(), vertices_[src].end());
+    b.assign(vertices_[dst].begin(), vertices_[dst].end());
+    visit(a, b, k);
   });
 }
 

@@ -3,18 +3,21 @@
 // V is the index set J^n, D the set of constant dependence vectors.  There
 // is an arc v_i -> v_j whenever v_j - v_i in D (v_j depends on v_i).
 //
-// Every arc is resolved to vertex ids once, at construction, into a flat
-// arc table of |V|·|D| entries: entry [v·|D| + k] is the id of v + d_k, or
-// kNoArc when that point is not in V.  The build does not hash: translation
-// by d_k preserves lexicographic order, so one linear merge of the sorted
-// vertex order against itself shifted by d_k finds every sink.  Vertices
-// already in lexicographic order (IndexSet::points()) are merged as given;
-// otherwise an id permutation is sorted first.  The same order rejects
-// duplicate vertices and answers id_of/contains by binary search.  Ids are
-// 32-bit and kNoArc is the largest, so a vertex set of more than 2^32 - 1
-// points is refused with Error(ErrorKind::Config), never truncated.
-// Partition statistics, the TIG, the dense simulator, the interpreter, the
-// threaded workers and the SPMD code generator all read the table.
+// V is stored as one row-major int64 buffer (PointRows, stride n): vertex
+// id v is row v, and readers take rows as PointRef views, so no vertex is
+// a heap object of its own.  Every arc is resolved to vertex ids once, at
+// construction, into a flat arc table of |V|·|D| entries: entry
+// [v·|D| + k] is the id of v + d_k, or kNoArc when that point is not in V.
+// The build does not hash: translation by d_k preserves lexicographic
+// order, so one linear merge of the sorted rows against themselves shifted
+// by d_k finds every sink.  Rows already in lexicographic order
+// (IndexSet::points()) are merged as given; otherwise an id permutation is
+// sorted first.  The same order rejects duplicate vertices and answers
+// id_of/contains by binary search.  Ids are 32-bit and kNoArc is the
+// largest, so a vertex set of more than 2^32 - 1 points is refused with
+// Error(ErrorKind::Config), never truncated.  Partition statistics, the
+// TIG, the dense simulator, the interpreter, the threaded workers and the
+// SPMD code generator all read the rows and the table.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +55,11 @@ struct IntVecHash {
 
 /// Three-way lexicographic comparison of p against q + d.  Exact where
 /// q + d leaves the int64 range: such a coordinate lies beyond every point.
-int compare_shifted(const IntVec& p, const IntVec& q, const IntVec& d);
+int compare_shifted(PointRef p, PointRef q, PointRef d);
 
 /// The lexicographic shift merge behind every arc table: for n points in
-/// lexicographic order (`at(rank)` is the rank-th point) and a vector d,
+/// lexicographic order (`at(rank)` is the rank-th point, as an IntVec or a
+/// PointRef) and a vector d,
 /// call emit(src_rank, sink_rank) for every source whose translate by d is
 /// itself one of the points, sources in increasing rank.  Translation
 /// preserves lexicographic order, so the sink cursor only moves forward:
@@ -64,7 +68,7 @@ template <class At, class Emit>
 void for_each_shift_match(std::size_t n, At&& at, const IntVec& d, Emit&& emit) {
   std::size_t sink = 0;
   for (std::size_t rank = 0; rank < n && sink < n; ++rank) {
-    const IntVec& src = at(rank);
+    const PointRef src = at(rank);
     int cmp = -1;
     while (sink < n && (cmp = compare_shifted(at(sink), src, d)) < 0) ++sink;
     if (sink < n && cmp == 0) emit(rank, sink);
@@ -76,16 +80,27 @@ class ComputationStructure {
   /// Build from a nest, analyzing dependences automatically.
   static ComputationStructure from_loop(const LoopNest& nest, const DependenceOptions& opts = {});
 
-  /// Build from explicit vertex set and dependence vectors.
-  ComputationStructure(std::vector<IntVec> vertices, std::vector<IntVec> dependences);
+  /// Build from a vertex set (row v is vertex id v, in any order) and the
+  /// dependence vectors.
+  ComputationStructure(PointRows vertices, std::vector<IntVec> dependences);
+  /// Same, from one vector per vertex; the rows are flattened once.
+  ComputationStructure(const std::vector<IntVec>& vertices, std::vector<IntVec> dependences);
 
   [[nodiscard]] std::size_t dimension() const { return dim_; }
-  [[nodiscard]] const std::vector<IntVec>& vertices() const { return vertices_; }
+  /// V by vertex id: vertices()[vid] is row(vid).
+  [[nodiscard]] const PointRows& vertices() const { return vertices_; }
+  /// Coordinates of vertex vid, a view into the vertex buffer.
+  [[nodiscard]] PointRef row(std::size_t vid) const { return vertices_[vid]; }
   [[nodiscard]] const std::vector<IntVec>& dependences() const { return dependences_; }
+
+  /// Id of the rank-th vertex in lexicographic order.
+  [[nodiscard]] std::size_t id_at(std::size_t rank) const {
+    return order_.empty() ? rank : order_[rank];
+  }
 
   /// Vertex id of point p, by binary search over the lexicographic order;
   /// nullopt if p is not in V.
-  [[nodiscard]] std::optional<std::size_t> find_id(const IntVec& p) const;
+  [[nodiscard]] std::optional<std::size_t> find_id(PointRef p) const;
   [[nodiscard]] bool contains(const IntVec& p) const { return find_id(p).has_value(); }
   /// Vertex id of point p; throws if absent.
   [[nodiscard]] std::size_t id_of(const IntVec& p) const;
@@ -124,7 +139,8 @@ class ComputationStructure {
   }
 
   /// Visit every arc (source point, sink point, dependence-vector index),
-  /// in for_each_arc_id's order.
+  /// in for_each_arc_id's order; the points are copies, reused between
+  /// calls.
   void for_each_arc(
       const std::function<void(const IntVec&, const IntVec&, std::size_t)>& visit) const;
 
@@ -137,7 +153,7 @@ class ComputationStructure {
 
  private:
   std::size_t dim_ = 0;
-  std::vector<IntVec> vertices_;
+  PointRows vertices_;
   std::vector<IntVec> dependences_;
   /// Lexicographic rank -> vertex id; empty when V arrived sorted (the
   /// identity).
@@ -145,9 +161,6 @@ class ComputationStructure {
   std::vector<std::uint32_t> arc_sink_;  ///< the arc table, |V|·|D| entries
   std::size_t arc_count_ = 0;
 
-  [[nodiscard]] std::size_t id_at(std::size_t rank) const {
-    return order_.empty() ? rank : order_[rank];
-  }
   void build_order();
   void build_arc_table();
 };

@@ -14,10 +14,14 @@ std::int64_t IndexSet::upper(std::size_t j, const IntVec& outer) const {
   return dims_[j].upper.evaluate_upper(outer);
 }
 
-void IndexSet::for_each(const std::function<void(const IntVec&)>& visit) const {
-  const std::size_t n = dims_.size();
+namespace {
+
+/// Iterative lexicographic walk over J^n (no recursion: nests can be deep
+/// and hot); visit(point) sees each point once, point reused between calls.
+template <class Visit>
+void walk(const std::vector<LoopDim>& dims, Visit&& visit) {
+  const std::size_t n = dims.size();
   IntVec point(n, 0);
-  // Iterative lexicographic walk (no recursion: nests can be deep and hot).
   std::size_t level = 0;
   std::vector<std::int64_t> hi(n, 0);
   while (true) {
@@ -32,12 +36,11 @@ void IndexSet::for_each(const std::function<void(const IntVec&)>& visit) const {
           break;
         }
       }
-      if (level == 0 && point[0] >= hi[0]) return;
       if (level == 0) return;  // exhausted
       continue;
     }
-    std::int64_t lo = dims_[level].lower.evaluate_lower(point);
-    std::int64_t up = dims_[level].upper.evaluate_upper(point);
+    std::int64_t lo = dims[level].lower.evaluate_lower(point);
+    std::int64_t up = dims[level].upper.evaluate_upper(point);
     if (lo > up) {
       // Empty subrange: backtrack.
       bool moved = false;
@@ -59,8 +62,14 @@ void IndexSet::for_each(const std::function<void(const IntVec&)>& visit) const {
   }
 }
 
-std::vector<IntVec> IndexSet::points() const {
-  std::vector<IntVec> pts;
+}  // namespace
+
+void IndexSet::for_each(const std::function<void(const IntVec&)>& visit) const {
+  walk(dims_, visit);
+}
+
+PointRows IndexSet::points() const {
+  PointRows pts(dims_.size());
   // Reserve the exact point count when the bounds are rectangular (size()
   // is a closed-form product there; for triangular nests it would walk the
   // set once just to count, doubling the work, so skip it).
@@ -71,7 +80,7 @@ std::vector<IntVec> IndexSet::points() const {
       break;
     }
   if (rect) pts.reserve(static_cast<std::size_t>(size()));
-  for_each([&](const IntVec& p) { pts.push_back(p); });
+  walk(dims_, [&](const IntVec& p) { pts.push_back(p); });
   return pts;
 }
 
@@ -94,7 +103,7 @@ std::uint64_t IndexSet::size() const {
     }
     return count;
   }
-  for_each([&](const IntVec&) { ++count; });
+  walk(dims_, [&](const IntVec&) { ++count; });
   return count;
 }
 

@@ -24,8 +24,9 @@ class IndexSet {
   /// Invoke `visit` for every index point in lexicographic order.
   void for_each(const std::function<void(const IntVec&)>& visit) const;
 
-  /// Materialize all index points (lexicographic order).
-  [[nodiscard]] std::vector<IntVec> points() const;
+  /// Materialize all index points, in lexicographic order, as the rows of
+  /// one flat buffer.
+  [[nodiscard]] PointRows points() const;
 
   /// Number of points, without materializing.
   [[nodiscard]] std::uint64_t size() const;

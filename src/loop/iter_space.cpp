@@ -234,38 +234,23 @@ std::uint64_t IterSpace::total_arc_count() const {
   return static_cast<std::uint64_t>(n);
 }
 
-std::int64_t IterSpace::min_step(const IntVec& pi) const {
+std::pair<std::int64_t, std::int64_t> IterSpace::step_range(const IntVec& pi) const {
   if (pi.size() != dims_.size())
-    throw std::invalid_argument("IterSpace::min_step: dimension mismatch");
-  if (empty()) throw std::logic_error("IterSpace::min_step: empty space");
-  std::int64_t best = INT64_MAX;
+    throw std::invalid_argument("IterSpace::step_range: dimension mismatch");
+  if (empty()) throw std::logic_error("IterSpace::step_range: empty space");
+  std::int64_t lo = INT64_MAX, hi = INT64_MIN;
   for (std::size_t k = 0; k < slab_count_; ++k) {
     const DimBounds* box = slab_box(k);
-    std::int64_t s = 0;
+    std::int64_t smin = 0, smax = 0;
     for (std::size_t i = 0; i < dims_.size(); ++i) {
-      const std::int64_t corner = pi[i] >= 0 ? box[i].first : box[i].second;
-      s = detail::checked_add(s, detail::checked_mul(pi[i], corner));
+      const bool up = pi[i] >= 0;
+      smin = detail::checked_add(smin, detail::checked_mul(pi[i], up ? box[i].first : box[i].second));
+      smax = detail::checked_add(smax, detail::checked_mul(pi[i], up ? box[i].second : box[i].first));
     }
-    best = std::min(best, s);
+    lo = std::min(lo, smin);
+    hi = std::max(hi, smax);
   }
-  return best;
-}
-
-std::int64_t IterSpace::max_step(const IntVec& pi) const {
-  if (pi.size() != dims_.size())
-    throw std::invalid_argument("IterSpace::max_step: dimension mismatch");
-  if (empty()) throw std::logic_error("IterSpace::max_step: empty space");
-  std::int64_t best = INT64_MIN;
-  for (std::size_t k = 0; k < slab_count_; ++k) {
-    const DimBounds* box = slab_box(k);
-    std::int64_t s = 0;
-    for (std::size_t i = 0; i < dims_.size(); ++i) {
-      const std::int64_t corner = pi[i] >= 0 ? box[i].second : box[i].first;
-      s = detail::checked_add(s, detail::checked_mul(pi[i], corner));
-    }
-    best = std::max(best, s);
-  }
-  return best;
+  return {lo, hi};
 }
 
 std::optional<std::pair<std::int64_t, std::int64_t>> IterSpace::line_range(

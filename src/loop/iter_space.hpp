@@ -188,11 +188,10 @@ class IterSpace {
   /// ComputationStructure::dependence_arc_count, without the points).
   [[nodiscard]] std::uint64_t total_arc_count() const;
 
-  /// Extremes of Π·x over J, attained at slab corners; throw
-  /// std::logic_error when the space is empty and ArithmeticError when a
-  /// corner's Π·x leaves int64.
-  [[nodiscard]] std::int64_t min_step(const IntVec& pi) const;
-  [[nodiscard]] std::int64_t max_step(const IntVec& pi) const;
+  /// The extremes (min, max) of Π·x over J, attained at slab corners and
+  /// found in one pass over the slabs; throws std::logic_error when the
+  /// space is empty and ArithmeticError when a corner's Π·x leaves int64.
+  [[nodiscard]] std::pair<std::int64_t, std::int64_t> step_range(const IntVec& pi) const;
 
   /// The k-interval {k : p + k*u in J} of the line through p with direction
   /// u (u != 0; p itself need not be inside); nullopt when the line misses

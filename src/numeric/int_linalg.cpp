@@ -107,7 +107,16 @@ IntVec negate(const IntVec& a) {
   return r;
 }
 
-std::int64_t dot(const IntVec& a, const IntVec& b) {
+std::vector<IntVec> PointRows::to_vectors() const {
+  std::vector<IntVec> out;
+  out.reserve(count_);
+  for (PointRef p : *this) out.emplace_back(p.begin(), p.end());
+  return out;
+}
+
+std::int64_t dot(const IntVec& a, const IntVec& b) { return dot(PointRef(a), PointRef(b)); }
+
+std::int64_t dot(PointRef a, PointRef b) {
   if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
   std::int64_t s = 0;
   for (std::size_t i = 0; i < a.size(); ++i) s = checked_add(s, checked_mul(a[i], b[i]));
@@ -139,7 +148,7 @@ IntVec primitive(const IntVec& a) {
   return r;
 }
 
-std::string to_string(const IntVec& a) {
+std::string to_string(PointRef a) {
   std::string s = "(";
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (i) s += ", ";

@@ -8,8 +8,10 @@
 // label the blocks.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,73 @@ namespace hypart {
 
 /// Dense integer vector (an index point, dependence vector, or time function).
 using IntVec = std::vector<std::int64_t>;
+
+/// Read-only view of one point's coordinates: an IntVec or one row of a
+/// PointRows buffer.
+using PointRef = std::span<const std::int64_t>;
+
+/// Lexicographic order and equality of two points (a shorter point that is
+/// a prefix of a longer one orders first, as for IntVec).
+inline bool lex_less(PointRef a, PointRef b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+inline bool same_point(PointRef a, PointRef b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+/// A set of points of one dimension, stored as the rows of one row-major
+/// buffer (stride dim()): one allocation for the whole set instead of one
+/// vector per point.  Rows are handed out as PointRef views.
+class PointRows {
+ public:
+  PointRows() = default;
+  explicit PointRows(std::size_t dim) : dim_(dim) {}
+
+  [[nodiscard]] std::size_t dim() const { return dim_; }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] PointRef operator[](std::size_t i) const {
+    return {coords_.data() + i * dim_, dim_};
+  }
+
+  void reserve(std::size_t rows) { coords_.reserve(rows * dim_); }
+  /// Keeps the first `rows` rows, appending zero rows as needed.
+  void resize(std::size_t rows) {
+    coords_.resize(rows * dim_);
+    count_ = rows;
+  }
+  /// Appends one row; p must have dim() coordinates.
+  void push_back(PointRef p) {
+    coords_.insert(coords_.end(), p.begin(), p.end());
+    ++count_;
+  }
+
+  /// Every row as its own IntVec (for tests and printing).
+  [[nodiscard]] std::vector<IntVec> to_vectors() const;
+
+  /// Range-for over the rows, in row order.
+  class const_iterator {
+   public:
+    const_iterator(const PointRows* rows, std::size_t i) : rows_(rows), i_(i) {}
+    PointRef operator*() const { return (*rows_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const PointRows* rows_;
+    std::size_t i_;
+  };
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, count_}; }
+
+ private:
+  std::size_t dim_ = 0;
+  std::size_t count_ = 0;
+  std::vector<std::int64_t> coords_;
+};
 
 /// Dense row-major integer matrix.
 class IntMat {
@@ -65,6 +134,8 @@ IntVec sub(const IntVec& a, const IntVec& b);
 IntVec scale(const IntVec& a, std::int64_t k);
 IntVec negate(const IntVec& a);
 std::int64_t dot(const IntVec& a, const IntVec& b);
+/// Checked dot product of two views (ArithmeticError on int64 overflow).
+std::int64_t dot(PointRef a, PointRef b);
 bool is_zero(const IntVec& a);
 
 /// gcd of all components (0 for the zero vector).
@@ -74,7 +145,7 @@ std::int64_t content(const IntVec& a);
 /// nonzero component positive.  Returns the zero vector unchanged.
 IntVec primitive(const IntVec& a);
 
-std::string to_string(const IntVec& a);
+std::string to_string(PointRef a);
 
 // ---- extended gcd ----------------------------------------------------------
 

@@ -20,13 +20,13 @@ ProjectionFrame::ProjectionFrame(std::vector<IntVec> deps, const TimeFunction& t
   for (const IntVec& d : deps_) proj_deps_.push_back(project(d));
 }
 
-IntVec ProjectionFrame::project(const IntVec& x) const {
+IntVec ProjectionFrame::project(PointRef x) const {
   IntVec out(x.size());
   project_into(x, out.data());
   return out;
 }
 
-std::int64_t ProjectionFrame::project_into(const IntVec& x, std::int64_t* out) const {
+std::int64_t ProjectionFrame::project_into(PointRef x, std::int64_t* out) const {
   const std::int64_t step = tf_.step_of(x);
   for (std::size_t i = 0; i < x.size(); ++i)
     out[i] = detail::checked_sub(detail::checked_mul(x[i], scale_),
@@ -141,7 +141,7 @@ ProjectedStructure::ProjectedStructure(const ComputationStructure& q, const Time
   // ids by key: each projection line becomes one run of equal keys, in
   // lexicographic point order.  The line's representative is its earliest
   // (smallest-step) vertex; two vertices of one line never share a step.
-  const std::vector<IntVec>& verts = q.vertices();
+  const PointRows& verts = q.vertices();
   const std::size_t n = dim_;
   std::vector<std::int64_t> keys(verts.size() * n);
   std::vector<std::int64_t> steps(verts.size());
@@ -159,7 +159,7 @@ ProjectedStructure::ProjectedStructure(const ComputationStructure& q, const Time
       vertex_point_[v] = pid;
       if (steps[v] < steps[rep]) rep = v;
     }
-    add_line(&keys[rep * n], verts[rep], j - i);
+    add_line(&keys[rep * n], IntVec(verts[rep].begin(), verts[rep].end()), j - i);
     i = j;
   }
   build_arc_table();
@@ -233,7 +233,7 @@ std::optional<std::size_t> ProjectedStructure::find_point(const IntVec& scaled) 
   return static_cast<std::size_t>(it - points_.begin());
 }
 
-std::size_t ProjectedStructure::point_of(const IntVec& j) const {
+std::size_t ProjectedStructure::point_of(PointRef j) const {
   std::optional<std::size_t> id = find_point(frame_.project(j));
   if (!id) throw std::out_of_range("ProjectedStructure::point_of: point projects outside V^p");
   return *id;

@@ -39,9 +39,9 @@ class ProjectionFrame {
   [[nodiscard]] std::int64_t step_stride() const { return stride_; }
 
   /// Scaled projection of a point: s·x - (Π·x)·Π.
-  [[nodiscard]] IntVec project(const IntVec& x) const;
+  [[nodiscard]] IntVec project(PointRef x) const;
   /// project(x) written to out[0..n), without allocating; returns Π·x.
-  std::int64_t project_into(const IntVec& x, std::int64_t* out) const;
+  std::int64_t project_into(PointRef x, std::int64_t* out) const;
 
   /// The original dependence vectors (same order as projected_deps_scaled).
   [[nodiscard]] const std::vector<IntVec>& original_deps() const { return deps_; }
@@ -122,7 +122,7 @@ class ProjectedStructure {
 
   /// Id of the projected point of original index point j (must project into
   /// V^p; throws otherwise).
-  [[nodiscard]] std::size_t point_of(const IntVec& j) const;
+  [[nodiscard]] std::size_t point_of(PointRef j) const;
 
   /// Projected-point id of every vertex of the structure this was built
   /// from, by vertex id (empty when built from an IterSpace).

@@ -12,10 +12,10 @@ bool is_valid_time_function(const TimeFunction& tf, const std::vector<IntVec>& d
                      [&](const IntVec& d) { return dot(tf.pi, d) > 0; });
 }
 
-ScheduleProfile profile_schedule(const TimeFunction& tf, const std::vector<IntVec>& points) {
+ScheduleProfile profile_schedule(const TimeFunction& tf, const PointRows& points) {
   ScheduleProfile p;
   if (points.empty()) return p;
-  for (const IntVec& x : points) ++p.points_per_step[tf.step_of(x)];
+  for (PointRef x : points) ++p.points_per_step[tf.step_of(x)];
   p.first_step = p.points_per_step.begin()->first;
   p.last_step = p.points_per_step.rbegin()->first;
   p.step_count = p.points_per_step.size();
@@ -43,6 +43,30 @@ void for_each_candidate(std::size_t dim, std::int64_t bound, bool nonnegative, F
   }
 }
 
+/// The first and last vertex of every run of vertices that share their
+/// first n - 1 coordinates, walked in lexicographic rank order (a run of
+/// one vertex contributes it once).  Along a run only x_n changes, and it
+/// increases, so Π·x is monotone there: every extreme of Π·x over V, and
+/// every int64 overflow of it, occurs at one of these rows.
+PointRows line_ends(const ComputationStructure& q) {
+  const std::size_t n = q.dimension();
+  const std::size_t prefix = n > 0 ? n - 1 : 0;
+  const std::size_t nv = q.vertices().size();
+  PointRows ends(n);
+  auto same_line = [&](PointRef a, PointRef b) {
+    return std::equal(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(prefix), b.begin());
+  };
+  for (std::size_t rank = 0; rank < nv;) {
+    const PointRef first = q.row(q.id_at(rank));
+    std::size_t last = rank;
+    while (last + 1 < nv && same_line(first, q.row(q.id_at(last + 1)))) ++last;
+    ends.push_back(first);
+    if (last != rank) ends.push_back(q.row(q.id_at(last)));
+    rank = last + 1;
+  }
+  return ends;
+}
+
 }  // namespace
 
 std::optional<TimeFunction> search_time_function(const ComputationStructure& q,
@@ -50,6 +74,7 @@ std::optional<TimeFunction> search_time_function(const ComputationStructure& q,
   std::optional<TimeFunction> best;
   std::int64_t best_span = 0;
   std::int64_t best_norm = 0;
+  const PointRows ends = line_ends(q);
 
   for_each_candidate(q.dimension(), opts.max_coefficient, opts.nonnegative_only,
                      [&](const IntVec& cand) {
@@ -57,7 +82,7 @@ std::optional<TimeFunction> search_time_function(const ComputationStructure& q,
     if (!is_valid_time_function(tf, q.dependences())) return;
     // Span can be computed from extremes without a full profile.
     std::int64_t lo = INT64_MAX, hi = INT64_MIN;
-    for (const IntVec& x : q.vertices()) {
+    for (PointRef x : ends) {
       std::int64_t s = tf.step_of(x);
       lo = std::min(lo, s);
       hi = std::max(hi, s);
@@ -85,8 +110,8 @@ std::optional<TimeFunction> search_time_function(const IterSpace& space,
                      [&](const IntVec& cand) {
     TimeFunction tf{cand};
     if (!is_valid_time_function(tf, space.dependences())) return;
-    const std::int64_t span = detail::checked_add(
-        detail::checked_sub(space.max_step(cand), space.min_step(cand)), 1);
+    const auto [lo, hi] = space.step_range(cand);
+    const std::int64_t span = detail::checked_add(detail::checked_sub(hi, lo), 1);
     std::int64_t norm = tf.norm2();
     if (!best || span < best_span || (span == best_span && norm < best_norm) ||
         (span == best_span && norm == best_norm && cand < best->pi)) {

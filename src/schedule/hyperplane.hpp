@@ -24,7 +24,7 @@ struct TimeFunction {
 
   [[nodiscard]] std::size_t dimension() const { return pi.size(); }
   /// Execution step of index point x (the hyperplane containing it).
-  [[nodiscard]] std::int64_t step_of(const IntVec& x) const { return dot(pi, x); }
+  [[nodiscard]] std::int64_t step_of(PointRef x) const { return dot(pi, x); }
   /// Π·Π, the scaling constant used by exact projection.
   [[nodiscard]] std::int64_t norm2() const { return dot(pi, pi); }
 
@@ -46,7 +46,7 @@ struct ScheduleProfile {
   [[nodiscard]] std::int64_t span() const { return last_step - first_step + 1; }
 };
 
-ScheduleProfile profile_schedule(const TimeFunction& tf, const std::vector<IntVec>& points);
+ScheduleProfile profile_schedule(const TimeFunction& tf, const PointRows& points);
 
 struct TimeFunctionSearchOptions {
   std::int64_t max_coefficient = 3;  ///< search box |pi_k| <= max_coefficient
@@ -55,15 +55,18 @@ struct TimeFunctionSearchOptions {
 
 /// Exhaustively search the small-integer box for the Π minimizing schedule
 /// span over the given vertex set (ties: smaller Π·Π, then lexicographic).
-/// Returns nullopt if no valid Π exists in the box.
+/// Returns nullopt if no valid Π exists in the box.  For a fixed prefix
+/// (x_1..x_{n-1}), Π·x is monotone in x_n, so the extremes of Π·x over V
+/// lie at the first or last vertex of a run of equal prefixes: the search
+/// gathers those line ends once and scans only them per candidate.
 std::optional<TimeFunction> search_time_function(const ComputationStructure& q,
                                                  const TimeFunctionSearchOptions& opts = {});
 
 /// Symbolic variant: identical candidate order and tie-breaks, but the span
 /// is evaluated at slab corners (a linear functional's extremes on a box,
-/// minimized/maximized over the slabs), so the search is
-/// O(candidates · slabs · dim) — it returns exactly the Π the dense search
-/// finds for the same space.
+/// minimized/maximized over the slabs in one pass, IterSpace::step_range),
+/// so the search is O(candidates · slabs · dim) — it returns exactly the Π
+/// the dense search finds for the same space.
 std::optional<TimeFunction> search_time_function(const IterSpace& space,
                                                  const TimeFunctionSearchOptions& opts = {});
 

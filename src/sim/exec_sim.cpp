@@ -963,8 +963,9 @@ FeedFrame closed_form_frame(const IterSpace& space, const TimeFunction& tf, std:
                             std::int64_t sigma) {
   FeedFrame feed;
   feed.nprocs = nprocs;
-  feed.lo = space.min_step(tf.pi);
-  feed.steps = detail::checked_add(detail::checked_sub(space.max_step(tf.pi), feed.lo), 1);
+  const auto [lo, hi] = space.step_range(tf.pi);
+  feed.lo = lo;
+  feed.steps = detail::checked_add(detail::checked_sub(hi, lo), 1);
   feed.sigma = sigma;
   feed.shifts = step_shifts(space.dependences(), tf);
   return feed;
@@ -987,7 +988,7 @@ SimResult simulate_execution(const ComputationStructure& q, const TimeFunction& 
         base = mapping;
       });
 
-  const std::vector<IntVec>& verts = q.vertices();
+  const PointRows& verts = q.vertices();
   std::vector<std::int64_t> vstep(verts.size());
   for (std::size_t vid = 0; vid < verts.size(); ++vid) vstep[vid] = tf.step_of(verts[vid]);
   const auto [lo, hi] = std::minmax_element(vstep.begin(), vstep.end());

@@ -8,7 +8,7 @@
 
 namespace hypart {
 
-IntVec WavefrontTransform::apply(const IntVec& point) const {
+IntVec WavefrontTransform::apply(PointRef point) const {
   IntVec out(u.rows());
   for (std::size_t r = 0; r < u.rows(); ++r) out[r] = dot(u.row(r), point);
   return out;
@@ -62,7 +62,7 @@ WavefrontTransform make_wavefront_transform(const TimeFunction& pi) {
 std::map<std::int64_t, std::vector<IntVec>> wavefront_slices(const WavefrontTransform& wt,
                                                              const ComputationStructure& q) {
   std::map<std::int64_t, std::vector<IntVec>> slices;
-  for (const IntVec& v : q.vertices()) {
+  for (PointRef v : q.vertices()) {
     IntVec t = wt.apply(v);
     IntVec spatial(t.begin() + 1, t.end());
     slices[t[0]].push_back(std::move(spatial));

@@ -31,7 +31,7 @@ struct WavefrontTransform {
   TimeFunction pi;
 
   /// I' = U·I (first coordinate is the step).
-  [[nodiscard]] IntVec apply(const IntVec& point) const;
+  [[nodiscard]] IntVec apply(PointRef point) const;
   /// I = U^{-1}·I'.
   [[nodiscard]] IntVec invert(const IntVec& transformed) const;
 

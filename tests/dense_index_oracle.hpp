@@ -1,10 +1,12 @@
 // Reference implementations of the dense planning path's indexes, in the
-// direct form: a hash map from vertex to id, a std::map-keyed projection
-// that projects vertex by vertex, and region growing over IntVec lattice
-// nodes with a hash-set visited set.  Production indexes points by id
-// (sorted orders, binary search, flat arenas); these oracles answer the
-// same questions without sharing any of that code, so a disagreement
-// points at the production side.
+// direct form: J^n by recursion over the loop bounds, Π by scanning every
+// point for every candidate, a hash map from vertex to id, a
+// std::map-keyed projection that projects vertex by vertex, and region
+// growing over IntVec lattice nodes with a hash-set visited set.
+// Production indexes points by id (flat rows, sorted orders, binary
+// search, line ends, flat arenas); these oracles answer the same questions
+// without sharing any of that code, so a disagreement points at the
+// production side.
 #pragma once
 
 #include <algorithm>
@@ -14,11 +16,14 @@
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "graph/comp_structure.hpp"
+#include "loop/loop_nest.hpp"
 #include "partition/grouping.hpp"
 #include "partition/projection.hpp"
 #include "schedule/hyperplane.hpp"
@@ -65,6 +70,87 @@ inline RandomStructure random_structure(std::mt19937_64& rng, int trial, std::si
   return rs;
 }
 
+/// A random affine nest of depth 1-4: the outermost loop has constant
+/// bounds, every inner bound is c + s * (one earlier index) with slope s in
+/// {-1, 0, 1}, so inner ranges shift, shrink and come out empty.
+inline LoopNest random_affine_nest(std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::size_t> depth_dist(1, 4), pick(0, 3);
+  std::uniform_int_distribution<std::int64_t> lo_dist(-3, 3), extent_dist(-1, 4),
+      slope_dist(-1, 1);
+  const std::size_t depth = depth_dist(rng);
+  LoopNestBuilder b("random_affine");
+  std::vector<AffineExpr> subs;
+  for (std::size_t j = 0; j < depth; ++j) {
+    AffineExpr lower(lo_dist(rng));
+    AffineExpr upper(lower.constant + extent_dist(rng));
+    if (j > 0) {
+      lower = lower + slope_dist(rng) * idx(pick(rng) % j);
+      upper = upper + slope_dist(rng) * idx(pick(rng) % j);
+    }
+    b.loop("i" + std::to_string(j), lower, upper);
+    subs.push_back(idx(j));
+  }
+  return b.statement("S").write("A", subs).build();
+}
+
+/// J^n by plain recursion over the bound expressions, in lexicographic
+/// order.
+inline std::vector<IntVec> enumerate_points(const LoopNest& nest) {
+  const std::vector<LoopDim>& dims = nest.dims();
+  std::vector<IntVec> pts;
+  IntVec p(dims.size(), 0);
+  auto rec = [&](auto&& self, std::size_t j) -> void {
+    if (j == dims.size()) {
+      pts.push_back(p);
+      return;
+    }
+    const std::int64_t lo = dims[j].lower.evaluate_lower(p), hi = dims[j].upper.evaluate_upper(p);
+    for (std::int64_t x = lo; x <= hi; ++x) {
+      p[j] = x;
+      self(self, j + 1);
+    }
+    p[j] = 0;
+  };
+  rec(rec, 0);
+  return pts;
+}
+
+/// Lamport's Π by brute force: every nonzero candidate of the search box
+/// that is valid for deps, its span taken over every point with checked
+/// arithmetic (so an overflow raises ArithmeticError), the best by
+/// (span, Π·Π, Π) in that order.
+inline std::optional<TimeFunction> search_all_points(const std::vector<IntVec>& points,
+                                                     const std::vector<IntVec>& deps,
+                                                     std::size_t dim,
+                                                     const TimeFunctionSearchOptions& opts) {
+  const std::int64_t lo = opts.nonnegative_only ? 0 : -opts.max_coefficient;
+  std::optional<std::tuple<std::int64_t, std::int64_t, IntVec>> best;
+  IntVec cand(dim, lo);
+  auto rec = [&](auto&& self, std::size_t j) -> void {
+    if (j < dim) {
+      for (std::int64_t c = lo; c <= opts.max_coefficient; ++c) {
+        cand[j] = c;
+        self(self, j + 1);
+      }
+      return;
+    }
+    if (is_zero(cand)) return;
+    for (const IntVec& d : deps)
+      if (dot(cand, d) <= 0) return;
+    std::int64_t first = 0, last = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const std::int64_t s = dot(cand, points[i]);
+      if (i == 0 || s < first) first = s;
+      if (i == 0 || s > last) last = s;
+    }
+    auto key = std::make_tuple(last - first + 1, dot(cand, cand), cand);
+    if (!best || key < *best) best = key;
+  };
+  rec(rec, 0);
+  if (!best) return std::nullopt;
+  return TimeFunction{std::get<2>(*best)};
+}
+
 /// Vertex -> id by hashing; throws std::invalid_argument on a duplicate.
 inline std::unordered_map<IntVec, std::size_t, IntVecHash> vertex_index(
     const std::vector<IntVec>& verts) {
@@ -92,7 +178,8 @@ inline Projection project(const ComputationStructure& q, const TimeFunction& tf)
     IntVec rep;
   };
   std::map<IntVec, LineAccum> lines;
-  for (const IntVec& v : q.vertices()) {
+  for (PointRef row : q.vertices()) {
+    const IntVec v(row.begin(), row.end());
     LineAccum& acc = lines[frame.project(v)];
     if (acc.count == 0 || tf.step_of(v) < tf.step_of(acc.rep)) acc.rep = v;
     ++acc.count;
@@ -105,7 +192,7 @@ inline Projection project(const ComputationStructure& q, const TimeFunction& tf)
     p.populations.push_back(acc.count);
     p.representatives.push_back(acc.rep);
   }
-  for (const IntVec& v : q.vertices()) p.vertex_points.push_back(id_of.at(frame.project(v)));
+  for (PointRef v : q.vertices()) p.vertex_points.push_back(id_of.at(frame.project(v)));
   return p;
 }
 

@@ -38,7 +38,7 @@ struct RuntimeFixture {
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> step_range() const {
     std::int64_t lo = 0, hi = 0;
     bool first = true;
-    for (const IntVec& v : q->vertices()) {
+    for (PointRef v : q->vertices()) {
       std::int64_t s = tf.step_of(v);
       if (first || s < lo) lo = s;
       if (first || s > hi) hi = s;

@@ -5,13 +5,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <set>
 #include <tuple>
 #include <unordered_map>
 
 
+#include "core/error.hpp"
 #include "dense_index_oracle.hpp"
+#include "loop/index_set.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hypart {
@@ -47,7 +50,7 @@ TEST(CompStructure, Acyclic) {
 TEST(CompStructure, IdLookup) {
   ComputationStructure q = ComputationStructure::from_loop(workloads::example_l1());
   std::size_t id = q.id_of({2, 3});
-  EXPECT_EQ(q.vertices()[id], (IntVec{2, 3}));
+  EXPECT_TRUE(same_point(q.vertices()[id], IntVec{2, 3}));
   EXPECT_THROW(static_cast<void>(q.id_of({9, 9})), std::out_of_range);
 }
 
@@ -60,7 +63,9 @@ TEST(CompStructure, ExplicitConstruction) {
 }
 
 TEST(CompStructure, RejectsBadInput) {
-  EXPECT_THROW(ComputationStructure({}, {{1}}), std::invalid_argument);
+  EXPECT_THROW(ComputationStructure(std::vector<IntVec>{}, {{1}}), std::invalid_argument);
+  EXPECT_THROW(ComputationStructure(PointRows(1), {{1}}), std::invalid_argument);
+  EXPECT_THROW(ComputationStructure({{0, 0}, {0}}, {{1, 0}}), std::invalid_argument);  // mixed
   EXPECT_THROW(ComputationStructure({{0, 0}}, {{1}}), std::invalid_argument);       // dim mismatch
   EXPECT_THROW(ComputationStructure({{0, 0}}, {{0, 0}}), std::invalid_argument);    // zero dep
   EXPECT_THROW(ComputationStructure({{0, 0}, {0, 0}}, {{0, 1}}), std::invalid_argument);  // dup
@@ -189,7 +194,8 @@ TEST(ArcTable, MatchesHashOracleOnWorkloads) {
   for (const LoopNest& nest : {workloads::example_l1(5), workloads::matrix_vector(6),
                                workloads::wavefront3d(4), workloads::convolution2d(4, 2)}) {
     ComputationStructure q = ComputationStructure::from_loop(nest);
-    EXPECT_EQ(table_arcs(q), oracle_arcs(q.vertices(), q.dependences())) << nest.name();
+    EXPECT_EQ(table_arcs(q), oracle_arcs(q.vertices().to_vectors(), q.dependences()))
+        << nest.name();
   }
 }
 
@@ -228,6 +234,84 @@ TEST(VertexIndex, MatchesHashOracleOnRandomPointSets) {
     EXPECT_THROW((void)oracle::vertex_index(dup), std::invalid_argument);
     EXPECT_THROW(ComputationStructure(dup, rs.deps), std::invalid_argument) << "trial " << trial;
   }
+}
+
+TEST(FlatStore, ShuffledVectorsMatchSortedRows) {
+  // The same vertex set as sorted IndexSet rows and as a shuffled
+  // std::vector<IntVec>: equal rows under the permutation, equal id_of,
+  // equal lexicographic order, and the same arc table up to renumbering.
+  std::mt19937_64 rng(20261022);
+  std::uniform_int_distribution<std::int64_t> comp(-2, 2);
+  std::size_t built = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const LoopNest nest = oracle::random_affine_nest(rng);
+    PointRows rows = IndexSet(nest).points();
+    if (rows.empty()) continue;
+    std::vector<IntVec> deps;
+    while (deps.size() < 1 + static_cast<std::size_t>(trial) % 3) {
+      IntVec d(nest.depth());
+      for (std::int64_t& x : d) x = comp(rng);
+      if (!is_zero(d)) deps.push_back(d);
+    }
+    const std::vector<IntVec> sorted = rows.to_vectors();
+    std::vector<std::size_t> perm(sorted.size());
+    std::iota(perm.begin(), perm.end(), std::size_t{0});
+    std::shuffle(perm.begin(), perm.end(), rng);
+    std::vector<IntVec> shuffled;
+    for (std::size_t i : perm) shuffled.push_back(sorted[i]);
+
+    const ComputationStructure flat(std::move(rows), deps);
+    const ComputationStructure q(shuffled, deps);
+    ASSERT_EQ(q.vertices().size(), flat.vertices().size()) << "trial " << trial;
+    EXPECT_EQ(q.dependence_arc_count(), flat.dependence_arc_count()) << "trial " << trial;
+    for (std::size_t v = 0; v < perm.size(); ++v) {
+      EXPECT_TRUE(same_point(q.row(v), flat.row(perm[v])));
+      EXPECT_TRUE(same_point(flat.row(flat.id_at(v)), q.row(q.id_at(v))));
+      EXPECT_EQ(flat.id_at(v), v);
+      ASSERT_EQ(q.id_of(shuffled[v]), v) << "trial " << trial;
+      EXPECT_EQ(flat.id_of(shuffled[v]), perm[v]);
+      for (std::size_t k = 0; k < deps.size(); ++k) {
+        const std::optional<std::size_t> a = q.arc_sink(v, k), b = flat.arc_sink(perm[v], k);
+        ASSERT_EQ(a.has_value(), b.has_value()) << "trial " << trial;
+        if (a) {
+          EXPECT_EQ(perm[*a], *b);
+        }
+      }
+    }
+    ++built;
+  }
+  EXPECT_GE(built, 120u);
+}
+
+TEST(FlatStore, DuplicateAndVertexLimitKeepTheirErrors) {
+  const auto message = [](auto&& build) -> std::string {
+    try {
+      build();
+    } catch (const Error& e) {
+      return std::string("Error: ") + e.what();
+    } catch (const std::invalid_argument& e) {
+      return std::string("invalid_argument: ") + e.what();
+    }
+    return "no error";
+  };
+  const std::string dup = "invalid_argument: ComputationStructure: duplicate vertex";
+  // Sorted input with a repeat, unsorted input with a repeat, flat rows.
+  EXPECT_EQ(message([] { ComputationStructure({{0, 0}, {0, 1}, {0, 1}}, {{0, 1}}); }), dup);
+  EXPECT_EQ(message([] { ComputationStructure({{1, 1}, {0, 0}, {1, 1}}, {{0, 1}}); }), dup);
+  EXPECT_EQ(message([] {
+              PointRows rows(1);
+              for (std::int64_t x : {3, 1, 2, 1}) rows.push_back(IntVec{x});
+              ComputationStructure(std::move(rows), {{1}});
+            }),
+            dup);
+  // 2^32 vertices exceed the 32-bit ids (zero-dimensional rows take no
+  // memory); the refusal comes before any row is read.
+  EXPECT_EQ(message([] {
+              PointRows rows(0);
+              rows.resize(std::size_t{1} << 32);
+              ComputationStructure(std::move(rows), {});
+            }),
+            "Error: ComputationStructure: 4294967296 vertices exceed the 32-bit vertex-id limit");
 }
 
 TEST(VertexIndex, ArcColumnsFollowDependenceEntries) {

@@ -534,7 +534,7 @@ TEST(ExecSim, FromLabelsPartitionSimulates) {
   ComputationStructure q = ComputationStructure::from_loop(workloads::strided_recurrence(5, 2));
   std::vector<std::size_t> labels(q.vertices().size());
   for (std::size_t vid = 0; vid < labels.size(); ++vid) {
-    const IntVec& v = q.vertices()[vid];
+    const PointRef v = q.vertices()[vid];
     labels[vid] = static_cast<std::size_t>((v[0] % 2) * 2 + (v[1] % 2));
   }
   Partition part = Partition::from_labels(q, labels);

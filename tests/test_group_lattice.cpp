@@ -596,7 +596,7 @@ TEST(GroupLattice, PerStepFeedsMatchOracleOnLongRuns) {
     LatticeHypercubeMapping lm = map_to_hypercube(*gl, dim);
     saw_stride = saw_stride || gl->step_stride() > 1;
 
-    const std::int64_t lo = space.min_step(tf->pi), hi = space.max_step(tf->pi);
+    const auto [lo, hi] = space.step_range(tf->pi);
     const std::int64_t mid = lo + (hi - lo) / 2;
     const std::string at = std::to_string(mid), later = std::to_string(mid + (hi - mid) / 2 + 1);
     for (const std::string& spec :
@@ -668,7 +668,7 @@ TEST(GroupLattice, RandomizedPricingMatchesOracleOnTies) {
 
     // Cube edges failing inside the schedule: one on the square, two on
     // the 3-cube (the second one later), so the cube stays connected.
-    const std::int64_t lo = space.min_step(tf->pi), hi = space.max_step(tf->pi);
+    const auto [lo, hi] = space.step_range(tf->pi);
     auto edge_at = [&](std::int64_t step) {
       const std::int64_t a = pick(0, (std::int64_t{1} << dim) - 1);
       const std::int64_t b = a ^ (std::int64_t{1} << pick(0, dim - 1));
@@ -757,7 +757,7 @@ TEST(GroupLattice, FaultBreakAtTheEndKeepsLinkWords) {
     std::optional<GroupLattice> gl = GroupLattice::build(space, *tf);
     ASSERT_TRUE(gl.has_value()) << nest.name();
     saw_stride = saw_stride || gl->step_stride() > 1;
-    const std::int64_t hi = space.max_step(tf->pi);
+    const std::int64_t hi = space.step_range(tf->pi).second;
     for (unsigned dim : {2U, 3U}) {
       Hypercube cube(dim);
       Mapping map = map_to_hypercube(TaskInteractionGraph::from_partition(q, partition, grouping),
@@ -1099,7 +1099,8 @@ TEST(GroupLattice, FusedWalkMatchesSweep) {
     mopts.weighted = pick(0, 1) == 1;
     const LatticeHypercubeMapping lm = map_to_hypercube(*gl, dim, mopts);
     const Hypercube cube(dim);
-    const std::int64_t mid = (space.min_step(tf.pi) + space.max_step(tf.pi)) / 2;
+    const auto [lo, hi] = space.step_range(tf.pi);
+    const std::int64_t mid = (lo + hi) / 2;
     const std::string faults[] = {"", "link:0-1@" + std::to_string(mid),
                                   "node:" + std::to_string(pick(1, 3)) + "@" +
                                       std::to_string(mid)};

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "dense_index_oracle.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hypart {
@@ -9,7 +13,7 @@ namespace {
 
 TEST(TimeFunctionTest, StepAndNorm) {
   TimeFunction tf{{1, 1}};
-  EXPECT_EQ(tf.step_of({2, 3}), 5);
+  EXPECT_EQ(tf.step_of(IntVec{2, 3}), 5);
   EXPECT_EQ(tf.norm2(), 2);
   EXPECT_EQ(tf.to_string(), "(1, 1)");
 }
@@ -136,6 +140,104 @@ TEST_P(ValidityProperty, AllArcsRespectSchedule) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ValidityProperty, ::testing::Values(2, 3, 5));
+
+/// The line-end search and the all-points oracle on one vertex set: the
+/// same Π (or none), or the same typed overflow error.
+void expect_search_matches_oracle(const std::vector<IntVec>& verts,
+                                  const std::vector<IntVec>& deps,
+                                  const TimeFunctionSearchOptions& opts, const std::string& what) {
+  const ComputationStructure q(verts, deps);
+  std::optional<TimeFunction> want;
+  try {
+    want = oracle::search_all_points(verts, deps, q.dimension(), opts);
+  } catch (const ArithmeticError&) {
+    EXPECT_THROW((void)search_time_function(q, opts), ArithmeticError) << what;
+    return;
+  }
+  const std::optional<TimeFunction> got = search_time_function(q, opts);
+  ASSERT_EQ(got.has_value(), want.has_value()) << what;
+  if (got) {
+    EXPECT_EQ(got->pi, want->pi) << what;
+  }
+}
+
+TEST(SearchProperty, LineEndsMatchAllPointsOnRandomSets) {
+  // Boxes with holes (lines with gaps), in lexicographic order and
+  // shuffled (the sorted-order path), with and without the nonnegative
+  // restriction, over three search boxes.
+  std::mt19937_64 rng(20261020);
+  for (int trial = 0; trial < 240; ++trial) {
+    const oracle::RandomStructure rs = oracle::random_structure(rng, trial, 3);
+    TimeFunctionSearchOptions opts;
+    opts.max_coefficient = 1 + trial % 3;
+    opts.nonnegative_only = (trial / 2) % 2 == 1;
+    expect_search_matches_oracle(rs.verts, rs.deps, opts, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(SearchProperty, LineEndsMatchAllPointsOnRandomAffineNests) {
+  // J^n of random affine nests (shifting, shrinking and empty inner
+  // ranges), passed sorted and shuffled, with random dependences.
+  std::mt19937_64 rng(20261021);
+  std::uniform_int_distribution<std::int64_t> comp(-2, 2);
+  std::size_t searched = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const LoopNest nest = oracle::random_affine_nest(rng);
+    std::vector<IntVec> verts = oracle::enumerate_points(nest);
+    if (verts.empty()) continue;
+    if (trial % 2 == 1) std::shuffle(verts.begin(), verts.end(), rng);
+    std::vector<IntVec> deps;
+    while (deps.size() < 1 + static_cast<std::size_t>(trial) % 3) {
+      IntVec d(nest.depth());
+      for (std::int64_t& x : d) x = comp(rng);
+      if (!is_zero(d)) deps.push_back(d);
+    }
+    TimeFunctionSearchOptions opts;
+    opts.max_coefficient = nest.depth() == 4 ? 1 : 2;
+    opts.nonnegative_only = trial % 4 >= 2;
+    expect_search_matches_oracle(verts, deps, opts, "trial " + std::to_string(trial));
+    ++searched;
+  }
+  EXPECT_GE(searched, 170u);
+}
+
+TEST(SearchProperty, TiesOnSpanAndNormDecideLikeTheOracle) {
+  // A square with the diagonal dependence: (0,1) and (1,0) tie on span and
+  // norm, so the lexicographically smaller Π wins.
+  std::vector<IntVec> square;
+  for (std::int64_t i = 0; i < 4; ++i)
+    for (std::int64_t j = 0; j < 4; ++j) square.push_back({i, j});
+  TimeFunctionSearchOptions opts;
+  expect_search_matches_oracle(square, {{1, 1}}, opts, "square");
+  EXPECT_EQ(search_time_function(ComputationStructure(square, {{1, 1}}))->pi, (IntVec{0, 1}));
+  // One point: every valid Π has span 1, so the norm and then the order
+  // decide.
+  expect_search_matches_oracle({{5, -7}}, {{1, 0}}, opts, "point");
+  expect_search_matches_oracle({{5, -7, 2}}, {{1, 1, 0}, {0, 0, 1}}, opts, "point3");
+  // One line, and two lines of different lengths with a gap.
+  expect_search_matches_oracle({{0, 0}, {0, 1}, {0, 2}}, {{1, -1}}, opts, "line");
+  expect_search_matches_oracle({{0, 0}, {0, 3}, {2, -1}, {2, 0}, {2, 5}}, {{1, 0}, {0, 1}}, opts,
+                               "gaps");
+  opts.nonnegative_only = true;
+  expect_search_matches_oracle(square, {{1, 1}}, opts, "square, nonnegative");
+}
+
+TEST(SearchProperty, OverflowNearTwoToTheSixtyTwoThrowsLikeTheOracle) {
+  // Π·x leaves int64 for the first valid candidate (-3, 1): both scans
+  // raise ArithmeticError.
+  constexpr std::int64_t kBig = std::int64_t{1} << 62;
+  const std::vector<IntVec> verts{{kBig, 0}, {kBig, 1}, {kBig, 2}};
+  const std::vector<IntVec> deps{{0, 1}};
+  const ComputationStructure q(verts, deps);
+  EXPECT_THROW((void)oracle::search_all_points(verts, deps, 2, {}), ArithmeticError);
+  EXPECT_THROW((void)search_time_function(q), ArithmeticError);
+  // In the unit nonnegative box every Π·x fits, and both pick (0, 1).
+  TimeFunctionSearchOptions unit;
+  unit.max_coefficient = 1;
+  unit.nonnegative_only = true;
+  expect_search_matches_oracle(verts, deps, unit, "unit box");
+  EXPECT_EQ(search_time_function(q, unit)->pi, (IntVec{0, 1}));
+}
 
 }  // namespace
 }  // namespace hypart

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "dense_index_oracle.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hypart {
@@ -9,7 +12,7 @@ namespace {
 
 TEST(IndexSetTest, RectangularEnumeration) {
   IndexSet is(workloads::example_l1(3));  // 4x4
-  std::vector<IntVec> pts = is.points();
+  std::vector<IntVec> pts = is.points().to_vectors();
   EXPECT_EQ(pts.size(), 16u);
   EXPECT_EQ(is.size(), 16u);
   EXPECT_EQ(pts.front(), (IntVec{0, 0}));
@@ -45,7 +48,7 @@ TEST(IndexSetTest, TriangularDomain) {
   IndexSet is(tri);
   // 1 + 2 + 3 + 4 = 10 points.
   EXPECT_EQ(is.size(), 10u);
-  std::vector<IntVec> pts = is.points();
+  std::vector<IntVec> pts = is.points().to_vectors();
   ASSERT_EQ(pts.size(), 10u);
   for (const IntVec& p : pts) EXPECT_LE(p[1], p[0]);
   EXPECT_TRUE(is.contains({3, 3}));
@@ -89,7 +92,7 @@ TEST(IndexSetTest, PartiallyEmptyInnerRange) {
   IndexSet is(nest);
   // i=2: j=2; i=3: j=2,3 -> 3 points.
   EXPECT_EQ(is.size(), 3u);
-  EXPECT_EQ(is.points(), (std::vector<IntVec>{{2, 2}, {3, 2}, {3, 3}}));
+  EXPECT_EQ(is.points().to_vectors(), (std::vector<IntVec>{{2, 2}, {3, 2}, {3, 3}}));
 }
 
 TEST(IndexSetTest, ThreeDimensional) {
@@ -124,7 +127,7 @@ TEST(IndexSetTest, SingleLoop) {
                    .build();
   IndexSet is(l);
   EXPECT_EQ(is.size(), 5u);
-  EXPECT_EQ(is.points().front(), (IntVec{-2}));
+  EXPECT_EQ(is.points().to_vectors().front(), (IntVec{-2}));
 }
 
 // Parameterized sweep: size() equals points().size() for various shapes.
@@ -147,6 +150,34 @@ TEST_P(IndexSetSizeProperty, CountMatchesEnumeration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IndexSetSizeProperty, ::testing::Values(1, 2, 3, 5, 8, 13));
+
+TEST(IndexSetRows, MatchRecursiveEnumerationOnRandomAffineNests) {
+  // points() writes one row-major buffer; its rows must be exactly J^n in
+  // lexicographic order, as plain recursion over the bounds finds it, on
+  // nests whose inner ranges shift, shrink and come out empty.
+  std::mt19937_64 rng(20261019);
+  std::size_t empty_sets = 0, points = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const LoopNest nest = oracle::random_affine_nest(rng);
+    const std::vector<IntVec> want = oracle::enumerate_points(nest);
+    const IndexSet is(nest);
+    const PointRows rows = is.points();
+    ASSERT_EQ(rows.dim(), nest.depth()) << "trial " << trial;
+    ASSERT_EQ(rows.size(), want.size()) << "trial " << trial;
+    EXPECT_EQ(rows.to_vectors(), want) << "trial " << trial;
+    EXPECT_EQ(is.size(), want.size());
+    std::size_t i = 0;
+    for (PointRef r : rows) {
+      ASSERT_EQ(r.size(), nest.depth());
+      EXPECT_TRUE(std::equal(r.begin(), r.end(), want[i].begin())) << "trial " << trial;
+      ++i;
+    }
+    empty_sets += want.empty() ? 1 : 0;
+    points += want.size();
+  }
+  EXPECT_GE(empty_sets, 5u);
+  EXPECT_GE(points, 3000u);
+}
 
 }  // namespace
 }  // namespace hypart

@@ -20,14 +20,14 @@ TEST(ProjectionFrame, ProjectMatchesDefinition3) {
   // j^p = j - (j·Π / Π·Π) Π, scaled by s = Π·Π.
   const ProjectionFrame frame({}, TimeFunction{{1, 1}});
   // j = (3,0): j·Π = 3, j^p = (3,0) - 3/2(1,1) = (3/2, -3/2); scaled: (3,-3).
-  EXPECT_EQ(frame.project({3, 0}), (IntVec{3, -3}));
+  EXPECT_EQ(frame.project(IntVec{3, 0}), (IntVec{3, -3}));
   // j = (2,2) on the line of the origin: j^p = 0.
-  EXPECT_EQ(frame.project({2, 2}), (IntVec{0, 0}));
+  EXPECT_EQ(frame.project(IntVec{2, 2}), (IntVec{0, 0}));
 }
 
 TEST(ProjectionFrame, ProjectIsOrthogonalToPi) {
   TimeFunction tf{{1, 2, 3}};
-  IntVec p = ProjectionFrame({}, tf).project({4, -1, 7});
+  IntVec p = ProjectionFrame({}, tf).project(IntVec{4, -1, 7});
   EXPECT_EQ(dot(p, tf.pi), 0);
 }
 
@@ -141,7 +141,7 @@ TEST(ProjectedStructure, MatmulBeta2) {
 TEST(ProjectedStructure, PointOfRoundTrips) {
   ComputationStructure q = l1();
   ProjectedStructure ps(q, TimeFunction{{1, 1}});
-  for (const IntVec& v : q.vertices()) {
+  for (PointRef v : q.vertices()) {
     std::size_t id = ps.point_of(v);
     EXPECT_EQ(ps.points()[id], ps.frame().project(v));
   }

@@ -66,11 +66,12 @@ TEST(TigTest, FromPartitionMatchesStats) {
 /// hash index and add one unit per interblock arc to a std::map edge.
 std::map<std::pair<std::size_t, std::size_t>, std::int64_t> oracle_edges(
     const ComputationStructure& q, const Partition& p) {
-  const auto index = oracle::vertex_index(q.vertices());
+  const std::vector<IntVec> verts = q.vertices().to_vectors();
+  const auto index = oracle::vertex_index(verts);
   std::map<std::pair<std::size_t, std::size_t>, std::int64_t> edges;
   for (std::size_t v = 0; v < q.vertices().size(); ++v)
     for (const IntVec& d : q.dependences()) {
-      auto it = index.find(add(q.vertices()[v], d));
+      auto it = index.find(add(verts[v], d));
       if (it == index.end()) continue;
       std::size_t bs = p.block_of(v), bd = p.block_of(it->second);
       if (bs != bd) ++edges[std::minmax(bs, bd)];
