@@ -1,18 +1,17 @@
 #include "fault/remap.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "core/error.hpp"
 
 namespace hypart::fault {
 
 ProcId RemapResult::proc_at(std::size_t block, std::int64_t step) const {
-  const auto& tl = timeline_.at(block);
-  ProcId owner = tl.front().second;
-  for (const auto& [from_step, proc] : tl) {
-    if (from_step > step) break;
-    owner = proc;
+  ProcId owner = base_owner_.at(block);
+  if (move_offset_.empty()) return owner;
+  for (std::size_t i = move_offset_[block]; i < move_offset_[block + 1]; ++i) {
+    if (moves_[i].first > step) break;
+    owner = moves_[i].second;
   }
   return owner;
 }
@@ -37,10 +36,7 @@ RemapResult remap_for_faults(const std::vector<std::int64_t>& block_sizes, const
 
   RemapResult r;
   r.mapping = mapping;
-  r.timeline_.resize(nblocks);
-  for (std::size_t b = 0; b < nblocks; ++b)
-    r.timeline_[b].emplace_back(std::numeric_limits<std::int64_t>::min(),
-                                mapping.block_to_proc[b]);
+  r.base_owner_ = mapping.block_to_proc;
   if (faults.failed_node_count() == 0) return r;
 
   // Live per-processor load (iterations) and current block ownership.
@@ -78,11 +74,20 @@ RemapResult remap_for_faults(const std::vector<std::int64_t>& block_sizes, const
       load[best] += block_words[b];
       owned[best].push_back(b);
       r.mapping.block_to_proc[b] = best;
-      r.timeline_[b].emplace_back(event.at_step, best);
       r.migrations.push_back({b, event.node, best, event.at_step, block_words[b]});
       r.migration_words += block_words[b];
     }
   }
+
+  // Group the migrations by block with a counting sort, which keeps each
+  // block's migrations in event order (step order), and record the CSR
+  // offsets.
+  r.move_offset_.assign(nblocks + 1, 0);
+  for (const Migration& m : r.migrations) ++r.move_offset_[m.block + 1];
+  for (std::size_t b = 0; b < nblocks; ++b) r.move_offset_[b + 1] += r.move_offset_[b];
+  r.moves_.resize(r.migrations.size());
+  std::vector<std::size_t> next(r.move_offset_.begin(), r.move_offset_.end() - 1);
+  for (const Migration& m : r.migrations) r.moves_[next[m.block]++] = {m.at_step, m.to};
 
   r.migration_cost = Cost{0, r.migration_words, r.migration_words};
   return r;

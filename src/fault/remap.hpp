@@ -48,8 +48,14 @@ struct RemapResult {
   friend RemapResult remap_for_faults(const std::vector<std::int64_t>& block_sizes,
                                       const Mapping& mapping, const Hypercube& cube,
                                       const FaultSet& faults);
-  /// Per-block ownership history: (owned-from step, proc), step-ascending.
-  std::vector<std::vector<std::pair<std::int64_t, ProcId>>> timeline_;
+  /// Ownership history in three flat arrays: the fault-free owner of each
+  /// block; every migration as (owned-from step, new owner), grouped by
+  /// block and in event order within a block; and per block the offset of
+  /// its first migration in that list (CSR, blocks + 1 entries; empty when
+  /// no node fails, so every block keeps its fault-free owner).
+  std::vector<ProcId> base_owner_;
+  std::vector<std::pair<std::int64_t, ProcId>> moves_;
+  std::vector<std::size_t> move_offset_;
 };
 
 /// Apply the spare-node policy to every node failure in `faults`.

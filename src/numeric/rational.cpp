@@ -4,6 +4,8 @@
 
 namespace hypart {
 
+void detail::throw_arithmetic(const char* what) { throw ArithmeticError(what); }
+
 std::int64_t gcd64(std::int64_t a, std::int64_t b) {
   if (a == INT64_MIN || b == INT64_MIN) {
     // |INT64_MIN| is not representable; handle by dividing out one factor

@@ -24,29 +24,35 @@ class ArithmeticError : public std::runtime_error {
 
 namespace detail {
 
+/// Throws ArithmeticError(what).  Out of line and cold, so that each
+/// checked helper below stays a few instructions and is inlined on every
+/// hot path: with the throw expression inline, GCC's growth limits leave
+/// some call sites of a large translation unit calling it out of line.
+[[noreturn, gnu::cold]] void throw_arithmetic(const char* what);
+
 /// Checked int64 helpers.  All exact arithmetic in hypart funnels through
 /// these so that silent wraparound can never corrupt a partition.
 inline std::int64_t checked_add(std::int64_t a, std::int64_t b) {
   std::int64_t r = 0;
-  if (__builtin_add_overflow(a, b, &r)) throw ArithmeticError("int64 add overflow");
+  if (__builtin_add_overflow(a, b, &r)) throw_arithmetic("int64 add overflow");
   return r;
 }
 inline std::int64_t checked_sub(std::int64_t a, std::int64_t b) {
   std::int64_t r = 0;
-  if (__builtin_sub_overflow(a, b, &r)) throw ArithmeticError("int64 sub overflow");
+  if (__builtin_sub_overflow(a, b, &r)) throw_arithmetic("int64 sub overflow");
   return r;
 }
 inline std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
   std::int64_t r = 0;
-  if (__builtin_mul_overflow(a, b, &r)) throw ArithmeticError("int64 mul overflow");
+  if (__builtin_mul_overflow(a, b, &r)) throw_arithmetic("int64 mul overflow");
   return r;
 }
 inline std::int64_t checked_neg(std::int64_t a) {
-  if (a == INT64_MIN) throw ArithmeticError("int64 negate overflow");
+  if (a == INT64_MIN) throw_arithmetic("int64 negate overflow");
   return -a;
 }
 inline std::int64_t checked_cast(std::uint64_t a) {
-  if (a > static_cast<std::uint64_t>(INT64_MAX)) throw ArithmeticError("int64 narrowing overflow");
+  if (a > static_cast<std::uint64_t>(INT64_MAX)) throw_arithmetic("int64 narrowing overflow");
   return static_cast<std::int64_t>(a);
 }
 

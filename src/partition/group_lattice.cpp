@@ -127,6 +127,21 @@ std::optional<GroupLattice> GroupLattice::build(const IterSpace& space, const Ti
     }
     gl.line_count_ = static_cast<std::uint64_t>(lines);
     gl.group_count_ = static_cast<std::uint64_t>(groups);
+    if (gl.gens_.size() == 2) {
+      // The plane walk's window: the most runs whose b lies within reach_
+      // of one run's b (two pointers over the ascending b), and the longest
+      // run.
+      for (const Shift& sh : gl.shifts_)
+        if (sh.comp >= 0) gl.reach_ = std::max(gl.reach_, iabs(sh.db));
+      const std::vector<Run>& runs = gl.runs_;
+      for (std::size_t i = 0, lo = 0, hi = 0; i < runs.size(); ++i) {
+        while (runs[i].b - runs[lo].b > gl.reach_) ++lo;
+        while (hi < runs.size() && runs[hi].b - runs[i].b <= gl.reach_) ++hi;
+        gl.window_runs_ = std::max(gl.window_runs_, hi - lo);
+        gl.window_stride_ =
+            std::max(gl.window_stride_, static_cast<std::size_t>(runs[i].t_hi - runs[i].t_lo) + 1);
+      }
+    }
     return std::move(gl);
   };
 
@@ -337,15 +352,20 @@ IntVec GroupLattice::line_anchor(std::int64_t comp, std::int64_t t, std::int64_t
   return p;
 }
 
+std::size_t GroupLattice::find_run(std::int64_t b, std::int64_t comp) const {
+  auto it = std::lower_bound(runs_.begin(), runs_.end(), std::pair{b, comp},
+                             [](const Run& run, const std::pair<std::int64_t, std::int64_t>& key) {
+                               return std::tie(run.b, run.comp) < std::tie(key.first, key.second);
+                             });
+  if (it == runs_.end() || it->b != b || it->comp != comp) return runs_.size();
+  return static_cast<std::size_t>(it - runs_.begin());
+}
+
 std::size_t GroupLattice::run_of(const GroupKey& g) const {
   if (degenerate()) return g.a >= runs_[0].a_lo && g.a <= runs_[0].a_hi ? 0 : runs_.size();
-  auto it = std::lower_bound(runs_.begin(), runs_.end(), g,
-                             [](const Run& run, const GroupKey& key) {
-                               return std::tie(run.b, run.comp) < std::tie(key.b, key.comp);
-                             });
-  if (it == runs_.end() || it->b != g.b || it->comp != g.comp || g.a < it->a_lo || g.a > it->a_hi)
-    return runs_.size();
-  return static_cast<std::size_t>(it - runs_.begin());
+  const std::size_t i = find_run(g.b, g.comp);
+  if (i == runs_.size() || g.a < runs_[i].a_lo || g.a > runs_[i].a_hi) return runs_.size();
+  return i;
 }
 
 IntVec GroupLattice::group_lattice_coord(const GroupKey& g) const {
@@ -419,6 +439,51 @@ std::vector<std::int64_t> GroupLattice::population_prefix() const {
   }
   for (std::size_t i = 1; i < pre.size(); ++i) pre[i] = detail::checked_add(pre[i], pre[i - 1]);
   return pre;
+}
+
+GroupLattice::RangeWindow::RangeWindow(const GroupLattice& lattice)
+    : lattice_(&lattice),
+      buf_(lattice.window_runs_ * lattice.window_stride_),
+      targets_(lattice.original_deps().size()) {}
+
+GroupLattice::RangeWindow::Table GroupLattice::RangeWindow::table_of(std::size_t j) const {
+  const GroupLattice& gl = *lattice_;
+  const Run& run = gl.runs_[j];
+  return Table{buf_.data() + (j % gl.window_runs_) * gl.window_stride_, run.t_lo,
+               static_cast<std::uint64_t>(run.t_hi - run.t_lo) + 1};
+}
+
+const GroupLattice::RangeWindow::Table& GroupLattice::RangeWindow::enter(std::size_t i) {
+  const GroupLattice& gl = *lattice_;
+  const std::vector<Run>& runs = gl.runs_;
+  const Run& run = runs[i];
+  // The interval's upper end: every run with b up to run.b + reach_.  Its
+  // lower end needs no bookkeeping: a run below it shares its table slot
+  // with a run above, which overwrites it.
+  for (; filled_ < runs.size() && runs[filled_].b - run.b <= gl.reach_; ++filled_) {
+    const Run& next = runs[filled_];
+    const LineForm& form = gl.cosets_[static_cast<std::size_t>(next.comp)].form;
+    KRange* out = buf_.data() + (filled_ % gl.window_runs_) * gl.window_stride_;
+    for (std::int64_t t = next.t_lo; t <= next.t_hi; ++t, ++out) {
+      const auto r = form.range(t, next.b);
+      *out = r ? KRange{r->first, r->second} : KRange{};
+    }
+  }
+  own_ = table_of(i);
+  // Each dependence's target run is the same for every line of run i: the
+  // run at (run.b + Δb, comp'), within reach by the choice of reach_.  A
+  // Δb that overflows finds no run here; the walker's checked_add throws.
+  const std::size_t nd = targets_.size();
+  const Shift* shift = gl.shifts_.data() + static_cast<std::size_t>(run.comp) * nd;
+  for (std::size_t k = 0; k < nd; ++k) {
+    const Shift& s = shift[k];
+    targets_[k] = Table{};
+    std::int64_t bt = 0;
+    if (s.comp < 0 || __builtin_add_overflow(run.b, s.db, &bt)) continue;
+    const std::size_t j = gl.find_run(bt, s.comp);
+    if (j < runs.size()) targets_[k] = table_of(j);
+  }
+  return own_;
 }
 
 std::vector<std::uint64_t> GroupLattice::sorted_order() const {

@@ -40,7 +40,9 @@
 // and evaluates each line's k-range once from the rows.  Every
 // dependence-shifted range is the target line's own range moved by a
 // constant: p_m(t, b) + d_k = p_m'(t + Δt, b + Δb) + κ·u, with (m', Δt,
-// Δb, κ) read from one cosets × deps table.  Group populations, block
+// Δb, κ) read from one cosets × deps table.  On a plane the walker reads
+// targets from a sliding window of per-run range tables (RangeWindow); on
+// a chain from a ring of the run's recent ranges.  Group populations, block
 // statistics, TIG arc-class weights and the theorem/lemma checks (one
 // Sweep) and the simulator feed read the walk — on a lattice plan the same
 // single walk; Algorithm 2 bisects per-run a-intervals
@@ -220,7 +222,7 @@ class GroupLattice {
   /// TIG weights, and (when `validate`) exact-cover/Theorem 1/Theorem 2/
   /// lemma verdicts — a Sweep fed by one walk with no feed.  O(lines·rows)
   /// range evaluations plus O(lines·(deps + r)) bookkeeping; memory
-  /// O(deps + r).
+  /// O(deps + r) plus the walk's (see for_each_line_and_bundle).
   [[nodiscard]] LatticeSweepResult sweep(bool validate = true) const;
 
   /// Visit every populated line in walk order (runs in table order, slots
@@ -232,7 +234,9 @@ class GroupLattice {
   /// leaving at absolute step `first_step`.  Bundle values match
   /// partition/symbolic.hpp's for_each_line_dep.  A non-null `sweep` reads
   /// the same walk, so the simulator's feed fills it on the way.  One walk,
-  /// every range evaluated once: O(lines·(rows + deps)), O(1) extra memory.
+  /// every range evaluated once: O(lines·(rows + deps)).  Extra memory: on
+  /// a plane the range window, O((2·max|Δb| + 1) · cosets · longest run);
+  /// on a chain a ring of O(max|Δt|) ranges.
   template <class OnLine, class OnBundle>
   void for_each_line_and_bundle(OnLine&& on_line, OnBundle&& on_bundle,
                                 Sweep* sweep = nullptr) const;
@@ -276,19 +280,36 @@ class GroupLattice {
     if (degenerate()) return GroupKey{t, 0, t};
     return GroupKey{floor_div(t, choice_.r), b, comp};
   }
-  /// The walker: visit(line, arc) for every populated line of `run` with
-  /// slot t in [t_lo, t_hi], ascending; arc(k) yields a WalkArc on demand,
-  /// so a visitor that never asks pays for no target range.  It keeps the
-  /// run's last 2·max|Δt| + 1 line ranges in a ring, so a line's range is
-  /// evaluated once even when it is also its neighbours' target; targets
-  /// on other runs are evaluated directly.
+  /// Index into runs_ of the run of coset comp at aux coordinate b;
+  /// runs_.size() if none.
+  [[nodiscard]] std::size_t find_run(std::int64_t b, std::int64_t comp) const;
+  /// A line's k-interval [k_lo, k_hi] along u from its anchor; k_lo > k_hi
+  /// when the line is unpopulated.
+  struct KRange {
+    std::int64_t k_lo = 0, k_hi = -1;
+  };
+  /// The line loop both walkers share: visit(line, arc) for every populated
+  /// line of `run` with slot t in [t_lo, t_hi], ascending; arc(k) yields a
+  /// WalkArc on demand, so a visitor that never asks pays for no target
+  /// range.  own(t) is slot t's range and target(k, s, tt, bt) the range of
+  /// dependence k's target line (tt, bt) of coset s.comp.
+  template <class Own, class Target, class F>
+  void visit_run(const Run& run, std::int64_t t_lo, std::int64_t t_hi, const Own& own,
+                 const Target& target, F&& visit) const;
+  /// The ring walker over one run: it keeps the run's last 2·max|Δt| + 1
+  /// line ranges in a ring, so a line's range is evaluated once even when it
+  /// is also its neighbours' target; targets on other runs are evaluated
+  /// directly.  O(max|Δt|) extra memory, so chains (a 2-D run can hold 10⁵
+  /// lines and more) and the per-group queries walk with it.
   template <class F>
   void walk_run(const Run& run, std::int64_t t_lo, std::int64_t t_hi, F&& visit) const;
-  /// Every populated line of the lattice, group-contiguous.
+  class RangeWindow;
+  /// Every populated line of the lattice, group-contiguous.  On a plane
+  /// (β = 2) a RangeWindow evaluates each line's range once, when its run
+  /// enters the window, and every dependence target is a table read; on a
+  /// chain each run is walked by walk_run.
   template <class F>
-  void walk(F&& visit) const {
-    for (const Run& run : runs_) walk_run(run, run.t_lo, run.t_hi, visit);
-  }
+  void walk(F&& visit) const;
 
   const IterSpace* space_ = nullptr;
   ProjectionFrame frame_;  ///< s, u, σ and the scaled projected dependences
@@ -300,6 +321,11 @@ class GroupLattice {
   std::vector<Shift> shifts_;   ///< cosets × deps, coset-major
   std::vector<Run> runs_;       ///< ascending (b, comp)
   std::size_t ring_size_ = 1;   ///< power of two >= 2·max same-run |Δt| + 1
+  /// Plane window (β = 2 only): reach_ = max |Δb| over the shifts; at most
+  /// window_runs_ runs lie within reach_ of one run's b, and the longest
+  /// run holds window_stride_ lines.
+  std::int64_t reach_ = 0;
+  std::size_t window_runs_ = 0, window_stride_ = 0;
   std::uint64_t line_count_ = 0;
   std::uint64_t group_count_ = 0;
   std::int64_t a_min_ = 0, a_max_ = 0;
@@ -403,47 +429,60 @@ class GroupLattice::Sweep {
   LatticeSweepResult out_;
 };
 
+/// The plane walk's sliding window of per-run range tables.  Runs ascend
+/// in (b, comp), so the runs that the walk at run i can reach (b within
+/// reach_ of its own) form an index interval that only moves forward.  Each
+/// run's table, one KRange per slot t_lo..t_hi, is filled once, when the
+/// interval first covers it, into table slot (run index mod window_runs_)
+/// of one flat buffer, over the table of a run that has left.  Memory:
+/// window_runs_ · window_stride_ ranges, at most (2·max|Δb| + 1) · cosets ·
+/// longest run.
+class GroupLattice::RangeWindow {
+ public:
+  /// One run's table: slot t reads ranges[t - t_lo]; a slot outside
+  /// [t_lo, t_lo + len) is unpopulated (len 0: no such run).
+  struct Table {
+    const KRange* ranges = nullptr;
+    std::int64_t t_lo = 0;
+    std::uint64_t len = 0;
+    [[nodiscard]] KRange at(std::int64_t t) const {
+      const std::uint64_t off = static_cast<std::uint64_t>(t) - static_cast<std::uint64_t>(t_lo);
+      return off < len ? ranges[off] : KRange{};
+    }
+  };
+
+  explicit RangeWindow(const GroupLattice& lattice);
+  /// Slide the window to run i: fill every run that has come within reach
+  /// and point target(k) at dependence k's target run.  Returns run i's
+  /// table.
+  const Table& enter(std::size_t i);
+  [[nodiscard]] const Table& target(std::size_t k) const { return targets_[k]; }
+
+ private:
+  [[nodiscard]] Table table_of(std::size_t j) const;
+
+  const GroupLattice* lattice_;
+  std::vector<KRange> buf_;     ///< window_runs_ tables of window_stride_ ranges
+  std::size_t filled_ = 0;      ///< runs [0, filled_) have been filled
+  Table own_;                   ///< the current run's table
+  std::vector<Table> targets_;  ///< per dependence, the current run's target table
+};
+
 // ---- walker -----------------------------------------------------------------
 
-template <class F>
-void GroupLattice::walk_run(const Run& run, std::int64_t t_lo, std::int64_t t_hi,
-                            F&& visit) const {
-  if (t_lo > t_hi) return;
-  // Ring of the run's most recent line ranges, slot t mod ring_size_.  One
-  // line's same-run queries span [t - max|Δt|, t + max|Δt|], fewer lines
-  // than slots, so they never evict each other.
-  struct Slot {
-    std::int64_t t, k_lo, k_hi;
-    bool filled;
-  };
-  std::array<Slot, 64> local;
-  std::vector<Slot> spill;
-  Slot* ring = local.data();
-  if (ring_size_ > local.size()) {
-    spill.resize(ring_size_);
-    ring = spill.data();
-  }
-  for (std::size_t i = 0; i < ring_size_; ++i) ring[i].filled = false;
-  const std::uint64_t mask = ring_size_ - 1;
-  const Coset& home = cosets_[static_cast<std::size_t>(run.comp)];
-  auto range_of = [&](std::int64_t t) -> const Slot& {
-    Slot& s = ring[static_cast<std::uint64_t>(t) & mask];
-    if (!s.filled || s.t != t) {
-      const auto r = home.form.range(t, run.b);
-      s = r ? Slot{t, r->first, r->second, true} : Slot{t, 0, -1, true};
-    }
-    return s;
-  };
+template <class Own, class Target, class F>
+void GroupLattice::visit_run(const Run& run, std::int64_t t_lo, std::int64_t t_hi, const Own& own,
+                             const Target& target, F&& visit) const {
   const std::size_t nd = original_deps().size();
   const Shift* shift = shifts_.data() + static_cast<std::size_t>(run.comp) * nd;
-
-  std::int64_t step_anchor =
-      detail::checked_add(detail::checked_add(home.step_base, detail::checked_mul(t_lo, step_t_)),
-                          detail::checked_mul(run.b, step_b_));
+  std::int64_t step_anchor = detail::checked_add(
+      detail::checked_add(cosets_[static_cast<std::size_t>(run.comp)].step_base,
+                          detail::checked_mul(t_lo, step_t_)),
+      detail::checked_mul(run.b, step_b_));
   std::int64_t a = floor_div(t_lo, choice_.r);
   std::int64_t pos = t_lo - a * choice_.r;  // slot within group a
   for (std::int64_t t = t_lo;; ++t) {
-    const Slot& src = range_of(t);
+    const KRange src = own(t);
     if (src.k_lo <= src.k_hi) {
       const WalkLine line{degenerate() ? GroupKey{t, 0, t} : GroupKey{a, run.b, run.comp},
                           src.k_lo, src.k_hi, step_anchor};
@@ -453,18 +492,10 @@ void GroupLattice::walk_run(const Run& run, std::int64_t t_lo, std::int64_t t_hi
         if (s.comp < 0) return arc;
         const std::int64_t tt = detail::checked_add(t, s.dt);
         const std::int64_t bt = detail::checked_add(run.b, s.db);
-        std::int64_t lo = 0, hi = -1;
-        if (s.comp == run.comp && s.db == 0) {
-          const Slot& tgt = range_of(tt);
-          lo = tgt.k_lo;
-          hi = tgt.k_hi;
-        } else if (const auto r = cosets_[static_cast<std::size_t>(s.comp)].form.range(tt, bt)) {
-          lo = r->first;
-          hi = r->second;
-        }
-        if (lo <= hi) {
-          arc.k_lo = detail::checked_sub(lo, s.kappa);
-          arc.k_hi = detail::checked_sub(hi, s.kappa);
+        const KRange tgt = target(k, s, tt, bt);
+        if (tgt.k_lo <= tgt.k_hi) {
+          arc.k_lo = detail::checked_sub(tgt.k_lo, s.kappa);
+          arc.k_hi = detail::checked_sub(tgt.k_hi, s.kappa);
         }
         arc.dst = key_at(s.comp, bt, tt);
         return arc;
@@ -476,6 +507,65 @@ void GroupLattice::walk_run(const Run& run, std::int64_t t_lo, std::int64_t t_hi
       ++a;
       pos = 0;
     }
+  }
+}
+
+template <class F>
+void GroupLattice::walk_run(const Run& run, std::int64_t t_lo, std::int64_t t_hi,
+                            F&& visit) const {
+  if (t_lo > t_hi) return;
+  // Ring of the run's most recent line ranges, slot t mod ring_size_.  One
+  // line's same-run queries span [t - max|Δt|, t + max|Δt|], fewer lines
+  // than slots, so they never evict each other.
+  struct Slot {
+    std::int64_t t;
+    KRange r;
+    bool filled;
+  };
+  std::array<Slot, 64> local;
+  std::vector<Slot> spill;
+  Slot* ring = local.data();
+  if (ring_size_ > local.size()) {
+    spill.resize(ring_size_);
+    ring = spill.data();
+  }
+  for (std::size_t i = 0; i < ring_size_; ++i) ring[i].filled = false;
+  const std::uint64_t mask = ring_size_ - 1;
+  const LineForm& home = cosets_[static_cast<std::size_t>(run.comp)].form;
+  auto range_of = [&](std::int64_t t) {
+    Slot& s = ring[static_cast<std::uint64_t>(t) & mask];
+    if (!s.filled || s.t != t) {
+      const auto r = home.range(t, run.b);
+      s = Slot{t, r ? KRange{r->first, r->second} : KRange{}, true};
+    }
+    return s.r;
+  };
+  visit_run(
+      run, t_lo, t_hi, range_of,
+      [&](std::size_t, const Shift& s, std::int64_t tt, std::int64_t bt) {
+        if (s.comp == run.comp && s.db == 0) return range_of(tt);
+        const auto r = cosets_[static_cast<std::size_t>(s.comp)].form.range(tt, bt);
+        return r ? KRange{r->first, r->second} : KRange{};
+      },
+      visit);
+}
+
+template <class F>
+void GroupLattice::walk(F&& visit) const {
+  if (gens_.size() != 2) {
+    for (const Run& run : runs_) walk_run(run, run.t_lo, run.t_hi, visit);
+    return;
+  }
+  RangeWindow window(*this);
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    const Run& run = runs_[i];
+    const RangeWindow::Table& own = window.enter(i);
+    visit_run(
+        run, run.t_lo, run.t_hi, [&](std::int64_t t) { return own.ranges[t - run.t_lo]; },
+        [&](std::size_t k, const Shift&, std::int64_t tt, std::int64_t) {
+          return window.target(k).at(tt);
+        },
+        visit);
   }
 }
 

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <random>
 #include <set>
+#include <string>
 
 #include "core/error.hpp"
 #include "exec/parallel_runtime.hpp"
@@ -250,6 +253,98 @@ TEST(Remap, CascadingFailuresHandBlocksOn) {
     EXPECT_NE(r.mapping.block_to_proc[b], 1u);
     EXPECT_NE(r.mapping.block_to_proc[b], 3u);
   }
+}
+
+TEST(Remap, RandomFaultSetsMatchPerBlockTimeline) {
+  // proc_at against a per-block ownership timeline rebuilt here from the
+  // input mapping and the migration list (fault-free owner, then each
+  // migration in event order; the last entry owned from a step on wins):
+  // random node-fault sets on Q3 and Q4, with spares that fail later and
+  // failures that share a step, at every break step and the steps just
+  // before and after it.
+  std::mt19937 rng(0xFA17);
+  auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  int cascades = 0, shared_steps = 0, remaps = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    Hypercube cube(trial % 2 == 0 ? 3 : 4);
+    const auto last_proc = static_cast<std::int64_t>(cube.size()) - 1;
+    const std::size_t nblocks = static_cast<std::size_t>(pick(1, 40));
+    std::vector<std::int64_t> sizes(nblocks);
+    Mapping map;
+    map.processor_count = cube.size();
+    map.block_to_proc.resize(nblocks);
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      sizes[b] = pick(1, 9);
+      map.block_to_proc[b] = static_cast<ProcId>(pick(0, last_proc));
+    }
+    // One to three failed nodes at steps 0..4; step 0 means "from the
+    // start", and the narrow range makes shared steps common.
+    std::string plan;
+    std::set<ProcId> failed;
+    const std::int64_t nfail = pick(1, 3);
+    while (static_cast<std::int64_t>(failed.size()) < nfail) {
+      const auto node = static_cast<ProcId>(pick(0, last_proc));
+      if (!failed.insert(node).second) continue;
+      const std::int64_t step = pick(0, 4);
+      plan += (plan.empty() ? "node:" : ",node:") + std::to_string(node);
+      if (step > 0) plan += "@" + std::to_string(step);
+    }
+    SCOPED_TRACE(plan);
+    const FaultSet faults = FaultPlan::parse(plan).resolve(cube);
+    fault::RemapResult r;
+    try {
+      r = fault::remap_for_faults(sizes, map, cube, faults);
+    } catch (const FaultError&) {
+      continue;  // a failed node with no live neighbor
+    }
+    ++remaps;
+
+    std::vector<std::vector<std::pair<std::int64_t, ProcId>>> timeline(nblocks);
+    for (std::size_t b = 0; b < nblocks; ++b)
+      timeline[b].emplace_back(fault::kFromStart, map.block_to_proc[b]);
+    std::set<ProcId> received;
+    bool cascade = false;
+    for (const fault::Migration& m : r.migrations) {
+      ASSERT_LT(m.block, nblocks);
+      EXPECT_EQ(timeline[m.block].back().second, m.from);
+      timeline[m.block].emplace_back(m.at_step, m.to);
+      cascade = cascade || received.contains(m.from);
+      received.insert(m.to);
+    }
+    cascades += cascade ? 1 : 0;
+    auto reference = [&](std::size_t b, std::int64_t step) {
+      ProcId owner = timeline[b].front().second;
+      for (const auto& [from, proc] : timeline[b]) {
+        if (from > step) break;
+        owner = proc;
+      }
+      return owner;
+    };
+
+    std::vector<std::int64_t> steps{std::numeric_limits<std::int64_t>::max()};
+    std::set<std::int64_t> fail_steps;
+    const std::vector<fault::NodeFault> events = faults.node_failures_in_order();
+    for (const fault::NodeFault& nf : events) {
+      fail_steps.insert(nf.at_step);
+      steps.push_back(nf.at_step);
+      steps.push_back(nf.at_step + 1);
+      if (nf.at_step != fault::kFromStart) steps.push_back(nf.at_step - 1);
+    }
+    shared_steps += fail_steps.size() < events.size() ? 1 : 0;
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      for (std::int64_t step : steps) {
+        const ProcId got = r.proc_at(b, step);
+        EXPECT_EQ(got, reference(b, step)) << "block " << b << " step " << step;
+        EXPECT_FALSE(faults.node_failed_at(got, step)) << "block " << b << " step " << step;
+      }
+      EXPECT_EQ(r.proc_at(b, std::numeric_limits<std::int64_t>::max()), r.mapping.block_to_proc[b]);
+    }
+  }
+  EXPECT_GE(remaps, 60);
+  EXPECT_GE(cascades, 1) << "no spare failed after inheriting blocks";
+  EXPECT_GE(shared_steps, 1) << "no two failures shared a step";
 }
 
 TEST(Remap, NoLiveNeighborThrows) {

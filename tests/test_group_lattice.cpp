@@ -1012,6 +1012,42 @@ void expect_walk_matches_oracle(const LoopNest& nest, const IntVec& pi) {
   expect_walk_matches_oracle(space, tf, nest.name() + " pi=" + tf.to_string());
 }
 
+/// What a lattice's walk exercises in the plane walker's range window: the
+/// largest |Δb| of an arc bundle, the longest run, whether the runs differ
+/// in length, and whether the cosets' runs cover different b ranges.
+struct WalkShape {
+  std::int64_t max_db = 0;
+  std::int64_t longest_run = 0;
+  bool uneven_runs = false;
+  bool uneven_cosets = false;
+};
+
+WalkShape walk_shape(const GroupLattice& gl) {
+  WalkShape shape;
+  std::map<std::int64_t, std::pair<std::int64_t, std::int64_t>> b_range;  // by coset
+  for (const GroupLattice::Run& run : gl.runs()) {
+    const std::int64_t len = run.t_hi - run.t_lo + 1;
+    if (shape.longest_run != 0 && len != shape.longest_run) shape.uneven_runs = true;
+    shape.longest_run = std::max(shape.longest_run, len);
+    auto [it, fresh] = b_range.try_emplace(run.comp, run.b, run.b);
+    it->second.first = std::min(it->second.first, run.b);
+    it->second.second = std::max(it->second.second, run.b);
+  }
+  for (const auto& [comp, range] : b_range)
+    if (range != b_range.begin()->second) shape.uneven_cosets = true;
+  gl.for_each_line_and_bundle(
+      [](const GroupKey&, std::int64_t, std::int64_t) {},
+      [&](const GroupKey& src, const GroupKey& dst, std::size_t, std::int64_t, std::int64_t) {
+        shape.max_db = std::max(shape.max_db, std::abs(dst.b - src.b));
+      });
+  return shape;
+}
+
+WalkShape walk_shape(const IterSpace& space, const TimeFunction& tf) {
+  const std::optional<GroupLattice> gl = GroupLattice::build(space, tf);
+  return gl ? walk_shape(*gl) : WalkShape{};
+}
+
 TEST(GroupLattice, WalkMatchesLineRangeOracle) {
   // Chains: rectangular, triangular and disjunctive (max/min) bounds.
   expect_walk_matches_oracle(workloads::sor2d(13, 9), {1, 1});
@@ -1040,6 +1076,72 @@ TEST(GroupLattice, WalkMatchesLineRangeOracle) {
   expect_walk_matches_oracle(workloads::strided_recurrence3d(8, 2), {1, 1, 1});
   expect_walk_matches_oracle(workloads::strided_recurrence3d(9, 3), {1, 1, 1});
   expect_walk_matches_oracle(workloads::wavefront3d(6), {1, 1, 2});
+  // The plane walker's range window.  |Δb| = 2: the (0, 2, 1) and
+  // (1, 3, 1) dependences reach two b values away, so the window spans five.
+  for (const IterSpace& space :
+       {IterSpace({{0, 7}, {0, 6}, {0, 5}}, {IntVec{1, 0, 0}, IntVec{0, 1, 0}, IntVec{1, 3, 1}}),
+        IterSpace({{-2, 5}, {1, 9}, {0, 3}},
+                  {IntVec{0, 0, 1}, IntVec{1, 0, 0}, IntVec{0, 2, 1}})}) {
+    const TimeFunction tf{IntVec{1, 1, 1}};
+    EXPECT_EQ(walk_shape(space, tf).max_db, 2);
+    expect_walk_matches_oracle(space, tf, "|db| = 2");
+  }
+  // Runs longer than 64 lines.
+  EXPECT_GT(walk_shape(IterSpace(workloads::wavefront3d(70),
+                                 analyze_dependences(workloads::wavefront3d(70))
+                                     .distance_vectors()),
+                       TimeFunction{IntVec{1, 1, 1}})
+                .longest_run,
+            64);
+  expect_walk_matches_oracle(workloads::wavefront3d(70), {1, 1, 1});
+  // Cosets whose runs cover different b ranges, on uneven extents.
+  for (std::int64_t stride : {2, 3}) {
+    const IterSpace space({{0, 9}, {0, 6}, {0, 11}},
+                          {IntVec{stride, 0, 0}, IntVec{0, stride, 0}, IntVec{0, 0, stride}});
+    const TimeFunction tf{IntVec{1, 1, 1}};
+    const WalkShape shape = walk_shape(space, tf);
+    EXPECT_TRUE(shape.uneven_cosets) << "stride " << stride;
+    expect_walk_matches_oracle(space, tf, "uneven strided3d, s = " + std::to_string(stride));
+  }
+  // Runs of varying length: the lu prism.
+  {
+    const LoopNest lu = workloads::lu_decomposition(14);
+    EXPECT_TRUE(walk_shape(IterSpace(lu, analyze_dependences(lu).distance_vectors()),
+                           TimeFunction{IntVec{1, 1, 1}})
+                    .uneven_runs);
+    expect_walk_matches_oracle(lu, {1, 1, 1});
+    expect_walk_matches_oracle(lu, {});
+  }
+  // Seeded random 3-D boxes with dependence entries in [-2, 2]: every plan
+  // that builds a lattice walks like the oracle.
+  {
+    std::mt19937 rng(0x3D3D);
+    auto pick = [&](std::int64_t lo, std::int64_t hi) {
+      return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    int planes = 0, far = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+      std::vector<DimBounds> box;
+      for (int i = 0; i < 3; ++i) {
+        const std::int64_t lo = pick(-3, 3);
+        box.emplace_back(lo, lo + pick(0, 9));
+      }
+      std::vector<IntVec> deps;
+      while (deps.size() < static_cast<std::size_t>(pick(2, 4))) {
+        IntVec d{pick(-2, 2), pick(-2, 2), pick(-2, 2)};
+        if (!is_zero(d) && std::find(deps.begin(), deps.end(), d) == deps.end())
+          deps.push_back(d);
+      }
+      const IterSpace space(box, deps);
+      const std::optional<TimeFunction> tf = search_time_function(space);
+      if (!tf || !GroupLattice::build(space, *tf)) continue;
+      ++planes;
+      if (walk_shape(space, *tf).max_db >= 2) ++far;
+      expect_walk_matches_oracle(space, *tf, "random 3-D trial " + std::to_string(trial));
+    }
+    EXPECT_GE(planes, 15);
+    EXPECT_GE(far, 1);
+  }
   // Degenerate lattices: every dependence parallel to Π, each line its own
   // group, in either lexicographic orientation.
   expect_walk_matches_oracle(IterSpace({{0, 5}, {-2, 6}}, {IntVec{0, 1}, IntVec{0, 2}}),
