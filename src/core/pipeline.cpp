@@ -82,8 +82,8 @@ std::unique_ptr<PlanView> make_plan(const ComputationStructure* structure, const
   }
   obs::Span span(sink, "partition", "pipeline");
   if (lattice) return make_lattice_plan(std::move(*lattice), config.validate);
-  if (structure) return make_grouping_plan(*structure, tf, config.grouping);
-  return make_grouping_plan(*space, tf, config.grouping);
+  if (structure) return make_grouping_plan(*structure, tf, config.grouping, sink);
+  return make_grouping_plan(*space, tf, config.grouping, sink);
 }
 
 }  // namespace

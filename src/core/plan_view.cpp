@@ -8,6 +8,7 @@
 #include "core/error.hpp"
 #include "core/json_writer.hpp"
 #include "core/pipeline.hpp"
+#include "obs/span.hpp"
 #include "partition/symbolic.hpp"
 #include "perf/table.hpp"
 
@@ -17,13 +18,25 @@ namespace {
 
 class GroupingPlan final : public PlanView {
  public:
-  /// Exactly one of `q` (dense) and `space` (line-based) is set.
+  /// Exactly one of `q` (dense) and `space` (line-based) is set.  Each
+  /// stage of Algorithm 1 is a span on `sink`: project, grouping, blocks.
   GroupingPlan(const ComputationStructure* q, const IterSpace* space, const TimeFunction& tf,
-               const GroupingOptions& opts)
-      : q_(q), space_(space), tf_(tf),
-        ps_(q ? std::make_unique<ProjectedStructure>(*q, tf)
-              : std::make_unique<ProjectedStructure>(*space, tf)),
-        grouping_(Grouping::compute(*ps_, opts)) {
+               const GroupingOptions& opts, obs::TraceSink* sink)
+      : q_(q), space_(space), tf_(tf) {
+    {
+      obs::Span span(sink, "project", "pipeline");
+      ps_ = q ? std::make_unique<ProjectedStructure>(*q, tf)
+              : std::make_unique<ProjectedStructure>(*space, tf);
+      span.arg("points", static_cast<std::int64_t>(ps_->point_count()));
+    }
+    {
+      obs::Span span(sink, "grouping", "pipeline");
+      grouping_ = Grouping::compute(*ps_, opts);
+      span.arg("nodes_visited", static_cast<std::int64_t>(grouping_.growth().nodes_visited));
+      span.arg("groups", static_cast<std::int64_t>(grouping_.group_count()));
+      span.arg("walk", std::string(grouping_.growth().walk()));
+    }
+    obs::Span span(sink, "blocks", "pipeline");
     if (q_) {
       partition_ = Partition::build(*q_, grouping_);
       stats = compute_partition_stats(*q_, partition_);
@@ -222,13 +235,14 @@ class LatticePlan final : public PlanView {
 }  // namespace
 
 std::unique_ptr<PlanView> make_grouping_plan(const ComputationStructure& q,
-                                             const TimeFunction& tf, const GroupingOptions& opts) {
-  return std::make_unique<GroupingPlan>(&q, nullptr, tf, opts);
+                                             const TimeFunction& tf, const GroupingOptions& opts,
+                                             obs::TraceSink* sink) {
+  return std::make_unique<GroupingPlan>(&q, nullptr, tf, opts, sink);
 }
 
 std::unique_ptr<PlanView> make_grouping_plan(const IterSpace& space, const TimeFunction& tf,
-                                             const GroupingOptions& opts) {
-  return std::make_unique<GroupingPlan>(nullptr, &space, tf, opts);
+                                             const GroupingOptions& opts, obs::TraceSink* sink) {
+  return std::make_unique<GroupingPlan>(nullptr, &space, tf, opts, sink);
 }
 
 std::unique_ptr<PlanView> make_lattice_plan(GroupLattice lattice, bool validate) {

@@ -80,11 +80,14 @@ class PlanView {
 
 /// The grouping plan over a materialized structure (dense: the blocks are
 /// a Partition of it) or over an IterSpace (line-based: closed-form
-/// statistics over its lines, no index point).
+/// statistics over its lines, no index point).  Its stages are the spans
+/// `project`, `grouping` and `blocks` on `sink`.
 std::unique_ptr<PlanView> make_grouping_plan(const ComputationStructure& q,
-                                             const TimeFunction& tf, const GroupingOptions& opts);
+                                             const TimeFunction& tf, const GroupingOptions& opts,
+                                             obs::TraceSink* sink = nullptr);
 std::unique_ptr<PlanView> make_grouping_plan(const IterSpace& space, const TimeFunction& tf,
-                                             const GroupingOptions& opts);
+                                             const GroupingOptions& opts,
+                                             obs::TraceSink* sink = nullptr);
 /// The lattice plan.  It does not walk the lattice here: its first
 /// simulate() feeds the simulator and the lattice sweep (with the theorem
 /// checks when `validate`) from one walk, inside the caller's `simulate`

@@ -79,6 +79,18 @@ struct Group {
   [[nodiscard]] std::size_t size() const;
 };
 
+/// How region growing walked: the lattice nodes it dequeued and, per
+/// component, which region it walked (see Grouping::compute).
+struct GrowthStats {
+  std::size_t nodes_visited = 0;
+  std::size_t lattice_box_walks = 0;  ///< components walked over their coset's lattice box
+  std::size_t widened_box_walks = 0;  ///< components walked over the widened box W
+  /// "lattice-box" or "widened-box" when every component walked that
+  /// region, "mixed" when both occur, "none" when nothing was walked
+  /// (every dependence parallel to Π).
+  [[nodiscard]] const char* walk() const;
+};
+
 /// Result of the grouping phase.
 class Grouping {
  public:
@@ -100,6 +112,7 @@ class Grouping {
     return choice_.aux;
   }
   [[nodiscard]] std::size_t beta() const { return choice_.beta; }
+  [[nodiscard]] const GrowthStats& growth() const { return growth_; }
 
   /// Scaled direction vectors of the group-base lattice, one per lattice
   /// coordinate: r*d_l^p first, then each auxiliary d_j^p.  These are the
@@ -116,6 +129,7 @@ class Grouping {
   std::vector<Group> groups_;
   std::vector<std::size_t> point_group_;  // point id -> group id
   GroupingChoice choice_;
+  GrowthStats growth_;
 };
 
 }  // namespace hypart

@@ -55,17 +55,28 @@ std::size_t ProjectionFrame::projected_rank() const {
 
 namespace {
 
-/// The m keys in `keys` (rows of n coordinates) as (code, row) pairs in
-/// (key, row) order, where equal codes mark equal keys.  The first `lead`
-/// coordinates determine a key.  When their bounding box has fewer than
-/// 2^64 cells, each key packs into a mixed-radix code that orders like the
-/// key and an LSD radix sort orders the pairs in O(m) per 11-bit digit;
-/// otherwise rows are compared in place and the code is the key's rank.
-std::vector<std::pair<std::uint64_t, std::size_t>> sort_keys(const std::vector<std::int64_t>& keys,
-                                                             std::size_t m, std::size_t n,
-                                                             std::size_t lead) {
-  std::vector<std::pair<std::uint64_t, std::size_t>> sorted(m);
+/// The m keys in `keys` (rows of n coordinates) in (key, row) order: the
+/// row ids, and beside them codes where equal codes mark equal keys.
+struct SortedKeys {
+  std::vector<std::uint64_t> codes;
+  std::vector<std::uint32_t> rows;
+};
+
+/// Sorts the keys; the first `lead` coordinates determine a key.  When
+/// their bounding box has fewer than 2^64 cells, each key packs into a
+/// mixed-radix code that orders like the key and an LSD radix sort orders
+/// (code, row id) in O(m) per 11-bit digit; otherwise rows are compared in
+/// place and the code is the key's rank.  Codes and 32-bit row ids sit in
+/// separate arrays (12 bytes a key, and as much again for the radix
+/// scratch), so m is limited to 2^32 - 1 keys like the point ids.
+SortedKeys sort_keys(const std::vector<std::int64_t>& keys, std::size_t m, std::size_t n,
+                     std::size_t lead) {
+  if (m >= UINT32_MAX)
+    throw Error(ErrorKind::Config, "ProjectedStructure: " + std::to_string(m) +
+                                       " keys exceed the 32-bit point-id limit");
+  SortedKeys sorted{std::vector<std::uint64_t>(m), std::vector<std::uint32_t>(m)};
   if (m == 0) return sorted;
+  std::iota(sorted.rows.begin(), sorted.rows.end(), std::uint32_t{0});
   IntVec lo(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(lead)), hi = lo;
   for (std::size_t r = 0; r < m; ++r)
     for (std::size_t c = 0; c < lead; ++c) {
@@ -81,15 +92,13 @@ std::vector<std::pair<std::uint64_t, std::size_t>> sort_keys(const std::vector<s
   }
   if (!packs) {
     auto row = [&](std::size_t r) { return keys.data() + r * n; };
-    for (std::size_t r = 0; r < m; ++r) sorted[r].second = r;
-    std::stable_sort(sorted.begin(), sorted.end(), [&](const auto& a, const auto& b) {
-      return std::lexicographical_compare(row(a.second), row(a.second) + n, row(b.second),
-                                          row(b.second) + n);
+    std::stable_sort(sorted.rows.begin(), sorted.rows.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return std::lexicographical_compare(row(a), row(a) + n, row(b), row(b) + n);
     });
     for (std::size_t i = 1; i < m; ++i) {
-      const std::int64_t* prev = row(sorted[i - 1].second);
-      const bool same = std::equal(prev, prev + n, row(sorted[i].second));
-      sorted[i].first = sorted[i - 1].first + (same ? 0 : 1);
+      const std::int64_t* prev = row(sorted.rows[i - 1]);
+      const bool same = std::equal(prev, prev + n, row(sorted.rows[i]));
+      sorted.codes[i] = sorted.codes[i - 1] + (same ? 0 : 1);
     }
     return sorted;
   }
@@ -98,21 +107,26 @@ std::vector<std::pair<std::uint64_t, std::size_t>> sort_keys(const std::vector<s
     for (std::size_t c = 0; c < lead; ++c)
       code = code * span[c] +
              (static_cast<std::uint64_t>(keys[r * n + c]) - static_cast<std::uint64_t>(lo[c]));
-    sorted[r] = {code, r};
+    sorted.codes[r] = code;
   }
   // Stable passes from the least significant digit keep equal codes in
   // row order.
   constexpr unsigned kDigitBits = 11;
   constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
   const unsigned bits = cells > 1 ? 64 - static_cast<unsigned>(__builtin_clzll(cells - 1)) : 0;
-  std::vector<std::pair<std::uint64_t, std::size_t>> scratch(m);
+  SortedKeys scratch;
+  if (bits > 0) scratch = {std::vector<std::uint64_t>(m), std::vector<std::uint32_t>(m)};
   std::vector<std::size_t> start(kDigitMask + 2);
   for (unsigned shift = 0; shift < bits; shift += kDigitBits) {
     std::fill(start.begin(), start.end(), 0);
-    for (const auto& e : sorted) ++start[((e.first >> shift) & kDigitMask) + 1];
+    for (std::uint64_t code : sorted.codes) ++start[((code >> shift) & kDigitMask) + 1];
     std::partial_sum(start.begin(), start.end(), start.begin());
-    for (const auto& e : sorted) scratch[start[(e.first >> shift) & kDigitMask]++] = e;
-    sorted.swap(scratch);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t at = start[(sorted.codes[i] >> shift) & kDigitMask]++;
+      scratch.codes[at] = sorted.codes[i];
+      scratch.rows[at] = sorted.rows[i];
+    }
+    std::swap(sorted, scratch);
   }
   return sorted;
 }
@@ -147,15 +161,15 @@ ProjectedStructure::ProjectedStructure(const ComputationStructure& q, const Time
   std::vector<std::int64_t> steps(verts.size());
   for (std::size_t v = 0; v < verts.size(); ++v)
     steps[v] = frame_.project_into(verts[v], &keys[v * n]);
-  const std::vector<std::pair<std::uint64_t, std::size_t>> sorted =
-      sort_keys(keys, verts.size(), n, key_lead(tf.pi));
+  const SortedKeys sorted = sort_keys(keys, verts.size(), n, key_lead(tf.pi));
+  const std::size_t m = sorted.rows.size();
   vertex_point_.resize(verts.size());
-  for (std::size_t i = 0; i < sorted.size();) {
+  for (std::size_t i = 0; i < m;) {
     const auto pid = static_cast<std::uint32_t>(points_.size());
-    std::size_t rep = sorted[i].second;
+    std::size_t rep = sorted.rows[i];
     std::size_t j = i;
-    for (; j < sorted.size() && sorted[j].first == sorted[i].first; ++j) {
-      const std::size_t v = sorted[j].second;
+    for (; j < m && sorted.codes[j] == sorted.codes[i]; ++j) {
+      const std::size_t v = sorted.rows[j];
       vertex_point_[v] = pid;
       if (steps[v] < steps[rep]) rep = v;
     }
@@ -186,11 +200,10 @@ ProjectedStructure::ProjectedStructure(const IterSpace& space, const TimeFunctio
     reps.insert(reps.end(), rep.begin(), rep.end());
     pops.push_back(space.line_range(rep, u)->second + 1);
   });
-  const std::vector<std::pair<std::uint64_t, std::size_t>> sorted =
-      sort_keys(keys, pops.size(), n, key_lead(tf.pi));
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (i > 0 && sorted[i].first == sorted[i - 1].first) continue;
-    const std::size_t l = sorted[i].second;
+  const SortedKeys sorted = sort_keys(keys, pops.size(), n, key_lead(tf.pi));
+  for (std::size_t i = 0; i < sorted.rows.size(); ++i) {
+    if (i > 0 && sorted.codes[i] == sorted.codes[i - 1]) continue;
+    const std::size_t l = sorted.rows[i];
     add_line(&keys[l * n],
              IntVec(reps.begin() + static_cast<std::ptrdiff_t>(l * n),
                     reps.begin() + static_cast<std::ptrdiff_t>((l + 1) * n)),

@@ -63,11 +63,11 @@ struct SymFaultState {
 
 /// Checks the topology against the processor count and resolves the fault
 /// plan.  Node failures need concrete migration targets, so only then does
-/// `materialize_blocks(sizes, base)` supply the feed's block sizes and base
-/// mapping — the only O(blocks) work of a closed-form feed.
-template <class Materialize>
+/// `remap_blocks(cube, set)` remap the feed's blocks — the only O(blocks)
+/// work of a closed-form feed.
+template <class Remap>
 SymFaultState resolve_machine(const SimOptions& opts, const Topology& topo, std::size_t nprocs,
-                              const Materialize& materialize_blocks) {
+                              const Remap& remap_blocks) {
   if (topo.size() < nprocs)
     throw std::invalid_argument("simulate_execution: topology smaller than processor count");
   SymFaultState fs;
@@ -83,12 +83,7 @@ SymFaultState resolve_machine(const SimOptions& opts, const Topology& topo, std:
     if (step > fault::kFromStart) fs.breaks.push_back(step);
   std::sort(fs.breaks.begin(), fs.breaks.end());
   fs.breaks.erase(std::unique(fs.breaks.begin(), fs.breaks.end()), fs.breaks.end());
-  if (fs.set.failed_node_count() > 0) {
-    std::vector<std::int64_t> sizes;
-    Mapping base;
-    materialize_blocks(sizes, base);
-    fs.remap = fault::remap_for_faults(sizes, base, *cube, fs.set);
-  }
+  if (fs.set.failed_node_count() > 0) fs.remap = remap_blocks(*cube, fs.set);
   return fs;
 }
 
@@ -982,10 +977,9 @@ SimResult simulate_execution(const ComputationStructure& q, const TimeFunction& 
   // Blocks keep the partition's creation order, so node-fault remaps see
   // the same block indices as the materialized partition.
   SymFaultState fstate = resolve_machine(
-      opts, topo, mapping.processor_count, [&](std::vector<std::int64_t>& sizes, Mapping& base) {
-        for (const PartitionBlock& b : part.blocks())
-          sizes.push_back(static_cast<std::int64_t>(b.iterations.size()));
-        base = mapping;
+      opts, topo, mapping.processor_count,
+      [&](const Hypercube& cube, const fault::FaultSet& set) {
+        return fault::remap_for_faults(part, mapping, cube, set);
       });
 
   const PointRows& verts = q.vertices();
@@ -1029,9 +1023,9 @@ SimResult simulate_execution(const IterSpace& space, const Grouping& grouping,
   if (mapping.block_to_proc.size() != grouping.group_count())
     throw std::invalid_argument("simulate_execution: mapping/partition size mismatch");
   SymFaultState fstate = resolve_machine(
-      opts, topo, mapping.processor_count, [&](std::vector<std::int64_t>& sizes, Mapping& base) {
-        sizes = symbolic_block_sizes(grouping);
-        base = mapping;
+      opts, topo, mapping.processor_count,
+      [&](const Hypercube& cube, const fault::FaultSet& set) {
+        return fault::remap_for_faults(symbolic_block_sizes(grouping), mapping, cube, set);
       });
 
   // Processor (and block, for the degraded-ownership lookups) of every
@@ -1073,11 +1067,13 @@ SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercube
     return runs[i].first + static_cast<std::uint64_t>(a - runs[i].a_lo);
   };
   SymFaultState fstate = resolve_machine(
-      opts, topo, mapping.processor_count, [&](std::vector<std::int64_t>& sizes, Mapping& base) {
+      opts, topo, mapping.processor_count,
+      [&](const Hypercube& cube, const fault::FaultSet& set) {
         sorted = lattice.sorted_order();
         const std::vector<std::int64_t> pre = lattice.population_prefix();
-        sizes.assign(sorted.size(), 0);
+        std::vector<std::int64_t> sizes(sorted.size(), 0);
         for (std::size_t j = 0; j < sorted.size(); ++j) sizes[sorted[j]] = pre[j + 1] - pre[j];
+        Mapping base;
         base.processor_count = mapping.processor_count;
         base.block_to_proc.assign(sorted.size(), 0);
         mapping.for_each_fragment(lattice, [&](std::size_t i, std::int64_t a_from,
@@ -1085,6 +1081,7 @@ SimResult simulate_execution(const GroupLattice& lattice, const LatticeHypercube
           for (std::int64_t a = a_from; a < a_next; ++a)
             base.block_to_proc[sorted[run_order(i, a)]] = proc;
         });
+        return fault::remap_for_faults(sizes, base, cube, set);
       });
   auto block_of = [&](const Fragment& f, const GroupKey& g) -> std::size_t {
     return fstate.remapped() ? sorted[run_order(f.run, g.a)] : 0;

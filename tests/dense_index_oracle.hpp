@@ -33,16 +33,18 @@ namespace hypart::oracle {
 /// A random structure for the index oracles: every point of [-3, 3]^dim
 /// kept with probability 0.6 (holes, negative coordinates), in
 /// lexicographic order on even trials and shuffled on odd ones; a random
-/// nonzero Π; 1-4 dependences with Π·d > 0 (negative components allowed)
-/// plus a repeat of the first.  dim cycles through 1..max_dim.
+/// nonzero Π with entries in [-pi_max, pi_max]; 1-4 dependences with
+/// Π·d > 0 (entries in [-2, 2]) plus a repeat of the first.  dim cycles
+/// through 1..max_dim.
 struct RandomStructure {
   std::vector<IntVec> verts;
   std::vector<IntVec> deps;
   TimeFunction tf;
 };
 
-inline RandomStructure random_structure(std::mt19937_64& rng, int trial, std::size_t max_dim) {
-  std::uniform_int_distribution<std::int64_t> comp(-2, 2);
+inline RandomStructure random_structure(std::mt19937_64& rng, int trial, std::size_t max_dim,
+                                        std::int64_t pi_max = 2) {
+  std::uniform_int_distribution<std::int64_t> comp(-2, 2), pi_comp(-pi_max, pi_max);
   std::bernoulli_distribution keep(0.6);
   const std::size_t dim = 1 + static_cast<std::size_t>(trial) % max_dim;
   RandomStructure rs;
@@ -58,7 +60,7 @@ inline RandomStructure random_structure(std::mt19937_64& rng, int trial, std::si
   if (trial % 2 == 1) std::shuffle(rs.verts.begin(), rs.verts.end(), rng);
   do {
     rs.tf.pi.assign(dim, 0);
-    for (std::int64_t& x : rs.tf.pi) x = comp(rng);
+    for (std::int64_t& x : rs.tf.pi) x = pi_comp(rng);
   } while (is_zero(rs.tf.pi));
   const std::size_t ndeps = 1 + static_cast<std::size_t>(trial) % 4;
   while (rs.deps.size() < ndeps) {

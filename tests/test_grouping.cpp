@@ -9,6 +9,7 @@
 #include <set>
 
 #include "dense_index_oracle.hpp"
+#include "frontend/parser.hpp"
 #include "workloads/workloads.hpp"
 
 namespace hypart {
@@ -298,31 +299,136 @@ void expect_same_groups(const std::vector<Group>& got, const std::vector<Group>&
   }
 }
 
+/// Grouping::compute against the IntVec oracle on one projected structure;
+/// adds the walks it took to `walks` and returns its own counts.
+GrowthStats expect_matches_oracle(const ProjectedStructure& ps, const GroupingOptions& opts,
+                                  const std::string& what, GrowthStats& walks) {
+  const Grouping g = Grouping::compute(ps, opts);
+  expect_same_groups(g.groups(), oracle::region_growing(ps, opts), what);
+  walks.nodes_visited += g.growth().nodes_visited;
+  walks.lattice_box_walks += g.growth().lattice_box_walks;
+  walks.widened_box_walks += g.growth().widened_box_walks;
+  return g.growth();
+}
+
+/// Up to `count` explicit bases drawn from V^p, every other one nudged off
+/// it by ±1 in its first coordinate.
+std::vector<IntVec> random_bases(const ProjectedStructure& ps, std::mt19937_64& rng, int count) {
+  std::uniform_int_distribution<std::int64_t> wobble(-1, 1);
+  std::vector<IntVec> bases;
+  for (int i = 0; i < count; ++i) {
+    IntVec b = ps.points()[rng() % ps.point_count()];
+    if (i % 2 == 1) b.front() += wobble(rng);
+    bases.push_back(b);
+  }
+  return bases;
+}
+
 TEST(GroupingTest, RegionGrowingMatchesIntVecOracleOnRandomPointSets) {
   // Grouping::compute against IntVec region growing under both seed
   // policies; the explicit bases mix points of V^p with points outside it.
-  std::mt19937_64 rng(20261020);
-  std::uniform_int_distribution<std::int64_t> wobble(-1, 1);
-  for (int trial = 0; trial < 200; ++trial) {
-    const oracle::RandomStructure rs = oracle::random_structure(rng, trial, 3);
+  // 200 trials of depth 1-3, then 16 of depth 4; over both loops the two
+  // regions (the coset's lattice box and the widened box) must occur.
+  // Depth-4 trials draw Π from [-1, 1]^4: a larger Π·Π makes r and the
+  // widened box so large that the oracle's walk (a hash set of IntVec
+  // bases) takes seconds per trial.
+  GrowthStats walks;
+  auto check = [&](const oracle::RandomStructure& rs, std::mt19937_64& rng,
+                   const std::string& what) {
     const ComputationStructure q(rs.verts, rs.deps);
     const ProjectedStructure ps(q, rs.tf);
-    const std::string what = "trial " + std::to_string(trial);
-
-    GroupingOptions lex;
-    expect_same_groups(Grouping::compute(ps, lex).groups(), oracle::region_growing(ps, lex),
-                       what + " lexicographic");
-
+    expect_matches_oracle(ps, {}, what + " lexicographic", walks);
     GroupingOptions bases;
     bases.seed_policy = SeedPolicy::ExplicitBases;
-    for (int i = 0; i < 4; ++i) {
-      IntVec b = ps.points()[rng() % ps.point_count()];
-      if (i % 2 == 1) b.front() += wobble(rng);
-      bases.explicit_bases.push_back(b);
+    bases.explicit_bases = random_bases(ps, rng, 4);
+    expect_matches_oracle(ps, bases, what + " explicit bases", walks);
+  };
+  std::mt19937_64 rng(20261020);
+  for (int trial = 0; trial < 200; ++trial)
+    check(oracle::random_structure(rng, trial, 3), rng, "trial " + std::to_string(trial));
+  // With max_dim 4, trial 4k + 3 has depth 4.
+  std::mt19937_64 rng4(4);
+  for (int k = 0; k < 16; ++k)
+    check(oracle::random_structure(rng4, 4 * k + 3, 4, 1), rng4,
+          "depth-4 trial " + std::to_string(k));
+  EXPECT_GT(walks.lattice_box_walks, 0u);
+  EXPECT_GT(walks.widened_box_walks, 0u);
+}
+
+/// The 4-D unit recurrence of examples/programs/wave4d.loop over an n^4 box.
+LoopNest wave4d(std::int64_t n) {
+  const std::string hi = std::to_string(n - 1);
+  return parse_loop_nest("loop wave4d {\n for i = 0 to " + hi + "\n for j = 0 to " + hi +
+                         "\n for k = 0 to " + hi + "\n for l = 0 to " + hi +
+                         "\n A[i, j, k, l] = A[i-1, j, k, l] + A[i, j-1, k, l] + "
+                         "A[i, j, k-1, l] + A[i, j, k, l-1];\n}\n");
+}
+
+TEST(GroupingTest, RegionGrowingMatchesOracleOnNamedNests) {
+  // The dense planner's nests under the searched Π, lexicographic and with
+  // explicit bases: 4-D convolutions, wave4d, matmul, a multi-coset
+  // strided nest.  Both regions must occur, and convolution2d(32, 4) —
+  // whose widened box holds 33 148 lattice nodes for 2 062 groups — must
+  // visit at most twice its group count.
+  std::mt19937_64 rng(7919);
+  GrowthStats walks;
+  const std::vector<std::pair<std::string, LoopNest>> nests{
+      {"convolution2d(6, 3)", workloads::convolution2d(6, 3)},
+      {"convolution2d(12, 5)", workloads::convolution2d(12, 5)},
+      {"convolution2d(32, 4)", workloads::convolution2d(32, 4)},
+      {"wave4d(5)", wave4d(5)},
+      {"wave4d(12)", wave4d(12)},
+      {"matmul(7)", workloads::matrix_multiplication(7)},
+      {"strided_recurrence3d(9, 2)", workloads::strided_recurrence3d(9, 2)},
+      {"strided_recurrence(9, 3)", workloads::strided_recurrence(9, 3)},
+  };
+  for (const auto& [name, nest] : nests) {
+    const ComputationStructure q = ComputationStructure::from_loop(nest);
+    const std::optional<TimeFunction> tf = search_time_function(q);
+    ASSERT_TRUE(tf.has_value()) << name;
+    const ProjectedStructure ps(q, *tf);
+    const GrowthStats lex = expect_matches_oracle(ps, {}, name, walks);
+    if (name == "convolution2d(32, 4)") {
+      EXPECT_STREQ(lex.walk(), "lattice-box");
+      EXPECT_LE(lex.nodes_visited, 2 * Grouping::compute(ps).group_count());
     }
-    expect_same_groups(Grouping::compute(ps, bases).groups(), oracle::region_growing(ps, bases),
-                       what + " explicit bases");
+    if (name.starts_with("strided")) {
+      EXPECT_GE(lex.lattice_box_walks, 2u) << name;
+    }
+    GroupingOptions bases;
+    bases.seed_policy = SeedPolicy::ExplicitBases;
+    bases.explicit_bases = random_bases(ps, rng, 6);
+    expect_matches_oracle(ps, bases, name + " explicit bases", walks);
   }
+
+  // The paper's Fig. 6 seed on matmul, with its grouping and auxiliary
+  // vectors pinned.
+  Built b = build(workloads::matrix_multiplication(), {1, 1, 1});
+  const std::vector<IntVec>& pdeps = b.ps->projected_deps_scaled();
+  GroupingOptions paper;
+  std::vector<std::size_t> aux;
+  for (std::size_t k = 0; k < pdeps.size(); ++k) {
+    if (pdeps[k] == IntVec{-1, 2, -1}) paper.grouping_vector = k;
+    if (pdeps[k] == IntVec{-1, -1, 2}) aux.push_back(k);
+  }
+  paper.auxiliary_vectors = aux;
+  paper.seed_policy = SeedPolicy::ExplicitBases;
+  paper.explicit_bases = {{-3, -3, 6}};
+  expect_matches_oracle(*b.ps, paper, "matmul paper seed", walks);
+
+  EXPECT_GT(walks.lattice_box_walks, 0u);
+  EXPECT_GT(walks.widened_box_walks, 0u);
+}
+
+TEST(GroupingTest, WidenedBoxOutsideInt64Throws) {
+  // Π = (1, 0) projects (x, y) to (0, y); the grouping vector (0, 1) has
+  // r = 1, so the widened box reaches 2 below the smallest y.  Within that
+  // margin of INT64_MIN its bound leaves int64: an ArithmeticError, not a
+  // wrapped (empty) box that would make every node its own group.
+  const std::int64_t y = INT64_MIN + 1;
+  const ComputationStructure q({{0, y}, {0, y + 1}, {1, y}, {1, y + 1}}, {{1, 0}, {1, 1}});
+  const ProjectedStructure ps(q, TimeFunction{{1, 0}});
+  EXPECT_THROW((void)Grouping::compute(ps), ArithmeticError);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <variant>
+
 #include "codegen/spmd.hpp"
 #include "core/error.hpp"
 #include "exec/interpreter.hpp"
@@ -188,6 +191,40 @@ TEST(Pipeline, DeeperWorkloadsRun) {
     EXPECT_TRUE(r.theorem1) << nest.name();
     EXPECT_TRUE(r.theorem2.holds) << nest.name();
   }
+}
+
+/// Keeps every Complete event (the stage spans).
+class SpanRecorder final : public obs::TraceSink {
+ public:
+  void event(const obs::TraceEvent& e) override {
+    if (e.phase == obs::Phase::Complete) spans.push_back(e);
+  }
+  [[nodiscard]] const obs::TraceEvent* find(const std::string& name) const {
+    for (const obs::TraceEvent& e : spans)
+      if (e.name == name) return &e;
+    return nullptr;
+  }
+  std::vector<obs::TraceEvent> spans;
+};
+
+TEST(Pipeline, GroupingPlanPartitionHasStageSpans) {
+  // A grouping plan's partition stage is three spans: project, grouping
+  // (with region growing's node count, group count and walk) and blocks.
+  SpanRecorder rec;
+  PipelineConfig cfg;
+  cfg.cube_dim = 2;
+  cfg.space_mode = SpaceMode::Dense;
+  cfg.obs.trace = &rec;
+  const PipelineResult r = run_pipeline(workloads::convolution2d(6, 3), cfg);
+  for (const char* name : {"partition", "project", "blocks"})
+    EXPECT_NE(rec.find(name), nullptr) << name;
+  const obs::TraceEvent* grouping = rec.find("grouping");
+  ASSERT_NE(grouping, nullptr);
+  std::map<std::string, obs::ArgValue> args(grouping->args.begin(), grouping->args.end());
+  EXPECT_EQ(std::get<std::int64_t>(args.at("groups")),
+            static_cast<std::int64_t>(r.plan->blocks.group_count));
+  EXPECT_EQ(std::get<std::int64_t>(args.at("nodes_visited")), 80);
+  EXPECT_EQ(std::get<std::string>(args.at("walk")), "lattice-box");
 }
 
 }  // namespace
